@@ -28,13 +28,9 @@ from .errors import (
 from .green import GreenSpec
 from .levy import LevyTriple, cumulant_coeff
 from .partitions import CorrelationTable, moments_from_cumulants
+from .quadrature import gl_nodes, line_quadrature, sine_nodes
 from .testfunctions import TensorTestFunction, TestFunction
-from .wightman import (
-    _sin_nodes,
-    _sin_nodes_array,
-    line_quadrature,
-    truncated_momentum_eval,
-)
+from .wightman import truncated_momentum_eval
 
 
 # -- weighted Schwartz norms ------------------------------------------------------
@@ -183,7 +179,7 @@ def pair_bound(spec: GreenSpec, triple: LevyTriple, weight_power: int) -> float:
     if spec.alpha == 0.5:
         if spec.dim == 1:
             return 2.0 * math.pi * c2 / (2.0 * m) * (1.0 + m * m) ** (-n)
-        q, wq = _sin_nodes(0.0, 50.0, 400)
+        q, wq = sine_nodes(0.0, 50.0, 400)
         om = np.hypot(q, m)
         integrand = (1.0 + om * om + q * q) ** (-n) / (2.0 * om)
         val = 2.0 * float(np.sum(integrand * wq))
@@ -228,7 +224,7 @@ def _overlap_value(a: float, b: float, c: float, alpha: float, npts: int) -> flo
             (hi_cut, np.full_like(y, box)),
         )
         for lo, hi in pieces:
-            x, w = _sin_nodes_array(lo, hi, npts)
+            x, w = sine_nodes(lo, hi, npts)
             with np.errstate(divide="ignore", invalid="ignore"):
                 v = (
                     np.abs(x) ** -alpha
@@ -329,9 +325,8 @@ def compute_scalar_factors(
         spatial = 1.0
     else:
         # transverse Lorentzian integral; sech substitution makes it entire
-        u, wu = np.polynomial.legendre.leggauss(400)
-        u = 45.0 * u
-        spatial = float(np.sum(45.0 * wu / np.cosh(u))) + 2.0 * math.exp(-45.0)
+        u, wu = gl_nodes(-45.0, 45.0, 400)
+        spatial = float(np.sum(wu / np.cosh(u))) + 2.0 * math.exp(-45.0)
 
     uniform = 2.0 * (2.0 / (1.0 - alpha) + math.pi)
     if spec.dim == 1:
@@ -462,9 +457,9 @@ def bound_integral_scalar(
 
 def _radial_moment(power: float) -> float:
     """4 pi * integral_0^inf  lambda^(2 - power) (1 + lambda^2)^(-3/2) dlambda."""
-    lam, wl = _sin_nodes(0.0, 2.0, 240)
+    lam, wl = sine_nodes(0.0, 2.0, 240)
     head = float(np.sum(lam ** (2.0 - power) * (1.0 + lam * lam) ** -1.5 * wl))
-    lam, wl = _sin_nodes(2.0, 400.0, 240)
+    lam, wl = sine_nodes(2.0, 400.0, 240)
     mid = float(np.sum(lam ** (2.0 - power) * (1.0 + lam * lam) ** -1.5 * wl))
     tail = 400.0 ** (-power) / power  # integrand <= lambda^(-1 - power) out there
     return 4.0 * math.pi * (head + mid + tail)
@@ -474,12 +469,12 @@ def _shifted_radial_value(a: float, npts: int, cap: float = 60.0) -> float:
     """integral |k + a e|^-1 |k|^-1 (1+|k|^2)^(-3/2) d^3k, cylindrical form."""
     if cap < 2.0 * a:
         cap = 2.0 * a + 10.0
-    lam, wl = _sin_nodes(0.0, cap, npts)
+    lam, wl = sine_nodes(0.0, cap, npts)
     acc = np.zeros_like(lam)
     for lo, hi in ((-cap, min(-a, 0.0)), (min(-a, 0.0), 0.0), (0.0, cap)):
         if hi <= lo:
             continue
-        z, wz = _sin_nodes(lo, hi, npts)
+        z, wz = sine_nodes(lo, hi, npts)
         zz = z[None, :]
         ll = lam[:, None]
         rsq = zz * zz + ll * ll

@@ -22,7 +22,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import QuadratureError
+from .quadrature import gl_nodes, refine
 from .testfunctions import TestFunction
 
 Atom = Tuple[float, float]  # (jump size, rate)
@@ -85,7 +85,6 @@ def characteristic_functional(
     phi: TestFunction,
     triple: LevyTriple,
     tol: float = 1e-10,
-    max_level: int = 10,
 ) -> complex:
     """exp of the integral of psi(phi(x)) over space.
 
@@ -101,8 +100,8 @@ def characteristic_functional(
     center = np.asarray(phi.center)
 
     def level_value(npts: int) -> complex:
-        nodes, weights = np.polynomial.legendre.leggauss(npts)
-        axes = [center[ax] + halfwidth * nodes for ax in range(d)]
+        nodes, weights = gl_nodes(-halfwidth, halfwidth, npts)
+        axes = [center[ax] + nodes for ax in range(d)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         vals = phi(grid.reshape(-1, d))
         if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
@@ -111,20 +110,11 @@ def characteristic_functional(
         for _ in range(d - 1):
             w = np.multiply.outer(w, weights)
         integrand = psi_eval(vals.real, triple)
-        return complex(np.sum(integrand * w.reshape(-1))) * halfwidth**d
+        return complex(np.sum(integrand * w.reshape(-1)))
 
-    npts = 24
-    prev = level_value(npts)
-    for _ in range(max_level):
-        npts *= 2
-        cur = level_value(npts)
-        resid = abs(cur - prev)
-        if resid <= tol * max(1.0, abs(cur)):
-            return complex(np.exp(cur))
-        prev = cur
-    raise QuadratureError(
-        f"characteristic functional did not stabilize below {tol}", residual=resid
-    )
+    exponent = refine(level_value, [24 << k for k in range(11)], tol, tol,
+                      "characteristic_functional")
+    return complex(np.exp(exponent))
 
 
 def small_argument_exponent(triple: LevyTriple, radii=None) -> float:

@@ -38,12 +38,18 @@ import numpy as np
 from .errors import (
     DomainError,
     PreconditionError,
-    QuadratureError,
     SingularConfigurationError,
 )
 from .green import GreenSpec, green_alpha_lattice
 from .lattice import Lattice
 from .levy import LevyTriple, cumulant_coeff
+from .quadrature import (
+    gl_nodes,
+    line_quadrature,
+    refine,
+    sine_nodes,
+    tensor_blocks,
+)
 from .schwinger import kernel_product_integral
 from .testfunctions import TensorTestFunction, TestFunction
 
@@ -113,43 +119,6 @@ def bracket_scalar(k0s: np.ndarray, kv_sqs: np.ndarray, spec: GreenSpec) -> np.n
     return out
 
 
-# -- interval quadrature with endpoint-singularity damping ---------------------
-
-
-def _subdivide(lo: float, hi: float, cuts: Sequence[float]) -> List[Tuple[float, float]]:
-    inner = sorted({c for c in cuts if lo < c < hi})
-    edges = [lo, *inner, hi]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-
-
-def _sin_nodes(lo: float, hi: float, npts: int):
-    # x = mid + half*sin(pi t / 2) crushes the weight at both endpoints, so
-    # algebraic endpoint singularities |x-a|^(-alpha), alpha < 1, are tamed
-    t, wt = np.polynomial.legendre.leggauss(npts)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid + half * np.sin(0.5 * math.pi * t)
-    w = wt * half * 0.5 * math.pi * np.cos(0.5 * math.pi * t)
-    return x, w
-
-
-def line_quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    cuts: Sequence[float] = (),
-    npts: int = 32,
-):
-    """Integral of a vectorized integrand with splits at interior singular points."""
-    if hi <= lo:
-        return 0.0
-    total = 0.0
-    for a, b in _subdivide(lo, hi, cuts):
-        x, w = _sin_nodes(a, b, npts)
-        total = total + np.sum(f(x) * w, axis=0)
-    return total
-
-
 def _effective_radius(f: TestFunction) -> float:
     return 9.0 * f.width * (1.0 + 0.35 * f.degree())
 
@@ -188,14 +157,16 @@ def two_point_shell_eval(
     f = _pair_callable(test)
     c2 = cumulant_coeff(2, triple)
     m = spec.mass
+    pref = 2 * math.pi * c2
     if spec.dim == 1:
-        val = 2 * math.pi * c2 * complex(np.asarray(
+        val = pref * complex(np.asarray(
             f(np.array([[-m]]), np.array([[m]]))
         ).reshape(())) / (2 * m)
         if recorder is not None:
+            # closed form: one shell point, nothing to refine
             recorder.append(
-                {"op": "two_point_shell", "dim": 1, "value": [val.real, val.imag],
-                 "tolerance": 0.0, "history": []}
+                {"op": "two_point_shell", "value": [val.real, val.imag],
+                 "tolerance": 0.0, "history": [[1, val.real, val.imag]]}
             )
         return val
     if spec.dim != 2:
@@ -215,25 +186,13 @@ def two_point_shell_eval(
         k2 = np.stack([w, -q], axis=-1)
         return f(k1, k2) / (2 * w)
 
-    npts, prev = 64, None
-    history = []
-    for _ in range(8):
-        cur = line_quadrature(integrand, -kmax, kmax, (0.0,), npts)
-        history.append([npts, float(np.real(cur)), float(np.imag(cur))])
-        if prev is not None:
-            resid = abs(cur - prev)
-            if resid <= tol * max(1.0, abs(cur)):
-                val = 2 * math.pi * c2 * complex(cur)
-                if recorder is not None:
-                    recorder.append(
-                        {"op": "two_point_shell", "dim": 2,
-                         "value": [val.real, val.imag], "tolerance": tol,
-                         "history": history}
-                    )
-                return val
-        prev = cur
-        npts *= 2
-    raise QuadratureError("shell integral did not stabilize", residual=float(resid))
+    # the absolute floor tol applies to the integral before the prefactor
+    return refine(
+        lambda npts: pref * complex(
+            line_quadrature(integrand, -kmax, kmax, (0.0,), npts)),
+        [64 << k for k in range(8)], tol, tol * abs(pref),
+        "two_point_shell", recorder,
+    )
 
 
 def two_point_density_eval(
@@ -241,6 +200,7 @@ def two_point_density_eval(
     spec: GreenSpec,
     triple: LevyTriple,
     tol: float = 1e-8,
+    recorder: Optional[list] = None,
 ) -> complex:
     """Pair distribution for alpha < 1/2: honest density quadrature.
 
@@ -261,41 +221,31 @@ def two_point_density_eval(
             val = np.asarray(f(k0[:, None], -k0[:, None]))
             return val * np.abs(k0 * k0 - m * m) ** (-2 * spec.alpha)
 
-        npts, prev = 48, None
-        for _ in range(8):
-            cur = line_quadrature(integrand, -kmax, -m, (), npts)
-            if prev is not None and abs(cur - prev) <= tol * max(1.0, abs(cur)):
-                return scale * complex(cur)
-            prev = cur
-            npts *= 2
-        raise QuadratureError("pair density did not stabilize",
-                              residual=float(abs(cur - prev)))
+        lo, hi, cuts, schedule = -kmax, -m, (), [48 << k for k in range(8)]
+    elif spec.dim == 2:
+        def integrand(q):
+            out = np.empty(q.shape, dtype=complex)
+            for i, qi in enumerate(q):
+                w = math.sqrt(qi * qi + m * m)
 
-    if spec.dim != 2:
+                def inner(k0, qi=qi, w=w):
+                    k1 = np.stack([k0, np.full_like(k0, qi)], axis=-1)
+                    val = np.asarray(f(k1, -k1))
+                    return val * np.abs(k0 * k0 - w * w) ** (-2 * spec.alpha)
+
+                # fixed inner level: not refined
+                out[i] = line_quadrature(inner, -kmax, -w, (), 48)
+            return out
+
+        lo, hi, cuts, schedule = -kmax, kmax, (0.0,), [32 << k for k in range(6)]
+    else:
         raise PreconditionError("pair density implemented for d <= 2")
 
-    def outer(q):
-        out = np.empty(q.shape, dtype=complex)
-        for i, qi in enumerate(q):
-            w = math.sqrt(qi * qi + m * m)
-
-            def inner(k0, qi=qi, w=w):
-                k1 = np.stack([k0, np.full_like(k0, qi)], axis=-1)
-                val = np.asarray(f(k1, -k1))
-                return val * np.abs(k0 * k0 - w * w) ** (-2 * spec.alpha)
-
-            out[i] = line_quadrature(inner, -kmax, -w, (), 48)
-        return out
-
-    npts, prev = 32, None
-    for _ in range(6):
-        cur = line_quadrature(outer, -kmax, kmax, (0.0,), npts)
-        if prev is not None and abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return scale * complex(cur)
-        prev = cur
-        npts *= 2
-    raise QuadratureError("pair density did not stabilize",
-                          residual=float(abs(cur - prev)))
+    # the absolute floor tol applies to the integral before the prefactor
+    return refine(
+        lambda npts: scale * complex(line_quadrature(integrand, lo, hi, cuts, npts)),
+        schedule, tol, tol * abs(scale), "two_point_density", recorder,
+    )
 
 
 # -- n = 3 hyperplane quadratures ----------------------------------------------
@@ -343,35 +293,13 @@ def three_point_eval_1d(
             out[i] = line_quadrature(inner, -box, box, cuts, 32)
         return out
 
-    npts, prev, history = 24, None, []
-    for _ in range(6):
-        cur = line_quadrature(outer, -box, -m, (-2 * m,), npts)
-        history.append([npts, float(np.real(cur)), float(np.imag(cur))])
-        if prev is not None:
-            resid = abs(cur - prev)
-            if resid <= tol * max(1e-12, abs(cur), abs(prev)) or resid <= tol:
-                val = pref * complex(cur)
-                if recorder is not None:
-                    recorder.append(
-                        {"op": "three_point_1d", "value": [val.real, val.imag],
-                         "tolerance": tol, "history": history}
-                    )
-                return val
-        prev = cur
-        npts = int(npts * 1.5)
-    raise QuadratureError("three-point quadrature did not stabilize",
-                          residual=float(resid))
-
-
-def _sin_nodes_array(lo: np.ndarray, hi: np.ndarray, npts: int):
-    """Vectorized sine-substituted nodes; degenerate intervals get zero weight."""
-    t, wt = np.polynomial.legendre.leggauss(npts)
-    span = np.maximum(hi - lo, 0.0)
-    half = 0.5 * span
-    mid = lo + half
-    x = mid[..., None] + half[..., None] * np.sin(0.5 * math.pi * t)
-    w = half[..., None] * wt * 0.5 * math.pi * np.cos(0.5 * math.pi * t)
-    return x, w
+    # the absolute floor tol applies to the integral before the prefactor
+    return refine(
+        lambda npts: pref * complex(
+            line_quadrature(outer, -box, -m, (-2 * m,), npts)),
+        (24, 36, 54, 81, 121, 181), tol, tol * abs(pref),
+        "three_point_1d", recorder,
+    )
 
 
 def three_point_eval_2d(
@@ -380,8 +308,6 @@ def three_point_eval_2d(
     triple: LevyTriple,
     tol: float = 5e-3,
     energy_box: float = 25.0,
-    base_npts: Tuple[int, int, int, int] = (40, 20, 28, 20),
-    max_rounds: int = 3,
     recorder: Optional[list] = None,
 ) -> complex:
     """Three-slot evaluation in d = 2: nested 4-d quadrature.
@@ -406,12 +332,12 @@ def three_point_eval_2d(
         if lim == 0.0:
             return 0.0j
         # level 2: first slot's spatial component on (-lim, lim)
-        x2, w2 = _sin_nodes_array(np.array(-lim), np.array(lim), n2)
+        x2, w2 = sine_nodes(-lim, lim, n2)
         # level 3: second slot's spatial component, split where k3 space flips
         smax = np.abs(x2) + energy_box
         lo3 = np.stack([-smax, -x2], axis=-1)
         hi3 = np.stack([-x2, smax], axis=-1)
-        x3, w3 = _sin_nodes_array(lo3, hi3, n3)  # (n2, 2, n3)
+        x3, w3 = sine_nodes(lo3, hi3, n3)  # (n2, 2, n3)
         k11 = np.broadcast_to(x2[:, None, None], x3.shape)
         # level 4: second slot's energy between the shells
         om2 = np.hypot(x3, m)
@@ -423,7 +349,7 @@ def three_point_eval_2d(
         c2 = np.clip(om2, c1, top)
         lo4 = np.stack([bot, c1, c2], axis=-1)
         hi4 = np.stack([c1, c2, top], axis=-1)
-        x4, w4 = _sin_nodes_array(lo4, hi4, n4)  # (n2, 2, n3, 3, n4)
+        x4, w4 = sine_nodes(lo4, hi4, n4)  # (n2, 2, n3, 3, n4)
 
         k20 = x4
         k30 = -k10 - k20
@@ -447,27 +373,13 @@ def three_point_eval_2d(
         def level1(p0):
             return np.array([inner(k10, n2, n3, n4) for k10 in p0])
 
-        return complex(line_quadrature(level1, -energy_box, -m, (-2 * m,), n1))
+        return pref * complex(
+            line_quadrature(level1, -energy_box, -m, (-2 * m,), n1))
 
-    npts = list(base_npts)
-    prev = value(tuple(npts))
-    history = [[list(npts), prev.real, prev.imag]]
-    for _ in range(max_rounds):
-        npts = [int(x * 1.4) for x in npts]
-        cur = value(tuple(npts))
-        history.append([list(npts), cur.real, cur.imag])
-        resid = abs(cur - prev)
-        if resid <= tol * max(1e-15, abs(cur), abs(prev)):
-            val = pref * cur
-            if recorder is not None:
-                recorder.append(
-                    {"op": "three_point_2d", "value": [val.real, val.imag],
-                     "tolerance": tol, "history": history}
-                )
-            return val
-        prev = cur
-    raise QuadratureError("three-point 4-d quadrature did not stabilize",
-                          residual=float(resid / max(1e-15, abs(cur))))
+    # node counts per level grow by 1.4 a round
+    schedule = ((40, 20, 28, 20), (56, 28, 39, 28), (78, 39, 54, 39),
+                (109, 54, 75, 54))
+    return refine(value, schedule, tol, 0.0, "three_point_2d", recorder)
 
 
 # -- factorized evaluator for tensor arguments ----------------------------------
@@ -490,10 +402,7 @@ def _branch_transform_1d(g: TestFunction, branch: Branch, avals: np.ndarray,
 
     def add_piece(kfun, jac, lo, hi):
         krange = abs(float(kfun(np.array([hi]))[0] - kfun(np.array([lo]))[0]))
-        t, wt = np.polynomial.legendre.leggauss(
-            int(_osc_npts(amax, krange) * mult))
-        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * t
-        w = wt * 0.5 * (hi - lo)
+        x, w = gl_nodes(lo, hi, int(_osc_npts(amax, krange) * mult))
         k = kfun(x)
         vals = np.ravel(g(k[:, None])) * jac(x)
         phase = np.exp(1j * np.outer(avals, k))
@@ -544,18 +453,14 @@ def _branch_transform_2d(g: TestFunction, branch: Branch,
     a0max = float(np.max(np.abs(ax0)))
     a1max = float(np.max(np.abs(ax1)))
     nq = int(_osc_npts(a1max, 2 * qmax) * mult)
-    tq, wq = np.polynomial.legendre.leggauss(nq)
-    q = qmax * tq
-    wq = wq * qmax
+    q, wq = gl_nodes(-qmax, qmax, nq)
     phase1 = np.exp(1j * np.outer(q, ax1))  # (nq, n1)
     pref = (2 * math.pi) ** -1.0
     out = np.zeros((len(ax0), len(ax1)), dtype=complex)
 
     def accumulate(k0_of, jac, lo, hi, krange, scale):
         nt = int(_osc_npts(a0max, krange) * mult)
-        t, wt = np.polynomial.legendre.leggauss(nt)
-        u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * t
-        wu = wt * 0.5 * (hi - lo)
+        u, wu = gl_nodes(lo, hi, nt)
         U, Q = np.meshgrid(u, q, indexing="ij")
         W = np.sqrt(Q * Q + m * m)
         K0 = k0_of(U, W)
@@ -603,8 +508,6 @@ def factorized_eval(
     spec: GreenSpec,
     triple: LevyTriple,
     tol: float = 1e-3,
-    a_box: Optional[float] = None,
-    base_npts: int = 48,
     recorder: Optional[list] = None,
 ) -> complex:
     """n-point value for tensor arguments via the auxiliary-vector route.
@@ -617,9 +520,9 @@ def factorized_eval(
     with A^b_l the smooth branch transform of the l-th factor.  The products
     decay like |a|^(-n) (d = 2) or |a|^(-n/2) (d = 1), so the a-integral
     converges absolutely for n >= 3.  Node counts per axis follow the phase
-    bandwidth a_box * (momentum support), which is what makes the transforms
-    reliable at large auxiliary distances; the refinement loop then only has
-    to confirm stability.  The truncation tail beyond a_box is oscillatory
+    bandwidth a_box * (momentum support), with a_box = 60 (d = 1) or 14
+    (d = 2), which is what makes the transforms reliable at large auxiliary
+    distances; the refinement loop then only has to confirm stability.  The truncation tail beyond a_box is oscillatory
     (the branch edges sit at |k0| >= mass) and falls below the stated
     tolerances at the defaults.
     """
@@ -631,8 +534,11 @@ def factorized_eval(
     cn = cumulant_coeff(n, triple)
     if cn == 0:
         return 0.0 + 0.0j
-    if a_box is None:
-        a_box = 60.0 if spec.dim == 1 else 14.0
+    a_box = 60.0 if spec.dim == 1 else 14.0
+    # the bracket densities carry (2 pi)^(-d/2) each and the master
+    # constant is (2 pi)^(d - n d / 2); with the delta's (2 pi)^(-d)
+    # that leaves (2 pi)^(-n d / 2) here
+    pref = cn * 2 ** (n - 1) * (2 * math.pi) ** (-0.5 * n * spec.dim)
 
     # The auxiliary integrand's bandwidth per axis is the sum over factors of
     # |center| plus the amplitude-carrying part of the momentum support; the
@@ -644,10 +550,8 @@ def factorized_eval(
 
     def value(mult: float) -> complex:
         if spec.dim == 1:
-            t, wt = np.polynomial.legendre.leggauss(
-                int(_osc_npts(bandwidth(0), 2 * a_box) * mult))
-            avals = a_box * t
-            aw = wt * a_box
+            avals, aw = gl_nodes(
+                -a_box, a_box, int(_osc_npts(bandwidth(0), 2 * a_box) * mult))
             trans = {(l, b): _branch_transform_1d(g, b, avals, spec,
                                                   mult, a_box)
                      for l, g in enumerate(test.factors) for b in "+-0"}
@@ -658,13 +562,11 @@ def factorized_eval(
                     b = "-" if l < j else ("0" if l == j else "+")
                     prod = prod * trans[(l, b)]
                 total += prod
-            return complex(np.sum(total * aw)) * test.prefactor
-        t0, w0 = np.polynomial.legendre.leggauss(
-            int(_osc_npts(bandwidth(0), 2 * a_box) * mult))
-        t1, w1 = np.polynomial.legendre.leggauss(
-            int(_osc_npts(bandwidth(1), 2 * a_box) * mult))
-        ax0, aw0 = a_box * t0, a_box * w0
-        ax1, aw1 = a_box * t1, a_box * w1
+            return pref * (complex(np.sum(total * aw)) * test.prefactor)
+        ax0, aw0 = gl_nodes(
+            -a_box, a_box, int(_osc_npts(bandwidth(0), 2 * a_box) * mult))
+        ax1, aw1 = gl_nodes(
+            -a_box, a_box, int(_osc_npts(bandwidth(1), 2 * a_box) * mult))
         trans = {(l, b): _branch_transform_2d(g, b, ax0, ax1, spec, mult)
                  for l, g in enumerate(test.factors) for b in "+-0"}
         total = np.zeros((len(ax0), len(ax1)), dtype=complex)
@@ -674,32 +576,12 @@ def factorized_eval(
                 b = "-" if l < j else ("0" if l == j else "+")
                 prod = prod * trans[(l, b)]
             total += prod
-        return complex(aw0 @ total @ aw1) * test.prefactor
+        return pref * (complex(aw0 @ total @ aw1) * test.prefactor)
 
-    base = base_npts / 48.0  # legacy knob: scales the oscillation budget
-    prev = value(base)
-    history = [[base, prev.real, prev.imag]]
-    for mult in (1.3 * base, 1.69 * base):
-        cur = value(mult)
-        history.append([mult, cur.real, cur.imag])
-        resid = abs(cur - prev)
-        scale = max(abs(cur), abs(prev))
-        if resid <= tol * scale + 1e-12:
-            # the bracket densities carry (2 pi)^(-d/2) each and the master
-            # constant is (2 pi)^(d - n d / 2); with the delta's (2 pi)^(-d)
-            # that leaves (2 pi)^(-n d / 2) here
-            val = cn * 2 ** (n - 1) \
-                * (2 * math.pi) ** (-0.5 * n * spec.dim) * cur
-            if recorder is not None:
-                recorder.append(
-                    {"op": "factorized_eval", "n": n,
-                     "value": [val.real, val.imag], "tolerance": tol,
-                     "history": history}
-                )
-            return val
-        prev = cur
-    raise QuadratureError("auxiliary-vector quadrature did not stabilize",
-                          residual=float(resid / max(1e-300, scale)))
+    # the schedule scales the oscillation node budgets; the absolute floor
+    # 1e-12 applies to the integral before the prefactor
+    return refine(value, (1.0, 1.3, 1.69), tol, 1e-12 * abs(pref),
+                  "factorized_eval", recorder)
 
 
 # -- dispatcher -----------------------------------------------------------------
@@ -727,7 +609,8 @@ def truncated_momentum_eval(
                 return two_point_shell_eval(
                     test, spec, triple, tol or 1e-10, recorder
                 )
-            return two_point_density_eval(test, spec, triple, tol or 1e-8)
+            return two_point_density_eval(test, spec, triple, tol or 1e-8,
+                                          recorder)
         if n == 3 and spec.dim == 1:
             def f(k1, k2, k3):
                 pts = np.stack([k1, k2, k3], axis=-1)[..., None]
@@ -742,7 +625,7 @@ def truncated_momentum_eval(
     if n == 2:
         if spec.alpha == 0.5:
             return two_point_shell_eval(test, spec, triple, tol or 1e-10, recorder)
-        return two_point_density_eval(test, spec, triple, tol or 1e-8)
+        return two_point_density_eval(test, spec, triple, tol or 1e-8, recorder)
     if n == 3:
         if spec.dim == 1:
             return three_point_eval_1d(test, spec, triple, tol or 1e-6,
@@ -818,6 +701,11 @@ def laplace_bridge_check(
         def integrand(k):
             return np.exp(k * dt) * np.abs(k * k - m * m) ** (-2 * spec.alpha)
 
+        # Known defect, kept outside refine on purpose: for alpha in
+        # (1/4, 1/2) this loop never meets its 1e-9 test and returns the
+        # 4096-node value without raising.  The closed form is
+        # Gamma(1 - 2 alpha) / sqrt(pi) (2 m / dt)^nu K_nu(m dt) with
+        # nu = 1/2 - 2 alpha (see the strict-xfail test in test_wightman).
         npts, prev = 64, None
         for _ in range(7):
             cur = line_quadrature(integrand, -box, -m, (), npts)
@@ -961,11 +849,6 @@ def _slot_caps(phi) -> float:
     return 12.0
 
 
-def _gl(lo: float, hi: float, n: int):
-    t, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * t, 0.5 * (hi - lo) * w
-
-
 def _radial_vectors(la, lb, om):
     """Representative spatial vectors with |a| = la, |b| = lb, |a + b| = om."""
     c = np.clip((om * om - la * la - lb * lb) / (2 * la * lb), -1.0, 1.0)
@@ -980,9 +863,7 @@ def vector_measure_radial(
     j: int,
     phi,
     lam_max: Optional[float] = None,
-    base_npts: int = 40,
     tol: float = 5e-3,
-    atol: float = 1e-12,
     multiplier: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> complex:
     """Three-slot shell measure against a rotation-invariant test function.
@@ -1048,9 +929,9 @@ def vector_measure_radial(
         # plain modulus square converges only first order.  With v = min,
         # u = |difference| the limits are u and 2 v + u — smooth on the
         # rectangle — at the price of summing both assignments of (v, v + u).
-        v, wv = _gl(0.0, cap, npts)
-        u, wu = _gl(0.0, cap, npts)
-        t, wt = _gl(0.0, 1.0, max(12, npts // 2))
+        v, wv = gl_nodes(0.0, cap, npts)
+        u, wu = gl_nodes(0.0, cap, npts)
+        t, wt = gl_nodes(0.0, 1.0, max(12, npts // 2))
         V = v[:, None, None]
         U = u[None, :, None]
         W = (wv[:, None, None] * wu[None, :, None]) * wt[None, None, :]
@@ -1074,7 +955,7 @@ def vector_measure_radial(
 
         # middle measures: constant density pi^2 on the triangle x [0, 1]
         ns = max(10, npts // 3)
-        snod, swt = _gl(0.0, 1.0, ns)
+        snod, swt = gl_nodes(0.0, 1.0, ns)
         total = 0.0 + 0.0j
         for si, sw in zip(snod, swt):
             for L2, L3 in pairs:
@@ -1084,47 +965,16 @@ def vector_measure_radial(
                 total += sw * np.sum(vals * span * W)
         return math.pi**2 * complex(total)
 
-    prev = value(base_npts)
-    cur = value(int(base_npts * 1.5))
-    resid = abs(cur - prev)
-    scale = max(abs(cur), abs(prev))
-    # atol floors the check: arguments supported away from the admissible
+    # the absolute floor: arguments supported away from the admissible
     # region integrate to numerical zero, where the relative residual is noise
-    if resid > tol * scale + atol:
-        cur2 = value(int(base_npts * 2.25))
-        if abs(cur2 - cur) > tol * max(abs(cur2), abs(cur)) + atol:
-            raise QuadratureError(
-                "shell-measure quadrature did not stabilize",
-                residual=float(abs(cur2 - cur) / max(1e-300, abs(cur2))),
-            )
-        return cur2
-    return cur
-
-
-def _tensor_blocks(axes, fn, chunk: int = 1 << 19) -> complex:
-    """sum over the tensor grid of fn(columns) * prod weights, in chunks."""
-    sizes = [len(a[0]) for a in axes]
-    total_pts = int(np.prod(sizes))
-    out = 0.0 + 0.0j
-    for start in range(0, total_pts, chunk):
-        idx = np.arange(start, min(start + chunk, total_pts))
-        unraveled = np.unravel_index(idx, sizes)
-        cols, wprod = [], 1.0
-        for (nodes, weights), ix in zip(axes, unraveled):
-            cols.append(nodes[ix])
-            wprod = wprod * weights[ix]
-        out += np.sum(fn(*cols) * wprod)
-    return complex(out)
+    return refine(value, (40, 60, 90), tol, 1e-12, "vector_measure_radial")
 
 
 def vector_measure_eval(
     j: int,
     phi,
     lam_max: Optional[float] = None,
-    base_npts: Tuple[int, int, int] = (12, 7, 7),
-    n_s: int = 7,
     tol: float = 2e-2,
-    atol: float = 1e-12,
     multiplier: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> complex:
     """Three-slot shell measure for a general test function.
@@ -1140,22 +990,22 @@ def vector_measure_eval(
         raise PreconditionError("slot index j must lie in 0..3")
     f = _phi3(phi)
     cap = lam_max if lam_max is not None else _slot_caps(phi)
-    nl, nt, na = base_npts
 
-    def value(nl, nt, na, ns) -> complex:
+    def value(npts) -> complex:
+        nl, nt, na, ns = npts
         # min/difference modulus coordinates (see vector_measure_radial): the
         # triangle limits become u and 2 v + u, smooth on the rectangle, and
         # each grid point sums both assignments of (v, v + u) to the moduli.
-        vax = _gl(0.0, cap, nl)
-        uax = _gl(0.0, cap, nl)
-        tax_nodes, tax_w = _gl(0.0, math.pi, nt)
+        vax = gl_nodes(0.0, cap, nl)
+        uax = gl_nodes(0.0, cap, nl)
+        tax_nodes, tax_w = gl_nodes(0.0, math.pi, nt)
         tax = (tax_nodes, tax_w * np.sin(tax_nodes))
-        aax = _gl(0.0, 2 * math.pi, na)
-        frax = _gl(0.0, 1.0, nt)
-        bax = _gl(0.0, 2 * math.pi, na)
+        aax = gl_nodes(0.0, 2 * math.pi, na)
+        frax = gl_nodes(0.0, 1.0, nt)
+        bax = gl_nodes(0.0, 2 * math.pi, na)
         axes = [vax, tax, aax, uax, frax, bax]
         if j in (1, 2):
-            axes.append(_gl(0.0, 1.0, ns))
+            axes.append(gl_nodes(0.0, 1.0, ns))
 
         def fn(*cols):
             v, ta, aa, u, tt, bb = cols[:6]
@@ -1217,18 +1067,11 @@ def vector_measure_eval(
                 dens = span / 8.0
             return out * dens
 
-        return _tensor_blocks(axes, fn)
+        return tensor_blocks(axes, fn)
 
-    prev = value(nl, nt, na, n_s)
-    cur = value(int(nl * 1.4), int(nt * 1.4), int(na * 1.4), int(n_s * 1.4))
-    resid = abs(cur - prev)
-    scale = max(abs(cur), abs(prev))
-    if resid > tol * scale + atol:
-        raise QuadratureError(
-            "shell-measure tensor quadrature did not stabilize",
-            residual=float(resid / max(1e-300, scale)),
-        )
-    return cur
+    # (modulus, angle, azimuth, s) node counts; the second round is 1.4x
+    return refine(value, ((12, 7, 7, 7), (16, 9, 9, 9)), tol, 1e-12,
+                  "vector_measure_eval")
 
 
 def reflect_three_slot(phi: TensorTestFunction) -> TensorTestFunction:

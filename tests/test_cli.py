@@ -141,6 +141,9 @@ def test_wightman_outputs_match_direct_eval(tmp_path, wightman_cfg):
     records = [json.loads(line) for line in
                (out / "wightman_records.jsonl").read_text().splitlines()]
     assert {r["test_index"] for r in records} == {0, 1}
+    for r in records:
+        assert "tolerance" in r
+        assert r["history"]
 
 
 def test_manifest_lists_outputs_and_config_hash(tmp_path, wightman_cfg):

@@ -1,0 +1,118 @@
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kreinfield.errors import QuadratureError
+from kreinfield.quadrature import gauss_legendre, refine, sine_nodes
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kreinfield"
+
+
+# -- refinement driver ----------------------------------------------------------
+
+
+def test_refine_raises_with_residual_when_schedule_runs_out():
+    rec = []
+    with pytest.raises(QuadratureError) as info:
+        refine(float, (1, 2, 4), 1e-6, 0.0, "diverging", rec)
+    assert math.isfinite(info.value.residual)
+    assert info.value.residual == pytest.approx(2.0)
+    assert rec == []
+
+
+def test_refine_accepts_on_absolute_floor():
+    vals = {1: 1e-3, 2: 1.5e-3, 3: 1.6e-3}
+    # relative change 1/3 fails rtol, but 5e-4 is inside atol
+    assert refine(vals.get, (1, 2, 3), 1e-6, 1e-3, "floor") == 1.5e-3
+    with pytest.raises(QuadratureError):
+        refine(vals.get, (1, 2), 1e-6, 1e-4, "floor")
+
+
+def test_refine_accepts_on_relative_rule():
+    vals = {1: 100.0, 2: 101.0, 3: 101.0001}
+    # 1e-4 / 101 < 1e-5 while atol = 0 cannot help
+    assert refine(vals.get, (1, 2, 3), 1e-5, 0.0, "relative") == 101.0001
+    assert refine(vals.get, (1, 2, 3), 1e-2, 0.0, "relative") == 101.0
+
+
+def test_refine_records_one_history_row_per_round():
+    vals = {8: 2.0 + 1.0j, 16: 2.5 + 1.0j, 32: 2.5 + 1.0j + 1e-12, 64: 7.0}
+    rec = []
+    got = refine(vals.get, (8, 16, 32, 64), 1e-9, 0.0, "demo", rec)
+    assert got == vals[32]
+    assert len(rec) == 1
+    record = rec[0]
+    assert set(record) == {"op", "value", "tolerance", "history"}
+    assert record["op"] == "demo"
+    assert record["tolerance"] == 1e-9
+    assert record["value"] == [got.real, got.imag]
+    assert record["history"] == [[p, vals[p].real, vals[p].imag] for p in (8, 16, 32)]
+
+
+# -- nodes ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 7, 48, 181])
+def test_cached_rule_matches_numpy_and_is_read_only(n):
+    t, w = gauss_legendre(n)
+    t_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref)
+    assert gauss_legendre(n)[0] is t
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_sine_map_tames_endpoint_singularity():
+    x, w = sine_nodes(0.0, 1.0, 32)
+    assert abs(np.sum(w / np.sqrt(x)) - 2.0) < 1e-12
+
+
+def test_sine_map_broadcasts_and_zeroes_degenerate_intervals():
+    lo = np.array([[0.0, 1.0], [2.0, -1.0]])
+    hi = np.array([[1.0, 1.0], [1.0, 3.0]])
+    x, w = sine_nodes(lo, hi, 12)
+    assert x.shape == w.shape == (2, 2, 12)
+    assert np.all(w[0, 1] == 0.0) and np.all(w[1, 0] == 0.0)
+    assert np.sum(w[0, 0]) == pytest.approx(1.0, rel=1e-12)
+    assert np.sum(w[1, 1]) == pytest.approx(4.0, rel=1e-12)
+
+
+# -- structure guard ------------------------------------------------------------
+
+
+def _names(node):
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        for alias in node.names:
+            yield alias.name
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+
+
+def test_modules_share_one_quadrature_core():
+    """No private cross-module imports; only quadrature.py builds nodes."""
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("kreinfield")
+            ):
+                offences += [
+                    f"{path.name}:{node.lineno} imports private {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                ]
+            if path.name != "quadrature.py" and any(
+                "leggauss" in name for name in _names(node)
+            ):
+                offences.append(f"{path.name}:{node.lineno} mentions leggauss")
+    assert offences == []

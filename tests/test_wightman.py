@@ -154,6 +154,25 @@ def test_pair_bridge_d1_alpha_quarter():
     assert report.gap < 5e-3
 
 
+@pytest.mark.xfail(strict=True, reason="known defect: for alpha in (1/4, 1/2) the "
+                   "pair-bridge loop stops at 4096 nodes without meeting its 1e-9 "
+                   "test and returns that value (relative error 7.7e-5 here)")
+def test_pair_bridge_d1_alpha_035_matches_closed_form():
+    # integral_m^inf e^(-k dt) (k^2 - m^2)^(-2 alpha) dk
+    #   = Gamma(1 - 2 alpha) / sqrt(pi) (2 m / dt)^nu K_nu(m dt), nu = 1/2 - 2 alpha
+    from scipy.special import gamma, kv
+
+    alpha, m, dt = 0.35, 1.0, 0.75
+    spec = GreenSpec(1, alpha, m)
+    report = laplace_bridge_check(
+        np.array([[0.0], [dt]]), spec, ATOM_TRIPLE, Lattice(1, 64, 0.25))
+    nu = 0.5 - 2 * alpha
+    closed = (cumulant_coeff(2, ATOM_TRIPLE) * math.sin(2 * math.pi * alpha) / math.pi
+              * gamma(1 - 2 * alpha) / math.sqrt(math.pi)
+              * (2 * m / dt) ** nu * kv(nu, m * dt))
+    assert report.rhs == pytest.approx(closed, rel=1e-8)
+
+
 def test_three_point_bridge_d1():
     spec = GreenSpec(1, 0.5, 1.0)
     lat = Lattice(1, 1024, 0.025)
@@ -368,7 +387,7 @@ def test_vector_general_matches_radial():
     g0 = complex(vector_measure_eval(0, VEC_PHI)).real
     assert g0 == pytest.approx(r0, rel=1e-2)
     r2 = complex(vector_measure_radial(2, VEC_PHI)).real
-    g2 = complex(vector_measure_eval(2, VEC_PHI, base_npts=(11, 6, 6), n_s=6)).real
+    g2 = complex(vector_measure_eval(2, VEC_PHI)).real
     assert g2 == pytest.approx(r2, rel=2e-2)
 
 
@@ -388,7 +407,7 @@ def test_vector_off_support_vanishes():
     phi_off = TensorTestFunction((radial4(-1.0, 1.2), radial4(-3.0, 0.3),
                                   radial4(0.8, 1.1)))
     assert abs(vector_measure_radial(0, phi_off)) < 1e-10
-    assert abs(vector_measure_eval(0, phi_off, base_npts=(8, 5, 5))) < 1e-10
+    assert abs(vector_measure_eval(0, phi_off)) < 1e-10
 
 
 def test_vector_slot_index_guard():
