@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -306,6 +307,19 @@ def _fail(kind: str, message: str, field: Optional[str] = None) -> None:
     print(json.dumps(doc), file=sys.stderr)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _finite(convert: Callable[[str], float]) -> Callable[[str], float]:
+    """A JSON number parser that rejects literals overflowing a float (1e999)."""
+    def parse(text: str) -> float:
+        if not math.isfinite(float(text)):
+            raise ValueError(f"non-finite number {text[:24]}")
+        return convert(text)
+    return parse
+
+
 def _load_config(path: str):
     try:
         with open(path, "rb") as fh:
@@ -314,8 +328,9 @@ def _load_config(path: str):
         _fail("config", f"cannot read config: {exc}")
         return None, None
     try:
-        cfg = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        cfg = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant,
+                         parse_float=_finite(float), parse_int=_finite(int))
+    except ValueError as exc:  # bad encoding, bad syntax or a non-finite number
         _fail("config", f"config is not valid JSON: {exc}")
         return None, None
     import jsonschema

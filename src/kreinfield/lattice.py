@@ -68,11 +68,6 @@ class Lattice:
         """Dual momenta along one axis, in FFT order."""
         return 2 * np.pi * np.fft.fftfreq(self.n_sites, d=self.spacing)
 
-    def dual_grid(self) -> np.ndarray:
-        k = self.dual_axis()
-        mesh = np.meshgrid(*([k] * self.dim), indexing="ij")
-        return np.stack(mesh, axis=-1)
-
     def site_index(self, point) -> Tuple[int, ...]:
         """Index tuple of the lattice site nearest to ``point``."""
         point = np.atleast_1d(np.asarray(point, dtype=float))

@@ -86,10 +86,9 @@ def quaternion_conj(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- first-order operator pair on component functions -------------------------
+# -- first-order operator on component functions --------------------------------
 #
 # apply_left_del:  (1 d0 - i d1 - j d2 - k d3) q
-# apply_left_dbar: (1 d0 + i d1 + j d2 + k d3) q
 #
 # Components support .derivative(axis) and addition (e.g. TestFunction with a
 # shared envelope); a scalar function f is promoted to (f, 0, 0, 0) by
@@ -109,18 +108,6 @@ def apply_left_del(q):
         d(q1, 0) + _neg(d(q0, 1)) + _neg(d(q3, 2)) + d(q2, 3),
         d(q2, 0) + d(q3, 1) + _neg(d(q0, 2)) + _neg(d(q1, 3)),
         d(q3, 0) + _neg(d(q2, 1)) + d(q1, 2) + _neg(d(q0, 3)),
-    )
-
-
-def apply_left_dbar(q):
-    """Left action of the first-order operator on a 4-tuple of components."""
-    q0, q1, q2, q3 = q
-    d = lambda f, ax: f.derivative(ax)
-    return (
-        d(q0, 0) + _neg(d(q1, 1)) + _neg(d(q2, 2)) + _neg(d(q3, 3)),
-        d(q1, 0) + d(q0, 1) + d(q3, 2) + _neg(d(q2, 3)),
-        d(q2, 0) + _neg(d(q3, 1)) + d(q0, 2) + d(q1, 3),
-        d(q3, 0) + d(q2, 1) + _neg(d(q1, 2)) + d(q0, 3),
     )
 
 

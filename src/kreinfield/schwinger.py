@@ -14,7 +14,7 @@ of the convolutions, so memory stays linear in the number of factors.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,22 +90,15 @@ def product_integral_vector(lat: Lattice, points) -> float:
     return kernel_product_integral(harmonic_kernel_lattice(lat), pts)
 
 
-FactorTransform = Callable[[LatticeField], LatticeField]
-
-
 def smeared_truncated_correlator(
     lat: Lattice,
     spec: GreenSpec,
     triple: LevyTriple,
     tests: Sequence,
-    factor_op: Optional[FactorTransform] = None,
 ) -> float:
     """c_n * sum_x prod_j (K * phi_j)(x) v: the smeared truncated n-point value.
 
     ``tests`` may mix TestFunction instances and value grids on the lattice.
-    ``factor_op`` is an optional per-factor lattice operator applied after the
-    convolution (slot for first-order operators acting on the field; no
-    default is supplied).
     """
     n = len(tests)
     if n < 1:
@@ -117,12 +110,8 @@ def smeared_truncated_correlator(
         grid = sample_function(lat, t).values if isinstance(t, TestFunction) else np.asarray(t)
         if grid.shape != lat.shape:
             raise PreconditionError("test grid does not match the lattice")
-        conv = LatticeField(
-            lat, np.fft.ifftn(sym * np.fft.fftn(grid)) * lat.cell_volume
-        )
-        if factor_op is not None:
-            conv = factor_op(conv)
-        prod = prod * conv.values
+        conv = np.fft.ifftn(sym * np.fft.fftn(grid)) * lat.cell_volume
+        prod = prod * conv
     val = cumulant_coeff(n, triple) * np.sum(prod) * lat.cell_volume
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         return complex(val)  # complex tests: keep the full value

@@ -28,9 +28,6 @@ import numpy as np
 MultiIndex = Tuple[int, ...]
 Coeffs = Dict[MultiIndex, complex]
 
-_COEFF_TOL = 0.0  # keep exact zeros out of the dicts
-
-
 def _clean(coeffs: Coeffs) -> Coeffs:
     return {b: c for b, c in coeffs.items() if c != 0}
 
@@ -270,10 +267,6 @@ class TestFunction:
                 term *= _gauss_moment(m, self.width)
             tot += term
         return float(tot.real)
-
-    def l2_inner(self, other: "TestFunction") -> complex:
-        """integral conj(f) g dx, exactly."""
-        return self.conjugate().product(other).integral()
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .levy import LevyTriple, cumulant_coeff
 from .quadrature import (
     gl_nodes,
     line_quadrature,
+    phase_sums,
     refine,
     sine_nodes,
     tensor_blocks,
@@ -392,61 +393,87 @@ def _osc_npts(amax: float, krange: float, floor: int = 24) -> int:
     return int(0.54 * amax * krange) + floor
 
 
-def _branch_transform_1d(g: TestFunction, branch: Branch, avals: np.ndarray,
-                         spec: GreenSpec, mult: float, amax: float) -> np.ndarray:
-    """A_b(a) = integral rho_b(k) g(k) e^{iak} dk in d = 1, smooth-substituted."""
+_GAP = 0.5 * math.pi - 1e-12  # |u| bound of the gap substitution k0 = w sin u
+
+
+def _energy_sums(g: TestFunction, a: np.ndarray, w: np.ndarray,
+                 q: Optional[np.ndarray], nt: int, expo: float,
+                 tmax: Optional[float] = None) -> list:
+    """[B+, B-] with B+-[i, c] = sum_t exp(+-i a_i k0) g(+-k0, q_c) jac w_t.
+
+    The energy k0[t, c] runs over one smooth-substituted piece of the branch
+    support at each w_c = sqrt(q_c^2 + m^2) (w = [m] and no q in d = 1).
+    With ``tmax``: the cosh piece k0 = w cosh t, t in (0, tmax], with
+    jac = (w sinh t)^expo, whose two signs are the forward and the backward
+    shell regions.  Without it: the gap piece k0 = w sin u, |u| < pi/2, with
+    jac = (w cos u)^expo; k0 is odd and jac even in u, so the piece is
+    folded onto u >= 0 and equals B+ + B-.  Both bodies share one
+    phase_sums call.
+    """
+    if tmax is None:
+        u, wu = gl_nodes(-_GAP, _GAP, nt)
+        u, wu = u[nt // 2:, None], wu[nt // 2:].copy()
+        if nt % 2:
+            wu[0] *= 0.5  # both signs count the middle node u = 0
+        k0, jac = w * np.sin(u), (w * np.cos(u)) ** expo
+    else:
+        u, wu = gl_nodes(1e-12, tmax, nt)
+        u = u[:, None]
+        k0, jac = w * np.cosh(u), (w * np.sinh(u)) ** expo
+    coords = [] if q is None else [np.broadcast_to(q, k0.shape).ravel()]
+    bodies = np.stack([
+        np.ravel(g(np.stack([s * k0.ravel(), *coords], axis=-1))).reshape(k0.shape)
+        * jac * wu[:, None]
+        for s in (1.0, -1.0)
+    ])
+    p, qs = phase_sums(a, k0, bodies)
+    return [p[0] + 1j * qs[0], p[1] - 1j * qs[1]]
+
+
+def _combine_branches(plus, minus, inside, alpha: float):
+    """The +, - and 0 branches from the unscaled cosh pieces and the gap piece.
+
+    The two-sided branch reuses both cosh pieces, scaled by cos(pi alpha)
+    instead of sin(pi alpha); at alpha = 1/2 it is the gap piece alone.
+    """
+    sa, ca = math.sin(math.pi * alpha), math.cos(math.pi * alpha)
+    zero = inside + ca * (plus + minus) if abs(ca) > 1e-15 else inside
+    return sa * plus, sa * minus, zero
+
+
+def _branch_transforms_1d(g: TestFunction, avals: np.ndarray, spec: GreenSpec,
+                          mult: float, amax: float) -> dict:
+    """A_b(a) = integral rho_b(k) g(k) e^{iak} dk in d = 1 for b in "+-0"."""
     m = spec.mass
+    expo = 1 - 2 * spec.alpha
     kmax = abs(np.asarray(g.center)).max() + _effective_radius(g)
+    w = np.array([m])
+
+    def sums(krange, tmax=None):
+        nt = int(_osc_npts(amax, krange) * mult)
+        return [b[:, 0] for b in _energy_sums(g, avals, w, None, nt, expo, tmax)]
+
+    inside = sum(sums(2 * m * np.sin(_GAP)))
+    if kmax > m:
+        tmax = math.acosh(kmax / m)
+        plus, minus = sums(m * np.cosh(tmax) - m * np.cosh(1e-12), tmax)
+    else:
+        plus = minus = np.zeros(len(avals), dtype=complex)
     pref = (2 * math.pi) ** -0.5
-    out = np.zeros(avals.shape, dtype=complex)
-
-    def add_piece(kfun, jac, lo, hi):
-        krange = abs(float(kfun(np.array([hi]))[0] - kfun(np.array([lo]))[0]))
-        x, w = gl_nodes(lo, hi, int(_osc_npts(amax, krange) * mult))
-        k = kfun(x)
-        vals = np.ravel(g(k[:, None])) * jac(x)
-        phase = np.exp(1j * np.outer(avals, k))
-        return phase @ (vals * w)
-
-    if branch in "+-":
-        sgn = 1.0 if branch == "+" else -1.0
-        if kmax <= m:
-            return out
-        tmax = math.acosh(kmax / m)
-        out += math.sin(math.pi * spec.alpha) * add_piece(
-            lambda t: sgn * m * np.cosh(t),
-            lambda t: (m * np.sinh(t)) ** (1 - 2 * spec.alpha),
-            1e-12, tmax,
-        )
-        return pref * out
-    # two-sided branch: inside the gap plus (for alpha < 1/2) the outside part
-    out += add_piece(
-        lambda u: m * np.sin(u),
-        lambda u: (m * np.cos(u)) ** (1 - 2 * spec.alpha),
-        -0.5 * math.pi + 1e-12, 0.5 * math.pi - 1e-12,
-    )
-    ca = math.cos(math.pi * spec.alpha)
-    if abs(ca) > 1e-15 and kmax > m:
-        tmax = math.acosh(kmax / m)
-        for sgn in (1.0, -1.0):
-            out += ca * add_piece(
-                lambda t, s=sgn: s * m * np.cosh(t),
-                lambda t: (m * np.sinh(t)) ** (1 - 2 * spec.alpha),
-                1e-12, tmax,
-            )
-    return pref * out
+    return {b: pref * t for b, t in
+            zip("+-0", _combine_branches(plus, minus, inside, spec.alpha))}
 
 
-def _branch_transform_2d(g: TestFunction, branch: Branch,
-                         ax0: np.ndarray, ax1: np.ndarray,
-                         spec: GreenSpec, mult: float) -> np.ndarray:
-    """Same transform in d = 2 on a tensor grid of auxiliary points.
+def _branch_transforms_2d(g: TestFunction, ax0: np.ndarray, ax1: np.ndarray,
+                          spec: GreenSpec, mult: float) -> dict:
+    """The same transforms in d = 2 on a tensor grid of auxiliary points.
 
-    Returns A[a0, a1].  The energy quadrature is contracted against each
-    spatial node before the spatial phases are applied, so the workspace
-    stays linear in the number of auxiliary nodes per axis.
+    Returns A_b[a0, a1] for b in "+-0".  The energy quadrature is contracted
+    against each spatial node before the spatial phases are applied, so the
+    workspace stays linear in the number of auxiliary nodes per axis.
     """
     m = spec.mass
+    expo = 1 - 2 * spec.alpha
     rad = _effective_radius(g)
     qmax = abs(g.center[1]) + rad
     k0cap = abs(g.center[0]) + rad
@@ -454,53 +481,17 @@ def _branch_transform_2d(g: TestFunction, branch: Branch,
     a1max = float(np.max(np.abs(ax1)))
     nq = int(_osc_npts(a1max, 2 * qmax) * mult)
     q, wq = gl_nodes(-qmax, qmax, nq)
+    w = np.sqrt(q * q + m * m)
+    tmax = max(0.25, math.acosh(max(1.0 + 1e-9, k0cap / m)))
+    plus, minus = _energy_sums(
+        g, ax0, w, q, int(_osc_npts(a0max, max(k0cap - m, 2 * m)) * mult), expo, tmax)
+    inside = sum(_energy_sums(
+        g, ax0, w, q, int(_osc_npts(a0max, 2 * math.sqrt(qmax * qmax + m * m)) * mult),
+        expo))
+    bm = np.stack(_combine_branches(plus, minus, inside, spec.alpha))
     phase1 = np.exp(1j * np.outer(q, ax1))  # (nq, n1)
-    pref = (2 * math.pi) ** -1.0
-    out = np.zeros((len(ax0), len(ax1)), dtype=complex)
-
-    def accumulate(k0_of, jac, lo, hi, krange, scale):
-        nt = int(_osc_npts(a0max, krange) * mult)
-        u, wu = gl_nodes(lo, hi, nt)
-        U, Q = np.meshgrid(u, q, indexing="ij")
-        W = np.sqrt(Q * Q + m * m)
-        K0 = k0_of(U, W)
-        pts = np.stack([K0.ravel(), Q.ravel()], axis=-1)
-        body = np.ravel(g(pts)).reshape(nt, nq) * jac(U, W) * wu[:, None]
-        # B[a0, q] = sum_t exp(i a0 K0[t, q]) body[t, q]; q-chunked to keep
-        # the phase workspace bounded
-        bm = np.empty((len(ax0), nq), dtype=complex)
-        step = max(1, int(4_000_000 // max(1, len(ax0) * nt)))
-        for s in range(0, nq, step):
-            cols = slice(s, min(s + step, nq))
-            ph = np.exp(1j * ax0[:, None, None] * K0[None, :, cols])
-            bm[:, cols] = np.einsum("atq,tq->aq", ph, body[:, cols])
-        return scale * ((bm * wq[None, :]) @ phase1)
-
-    if branch in "+-":
-        sgn = 1.0 if branch == "+" else -1.0
-        tmax = max(0.25, math.acosh(max(1.0 + 1e-9, k0cap / m)))
-        out += accumulate(
-            lambda t, w: sgn * w * np.cosh(t),
-            lambda t, w: (w * np.sinh(t)) ** (1 - 2 * spec.alpha),
-            1e-12, tmax, max(k0cap - m, 2 * m), math.sin(math.pi * spec.alpha),
-        )
-        return pref * out
-    out += accumulate(
-        lambda u, w: w * np.sin(u),
-        lambda u, w: (w * np.cos(u)) ** (1 - 2 * spec.alpha),
-        -0.5 * math.pi + 1e-12, 0.5 * math.pi - 1e-12,
-        2 * math.sqrt(qmax * qmax + m * m), 1.0,
-    )
-    ca = math.cos(math.pi * spec.alpha)
-    if abs(ca) > 1e-15:
-        tmax = max(0.25, math.acosh(max(1.0 + 1e-9, k0cap / m)))
-        for sgn in (1.0, -1.0):
-            out += accumulate(
-                lambda t, w, s=sgn: s * w * np.cosh(t),
-                lambda t, w: (w * np.sinh(t)) ** (1 - 2 * spec.alpha),
-                1e-12, tmax, max(k0cap - m, 2 * m), ca,
-            )
-    return pref * out
+    out = (2 * math.pi) ** -1.0 * ((bm * wq) @ phase1)
+    return dict(zip("+-0", out))
 
 
 def factorized_eval(
@@ -517,14 +508,22 @@ def factorized_eval(
 
         c_n 2^(n-1) * integral da sum_j prod_l A^{branch(l,j)}_l(a),
 
-    with A^b_l the smooth branch transform of the l-th factor.  The products
-    decay like |a|^(-n) (d = 2) or |a|^(-n/2) (d = 1), so the a-integral
-    converges absolutely for n >= 3.  Node counts per axis follow the phase
-    bandwidth a_box * (momentum support), with a_box = 60 (d = 1) or 14
-    (d = 2), which is what makes the transforms reliable at large auxiliary
-    distances; the refinement loop then only has to confirm stability.  The truncation tail beyond a_box is oscillatory
-    (the branch edges sit at |k0| >= mass) and falls below the stated
-    tolerances at the defaults.
+    with A^b_l the smooth branch transform of the l-th factor.  All three
+    branch transforms of a factor come from one shared phase evaluation
+    (:func:`~kreinfield.quadrature.phase_sums`): the - branch is the + branch
+    with k0 -> -k0, the two-sided branch reuses both cosh pieces for
+    alpha < 1/2, its gap piece is odd in k0 and folds onto half its grid,
+    and the antisymmetric a-rule needs cos and sin of a k0 on its
+    non-negative half only.
+
+    The products decay like |a|^(-n) (d = 2) or |a|^(-n/2) (d = 1), so the
+    a-integral converges absolutely for n >= 3.  Node counts per axis follow
+    the phase bandwidth a_box * (momentum support), with a_box = 60 (d = 1)
+    or 14 (d = 2), which is what makes the transforms reliable at large
+    auxiliary distances; the refinement loop then only has to confirm
+    stability.  The truncation tail beyond a_box is oscillatory (the branch
+    edges sit at |k0| >= mass) and falls below the stated tolerances at the
+    defaults.
     """
     n = len(test.factors)
     if n < 3:
@@ -549,34 +548,24 @@ def factorized_eval(
                    for g in test.factors)
 
     def value(mult: float) -> complex:
+        rules = [gl_nodes(-a_box, a_box,
+                          int(_osc_npts(bandwidth(axis), 2 * a_box) * mult))
+                 for axis in range(spec.dim)]
         if spec.dim == 1:
-            avals, aw = gl_nodes(
-                -a_box, a_box, int(_osc_npts(bandwidth(0), 2 * a_box) * mult))
-            trans = {(l, b): _branch_transform_1d(g, b, avals, spec,
-                                                  mult, a_box)
-                     for l, g in enumerate(test.factors) for b in "+-0"}
-            total = np.zeros(len(aw), dtype=complex)
-            for j in range(n):
-                prod = np.ones(len(aw), dtype=complex)
-                for l in range(n):
-                    b = "-" if l < j else ("0" if l == j else "+")
-                    prod = prod * trans[(l, b)]
-                total += prod
-            return pref * (complex(np.sum(total * aw)) * test.prefactor)
-        ax0, aw0 = gl_nodes(
-            -a_box, a_box, int(_osc_npts(bandwidth(0), 2 * a_box) * mult))
-        ax1, aw1 = gl_nodes(
-            -a_box, a_box, int(_osc_npts(bandwidth(1), 2 * a_box) * mult))
-        trans = {(l, b): _branch_transform_2d(g, b, ax0, ax1, spec, mult)
-                 for l, g in enumerate(test.factors) for b in "+-0"}
-        total = np.zeros((len(ax0), len(ax1)), dtype=complex)
+            trans = [_branch_transforms_1d(g, rules[0][0], spec, mult, a_box)
+                     for g in test.factors]
+        else:
+            trans = [_branch_transforms_2d(g, rules[0][0], rules[1][0], spec, mult)
+                     for g in test.factors]
+        total = 0.0
         for j in range(n):
-            prod = np.ones((len(ax0), len(ax1)), dtype=complex)
-            for l in range(n):
-                b = "-" if l < j else ("0" if l == j else "+")
-                prod = prod * trans[(l, b)]
-            total += prod
-        return pref * (complex(aw0 @ total @ aw1) * test.prefactor)
+            prod = 1.0
+            for l, tr in enumerate(trans):
+                prod = prod * tr["-" if l < j else ("0" if l == j else "+")]
+            total = total + prod
+        for _, aw in reversed(rules):  # contract the a-axes, last first
+            total = total @ aw
+        return pref * (complex(total) * test.prefactor)
 
     # the schedule scales the oscillation node budgets; the absolute floor
     # 1e-12 applies to the integral before the prefactor
@@ -745,10 +734,6 @@ def laplace_bridge_check(
 
 
 # -- spectral support and clustering --------------------------------------------
-
-
-def momentum_gaussian(center, width: float) -> TestFunction:
-    return TestFunction.gaussian(center, width)
 
 
 def spectral_support_check(

@@ -70,6 +70,28 @@ def test_non_json_config_exits_2(tmp_path, capsys):
     assert "JSON" in stderr_doc(capsys)["message"]
 
 
+@pytest.mark.parametrize(
+    "constant",
+    ["NaN", "Infinity", "-Infinity", "1e999", "-1e999",
+     pytest.param("1" + "0" * 400, id="int-1e400")])
+def test_non_finite_constant_exits_2(tmp_path, capsys, constant):
+    cfg = {
+        "model": ATOM_MODEL,
+        "tasks": {"wightman": {"tests": [
+            {"slots": [{"center": [-1.0], "width": 1.0},
+                       {"center": [1.0], "width": 1.0}]}
+        ]}},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"variance": 0.5', f'"variance": {constant}'))
+    rc = main(["wightman", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    doc = stderr_doc(capsys)
+    assert doc["error"] == "config"
+    assert constant[:24] in doc["message"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_dim_mismatch_is_config_error(tmp_path, capsys):
     cfg = {
         "model": ATOM_MODEL,

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kreinfield.errors import QuadratureError
-from kreinfield.quadrature import gauss_legendre, refine, sine_nodes
+from kreinfield.errors import PreconditionError, QuadratureError
+from kreinfield import quadrature
+from kreinfield.quadrature import gauss_legendre, gl_nodes, phase_sums, refine, sine_nodes
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kreinfield"
 
@@ -58,13 +59,67 @@ def test_refine_records_one_history_row_per_round():
 @pytest.mark.parametrize("n", [1, 7, 48, 181])
 def test_cached_rule_matches_numpy_and_is_read_only(n):
     t, w = gauss_legendre(n)
-    t_ref, w_ref = np.polynomial.legendre.leggauss(n)
-    assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref)
+    t_ref, _ = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(t - t_ref)) <= 2e-16
+    assert abs(math.fsum(w) - 2.0) <= 1e-15
     assert gauss_legendre(n)[0] is t
     with pytest.raises(ValueError):
         t[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+def _mp_weight(n, x0):
+    """Weight of the order-n rule at the node next to x0, to 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        for _ in range(6):
+            p_prev, p = mpmath.mpf(1), x
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            step = p * (1 - x * x) / (n * (p_prev - x * p))
+            x -= step
+        return float(2 * (1 - x * x) / (n * (p_prev - x * p)) ** 2)
+
+
+@pytest.mark.parametrize("n", [7, 48, 181, 1024, 4096])
+def test_rule_weights_match_high_precision_reference(n):
+    t, w = gauss_legendre(n)
+    for i in (0, n // 2, n - 1):
+        assert w[i] == pytest.approx(_mp_weight(n, t[i]), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 48, 181])
+def test_rule_is_exactly_antisymmetric(n):
+    t, w = gauss_legendre(n)
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(t) > 0)
+    if n % 2:
+        assert t[n // 2] == 0.0
+
+
+@pytest.mark.parametrize("na", [1, 8, 9])
+def test_phase_sums_match_direct_exponential(na, monkeypatch):
+    rng = np.random.default_rng(na)
+    a, _ = gl_nodes(-14.0, 14.0, na)
+    k = 4.0 * rng.normal(size=(13, 5))
+    bodies = rng.normal(size=(3, 13, 5)) + 1j * rng.normal(size=(3, 13, 5))
+    # one q-chunk, then a budget of 2 * na * nt phases that forces three
+    for budget in (None, 2 * na * 13):
+        if budget is not None:
+            monkeypatch.setattr(quadrature, "_PHASE_BUDGET", budget)
+        p, q = phase_sums(a, k, bodies)
+        for sign in (1.0, -1.0):
+            direct = np.einsum("atq,jtq->jaq",
+                               np.exp(1j * sign * a[:, None, None] * k), bodies)
+            err = np.max(np.abs(p + 1j * sign * q - direct))
+            assert err <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_phase_sums_reject_a_rule_without_mirror_symmetry():
+    with pytest.raises(PreconditionError):
+        phase_sums(np.array([-1.0, 0.0, 2.0]), np.ones((2, 1)), np.ones((1, 2, 1)))
 
 
 def test_sine_map_tames_endpoint_singularity():

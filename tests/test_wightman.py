@@ -245,28 +245,43 @@ def test_hermiticity_under_momentum_star():
     assert s2 == pytest.approx(np.conj(v2), rel=1e-8)
 
 
+FACTORIZED_D1 = TensorTestFunction(
+    (TestFunction.gaussian((-1.7,), 0.9),
+     TestFunction.gaussian((-0.4,), 0.8),
+     TestFunction.gaussian((2.0,), 1.0)))
+FACTORIZED_D2 = TensorTestFunction(
+    (TestFunction.gaussian((-1.2, 0.3), 0.9),
+     TestFunction.gaussian((-0.2, -0.5), 0.8),
+     TestFunction.gaussian((1.6, 0.4), 1.0)))
+
+
 def test_factorized_matches_hyperplane_d1():
     spec = GreenSpec(1, 0.5, 1.0)
-    t = TensorTestFunction(
-        (TestFunction.gaussian((-1.7,), 0.9),
-         TestFunction.gaussian((-0.4,), 0.8),
-         TestFunction.gaussian((2.0,), 1.0)))
-    via_plane = truncated_momentum_eval(t, spec, ATOM_TRIPLE, 1e-7)
-    via_factors = factorized_eval(t, spec, ATOM_TRIPLE, tol=1e-4)
+    via_plane = truncated_momentum_eval(FACTORIZED_D1, spec, ATOM_TRIPLE, 1e-7)
+    via_factors = factorized_eval(FACTORIZED_D1, spec, ATOM_TRIPLE, tol=1e-4)
     assert abs(via_factors - via_plane) <= 1e-2 * abs(via_plane)
 
 
 def test_factorized_matches_tensor_quadrature_d2():
     spec = GreenSpec(2, 0.5, 1.0)
-    t = TensorTestFunction(
-        (TestFunction.gaussian((-1.2, 0.3), 0.9),
-         TestFunction.gaussian((-0.2, -0.5), 0.8),
-         TestFunction.gaussian((1.6, 0.4), 1.0)))
     # pinned from the four-axis split quadrature on the same slots, tol 2e-3
     want = 0.01698840384595328
-    got = factorized_eval(t, spec, ATOM_TRIPLE, tol=5e-3)
+    got = factorized_eval(FACTORIZED_D2, spec, ATOM_TRIPLE, tol=5e-3)
     assert abs(got.imag) < 1e-12
     assert got.real == pytest.approx(want, rel=1e-2)
+
+
+@pytest.mark.parametrize("dim, alpha, test, want", [
+    (2, 0.5, FACTORIZED_D2, 0.01699268330016418),
+    # alpha < 1/2 brings in the cos(pi alpha) cosh pieces of the 0 branch
+    (2, 0.35, FACTORIZED_D2, 0.012176203414709603),
+    (1, 0.35, FACTORIZED_D1, 0.28358155381079303),
+])
+def test_factorized_values_are_pinned(dim, alpha, test, want):
+    """Pinned from the per-branch transforms, one complex phase tensor per branch."""
+    got = factorized_eval(test, GreenSpec(dim, alpha, 1.0), ATOM_TRIPLE, tol=1e-3)
+    assert abs(got.imag) < 1e-12
+    assert got.real == pytest.approx(want, rel=1e-12)
 
 
 def test_factorized_needs_three_slots():
