@@ -32,7 +32,7 @@ CONFIG_SCHEMA: dict = {
             "required": ["kind", "dim", "alpha", "mass", "levy"],
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["scalar", "vector"]},
+                "kind": {"enum": ["scalar"]},
                 "dim": {"type": "integer", "minimum": 1, "maximum": 4},
                 "alpha": {"type": "number", "exclusiveMinimum": 0.0, "maximum": 0.5},
                 "mass": {"type": "number", "exclusiveMinimum": 0.0},
@@ -349,7 +349,17 @@ def _load_config(path: str):
 
 
 def _semantic_check(cfg: dict):
-    """Cross-field constraints the schema cannot express: (field, message) or None."""
+    """Constraints the schema cannot express: (field, message) or None."""
+    from .levy import LevyTriple
+
+    try:  # the model objects' own checks, e.g. a zero jump size
+        for i, atom in enumerate(cfg["model"]["levy"]["atoms"]):
+            field = f"model.levy.atoms.{i}"
+            LevyTriple(atoms=(atom,))
+        field = "model"
+        _model_objects(cfg)
+    except ValueError as exc:  # DomainError is a ValueError
+        return field, str(exc)
     dim = cfg["model"]["dim"]
     tasks = cfg.get("tasks") or {}
 

@@ -10,6 +10,7 @@ certificate for a concrete noise model and a family of test functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -24,10 +25,11 @@ from .errors import (
     InvalidMajorantError,
     PreconditionError,
     QuadratureError,
+    SizeLimitError,
 )
 from .green import GreenSpec
 from .levy import LevyTriple, cumulant_coeff
-from .partitions import CorrelationTable, moments_from_cumulants
+from .partitions import MAX_GROUND_SIZE, CorrelationTable, moments_from_cumulants
 from .quadrature import gl_nodes, line_quadrature, sine_nodes
 from .testfunctions import TensorTestFunction, TestFunction
 from .wightman import truncated_momentum_eval
@@ -455,16 +457,6 @@ def bound_integral_scalar(
 # -- vector bounding integrals ----------------------------------------------------
 
 
-def _radial_moment(power: float) -> float:
-    """4 pi * integral_0^inf  lambda^(2 - power) (1 + lambda^2)^(-3/2) dlambda."""
-    lam, wl = sine_nodes(0.0, 2.0, 240)
-    head = float(np.sum(lam ** (2.0 - power) * (1.0 + lam * lam) ** -1.5 * wl))
-    lam, wl = sine_nodes(2.0, 400.0, 240)
-    mid = float(np.sum(lam ** (2.0 - power) * (1.0 + lam * lam) ** -1.5 * wl))
-    tail = 400.0 ** (-power) / power  # integrand <= lambda^(-1 - power) out there
-    return 4.0 * math.pi * (head + mid + tail)
-
-
 def _shifted_radial_value(a: float, npts: int, cap: float = 60.0) -> float:
     """integral |k + a e|^-1 |k|^-1 (1+|k|^2)^(-3/2) d^3k, cylindrical form."""
     if cap < 2.0 * a:
@@ -513,22 +505,13 @@ class VectorBoundReport:
         }
 
 
-def bound_integral_vector(n: int, j: int) -> VectorBoundReport:
-    """Quadrature constant for slot j of the order-n vector-model bound.
+@functools.lru_cache(maxsize=None)
+def _shift_sup() -> Tuple[float, Tuple[float, ...], float]:
+    """Sup over shifts of the mixed moment: (sup, history, stop radius).
 
-    The three ingredients are the |k|^-1 and |k|^-2 moments of the massless
-    momentum weight (both 4 pi in closed form) and the sup over shifts of
-    the mixed moment, bounded above by 4 pi^2.  The shift sup search over an
-    expanding radius stops once the derived decay cap  8 pi / a + 8 pi / a^2
-    falls below the running sup.
+    The search over an expanding radius stops once the derived decay cap
+    8 pi / a + 8 pi / a^2 falls below the running sup.
     """
-    if n < 3:
-        raise DomainError("vector bounds are assembled from order 3 up")
-    if not 0 <= j <= n:
-        raise DomainError("slot index out of range")
-    r1 = _radial_moment(1.0)
-    r2 = _radial_moment(2.0)
-
     grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
     history: List[float] = []
     sup = 0.0
@@ -549,6 +532,24 @@ def bound_integral_vector(n: int, j: int) -> VectorBoundReport:
         raise QuadratureError(
             "shifted moment exceeds its Cauchy-Schwarz cap", residual=sup / ceiling
         )
+    return sup, tuple(history), amax
+
+
+def bound_integral_vector(n: int, j: int) -> VectorBoundReport:
+    """Quadrature constant for slot j of the order-n vector-model bound.
+
+    The three ingredients are the |k|^-1 and |k|^-2 moments of the massless
+    momentum weight, 4 pi * int_0^inf lambda^(2 - p) (1 + lambda^2)^(-3/2)
+    dlambda for p = 1, 2 (both exactly 4 pi), and the sup over shifts of the
+    mixed moment, bounded above by 4 pi^2.  The sup depends on neither n nor
+    j, so it is searched once per process.
+    """
+    if n < 3:
+        raise DomainError("vector bounds are assembled from order 3 up")
+    if not 0 <= j <= n:
+        raise DomainError("slot index out of range")
+    r1 = r2 = 4.0 * math.pi
+    sup, history, amax = _shift_sup()
     base = (2.0 * math.pi) ** (3 - n) * 2.0 ** (-n)
     if j in (0, n):
         constant = base * r1 ** (n - 3) * r2 * sup
@@ -561,7 +562,7 @@ def bound_integral_vector(n: int, j: int) -> VectorBoundReport:
         linear_moment=r1,
         quadratic_moment=r2,
         shifted_sup=sup,
-        shifted_history=tuple(history),
+        shifted_history=history,
         stop_radius=amax,
     )
 
@@ -572,27 +573,22 @@ def bound_integral_vector(n: int, j: int) -> VectorBoundReport:
 def partition_sums(a: Sequence[float]) -> List[float]:
     """b_n = sum over set partitions of {1..n} of prod_B a_{|B|}.
 
-    With a identically one this is the Bell sequence.
+    Splitting off the block that holds n + 1 gives the moment recurrence
+    b_{n+1} = sum_{k=0}^{n} C(n, k) a_{k+1} b_{n-k} with b_0 = 1 (Smith,
+    Amer. Statist. 49, 1995): exact and O(n^2).  With a identically one
+    this is the Bell sequence.
     """
     avals = [float(x) for x in a]
     if any(x < 0.0 for x in avals):
         raise DomainError("order bounds must be nonnegative")
-    from .partitions import MAX_GROUND_SIZE, SizeLimitError, enumerate_partitions
-
     if len(avals) > MAX_GROUND_SIZE:
         raise SizeLimitError(
             f"partition sums supported through order {MAX_GROUND_SIZE}"
         )
-    b: List[float] = []
-    for n in range(1, len(avals) + 1):
-        total = 0.0
-        for p in enumerate_partitions(n):
-            term = 1.0
-            for blk in p.blocks:
-                term *= avals[len(blk) - 1]
-            total += term
-        b.append(total)
-    return b
+    b = [1.0]
+    for n in range(len(avals)):
+        b.append(sum(math.comb(n, k) * avals[k] * b[n - k] for k in range(n + 1)))
+    return b[1:]
 
 
 def norm_constants(b: Sequence[float]) -> List[float]:

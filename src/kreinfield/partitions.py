@@ -4,13 +4,14 @@ Joint moments of a family of random variables are sums over set partitions
 of products of joint cumulants, with an optional fermionic sign attached to
 each partition.  This module provides the partition enumeration, the sign,
 and the conversion in both directions for tables of correlation values
-indexed by increasing index tuples.
+indexed by increasing index tuples; the conversion recurses on the block
+holding the smallest index instead of listing partitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .errors import SizeLimitError
 
@@ -95,27 +96,6 @@ def fermionic_parity(p: SetPartition) -> int:
     return -1 if inv % 2 else 1
 
 
-def _partitions_of_tuple(idx: Tuple[int, ...]) -> List[Tuple[Block, ...]]:
-    """Set partitions of an arbitrary strictly increasing tuple."""
-    n = len(idx)
-    out = []
-    for p in enumerate_partitions(n):
-        out.append(tuple(tuple(idx[i - 1] for i in b) for b in p.blocks))
-    return out
-
-
-def _parity_of_blocks(blocks: Tuple[Block, ...], parity: str) -> int:
-    if parity == BOSE:
-        return 1
-    seq = [j for b in blocks for j in b]
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 @dataclass
 class CorrelationTable:
     """Correlation values indexed by strictly increasing tuples over {1..n}.
@@ -158,35 +138,51 @@ class CorrelationTable:
         return all(k in self.values for k in self.all_keys())
 
 
+def _first_block_splits(key: Block, parity: str) -> Iterator[Tuple[Block, Block, int]]:
+    """Yield (B, R, sign) for each block B of ``key`` holding its smallest index.
+
+    R is the rest of ``key``.  Every set partition of ``key`` is B together
+    with one partition of R, and the fermionic sign factors the same way:
+    the sign of the partition of R times (-1)**#{(x in B, y in R): x > y}.
+    """
+    head, tail = key[:1], key[1:]
+    for mask in range(1 << len(tail)):
+        block = head + tuple(x for i, x in enumerate(tail) if mask >> i & 1)
+        rest = tuple(x for i, x in enumerate(tail) if not mask >> i & 1)
+        crossings = sum(x > y for x in block for y in rest) if parity == FERMI else 0
+        yield block, rest, -1 if crossings % 2 else 1
+
+
 def moments_from_cumulants(table: CorrelationTable, parity: str = BOSE) -> CorrelationTable:
     """Full correlation table from a truncated (cumulant) table.
 
     Each entry is the partition sum  sum_I sign(I) prod_{B in I} T[B]  over
     set partitions I of the index tuple; sign(I) is 1 in the bosonic case
-    and the splice-permutation sign in the fermionic case.
+    and the splice-permutation sign in the fermionic case.  It is computed
+    by splitting off the block of the smallest index:
+    m(S) = sum_B sign(B, R) T[B] m(R), with m of the empty tuple equal to 1.
     """
     if parity not in (BOSE, FERMI):
         raise ValueError(f"unknown parity {parity!r}")
     if not table.is_complete():
         raise ValueError("cumulant table is incomplete")
     out = CorrelationTable(table.n)
-    for key in table.all_keys():
-        acc = 0j
-        for blocks in _partitions_of_tuple(key):
-            term = complex(_parity_of_blocks(blocks, parity))
-            for b in blocks:
-                term *= table[b]
-            acc += term
-        out[key] = acc
+    for key in table.all_keys():  # shortest first
+        out[key] = sum(
+            (sign * table[b] * (out[r] if r else 1.0)
+             for b, r, sign in _first_block_splits(key, parity)),
+            0j,
+        )
     return out
 
 
 def cumulants_from_moments(table: CorrelationTable, parity: str = BOSE) -> CorrelationTable:
     """Truncated (cumulant) table from a full correlation table.
 
-    Inverts the partition sum by recursion on tuple size: the singleton
-    cumulants equal the moments, and each higher cumulant is the moment
-    minus all partition terms with more than one block.
+    Inverts the first-block split of :func:`moments_from_cumulants` by
+    recursion on tuple size: each cumulant is the moment minus the terms
+    whose first block is a proper subset, k(S) = m(S) - sum_{B != S}
+    sign(B, R) k(B) m(R).
     """
     if parity not in (BOSE, FERMI):
         raise ValueError(f"unknown parity {parity!r}")
@@ -194,13 +190,9 @@ def cumulants_from_moments(table: CorrelationTable, parity: str = BOSE) -> Corre
         raise ValueError("moment table is incomplete")
     out = CorrelationTable(table.n)
     for key in table.all_keys():  # shortest first
-        acc = complex(table[key])
-        for blocks in _partitions_of_tuple(key):
-            if len(blocks) == 1:
-                continue
-            term = complex(_parity_of_blocks(blocks, parity))
-            for b in blocks:
-                term *= out[b]
-            acc -= term
-        out[key] = acc
+        out[key] = complex(table[key]) - sum(
+            (sign * out[b] * table[r]
+             for b, r, sign in _first_block_splits(key, parity) if r),
+            0j,
+        )
     return out

@@ -105,6 +105,24 @@ def test_dim_mismatch_is_config_error(tmp_path, capsys):
     assert stderr_doc(capsys)["field"] == "tasks.wightman.tests.0.slots.0.center"
 
 
+def with_atoms(atoms):
+    return dict(ATOM_MODEL, levy=dict(ATOM_MODEL["levy"], atoms=atoms))
+
+
+@pytest.mark.parametrize("model, field", [
+    (with_atoms([[0.0, 2.0]]), "model.levy.atoms.0"),  # zero jump size
+    (with_atoms([[1.0, 2.0], [0.5, -1.0]]), "model.levy.atoms.1"),  # negative rate
+    (dict(ATOM_MODEL, kind="vector"), "model.kind"),
+])
+def test_unsupported_model_is_config_error(tmp_path, capsys, model, field):
+    cfg = {"model": model, "tasks": {"bounds": {"vector_slots": [[3, 0]]}}}
+    rc = main(["bounds", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    doc = stderr_doc(capsys)
+    assert doc["error"] == "config"
+    assert doc["field"] == field
+
+
 def test_unknown_subcommand_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x"])

@@ -32,6 +32,8 @@ from kreinfield.hssc import (
     tensor_schwartz_norm,
 )
 from kreinfield.levy import LevyTriple
+from kreinfield.partitions import enumerate_partitions
+from kreinfield.quadrature import sine_nodes
 from kreinfield.testfunctions import TensorTestFunction, TestFunction
 
 ATOM_TRIPLE = LevyTriple(drift=0.1, variance=0.5, atoms=((1.0, 2.0),))
@@ -157,9 +159,29 @@ def vec_report():
     return bound_integral_vector(3, 0)
 
 
+def radial_moment_quadrature(power):
+    """4 pi * integral_0^inf  lambda^(2 - power) (1 + lambda^2)^(-3/2) dlambda."""
+    total = 400.0 ** (-power) / power  # integrand <= lambda^(-1 - power) past 400
+    for lo, hi in ((0.0, 2.0), (2.0, 400.0)):
+        lam, wl = sine_nodes(lo, hi, 240)
+        total += float(np.sum(lam ** (2.0 - power) * (1.0 + lam * lam) ** -1.5 * wl))
+    return 4.0 * math.pi * total
+
+
+@pytest.mark.parametrize("power", [1.0, 2.0])
+def test_radial_moment_closed_form(power):
+    assert radial_moment_quadrature(power) == pytest.approx(4.0 * math.pi, abs=1e-6)
+
+
 def test_vector_radial_moments(vec_report):
-    assert vec_report.linear_moment == pytest.approx(4.0 * math.pi, abs=1e-6)
-    assert vec_report.quadratic_moment == pytest.approx(4.0 * math.pi, abs=1e-6)
+    assert vec_report.linear_moment == vec_report.quadratic_moment == 4.0 * math.pi
+
+
+def test_vector_shift_search_runs_once(vec_report):
+    deep = bound_integral_vector(5, 2)
+    assert deep.shifted_history is vec_report.shifted_history
+    assert deep.shifted_sup == vec_report.shifted_sup
+    assert deep.stop_radius == vec_report.stop_radius
 
 
 def test_vector_shifted_sup(vec_report):
@@ -193,6 +215,17 @@ def test_vector_bounds_domain():
 
 def test_partition_sums_bell_numbers():
     assert partition_sums([1.0] * 6) == [1.0, 2.0, 5.0, 15.0, 52.0, 203.0]
+    assert partition_sums([1.0] * 12)[-1] == 4213597.0  # Bell(12)
+
+
+def test_partition_sums_match_enumeration():
+    rng = np.random.default_rng(8)
+    a = rng.uniform(0.0, 3.0, size=8)
+    want = [
+        sum(math.prod(a[len(blk) - 1] for blk in p.blocks) for p in enumerate_partitions(n))
+        for n in range(1, 9)
+    ]
+    assert partition_sums(a) == pytest.approx(want, rel=1e-12)
 
 
 def test_norm_constants_floor_and_running_max():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,3 +154,52 @@ def test_round_trip(table, parity):
     back = cumulants_from_moments(mom, parity)
     for key in table.all_keys():
         assert back[key] == pytest.approx(table[key], rel=1e-9, abs=1e-9)
+
+
+# ---- first-block recursion against a direct partition sum ----
+
+def partition_sum_oracle(key, parity, weight):
+    """sum over set partitions of ``key`` of sign * prod_B weight(B), by enumeration."""
+    total = 0j
+    for p in enumerate_partitions(len(key)):
+        term = complex(fermionic_parity(p) if parity == FERMI else 1)
+        for b in p.blocks:
+            term *= weight(tuple(key[i - 1] for i in b))
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("parity", [BOSE, FERMI])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_conversions_match_enumeration(n, parity):
+    rng = random.Random(100 * n + (parity == FERMI))
+    cum = CorrelationTable(n)
+    for key in cum.all_keys():
+        cum[key] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    mom = moments_from_cumulants(cum, parity)
+    for key in cum.all_keys():
+        want = partition_sum_oracle(key, parity, lambda b: cum[b])
+        assert mom[key] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # the inverse: an independent moment table, checked by re-summing
+    # its cumulants over all partitions
+    for key in mom.all_keys():
+        mom[key] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    back = cumulants_from_moments(mom, parity)
+    for key in mom.all_keys():
+        resummed = partition_sum_oracle(key, parity, lambda b: back[b])
+        assert resummed == pytest.approx(mom[key], rel=1e-9, abs=1e-9)
+
+
+def test_conversions_do_not_enumerate(monkeypatch):
+    from kreinfield import hssc, partitions
+
+    def refuse(n):
+        raise AssertionError("set partitions were enumerated")
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
+    cum = constant_table(6, lambda k: 0.5)
+    for parity in (BOSE, FERMI):
+        mom = moments_from_cumulants(cum, parity)
+        back = cumulants_from_moments(mom, parity)
+        assert back[(1, 2, 3, 4, 5, 6)] == pytest.approx(0.5, rel=1e-9)
+    assert hssc.partition_sums([1.0] * 12)[-1] == 4213597.0
