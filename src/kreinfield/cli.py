@@ -2,11 +2,15 @@
 
 Every subcommand reads one JSON config (schema below), runs a pipeline, and
 writes its results as CSV tables and JSON documents plus a ``manifest.json``
-recording the config hash, effective seed, package versions and the produced
-files.  Numeric outputs are deterministic for a fixed config and seed; only
-the manifest carries timestamps and runtimes.
+recording the config hash, effective seed, package versions, the produced
+files and the run's status.  Numeric outputs are deterministic for a fixed
+config and seed; only the manifest carries timestamps and runtimes.  A
+non-finite number is never written: the run fails instead.
 
-Exit codes: 0 success, 1 task failure, 2 configuration error.
+Exit codes: 0 success, 1 task failure, 2 configuration error.  Once the
+output directory is known, a failed task still writes the manifest, with
+status "failed", the error kind and message, and, for a quadrature that did
+not converge, its residual.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional
+
+from .errors import QuadratureError
 
 CONFIG_SCHEMA: dict = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -300,11 +306,23 @@ SUBCOMMANDS = (
 )
 
 
-def _fail(kind: str, message: str, field: Optional[str] = None) -> None:
-    doc = {"error": kind, "message": message}
+def _fail(
+    kind: str,
+    message: str,
+    field: Optional[str] = None,
+    residual: Optional[float] = None,
+) -> dict:
+    doc: Dict[str, object] = {"error": kind, "message": message}
     if field is not None:
         doc["field"] = field
+    if residual is not None:
+        doc["residual"] = residual if math.isfinite(residual) else None
     print(json.dumps(doc), file=sys.stderr)
+    return doc
+
+
+class _CheckFailed(Exception):
+    """A task ran to the end and wrote its outputs, but its check failed."""
 
 
 def _reject_constant(name: str):
@@ -463,23 +481,34 @@ def _tensor_function(doc: dict, dim: int):
 
 
 def _write_csv(path: str, header: List[str], rows: List[list]) -> None:
+    for i, row in enumerate(rows):
+        for cell in row:
+            if isinstance(cell, float) and not math.isfinite(cell):
+                raise ValueError(
+                    f"{os.path.basename(path)}: non-finite value {cell} in row {i}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
+def _json_text(path: str, doc, **kwargs) -> str:
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:  # NaN or infinity somewhere in doc
+        raise ValueError(f"{os.path.basename(path)}: {exc}") from None
+
+
 def _write_json(path: str, doc) -> None:
+    text = _json_text(path, doc, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_jsonl(path: str, records: List[dict]) -> None:
+    lines = [_json_text(path, rec) + "\n" for rec in records]
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
+        fh.writelines(lines)
 
 
 def _task_section(cfg: dict, name: str) -> dict:
@@ -525,7 +554,6 @@ def _run_sample(cfg, args, out, files):
     path = os.path.join(out, "sample.csv")
     _write_csv(path, ["subset", "moment", "std_error", "n_samples"], rows)
     files.append(path)
-    return 0
 
 
 def _run_schwinger(cfg, args, out, files):
@@ -565,7 +593,6 @@ def _run_schwinger(cfg, args, out, files):
         path, ["order", "analytic", "mc", "std_error", "abs_diff", "sigmas"], rows
     )
     files.append(path)
-    return 0
 
 
 def _run_wightman(cfg, args, out, files):
@@ -591,7 +618,6 @@ def _run_wightman(cfg, args, out, files):
     jpath = os.path.join(out, "wightman_records.jsonl")
     _write_jsonl(jpath, records)
     files.append(jpath)
-    return 0
 
 
 def _run_laplace_check(cfg, args, out, files):
@@ -612,9 +638,7 @@ def _run_laplace_check(cfg, args, out, files):
     _write_csv(path, ["order", "lattice", "momentum", "gap", "tolerance", "passed"], rows)
     files.append(path)
     if not all(r[-1] for r in rows):
-        _fail("task", "a bridge gap exceeded its tolerance")
-        return 1
-    return 0
+        raise _CheckFailed("a bridge gap exceeded its tolerance")
 
 
 def _run_bounds(cfg, args, out, files):
@@ -648,7 +672,6 @@ def _run_bounds(cfg, args, out, files):
     jpath = os.path.join(out, "bounds.json")
     _write_json(jpath, doc)
     files.append(jpath)
-    return 0
 
 
 def _random_family(spec, block: dict, seed: int):
@@ -705,9 +728,7 @@ def _run_certify(cfg, args, out, files):
     files.append(cpath)
     args.manifest_extra["certify_runtime_seconds"] = runtime
     if not cert["passed"]:
-        _fail("task", "certificate did not pass")
-        return 1
-    return 0
+        raise _CheckFailed("certificate did not pass")
 
 
 def _run_krein(cfg, args, out, files):
@@ -779,7 +800,6 @@ def _run_krein(cfg, args, out, files):
     cpath = os.path.join(out, "krein_eigenvalues.csv")
     _write_csv(cpath, ["index", "eigenvalue"], rows)
     files.append(cpath)
-    return 0
 
 
 def _run_cluster(cfg, args, out, files):
@@ -801,7 +821,6 @@ def _run_cluster(cfg, args, out, files):
     path = os.path.join(out, "cluster.csv")
     _write_csv(path, ["lambda", "abs_value"], [[l, v] for l, v in rows])
     files.append(path)
-    return 0
 
 
 def _run_spectral(cfg, args, out, files):
@@ -825,9 +844,7 @@ def _run_spectral(cfg, args, out, files):
     )
     files.append(cpath)
     if not result["passed"]:
-        _fail("task", "spectral support check failed")
-        return 1
-    return 0
+        raise _CheckFailed("spectral support check failed")
 
 
 _HANDLERS: Dict[str, Callable] = {
@@ -903,11 +920,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     files: List[str] = []
     t0 = time.time()
+    error: Optional[dict] = None
     try:
-        rc = _HANDLERS[args.command](cfg, args, out, files)
+        _HANDLERS[args.command](cfg, args, out, files)
     except Exception as exc:  # noqa: BLE001 - boundary: map to exit code 1
-        _fail("task", f"{type(exc).__name__}: {exc}")
-        return 1
+        message = str(exc) if isinstance(exc, _CheckFailed) else (
+            f"{type(exc).__name__}: {exc}")
+        residual = exc.residual if isinstance(exc, QuadratureError) else None
+        error = _fail("task", message, residual=residual)
 
     from . import __version__
 
@@ -918,6 +938,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "subcommand": args.command,
         "config_path": os.path.abspath(args.config),
         "config_sha256": digest,
+        "status": "ok" if error is None else "failed",
         "seed": args.effective_seed,
         "tolerance": args.tolerance,
         "outputs": [os.path.basename(f) for f in files],
@@ -931,8 +952,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "wall_seconds": time.time() - t0,
     }
     manifest.update(args.manifest_extra)
+    manifest.update(error or {})
     _write_json(os.path.join(out, "manifest.json"), manifest)
-    return rc
+    return 0 if error is None else 1
 
 
 if __name__ == "__main__":

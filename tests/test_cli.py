@@ -198,8 +198,49 @@ def test_manifest_lists_outputs_and_config_hash(tmp_path, wightman_cfg):
     assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
     assert manifest["subcommand"] == "wightman"
     assert manifest["seed"] == 5
+    assert manifest["status"] == "ok"
+    assert "error" not in manifest
     for key in ("kreinfield", "python", "numpy", "scipy"):
         assert key in manifest["versions"]
+
+
+def test_failed_run_writes_manifest_with_residual(tmp_path, wightman_cfg, capsys,
+                                                  monkeypatch):
+    import kreinfield.wightman
+    from kreinfield.errors import QuadratureError
+
+    def diverges(*args, **kwargs):
+        raise QuadratureError("pair density did not stabilize", residual=0.125)
+
+    monkeypatch.setattr(kreinfield.wightman, "truncated_momentum_eval", diverges)
+    out = tmp_path / "out"
+    assert main(["wightman", "--config", wightman_cfg, "--out", str(out)]) == 1
+    err = stderr_doc(capsys)
+    assert err["error"] == "task"
+    assert err["residual"] == 0.125
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "task"
+    assert manifest["residual"] == 0.125
+    assert "did not stabilize" in manifest["message"]
+    assert manifest["outputs"] == []
+
+
+def test_non_finite_output_is_task_failure(tmp_path, wightman_cfg, capsys,
+                                           monkeypatch):
+    import kreinfield.wightman
+
+    monkeypatch.setattr(kreinfield.wightman, "truncated_momentum_eval",
+                        lambda *args, **kwargs: complex(math.nan, 0.0))
+    out = tmp_path / "out"
+    assert main(["wightman", "--config", wightman_cfg, "--out", str(out)]) == 1
+    err = stderr_doc(capsys)
+    assert err["error"] == "task"
+    assert "wightman.csv" in err["message"]
+    assert "residual" not in err
+    assert not (out / "wightman.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
 
 
 def test_reruns_are_byte_identical_outside_manifest(tmp_path, wightman_cfg):
@@ -391,3 +432,24 @@ def test_spectral_pass_and_fail_paths(tmp_path, capsys):
                "--out", str(tmp_path / "out2")])
     assert rc == 1
     assert stderr_doc(capsys)["error"] == "task"
+    manifest = json.loads((tmp_path / "out2" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["message"] == "spectral support check failed"
+    assert set(manifest["outputs"]) == {"spectral.json", "spectral.csv"}
+
+
+def test_non_finite_json_output_is_task_failure(tmp_path, capsys, monkeypatch):
+    import kreinfield.wightman
+
+    monkeypatch.setattr(
+        kreinfield.wightman, "spectral_support_check",
+        lambda *args, **kwargs: {"max_off_support": math.inf, "control": 1.0,
+                                 "tolerance": 1e-8, "passed": True})
+    slots = {"slots": [{"center": [0.0], "width": 1.0}]}
+    cfg = {"model": ATOM_MODEL,
+           "tasks": {"spectral": {"off_support": [slots], "control": slots}}}
+    out = tmp_path / "out"
+    rc = main(["spectral", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert rc == 1
+    assert "spectral.json" in stderr_doc(capsys)["message"]
+    assert not (out / "spectral.json").exists()

@@ -12,6 +12,7 @@ from kreinfield.errors import (
     PreconditionError,
     SizeLimitError,
 )
+from kreinfield import hssc
 from kreinfield.green import GreenSpec
 from kreinfield.hssc import (
     GramPair,
@@ -33,7 +34,7 @@ from kreinfield.hssc import (
 )
 from kreinfield.levy import LevyTriple
 from kreinfield.partitions import enumerate_partitions
-from kreinfield.quadrature import sine_nodes
+from kreinfield.quadrature import line_quadrature, sine_nodes
 from kreinfield.testfunctions import TensorTestFunction, TestFunction
 
 ATOM_TRIPLE = LevyTriple(drift=0.1, variance=0.5, atoms=((1.0, 2.0),))
@@ -130,6 +131,72 @@ def test_scalar_factors_overlap_stable(factors_d2):
 def test_scalar_factors_line_spatial_is_trivial():
     fac = compute_scalar_factors(GreenSpec(1, 0.5, 1.0), grid_points=5)
     assert fac.spatial == 1.0
+
+
+def overlap_value_oracle(a, b, c, alpha, npts):
+    """One shift at a time: integral dx dy |x y (x+y+c)|^(-alpha)
+    / ((1+(x+a)^2)(1+(y+b)^2)), the outer line split at 0 and the inner one
+    at 0 and -y - c."""
+    box = 48.0 + 2.0 * max(abs(a), abs(b), abs(c))
+
+    def outer(y):
+        s = -y - c
+        lo_cut = np.minimum(0.0, s)
+        hi_cut = np.maximum(0.0, s)
+        shift = (y + c)[:, None]
+        tot = np.zeros_like(y)
+        pieces = (
+            (np.full_like(y, -box), lo_cut),
+            (lo_cut, hi_cut),
+            (hi_cut, np.full_like(y, box)),
+        )
+        for lo, hi in pieces:
+            x, w = sine_nodes(lo, hi, npts)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v = (
+                    np.abs(x) ** -alpha
+                    * np.abs(x + shift) ** -alpha
+                    / (1.0 + (x + a) ** 2)
+                )
+                contrib = np.where(w > 0.0, v * w, 0.0)
+            tot = tot + np.sum(contrib, axis=1)
+        return np.abs(y) ** -alpha / (1.0 + (y + b) ** 2) * tot
+
+    return float(line_quadrature(outer, -box, box, cuts=(0.0,), npts=npts))
+
+
+@pytest.mark.parametrize("alpha,npts", [(0.5, 20), (0.35, 28)])
+def test_overlap_values_match_scalar_oracle(alpha, npts):
+    # two full chunks and a partial one, grid points and off-grid shifts
+    count = 2 * hssc._OVERLAP_CHUNK + 7
+    rng = np.random.default_rng(5)
+    shifts = rng.uniform(-10.0, 10.0, (count, 3))
+    shifts[:4] = [[0.0, 0.0, 0.0], [-7.5, 8.75, 1.25], [8.75, -7.5, 1.25],
+                  [10.0, -10.0, 2.5]]
+    got = hssc._overlap_values(shifts, alpha, npts)
+    want = [overlap_value_oracle(*map(float, s), alpha, npts) for s in shifts]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("shift", [(-7.5, 8.75, 1.25), (3.1, 0.4, -9.2), (0.0, 2.5, 0.0)])
+def test_overlap_oracle_sign_flip_symmetry(shift):
+    a, b, c = shift
+    for npts in (20, 28):
+        val = overlap_value_oracle(a, b, c, 0.5, npts)
+        assert overlap_value_oracle(-a, -b, -c, 0.5, npts) == pytest.approx(val, rel=1e-14)
+
+
+def test_scalar_factors_are_pinned(factors_d2):
+    # the values of the one-shift-at-a-time grid search
+    line = compute_scalar_factors(GreenSpec(1, 0.5, 1.0), grid_points=5)
+    for fac in (factors_d2, line):
+        np.testing.assert_allclose(
+            fac.overlap_history,
+            [38.52898286491008, 38.62016242191663, 38.62016242191663], rtol=1e-13)
+        assert fac.overlap_sup == pytest.approx(38.62016242191663, rel=1e-13)
+        assert fac.interior_max == pytest.approx(38.62016242191663, rel=1e-13)
+        assert fac.boundary_max == pytest.approx(6.418444449443861, rel=1e-13)
+        assert fac.energy_sup == pytest.approx(3.4681697721553815, rel=1e-13)
 
 
 def test_scalar_bound_assembly(factors_d2):
