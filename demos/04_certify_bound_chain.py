@@ -22,7 +22,7 @@ print("chain factors:")
 print(f"  energy-profile sup : {factors.energy_sup:.4f}")
 print(f"  shifted overlap sup: {factors.overlap_sup:.4f} "
       f"(analytic ceiling {factors.overlap_ceiling:.1f})")
-print(f"  grid history       : {[f'{h:.4f}' for h in factors.overlap_history]}")
+print(f"  refinement history : {[f'{h:.4f}' for h in factors.overlap_history]}")
 
 family = [
     TensorTestFunction((TestFunction.gaussian((-0.8,), 1.0),)),

@@ -30,7 +30,7 @@ from .errors import (
 from .green import GreenSpec
 from .levy import LevyTriple, cumulant_coeff
 from .partitions import MAX_GROUND_SIZE, CorrelationTable, moments_from_cumulants
-from .quadrature import gl_nodes, line_quadrature, sine_nodes
+from .quadrature import gl_nodes, line_quadrature, refine, sine_nodes, tanh_sinh_nodes
 from .testfunctions import TensorTestFunction, TestFunction
 from .wightman import truncated_momentum_eval
 
@@ -207,51 +207,29 @@ def pair_bound(spec: GreenSpec, triple: LevyTriple, weight_power: int) -> float:
 # -- scalar bounding chain --------------------------------------------------------
 
 
-# shifts evaluated per array step of :func:`_overlap_values`; at 28 nodes a
-# chunk's (shifts, 2, nodes, nodes) arrays stay under 1 MB
-_OVERLAP_CHUNK = 32
+def _overlap_origin(alpha: float, npts: int) -> float:
+    """Overlap integral at zero shift from its one-line form, on npts nodes.
 
+    I(0, 0, 0) = integral dx dy |x y (x+y)|^(-alpha) / ((1+x^2)(1+y^2)).
+    Substituting y = x t and integrating x out with
+    integral_0^inf x^(s-1) / (1+x^2) dx = (pi/2) / sin(pi s/2) leaves
 
-def _overlap_values(shifts: np.ndarray, alpha: float, npts: int) -> np.ndarray:
-    """Doubly singular plane integral at each shift (a, b, c) of an (S, 3) array.
+        pi / sin(pi (2 - 3 alpha)/2) * integral_R g(t) dt,
+        g(t) = |t|^(-alpha) |1+t|^(-alpha) (1 - |t|^(3 alpha)) / (1 - t^2),
 
-    integral dx dy |x y (x+y+c)|^(-alpha) / ((1+(x+a)^2)(1+(y+b)^2)).
-
-    The outer y-line on [-box, box] is split at 0, the inner x-line at 0 and
-    at -y - c; every piece is a sine-substituted rule of ``npts`` nodes.  One
-    chunk of shifts is one broadcast, with the per-shift pieces summed in a
-    fixed order, so each value does not depend on the chunk it falls in.
+    and g(t) dt is unchanged under t -> 1/t, so the line integral is twice
+    that over [-1, 1].  Both halves are functions of u = |t| in [0, 1] and
+    share one tanh-sinh rule; the removable point |t| = 1 is formed from the
+    distance 1 - u, which the rule gives exactly.
     """
-    shifts = np.asarray(shifts, dtype=float).reshape(-1, 3)
-    out = np.empty(len(shifts))
-    for start in range(0, len(shifts), _OVERLAP_CHUNK):
-        chunk = shifts[start:start + _OVERLAP_CHUNK]
-        a, b, c = chunk.T[:, :, None, None]
-        box = 48.0 + 2.0 * np.max(np.abs(chunk), axis=1)
-        zero = np.zeros_like(box)
-        # outer pieces (-box, 0) and (0, box): y has shape (S, 2, npts)
-        y, wy = sine_nodes(np.stack([-box, zero], axis=1),
-                           np.stack([zero, box], axis=1), npts)
-        s = -y - c
-        lo_cut = np.minimum(0.0, s)
-        hi_cut = np.maximum(0.0, s)
-        shift = (y + c)[..., None]
-        box_y = np.broadcast_to(box[:, None, None], y.shape)
-        tot = np.zeros_like(y)
-        for lo, hi in ((-box_y, lo_cut), (lo_cut, hi_cut), (hi_cut, box_y)):
-            x, w = sine_nodes(lo, hi, npts)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = (
-                    np.abs(x) ** -alpha
-                    * np.abs(x + shift) ** -alpha
-                    / (1.0 + (x + a[..., None]) ** 2)
-                )
-                contrib = np.where(w > 0.0, v * w, 0.0)
-            tot = tot + np.sum(contrib, axis=-1)
-        f = np.abs(y) ** -alpha / (1.0 + (y + b) ** 2) * tot
-        piece = np.sum(f * wy, axis=-1)
-        out[start:start + _OVERLAP_CHUNK] = piece[:, 0] + piece[:, 1]
-    return out
+    u, d1, w = tanh_sinh_nodes(0.0, 1.0, npts)
+    log_u = np.log(u)
+    near = d1 < 0.5
+    log_u[near] = np.log1p(-d1[near])
+    ratio = -np.expm1(3.0 * alpha * log_u) / (d1 * (1.0 + u))
+    # t = -u on [-1, 0], where |1 + t| = 1 - u; t = u on [0, 1]
+    line = np.sum(u ** -alpha * (d1 ** -alpha + (1.0 + u) ** -alpha) * ratio * w)
+    return float(2.0 * math.pi / math.sin(0.5 * math.pi * (2.0 - 3.0 * alpha)) * line)
 
 
 def _overlap_ceiling(alpha: float, gamma: float) -> float:
@@ -302,8 +280,6 @@ class ScalarChainFactors:
     gamma: float
     energy_history: Tuple[float, ...]
     overlap_history: Tuple[float, ...]
-    interior_max: float
-    boundary_max: float
 
     def as_dict(self) -> dict:
         return {
@@ -315,23 +291,19 @@ class ScalarChainFactors:
             "gamma": self.gamma,
             "energy_history": list(self.energy_history),
             "overlap_history": list(self.overlap_history),
-            "interior_max": self.interior_max,
-            "boundary_max": self.boundary_max,
         }
 
 
-def compute_scalar_factors(
-    spec: GreenSpec,
-    gamma: float = 0.25,
-    grid_points: int = 9,
-    grid_half_width: float = 10.0,
-) -> ScalarChainFactors:
+def compute_scalar_factors(spec: GreenSpec, gamma: float = 0.25) -> ScalarChainFactors:
     """Evaluate the three auxiliary integrals behind the scalar chain.
 
-    The shifted overlap sup is searched on a cubic grid, then the grid is
-    refined twofold; both sups are recorded so callers can verify the 2%
-    stability themselves.  A fine-grid sup exceeding the coarse one by more
-    than 25% is treated as divergence and raised.
+    The overlap sup over shifts (a, b, c) sits at the origin: by Riesz's
+    rearrangement inequality and the Hardy-Littlewood inequality (Lieb &
+    Loss, Analysis, Thms 3.4 and 3.7) no shift beats I(0, 0, 0), which
+    :func:`_overlap_origin` reduces to one line integral.  It is refined at
+    rtol 1e-12 and its values per round are kept as ``overlap_history``, so
+    callers can verify the stability themselves; a sup above the closed-form
+    ceiling is raised.
     """
     if not 0.0 < spec.alpha <= 0.5:
         raise DomainError("scalar chain requires alpha in (0, 1/2]")
@@ -364,40 +336,10 @@ def compute_scalar_factors(
     )
     energy_sup = energy_history[-1]
 
-    hw = grid_half_width
-    history: List[float] = []
-    for gp, npts in ((grid_points, 20), (2 * grid_points - 1, 28)):
-        axis = np.linspace(-hw, hw, gp)
-        axis = 0.5 * (axis - axis[::-1])  # exactly antisymmetric
-        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-        grid = grid.reshape(-1, 3)
-        # The integrand is unchanged when x, y, a, b and c all flip sign, and
-        # the sine rule is exactly antisymmetric, so the value at flat index
-        # i is the value at its mirror N - 1 - i, (a, b, c) -> (-a, -b, -c).
-        # The (a, b) swap is not folded: the rule is not symmetric under it
-        # (at 28 nodes (-7.5, 8.75, 1.25) gives 0.776 and its swap 1.755, both
-        # 1.304 at 112 nodes), so off-centre values carry errors of tens of
-        # percent; the sup sits at the origin, where both grids agree to 2%.
-        n = len(grid)
-        half = _overlap_values(grid[: (n + 1) // 2], alpha, npts)
-        values = np.concatenate([half, half[: n // 2][::-1]])
-        history.append(float(values.max()))
-    arg_best = grid[np.argmax(values)]
-    on_edge = np.max(np.abs(grid), axis=1) >= hw - 1e-12
-    interior_max = float(values[~on_edge].max(initial=0.0))
-    boundary_max = float(values[on_edge].max(initial=0.0))
-    if history[1] > 1.25 * history[0]:
-        raise QuadratureError(
-            "overlap sup grows under grid refinement",
-            residual=history[1] / history[0] - 1.0,
-        )
-    # polish around the winning shift on a shrunken grid
-    offsets = np.linspace(-hw / (grid_points - 1), hw / (grid_points - 1), 5)
-    polish = np.array([(arg_best[0] + da, arg_best[1] + db, arg_best[2])
-                       for da in offsets for db in offsets])
-    local = max(history[1], float(_overlap_values(polish, alpha, 28).max()))
-    history.append(local)
-    overlap_sup = local
+    record: List[dict] = []
+    overlap_sup = float(refine(lambda npts: _overlap_origin(alpha, npts),
+                               [24 << k for k in range(5)], 1e-12, 0.0,
+                               "overlap_sup", record))
     ceiling = _overlap_ceiling(alpha, gamma)
     if overlap_sup > ceiling:
         raise QuadratureError(
@@ -412,9 +354,7 @@ def compute_scalar_factors(
         third_factor=third,
         gamma=gamma,
         energy_history=energy_history,
-        overlap_history=tuple(history),
-        interior_max=interior_max,
-        boundary_max=boundary_max,
+        overlap_history=tuple(row[1] for row in record[0]["history"]),
     )
 
 

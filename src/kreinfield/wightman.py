@@ -49,6 +49,7 @@ from .quadrature import (
     phase_sums,
     refine,
     sine_nodes,
+    tanh_sinh_nodes,
     tensor_blocks,
 )
 from .schwinger import kernel_product_integral
@@ -208,6 +209,8 @@ def two_point_density_eval(
     On the hyperplane k2 = -k1 the bracket collapses to
     (2 pi)^(-d) sin(2 pi alpha) 1_{k^2 > m^2, k0 < 0} |k^2 - m^2|^(-2 alpha);
     the prefactor c2 * 2^(n-1) * (2 pi)^d then cancels the (2 pi)^(-d).
+    In d = 2 a plain pair callable gets momenta of shape (nq, nk0, 2): one
+    k0-line per spatial node q, all in one call.
     """
     if not spec.alpha < 0.5:
         raise PreconditionError("density route needs alpha < 1/2")
@@ -222,29 +225,38 @@ def two_point_density_eval(
             val = np.asarray(f(k0[:, None], -k0[:, None]))
             return val * np.abs(k0 * k0 - m * m) ** (-2 * spec.alpha)
 
-        lo, hi, cuts, schedule = -kmax, -m, (), [48 << k for k in range(8)]
+        def integral(npts):
+            return line_quadrature(integrand, -kmax, -m, (), npts)
+
+        schedule = [48 << k for k in range(8)]
     elif spec.dim == 2:
-        def integrand(q):
-            out = np.empty(q.shape, dtype=complex)
-            for i, qi in enumerate(q):
-                w = math.sqrt(qi * qi + m * m)
+        # beyond |q| = qmax the shell energy w(q) passes kmax and the k0-line
+        # is empty
+        qmax = math.sqrt(kmax * kmax - m * m)
 
-                def inner(k0, qi=qi, w=w):
-                    k1 = np.stack([k0, np.full_like(k0, qi)], axis=-1)
-                    val = np.asarray(f(k1, -k1))
-                    return val * np.abs(k0 * k0 - w * w) ** (-2 * spec.alpha)
+        def integral(npts):
+            def integrand(q):
+                # the k0-line [-kmax, -w(q)] for every q at once, on the
+                # outer round's node count; the tanh-sinh rule gives the
+                # distance d = -w - k0 to the shell, where the density
+                # |k0^2 - w^2|^(-2 alpha) is singular
+                w = np.sqrt(q * q + m * m)[:, None]
+                _, d, wk = tanh_sinh_nodes(-kmax, -w[:, 0], npts)
+                k0 = -w - d
+                k1 = np.stack([k0, np.broadcast_to(q[:, None], k0.shape)], axis=-1)
+                val = np.asarray(f(k1, -k1))
+                return np.sum(val * (d * (2.0 * w + d)) ** (-2 * spec.alpha) * wk,
+                              axis=-1)
 
-                # fixed inner level: not refined
-                out[i] = line_quadrature(inner, -kmax, -w, (), 48)
-            return out
+            return line_quadrature(integrand, -qmax, qmax, (0.0,), npts)
 
-        lo, hi, cuts, schedule = -kmax, kmax, (0.0,), [32 << k for k in range(6)]
+        schedule = [32 << k for k in range(6)]
     else:
         raise PreconditionError("pair density implemented for d <= 2")
 
     # the absolute floor tol applies to the integral before the prefactor
     return refine(
-        lambda npts: scale * complex(line_quadrature(integrand, lo, hi, cuts, npts)),
+        lambda npts: scale * complex(integral(npts)),
         schedule, tol, tol * abs(scale), "two_point_density", recorder,
     )
 

@@ -208,7 +208,7 @@ def test_criterion_5_scalar_chain_certificate():
     record(
         5,
         ok,
-        f"overlap sup {factors['overlap_sup']:.3f} finite, grid-stable "
+        f"overlap sup {factors['overlap_sup']:.3f} finite, refinement-stable "
         f"({coarse:.3f} -> {fine:.3f}, 2%), below ceiling "
         f"{factors['overlap_ceiling']:.1f}; margins n=3 {margins[3]:.2e}, "
         f"n=4 {margins[4]:.2e} > 0 on a 20-function family; "

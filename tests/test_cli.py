@@ -336,6 +336,22 @@ def test_bounds_vector_constants(tmp_path):
     assert doc["vector"][0]["order"] == 3
 
 
+def test_bounds_scalar_factors_match_library(tmp_path):
+    from kreinfield.green import GreenSpec
+    from kreinfield.hssc import compute_scalar_factors
+
+    cfg = {"model": ATOM_MODEL, "tasks": {"bounds": {"orders": [3]}}}
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "bounds.json").read_text())
+    factors = doc["scalar_factors"]
+    want = compute_scalar_factors(GreenSpec(1, 0.5, 1.0)).overlap_sup
+    assert factors["overlap_sup"] == want
+    assert "interior_max" not in factors and "boundary_max" not in factors
+    assert doc["scalar"][0]["order"] == 3
+
+
 def test_certify_gaussian_passes_exit_zero(tmp_path):
     cfg = {
         "model": GAUSS_MODEL,

@@ -1,5 +1,6 @@
 """Certification layer: weighted norms, bounding integrals, Gram reductions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from kreinfield.errors import (
     PreconditionError,
     SizeLimitError,
 )
-from kreinfield import hssc
 from kreinfield.green import GreenSpec
 from kreinfield.hssc import (
     GramPair,
@@ -125,12 +125,29 @@ def test_scalar_factors_overlap_stable(factors_d2):
     coarse, fine = factors_d2.overlap_history[0], factors_d2.overlap_history[1]
     assert abs(fine - coarse) <= 0.02 * fine
     assert factors_d2.overlap_sup < factors_d2.overlap_ceiling
-    assert factors_d2.boundary_max < factors_d2.interior_max
 
 
 def test_scalar_factors_line_spatial_is_trivial():
-    fac = compute_scalar_factors(GreenSpec(1, 0.5, 1.0), grid_points=5)
+    fac = compute_scalar_factors(GreenSpec(1, 0.5, 1.0))
     assert fac.spatial == 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.35, 0.1])
+def test_overlap_sup_matches_high_precision_line_integral(alpha):
+    """I(0, 0, 0) = pi / sin(pi (2 - 3 alpha)/2) * integral over R of
+    |t|^(-alpha) |1+t|^(-alpha) (1 - |t|^(3 alpha)) / (1 - t^2), to 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+
+        def g(t):
+            return abs(t) ** -a * abs(1 + t) ** -a * (1 - abs(t) ** (3 * a)) / (1 - t * t)
+
+        line = mpmath.quad(g, [-mpmath.inf, -2, -1, -0.5, 0, 0.5, 1, 2, mpmath.inf])
+        want = float(mpmath.pi / mpmath.sin(mpmath.pi * (2 - 3 * a) / 2) * line)
+    # d = 1 skips the energy scan, which does not close at alpha = 0.1 in d = 2
+    got = compute_scalar_factors(GreenSpec(1, alpha, 1.0)).overlap_sup
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def overlap_value_oracle(a, b, c, alpha, npts):
@@ -165,17 +182,16 @@ def overlap_value_oracle(a, b, c, alpha, npts):
     return float(line_quadrature(outer, -box, box, cuts=(0.0,), npts=npts))
 
 
-@pytest.mark.parametrize("alpha,npts", [(0.5, 20), (0.35, 28)])
-def test_overlap_values_match_scalar_oracle(alpha, npts):
-    # two full chunks and a partial one, grid points and off-grid shifts
-    count = 2 * hssc._OVERLAP_CHUNK + 7
-    rng = np.random.default_rng(5)
-    shifts = rng.uniform(-10.0, 10.0, (count, 3))
-    shifts[:4] = [[0.0, 0.0, 0.0], [-7.5, 8.75, 1.25], [8.75, -7.5, 1.25],
-                  [10.0, -10.0, 2.5]]
-    got = hssc._overlap_values(shifts, alpha, npts)
-    want = [overlap_value_oracle(*map(float, s), alpha, npts) for s in shifts]
-    assert got.tolist() == want
+@pytest.mark.parametrize("alpha", [0.5, 0.35])
+def test_no_shift_beats_the_origin(alpha):
+    """The rearrangement argument behind overlap_sup: on the 27 shifts with
+    every component in {-1, 0, 1}, the direct plane quadrature peaks at the
+    origin and stays below the exact I(0, 0, 0)."""
+    sup = compute_scalar_factors(GreenSpec(1, alpha, 1.0)).overlap_sup
+    vals = {s: overlap_value_oracle(*map(float, s), alpha, 112)
+            for s in itertools.product((-1, 0, 1), repeat=3)}
+    assert max(vals, key=vals.get) == (0, 0, 0)
+    assert max(vals.values()) <= sup
 
 
 @pytest.mark.parametrize("shift", [(-7.5, 8.75, 1.25), (3.1, 0.4, -9.2), (0.0, 2.5, 0.0)])
@@ -187,15 +203,13 @@ def test_overlap_oracle_sign_flip_symmetry(shift):
 
 
 def test_scalar_factors_are_pinned(factors_d2):
-    # the values of the one-shift-at-a-time grid search
-    line = compute_scalar_factors(GreenSpec(1, 0.5, 1.0), grid_points=5)
+    # the 24-, 48- and 96-node rounds of the line integral for I(0, 0, 0)
+    line = compute_scalar_factors(GreenSpec(1, 0.5, 1.0))
     for fac in (factors_d2, line):
         np.testing.assert_allclose(
             fac.overlap_history,
-            [38.52898286491008, 38.62016242191663, 38.62016242191663], rtol=1e-13)
-        assert fac.overlap_sup == pytest.approx(38.62016242191663, rel=1e-13)
-        assert fac.interior_max == pytest.approx(38.62016242191663, rel=1e-13)
-        assert fac.boundary_max == pytest.approx(6.418444449443861, rel=1e-13)
+            [38.71675128543898, 38.716803297910346, 38.716803297917544], rtol=1e-13)
+        assert fac.overlap_sup == pytest.approx(38.71680329791755, rel=1e-13)
         assert fac.energy_sup == pytest.approx(3.4681697721553815, rel=1e-13)
 
 

@@ -7,7 +7,14 @@ import pytest
 
 from kreinfield.errors import PreconditionError, QuadratureError
 from kreinfield import quadrature
-from kreinfield.quadrature import gauss_legendre, gl_nodes, phase_sums, refine, sine_nodes
+from kreinfield.quadrature import (
+    gauss_legendre,
+    gl_nodes,
+    phase_sums,
+    refine,
+    sine_nodes,
+    tanh_sinh_nodes,
+)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kreinfield"
 
@@ -135,6 +142,44 @@ def test_sine_map_broadcasts_and_zeroes_degenerate_intervals():
     assert np.all(w[0, 1] == 0.0) and np.all(w[1, 0] == 0.0)
     assert np.sum(w[0, 0]) == pytest.approx(1.0, rel=1e-12)
     assert np.sum(w[1, 1]) == pytest.approx(4.0, rel=1e-12)
+
+
+TANH_SINH_SCHEDULE = [24 << k for k in range(5)]
+
+
+def test_tanh_sinh_integrates_strong_endpoint_singularities():
+    # B(0.1, 0.1) = Gamma(0.1)^2 / Gamma(0.2); the sine map leaves
+    # |t|^(-0.8) here and stalls far above 1e-12
+    want = math.gamma(0.1) ** 2 / math.gamma(0.2)
+
+    def value(n):
+        dlo, dhi, w = tanh_sinh_nodes(0.0, 1.0, n)
+        return np.sum(dlo ** -0.9 * dhi ** -0.9 * w)
+
+    got = refine(value, TANH_SINH_SCHEDULE, 1e-12, 0.0, "beta")
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_tanh_sinh_keeps_every_node_off_the_endpoints():
+    dlo, dhi, w = tanh_sinh_nodes(-2.0, 3.0, TANH_SINH_SCHEDULE[-1])
+    assert np.all(dlo > 0.0) and np.all(dhi > 0.0) and np.all(w > 0.0)
+    np.testing.assert_allclose(dlo + dhi, 5.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 24, 97])
+def test_tanh_sinh_rule_is_mirror_symmetric(n):
+    dlo, dhi, w = tanh_sinh_nodes(0.0, 1.0, n)
+    assert np.array_equal(dlo, dhi[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(dlo) >= 0.0)
+    with pytest.raises(PreconditionError):
+        tanh_sinh_nodes(0.0, 1.0, 1)
+
+
+def test_tanh_sinh_broadcasts_over_intervals():
+    hi = np.array([[1.0, 2.0], [3.0, 4.0]])
+    dlo, dhi, w = tanh_sinh_nodes(0.0, hi, 48)
+    assert dlo.shape == dhi.shape == w.shape == (2, 2, 48)
+    np.testing.assert_allclose(np.sum(w, axis=-1), hi, rtol=1e-12)
 
 
 # -- structure guard ------------------------------------------------------------

@@ -8,6 +8,7 @@ from kreinfield.errors import DomainError, PreconditionError, SingularConfigurat
 from kreinfield.green import GreenSpec
 from kreinfield.lattice import Lattice
 from kreinfield.levy import LevyTriple, cumulant_coeff
+from kreinfield.quadrature import gl_nodes
 from kreinfield.testfunctions import TestFunction, TensorTestFunction
 from kreinfield.wightman import (
     bracket_scalar,
@@ -119,6 +120,31 @@ def test_pair_shell_d2_matches_quad_oracle():
     val, err = integrate.quad(integrand, -30, 30, limit=200)
     want = 2 * math.pi * cumulant_coeff(2, ATOM_TRIPLE) * val
     assert complex(got).real == pytest.approx(want, rel=1e-8)
+
+
+def test_pair_density_d2_matches_substituted_gauss_rule():
+    """alpha = 0.35 in d = 2 against a direct tensor Gauss-Legendre sum in
+    which k0 = -w(q) - r^p, p = 1 / (1 - 2 alpha), turns the shell
+    singularity (-w - k0)^(-0.7) into the constant p."""
+    alpha, m = 0.35, 1.0
+    spec = GreenSpec(2, alpha, m)
+    g1 = TestFunction.gaussian((-1.5, 0.3), 0.8, freq=(0.3, -0.4))
+    g2 = TestFunction.gaussian((1.4, -0.2), 0.9)
+    got = two_point_density_eval(TensorTestFunction((g1, g2)), spec, ATOM_TRIPLE)
+
+    p = 1.0 / (1.0 - 2.0 * alpha)
+    qmax = math.sqrt(40.0**2 - m * m)
+    q, wq = gl_nodes(-qmax, qmax, 600)
+    w = np.sqrt(q * q + m * m)[:, None]
+    rmax = (40.0 - w) ** (1.0 / p)
+    t, wt = gl_nodes(0.0, 1.0, 300)
+    d = (rmax * t) ** p
+    k = np.stack([-w - d, np.broadcast_to(q[:, None], d.shape)], axis=-1)
+    body = g1(k) * g2(-k) * (2.0 * w + d) ** (-2.0 * alpha) * p * rmax * wt
+    want = np.sum(np.sum(body, axis=1) * wq)
+    want *= 2 * cumulant_coeff(2, ATOM_TRIPLE) * math.sin(2 * math.pi * alpha)
+    assert abs(got.imag) > 0.05 * abs(got.real)
+    assert abs(got - want) <= 1e-8 * abs(want)
 
 
 def test_pair_density_vanishes_at_half():
