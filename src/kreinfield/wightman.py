@@ -61,30 +61,42 @@ Branch = str  # "+", "-", "0"
 # -- branch densities ---------------------------------------------------------
 
 
-def _density_arrays(k0, kv_sq, spec: GreenSpec, branch: Branch):
-    """Vectorized branch density; zero on the wrong side of its indicators."""
+def _shell_power(msq, alpha: float):
+    """|msq|^(-alpha) for msq = k^2 - m^2, set to 0 where msq == 0.
+
+    Exact shell hits only occur at zero-weight quadrature nodes; returning 0
+    there keeps inf/nan out of the node tensors (pointwise API raises instead).
+    """
+    with np.errstate(divide="ignore"):
+        return np.where(msq != 0, np.abs(msq) ** (-alpha), 0.0)
+
+
+def _density_arrays(k0, kv_sq, spec: GreenSpec, branches: Sequence[Branch]):
+    """Vectorized branch densities, one array per entry of ``branches``.
+
+    Each is zero on the wrong side of its indicators; the shell power is
+    computed once for all of them.
+    """
     k0 = np.asarray(k0, dtype=float)
     kv_sq = np.asarray(kv_sq, dtype=float)
     msq = k0 * k0 - kv_sq - spec.mass**2  # Minkowski k^2 - m^2
-    # exact shell hits only occur at zero-weight quadrature nodes; returning 0
-    # there keeps inf/nan out of the node tensors (pointwise API raises instead)
-    with np.errstate(divide="ignore"):
-        amag = np.where(msq != 0, np.abs(msq) ** (-spec.alpha), 0.0)
+    amag = _shell_power(msq, spec.alpha)
     pref = (2 * math.pi) ** (-spec.dim / 2)
-    if branch == "+":
-        return pref * math.sin(math.pi * spec.alpha) * np.where(
-            (msq > 0) & (k0 > 0), amag, 0.0
-        )
-    if branch == "-":
-        return pref * math.sin(math.pi * spec.alpha) * np.where(
-            (msq > 0) & (k0 < 0), amag, 0.0
-        )
-    if branch == "0":
-        both = np.where(msq > 0, math.cos(math.pi * spec.alpha), 0.0) + np.where(
-            msq < 0, 1.0, 0.0
-        )
-        return pref * both * amag
-    raise DomainError(f"unknown branch {branch!r}")
+    out = []
+    for branch in branches:
+        if branch == "+":
+            out.append(pref * math.sin(math.pi * spec.alpha) * np.where(
+                (msq > 0) & (k0 > 0), amag, 0.0))
+        elif branch == "-":
+            out.append(pref * math.sin(math.pi * spec.alpha) * np.where(
+                (msq > 0) & (k0 < 0), amag, 0.0))
+        elif branch == "0":
+            both = np.where(msq > 0, math.cos(math.pi * spec.alpha), 0.0) \
+                + np.where(msq < 0, 1.0, 0.0)
+            out.append(pref * both * amag)
+        else:
+            raise DomainError(f"unknown branch {branch!r}")
+    return out
 
 
 def spectral_density(k, spec: GreenSpec, branch: Branch) -> float:
@@ -98,7 +110,7 @@ def spectral_density(k, spec: GreenSpec, branch: Branch) -> float:
     kv_sq = float(np.sum(k[1:] ** 2))
     if k[0] ** 2 - kv_sq == spec.mass**2:
         raise SingularConfigurationError("momentum lies exactly on the mass shell")
-    return float(_density_arrays(k[0], kv_sq, spec, branch))
+    return float(_density_arrays(k[0], kv_sq, spec, (branch,))[0])
 
 
 def bracket_scalar(k0s: np.ndarray, kv_sqs: np.ndarray, spec: GreenSpec) -> np.ndarray:
@@ -107,9 +119,7 @@ def bracket_scalar(k0s: np.ndarray, kv_sqs: np.ndarray, spec: GreenSpec) -> np.n
     ``k0s`` and ``kv_sqs`` have shape (n, M): n momentum slots, M samples.
     """
     n = k0s.shape[0]
-    minus = _density_arrays(k0s, kv_sqs, spec, "-")
-    zero = _density_arrays(k0s, kv_sqs, spec, "0")
-    plus = _density_arrays(k0s, kv_sqs, spec, "+")
+    minus, zero, plus = _density_arrays(k0s, kv_sqs, spec, "-0+")
     out = np.zeros(k0s.shape[1:])
     pref = np.ones(k0s.shape[1:])
     for j in range(n):
@@ -315,6 +325,23 @@ def three_point_eval_1d(
     )
 
 
+def _bracket3_coefficients(spec: GreenSpec) -> Tuple[float, float, float]:
+    """Three-slot bracket over P1 P2 P3 on the level-4 intervals of the d = 2 route.
+
+    With slot 1 backward-timelike and slot 3 forward-timelike, the bracket
+    is a coefficient times P1 P2 P3, P_l = |k_l^2 - m^2|^(-alpha), when slot 2 is
+    backward-timelike, spacelike or forward-timelike: pref^3 times
+    (2 s^2 c, s^2, 2 s^2 c) with pref = (2 pi)^(-d/2), s = sin(pi alpha) and
+    c = cos(pi alpha), written sin(pi (1/2 - alpha)) so that it is exactly
+    0.0 at alpha = 1/2.
+    """
+    pref = (2 * math.pi) ** (-spec.dim / 2)
+    s = math.sin(math.pi * spec.alpha)
+    c = math.sin(math.pi * (0.5 - spec.alpha))
+    timelike = pref**3 * 2 * s * s * c
+    return timelike, pref**3 * s * s, timelike
+
+
 def three_point_eval_2d(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     spec: GreenSpec,
@@ -333,12 +360,26 @@ def three_point_eval_2d(
     endpoints pinned to the mass shells and crushed by the sine substitution.
     On the support every partial energy sum is below -m, which closes all
     boxes once combined with ``energy_box``.
+
+    The branch of every slot is fixed on each level-4 interval: slot 1 is
+    backward-timelike (|k11| < sqrt(k10^2 - m^2)) and slot 3
+    forward-timelike (k30 >= om3 because k20 <= top) on the whole box, and
+    slot 2 is backward-timelike, spacelike and forward-timelike on
+    [bot, c1], [c1, c2] and [c2, top].  The bracket there is one constant
+    coefficient (``_bracket3_coefficients``) times the product of the three
+    shell powers, so no branch masks are needed.  At alpha = 1/2 the two
+    timelike coefficients are exactly 0.0, those intervals get no nodes and
+    only the spacelike interval is integrated.
     """
     if spec.dim != 2:
         raise PreconditionError("2-d evaluator")
     m = spec.mass
+    alpha = spec.alpha
     c3 = cumulant_coeff(3, triple)
     pref = c3 * 4 * (2 * math.pi) ** (2 - 3)
+    coefs = _bracket3_coefficients(spec)
+    keep = [i for i, c in enumerate(coefs) if c != 0.0]
+    coef = np.array([coefs[i] for i in keep])[:, None]
 
     def inner(k10: float, n2: int, n3: int, n4: int) -> complex:
         lim = math.sqrt(max(k10 * k10 - m * m, 0.0))
@@ -346,13 +387,15 @@ def three_point_eval_2d(
             return 0.0j
         # level 2: first slot's spatial component on (-lim, lim)
         x2, w2 = sine_nodes(-lim, lim, n2)
+        p1 = _shell_power(k10 * k10 - x2 * x2 - m * m, alpha)
         # level 3: second slot's spatial component, split where k3 space flips
         smax = np.abs(x2) + energy_box
         lo3 = np.stack([-smax, -x2], axis=-1)
         hi3 = np.stack([-x2, smax], axis=-1)
         x3, w3 = sine_nodes(lo3, hi3, n3)  # (n2, 2, n3)
         k11 = np.broadcast_to(x2[:, None, None], x3.shape)
-        # level 4: second slot's energy between the shells
+        # level 4: second slot's energy between the shells, on the kept
+        # intervals of [bot, c1], [c1, c2], [c2, top]
         om2 = np.hypot(x3, m)
         k31 = -k11 - x3
         om3 = np.hypot(k31, m)
@@ -360,20 +403,25 @@ def three_point_eval_2d(
         bot = np.full_like(top, -k10 - energy_box)
         c1 = np.clip(-om2, bot, top)
         c2 = np.clip(om2, c1, top)
-        lo4 = np.stack([bot, c1, c2], axis=-1)
-        hi4 = np.stack([c1, c2, top], axis=-1)
-        x4, w4 = sine_nodes(lo4, hi4, n4)  # (n2, 2, n3, 3, n4)
+        lo4 = np.stack([bot, c1, c2], axis=-1)[..., keep]
+        hi4 = np.stack([c1, c2, top], axis=-1)[..., keep]
+        x4, w4 = sine_nodes(lo4, hi4, n4)  # (n2, 2, n3, len(keep), n4)
 
         k20 = x4
         k30 = -k10 - k20
         shp = k20.shape
+        k21 = x3[..., None, None]
+        k31 = k31[..., None, None]
+        bracket = (coef * p1[:, None, None, None, None]) \
+            * _shell_power(k20 * k20 - k21 * k21 - m * m, alpha) \
+            * _shell_power(k30 * k30 - k31 * k31 - m * m, alpha)
         k0s = np.stack([np.full(shp, k10), k20, k30]).reshape(3, -1)
         k1s = np.stack([
             np.broadcast_to(k11[..., None, None], shp),
-            np.broadcast_to(x3[..., None, None], shp),
-            np.broadcast_to(k31[..., None, None], shp),
+            np.broadcast_to(k21, shp),
+            np.broadcast_to(k31, shp),
         ]).reshape(3, -1)
-        vals = (f(k0s, k1s) * bracket_scalar(k0s, k1s * k1s, spec)).reshape(shp)
+        vals = f(k0s, k1s).reshape(shp) * bracket
         with np.errstate(invalid="ignore"):
             contrib = np.where(w4 != 0, vals * w4, 0.0)
         lvl3 = np.sum(contrib, axis=(-2, -1))

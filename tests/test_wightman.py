@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from kreinfield import wightman
 from kreinfield.errors import DomainError, PreconditionError, SingularConfigurationError
 from kreinfield.green import GreenSpec
 from kreinfield.lattice import Lattice
@@ -20,6 +21,7 @@ from kreinfield.wightman import (
     spectral_density,
     spectral_support_check,
     three_point_eval_1d,
+    three_point_eval_2d,
     truncated_momentum_eval,
     two_point_density_eval,
     two_point_shell_eval,
@@ -213,6 +215,84 @@ def test_three_point_bridge_d2():
     pts = np.array([[0.0, 0.0], [1.0, 0.25], [2.0, -0.25]])
     report = laplace_bridge_check(pts, spec, ATOM_TRIPLE, lat)
     assert report.gap < 2e-2
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.35, 0.5])
+def test_bracket3_coefficients_match_bracket_scalar(alpha):
+    """Per-interval coefficient times P1 P2 P3 against the masked bracket."""
+    spec = GreenSpec(2, alpha, 1.0)
+    m, box = spec.mass, 25.0
+    rng = np.random.default_rng(7)
+    npts = 400
+    # the level-4 geometry of three_point_eval_2d at random outer nodes
+    k10 = rng.uniform(-box, -1.05 * m, npts)
+    k11 = np.sqrt(k10 * k10 - m * m) * rng.uniform(-0.99, 0.99, npts)
+    k21 = rng.uniform(-box, box, npts)
+    k31 = -k11 - k21
+    om2, om3 = np.hypot(k21, m), np.hypot(k31, m)
+    top = -k10 - om3
+    bot = -k10 - box
+    c1 = np.clip(-om2, bot, top)
+    c2 = np.clip(om2, c1, top)
+    coefs = wightman._bracket3_coefficients(spec)
+    for coef, lo, hi in zip(coefs, (bot, c1, c2), (c1, c2, top)):
+        ok = hi - lo > 1e-6
+        assert np.count_nonzero(ok) > 100
+        k20 = lo[ok] + (hi - lo)[ok] * rng.uniform(0.001, 0.999, ok.sum())
+        k0s = np.stack([k10[ok], k20, -k10[ok] - k20])
+        kvs = np.stack([k11[ok], k21[ok], k31[ok]]) ** 2
+        powers = np.prod(np.abs(k0s * k0s - kvs - m * m) ** -alpha, axis=0)
+        want = bracket_scalar(k0s, kvs, spec)
+        scale = (2 * math.pi) ** -3 * powers
+        assert np.all(np.abs(coef * powers - want) <= 1e-14 * scale)
+    if alpha == 0.5:
+        assert coefs[0] == 0.0 and coefs[2] == 0.0
+        assert coefs[1] == pytest.approx((2 * math.pi) ** -3, rel=1e-15)
+    else:
+        assert min(coefs) > 0.0
+
+
+BRIDGE_N3_TIMES = np.array([0.0, 1.25, 2.5])
+BRIDGE_N3_SPACE = np.array([0.0, 0.25, -0.25])
+
+
+def damped_phase(k0s, k1s):
+    """The Laplace bridge's n = 3 test function at BRIDGE_N3_*."""
+    return np.exp(-np.tensordot(BRIDGE_N3_TIMES, k0s, axes=(0, 0))
+                  + 1j * np.tensordot(BRIDGE_N3_SPACE, k1s, axes=(0, 0)))
+
+
+@pytest.mark.parametrize("alpha, rounds", [
+    (0.35, (1.2006988927732813e-3, 1.2000761256988322e-3)),
+    (0.5, (1.728883090144059e-3, 1.7277710266892271e-3)),
+])
+def test_three_point_2d_rounds_are_pinned(alpha, rounds):
+    """Pinned from the masked-bracket evaluator (branch masks on every node)."""
+    rec = []
+    three_point_eval_2d(damped_phase, GreenSpec(2, alpha, 1.0), ATOM_TRIPLE,
+                        tol=1.0, energy_box=36.0, recorder=rec)
+    history = rec[0]["history"]
+    assert [row[1] for row in history] == pytest.approx(rounds, rel=1e-12)
+    assert all(abs(row[2]) < 1e-15 for row in history)
+
+
+def test_three_point_2d_half_integrates_only_the_spacelike_interval():
+    """At alpha = 1/2 each outer node hands f one level-4 interval, not three."""
+    sizes = []
+
+    def f(k0s, k1s):
+        sizes.append(k0s.shape[1])
+        return damped_phase(k0s, k1s)
+
+    rec = []
+    three_point_eval_2d(f, GreenSpec(2, 0.5, 1.0), ATOM_TRIPLE,
+                        tol=1.0, energy_box=36.0, recorder=rec)
+    want = []
+    for (n1, n2, n3, n4), _, _ in rec[0]["history"]:
+        # two outer pieces, split at -2m, of n1 nodes each
+        want += [n2 * 2 * n3 * n4] * (2 * n1)
+    assert len(rec[0]["history"]) == 2
+    assert sizes == want
 
 
 def test_bridge_requires_increasing_times():
