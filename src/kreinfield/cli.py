@@ -402,6 +402,12 @@ def _semantic_check(cfg: dict):
                 bad = point(f"tasks.{name}.smear_centers.{i}", c)
                 if bad:
                     return bad
+            # the jackknife needs equal batches; a remainder also catches
+            # n_batches > n_samples
+            n_batches, n_samples = sect.get("n_batches", 20), sect["n_samples"]
+            if n_samples % n_batches:
+                return (f"tasks.{name}.n_batches",
+                        f"n_batches {n_batches} must divide n_samples {n_samples}")
     if "schwinger" in tasks:
         sect = tasks["schwinger"]
         if max(sect["orders"]) > len(sect["smear_centers"]):

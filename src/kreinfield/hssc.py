@@ -320,13 +320,13 @@ def compute_scalar_factors(spec: GreenSpec, gamma: float = 0.25) -> ScalarChainF
     if spec.dim == 1:
         svals = np.array([0.0])
     else:
-        smax = 8.0 * m
-        while (smax * smax + m * m) ** (-0.5 * alpha) * uniform >= _energy_profile(
-            0.0, spec, 160
-        ):
-            smax *= 2.0
-            if smax > 4096.0 * m:
-                raise QuadratureError("energy sup search window did not close")
+        # beyond smax the bound (s^2 + m^2)^(-alpha/2) * uniform on the
+        # profile drops below its value at s = 0; the profile squares 12 s,
+        # so s^2 must stay far inside the float range
+        log_s2 = (2.0 / alpha) * math.log(uniform / _energy_profile(0.0, spec, 160))
+        if log_s2 > 600.0:
+            raise QuadratureError("energy sup search window exceeds the float range")
+        smax = max(8.0 * m, math.sqrt(max(math.exp(log_s2) - m * m, 0.0)))
         svals = np.concatenate(
             [np.linspace(0.0, 3.0 * m, 25), np.geomspace(3.0 * m, smax, 20)]
         )

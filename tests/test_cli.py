@@ -286,6 +286,25 @@ def test_sample_seed_controls_output(tmp_path):
     assert m["seed"] == 10
 
 
+@pytest.mark.parametrize("task", [
+    {"sample": {"n_samples": 25, "n_batches": 20}},
+    {"schwinger": {"orders": [2], "n_samples": 20, "n_batches": 40}},
+    {"schwinger": {"orders": [2], "n_samples": 30}},  # the default 20 batches
+], ids=["sample-25-by-20", "schwinger-20-by-40", "schwinger-30-by-default"])
+def test_n_batches_must_divide_n_samples(tmp_path, capsys, task):
+    (name, sect), = task.items()
+    sect = dict(sect, smear_centers=[[0.5], [-1.0]], smear_width=0.8)
+    cfg = {"model": ATOM_MODEL, "lattice": {"sites": 16, "spacing": 0.5},
+           "tasks": {name: sect}}
+    rc = main([name, "--config", write_cfg(tmp_path, cfg),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    doc = stderr_doc(capsys)
+    assert doc["error"] == "config"
+    assert doc["field"] == f"tasks.{name}.n_batches"
+    assert not (tmp_path / "run").exists()
+
+
 def test_schwinger_table_within_errors(tmp_path):
     cfg = {
         "model": ATOM_MODEL,

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from kreinfield.errors import ConfigurationError
+from kreinfield import euclidean
+from kreinfield.errors import ConfigurationError, LatticeMismatchError
 from kreinfield.euclidean import (
     convolve,
+    estimate_moment_table,
     estimate_schwinger_mc,
     lattice_truncated_expectation,
     noise_generator,
@@ -17,6 +20,7 @@ from kreinfield.euclidean import (
 from kreinfield.green import GreenSpec, green_alpha_lattice
 from kreinfield.lattice import Lattice, LatticeField, sample_function
 from kreinfield.levy import LevyTriple, QuaternionLevyData, cumulant_coeff
+from kreinfield.partitions import CorrelationTable, cumulants_from_moments
 from kreinfield.quaternion import quaternion_mul
 from kreinfield.testfunctions import TestFunction
 
@@ -177,3 +181,71 @@ def test_estimator_input_validation():
         estimate_schwinger_mc(lat, G, [w], ATOM_TRIPLE, 30, seed=0, n_batches=20)
     with pytest.raises(ConfigurationError):
         estimate_schwinger_mc(lat, G, [], ATOM_TRIPLE, 40, seed=0)
+
+
+def _reference_batch_sums(lat, kernel, weights, triple, n_samples, seed, n_batches):
+    """The per-replicate loop: n inner products and one np.prod per subset."""
+    n = len(weights)
+    kr = reflect(kernel)
+    sks = [convolve(kr, LatticeField(lat, w)).values for w in weights]
+    keys = [key for size in range(1, n + 1)
+            for key in itertools.combinations(range(1, n + 1), size)]
+    per_batch = n_samples // n_batches
+    sums = np.zeros((n_batches, len(keys)))
+    for r in range(n_samples):
+        noise = white_noise_field(lat, triple, noise_generator(seed, r)).values
+        m = np.array([np.sum(noise * sk) * lat.cell_volume for sk in sks])
+        sums[r // per_batch] += [np.prod(m[np.array(key) - 1]) for key in keys]
+    return keys, sums
+
+
+@pytest.mark.parametrize("slice_entries", [None, 7 << 4])
+def test_subset_moments_match_per_replicate_reference(monkeypatch, slice_entries):
+    if slice_entries is not None:  # 2^4 products per replicate: batches of 30
+        # are summed in slices of 7, 7, 7, 7, 2 replicates
+        monkeypatch.setattr(euclidean, "_SLICE_ENTRIES", slice_entries)
+    lat = Lattice(1, 32, 0.25)
+    G = green_alpha_lattice(lat, GreenSpec(1, 0.5, 1.0))
+    ws = [sample_function(lat, TestFunction.gaussian((c,), 0.8)).values.real
+          for c in (-1.0, -0.25, 0.5, 1.25)]
+    n_samples, n_batches, seed = 300, 10, 17
+    keys, sums = _reference_batch_sums(lat, G, ws, ATOM_TRIPLE, n_samples, seed,
+                                       n_batches)
+    table = estimate_moment_table(lat, G, ws, ATOM_TRIPLE, n_samples, seed=seed,
+                                  n_batches=n_batches)
+    assert list(table) == keys
+    grand = sums.sum(axis=0)
+    for i, key in enumerate(keys):
+        assert table[key].value == pytest.approx(grand[i] / n_samples, rel=1e-12)
+
+    want = cumulants_from_moments(CorrelationTable(
+        4, dict(zip(keys, grand / n_samples)))).values[(1, 2, 3, 4)]
+    est = estimate_schwinger_mc(lat, G, ws, ATOM_TRIPLE, n_samples, seed=seed,
+                                n_batches=n_batches)
+    assert est.value == pytest.approx(want, rel=1e-12)
+
+
+def test_moment_table_prefix_gives_back_the_mc_cumulant():
+    # the same noise stream: the table's subsets of the first n weights fold
+    # into the cumulant estimate_schwinger_mc computes on those n weights
+    lat = Lattice(2, 16, 0.25)
+    G = green_alpha_lattice(lat, GreenSpec(2, 0.5, 1.0))
+    centers = ((0.25, -0.125), (-0.25, 0.25), (0.125, 0.25),
+               (0.0, 0.0), (-0.125, -0.25), (0.375, 0.125))
+    ws = [sample_function(lat, TestFunction.gaussian(c, 0.3)).values.real
+          for c in centers]
+    table = estimate_moment_table(lat, G, ws, ATOM_TRIPLE, 200, seed=12)
+    for n in (2, 3):
+        sub = {k: est.value for k, est in table.items() if max(k) <= n}
+        cum = cumulants_from_moments(CorrelationTable(n, sub)).values[
+            tuple(range(1, n + 1))]
+        ref = estimate_schwinger_mc(lat, G, ws[:n], ATOM_TRIPLE, 200, seed=12).value
+        assert cum == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("estimator", [estimate_schwinger_mc, estimate_moment_table])
+def test_kernel_on_another_lattice_is_rejected(estimator):
+    lat = Lattice(1, 16, 0.5)
+    other = green_alpha_lattice(Lattice(1, 16, 0.25), GreenSpec(1, 0.5, 1.0))
+    with pytest.raises(LatticeMismatchError):
+        estimator(lat, other, [np.ones(lat.shape)], ATOM_TRIPLE, 40, seed=0)

@@ -11,6 +11,7 @@ from kreinfield.errors import (
     DomainError,
     InvalidMajorantError,
     PreconditionError,
+    QuadratureError,
     SizeLimitError,
 )
 from kreinfield.green import GreenSpec
@@ -127,6 +128,24 @@ def test_scalar_factors_overlap_stable(factors_d2):
     assert factors_d2.overlap_sup < factors_d2.overlap_ceiling
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.15])
+def test_scalar_factors_d2_small_alpha_is_finite(alpha):
+    # the energy sup window is 3.4e5 m at alpha = 0.1: a search that doubled
+    # from 8 m up to a fixed cap gave up here
+    fac = compute_scalar_factors(GreenSpec(2, alpha, 1.0))
+    values = [fac.spatial, fac.energy_sup, fac.overlap_sup, fac.third_factor]
+    assert all(math.isfinite(x) and x > 0 for x in values)
+    coarse, fine = fac.energy_history
+    assert fine == pytest.approx(coarse, rel=1e-6)
+
+
+def test_scalar_factors_d2_window_beyond_float_range_raises():
+    # at alpha = 0.002 the window would be ~1e258 m: a clean QuadratureError,
+    # not an OverflowError from the power
+    with pytest.raises(QuadratureError, match="float range"):
+        compute_scalar_factors(GreenSpec(2, 0.002, 1.0))
+
+
 def test_scalar_factors_line_spatial_is_trivial():
     fac = compute_scalar_factors(GreenSpec(1, 0.5, 1.0))
     assert fac.spatial == 1.0
@@ -145,7 +164,7 @@ def test_overlap_sup_matches_high_precision_line_integral(alpha):
 
         line = mpmath.quad(g, [-mpmath.inf, -2, -1, -0.5, 0, 0.5, 1, 2, mpmath.inf])
         want = float(mpmath.pi / mpmath.sin(mpmath.pi * (2 - 3 * a) / 2) * line)
-    # d = 1 skips the energy scan, which does not close at alpha = 0.1 in d = 2
+    # d = 1 skips the energy scan
     got = compute_scalar_factors(GreenSpec(1, alpha, 1.0)).overlap_sup
     assert got == pytest.approx(want, rel=1e-12)
 
