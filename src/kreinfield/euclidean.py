@@ -33,6 +33,26 @@ def noise_generator(seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, replicate]))
 
 
+def _noise_streams(seed: int):
+    """``at(r)`` returns a generator in the state of ``noise_generator(seed, r)``.
+
+    ``Philox(key=...)`` draws an OS-entropy SeedSequence that the key then
+    replaces; re-keying one bit generator (counter 0, key [seed, r], empty
+    buffer) gives the same stream without it.  Each call resets the one
+    generator that all calls share.
+    """
+    bits = np.random.Philox(key=[seed, 0])
+    fresh = bits.state
+    rng = np.random.Generator(bits)
+
+    def at(replicate: int) -> np.random.Generator:
+        fresh["state"]["key"][1] = replicate
+        bits.state = fresh
+        return rng
+
+    return at
+
+
 def white_noise_field(lat: Lattice, triple: LevyTriple, rng) -> LatticeField:
     """One sample of scalar cell-averaged white noise.
 
@@ -179,12 +199,13 @@ def _subset_moment_batches(
     prods[:, 0] = 1.0
     batch_sums = np.zeros((n_batches, len(keys)))
     v = lat.cell_volume
+    stream = _noise_streams(seed)
 
     for b in range(n_batches):
         for lo in range(0, per_batch, rows):
             k = min(rows, per_batch - lo)
             for i in range(k):
-                rng = noise_generator(seed, b * per_batch + lo + i)
+                rng = stream(b * per_batch + lo + i)
                 proj[i] = smeared @ white_noise_field(lat, triple, rng).values.ravel()
             m = proj[:k] * v
             for j in range(n):

@@ -219,8 +219,10 @@ def two_point_density_eval(
     On the hyperplane k2 = -k1 the bracket collapses to
     (2 pi)^(-d) sin(2 pi alpha) 1_{k^2 > m^2, k0 < 0} |k^2 - m^2|^(-2 alpha);
     the prefactor c2 * 2^(n-1) * (2 pi)^d then cancels the (2 pi)^(-d).
-    In d = 2 a plain pair callable gets momenta of shape (nq, nk0, 2): one
-    k0-line per spatial node q, all in one call.
+    Each k0-line [-kmax, -w] ends on the shell, so it gets a tanh-sinh rule
+    built from the distance to it (a sine map leaves the singularity in
+    place for alpha > 1/4).  In d = 2 a plain pair callable gets momenta of
+    shape (nq, nk0, 2): one k0-line per spatial node q, all in one call.
     """
     if not spec.alpha < 0.5:
         raise PreconditionError("density route needs alpha < 1/2")
@@ -231,12 +233,13 @@ def two_point_density_eval(
     kmax = 40.0 * max(1.0, m)
 
     if spec.dim == 1:
-        def integrand(k0):
-            val = np.asarray(f(k0[:, None], -k0[:, None]))
-            return val * np.abs(k0 * k0 - m * m) ** (-2 * spec.alpha)
-
         def integral(npts):
-            return line_quadrature(integrand, -kmax, -m, (), npts)
+            # the tanh-sinh rule gives the distance d = -m - k0 to the shell,
+            # where the density |k0^2 - m^2|^(-2 alpha) is singular
+            _, d, wk = tanh_sinh_nodes(-kmax, -m, npts)
+            k0 = -m - d
+            val = np.asarray(f(k0[:, None], -k0[:, None]))
+            return np.sum(val * (d * (2.0 * m + d)) ** (-2 * spec.alpha) * wk)
 
         schedule = [48 << k for k in range(8)]
     elif spec.dim == 2:
@@ -274,13 +277,6 @@ def two_point_density_eval(
 # -- n = 3 hyperplane quadratures ----------------------------------------------
 
 
-def _bracket3_samples(k_slots, spec):
-    """bracket over three momentum slots given (k0, kv_sq) arrays per slot."""
-    k0s = np.stack([s[0] for s in k_slots])
-    kvs = np.stack([s[1] for s in k_slots])
-    return bracket_scalar(k0s, kvs, spec)
-
-
 def three_point_eval_1d(
     f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     spec: GreenSpec,
@@ -291,9 +287,12 @@ def three_point_eval_1d(
 ) -> complex:
     """Three-slot evaluation in d = 1: 2-d split quadrature on k3 = -k1 - k2.
 
-    ``f(k1, k2, k3)`` must be vectorized.  The integration box is the support
-    rectangle k1 in [-box, -m], k2 in [-box, box] intersected with the slot
-    indicators; interval splits sit on every mass-shell line.
+    ``f(k1, k2, k3)`` must be vectorized over arrays of any common leading
+    shape; it is called once per outer piece with arrays of shape
+    (npts, 5, 32): every outer k1-node's five inner k2-intervals of 32 nodes.
+    The integration box is the support rectangle k1 in [-box, -m],
+    k2 in [-box, box] intersected with the slot indicators; interval splits
+    sit on every mass-shell line.
     """
     if spec.dim != 1:
         raise PreconditionError("1-d evaluator")
@@ -302,18 +301,24 @@ def three_point_eval_1d(
     pref = c3 * 4 * (2 * math.pi) ** (1 - 1.5)
 
     def outer(k1):
-        out = np.empty(k1.shape, dtype=complex)
-        for i, k1i in enumerate(k1):
-            def inner(k2, k1i=k1i):
-                k3 = -k1i - k2
-                br = _bracket3_samples(
-                    [(np.full_like(k2, k1i), np.zeros_like(k2)),
-                     (k2, np.zeros_like(k2)),
-                     (k3, np.zeros_like(k3))], spec)
-                return f(np.full_like(k2, k1i), k2, k3) * br
-
-            cuts = (-m, m, -k1i - m, -k1i + m)
-            out[i] = line_quadrature(inner, -box, box, cuts, 32)
+        # the four shell cuts of each outer node, clipped to the box and
+        # sorted, split [-box, box] into its five k2-intervals; a clipped or
+        # repeated cut leaves a zero-width interval, which sine_nodes gives
+        # zero weight
+        edges = np.sort(np.clip(np.stack(
+            [np.full_like(k1, c) for c in (-box, -m, m, box)] + [-k1 - m, -k1 + m],
+            axis=-1), -box, box), axis=-1)
+        k2, w = sine_nodes(edges[:, :-1], edges[:, 1:], 32)  # (npts, 5, 32)
+        k1s = np.broadcast_to(k1[:, None, None], k2.shape)
+        k3 = -k1[:, None, None] - k2
+        k0s = np.stack([k1s, k2, k3])
+        br = bracket_scalar(k0s, np.zeros_like(k0s), spec)
+        parts = np.sum(f(k1s, k2, k3) * br * w, axis=-1)
+        # add the intervals in ascending order, as a line integral per node
+        # would; the outer sum stays complex even when f is real
+        out = np.zeros(len(k1), dtype=complex)
+        for j in range(parts.shape[1]):
+            out += parts[:, j]
         return out
 
     # the absolute floor tol applies to the integral before the prefactor
@@ -646,8 +651,10 @@ def truncated_momentum_eval(
     """Truncated n-point momentum distribution applied to a test function.
 
     Accepts a TensorTestFunction (any supported n) or, for n <= 3, a
-    vectorized callable over the momentum slots.  The one-point value is zero
-    by convention.
+    vectorized callable over the momentum slots that declares ``n_slots``.
+    Such a callable gets arrays of any common leading shape: in d = 1 with
+    n = 3, ``f(k1, k2, k3)`` gets three arrays of shape (npts, 5, 32) (see
+    ``three_point_eval_1d``).  The one-point value is zero by convention.
     """
     if isinstance(test, TensorTestFunction):
         n = len(test.factors)

@@ -38,6 +38,22 @@ def test_streams_are_reproducible_and_independent():
     assert not np.array_equal(a, d)
 
 
+def test_rekeyed_streams_match_fresh_generators():
+    # the replicates share one generator, and a replicate can leave it with
+    # a partly used 64-bit buffer and a pending 32-bit half
+    at = euclidean._noise_streams(7)
+    partial = []
+    for r in (3, 0, 4, 3, 2**40 + 1):
+        got, want = at(r), noise_generator(7, r)
+        assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
+        assert np.array_equal(got.poisson(0.3, 7), want.poisson(0.3, 7))
+        assert np.array_equal(got.integers(0, 9, 3, dtype=np.int32),
+                              want.integers(0, 9, 3, dtype=np.int32))
+        state = got.bit_generator.state
+        partial.append(state["buffer_pos"] < 4 and state["has_uint32"] == 1)
+    assert partial[0] and partial[1]
+
+
 def test_site_statistics_match_cumulants():
     # across-cell sample mean/variance estimate c1 and c2/v
     lat = Lattice(2, 128, 0.5)

@@ -9,7 +9,7 @@ from kreinfield.errors import DomainError, PreconditionError, SingularConfigurat
 from kreinfield.green import GreenSpec
 from kreinfield.lattice import Lattice
 from kreinfield.levy import LevyTriple, cumulant_coeff
-from kreinfield.quadrature import gl_nodes
+from kreinfield.quadrature import gl_nodes, line_quadrature, refine
 from kreinfield.testfunctions import TestFunction, TensorTestFunction
 from kreinfield.wightman import (
     bracket_scalar,
@@ -149,6 +149,27 @@ def test_pair_density_d2_matches_substituted_gauss_rule():
     assert abs(got - want) <= 1e-8 * abs(want)
 
 
+@pytest.mark.parametrize("alpha", [0.35, 0.45])
+def test_pair_density_d1_matches_substituted_gauss_rule(alpha):
+    """d = 1 against a Gauss-Legendre sum in which k0 = -m - r^p,
+    p = 1 / (1 - 2 alpha), turns the shell singularity (-m - k0)^(-2 alpha)
+    into the constant p."""
+    m = 1.0
+    spec = GreenSpec(1, alpha, m)
+    g1 = TestFunction.gaussian((-1.5,), 0.8, freq=(0.3,))
+    g2 = TestFunction.gaussian((1.4,), 0.9)
+    got = two_point_density_eval(TensorTestFunction((g1, g2)), spec, ATOM_TRIPLE)
+
+    p = 1.0 / (1.0 - 2.0 * alpha)
+    r, wr = gl_nodes(0.0, (40.0 - m) ** (1.0 / p), 400)
+    d = r**p
+    k0 = (-m - d)[:, None]
+    want = np.sum(g1(k0) * g2(-k0) * (2.0 * m + d) ** (-2.0 * alpha) * p * wr)
+    want *= 2 * cumulant_coeff(2, ATOM_TRIPLE) * math.sin(2 * math.pi * alpha)
+    assert abs(got.imag) > 0.05 * abs(got.real)
+    assert abs(got - want) <= 1e-8 * abs(want)
+
+
 def test_pair_density_vanishes_at_half():
     spec = GreenSpec(1, 0.5, 1.0)
     with pytest.raises(PreconditionError):
@@ -207,6 +228,110 @@ def test_three_point_bridge_d1():
     report = laplace_bridge_check(
         np.array([[0.0], [0.7], [1.8]]), spec, ATOM_TRIPLE, lat)
     assert report.gap < 5e-2
+
+
+BRIDGE_D1_TIMES = np.array([0.0, 0.7, 1.8])
+# laplace_bridge_check's box for BRIDGE_D1_TIMES: max(8 m, 45 / min gap)
+BRIDGE_D1_BOX = 45.0 / 0.7
+
+
+def bridge_d1_phase(k1, k2, k3):
+    """The Laplace bridge's d = 1, n = 3 damped exponential at BRIDGE_D1_TIMES."""
+    t = BRIDGE_D1_TIMES
+    return np.exp(-(k1 * t[0] + k2 * t[1] + k3 * t[2]))
+
+
+COMPLEX_D1 = TensorTestFunction(
+    (TestFunction.gaussian((-1.5,), 0.8, freq=(0.7,)),
+     TestFunction.gaussian((-0.3,), 1.0, amplitude=0.5 + 0.25j, freq=(-0.4,)),
+     TestFunction.gaussian((1.8,), 0.9, freq=(0.2,))),
+    prefactor=1.2 - 0.3j,
+)
+
+
+def tensor_slots(test):
+    """A three-slot tensor test as an f(k1, k2, k3) callable."""
+    def f(k1, k2, k3):
+        return test(np.stack([k1, k2, k3], axis=-1)[..., None])
+    return f
+
+
+def three_point_1d_per_node(f, spec, triple, tol=1e-6, box=40.0, recorder=None):
+    """Oracle: the d = 1 evaluator with one Python-level inner line integral
+    per outer node, split at that node's shell cuts."""
+    m = spec.mass
+    pref = cumulant_coeff(3, triple) * 4 * (2 * math.pi) ** (1 - 1.5)
+
+    def outer(k1):
+        out = np.empty(k1.shape, dtype=complex)
+        for i, k1i in enumerate(k1):
+            def inner(k2, k1i=k1i):
+                k1s = np.full_like(k2, k1i)
+                k3 = -k1i - k2
+                br = bracket_scalar(np.stack([k1s, k2, k3]),
+                                    np.zeros((3,) + k2.shape), spec)
+                return f(k1s, k2, k3) * br
+
+            cuts = (-m, m, -k1i - m, -k1i + m)
+            out[i] = line_quadrature(inner, -box, box, cuts, 32)
+        return out
+
+    return refine(
+        lambda npts: pref * complex(
+            line_quadrature(outer, -box, -m, (-2 * m,), npts)),
+        (24, 36, 54, 81, 121, 181), tol, tol * abs(pref),
+        "three_point_1d", recorder,
+    )
+
+
+@pytest.mark.parametrize("f, alpha, tol, box", [
+    (bridge_d1_phase, 0.5, 1e-7, BRIDGE_D1_BOX),
+    (tensor_slots(COMPLEX_D1), 0.5, 1e-7, 40.0),
+    # k1 in [-3, -1]: the cut -k1 + m leaves the box for k1 < -2
+    (tensor_slots(COMPLEX_D1), 0.35, 1e-6, 3.0),
+], ids=["bridge", "complex-tensor", "small-box"])
+def test_three_point_1d_matches_per_node_loop(f, alpha, tol, box):
+    spec = GreenSpec(1, alpha, 1.0)
+    got, want = [], []
+    three_point_eval_1d(f, spec, ATOM_TRIPLE, tol, box, recorder=got)
+    three_point_1d_per_node(f, spec, ATOM_TRIPLE, tol, box, recorder=want)
+    got, want = got[0]["history"], want[0]["history"]
+    assert [row[0] for row in got] == [row[0] for row in want]
+    for (_, re1, im1), (_, re2, im2) in zip(got, want):
+        assert abs(complex(re1, im1) - complex(re2, im2)) \
+            <= 1e-14 * abs(complex(re2, im2))
+
+
+def test_three_point_1d_bridge_rounds_are_pinned():
+    """Pinned from the per-node loop on test_three_point_bridge_d1's points."""
+    rec = []
+    laplace_bridge_check(np.array([[t] for t in BRIDGE_D1_TIMES]),
+                         GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE,
+                         Lattice(1, 1024, 0.025), recorder=rec)
+    history = rec[0]["history"]
+    assert [row[0] for row in history] == [24, 36, 54]
+    assert [row[1] for row in history] == pytest.approx(
+        (0.047840173254327205, 0.047838446082214936, 0.047838166301038786),
+        rel=1e-12)
+    assert all(row[2] == 0.0 for row in history)
+
+
+def test_three_point_1d_calls_f_once_per_outer_piece():
+    """Each round hands f every inner node of one outer piece at once."""
+    shapes = []
+
+    def f(k1, k2, k3):
+        shapes.append((k1.shape, k2.shape, k3.shape))
+        return bridge_d1_phase(k1, k2, k3)
+
+    rec = []
+    three_point_eval_1d(f, GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE, 1e-7,
+                        BRIDGE_D1_BOX, recorder=rec)
+    want = []
+    for npts, _, _ in rec[0]["history"]:
+        # two outer pieces, split at -2m, of npts nodes each
+        want += [((npts, 5, 32),) * 3] * 2
+    assert shapes == want
 
 
 def test_three_point_bridge_d2():
@@ -329,12 +454,7 @@ def test_translation_phase_invariance():
 
 def test_hermiticity_under_momentum_star():
     spec = GreenSpec(1, 0.5, 1.0)
-    t = TensorTestFunction(
-        (TestFunction.gaussian((-1.5,), 0.8, freq=(0.7,)),
-         TestFunction.gaussian((-0.3,), 1.0, amplitude=0.5 + 0.25j, freq=(-0.4,)),
-         TestFunction.gaussian((1.8,), 0.9, freq=(0.2,))),
-        prefactor=1.2 - 0.3j,
-    )
+    t = COMPLEX_D1
     val = truncated_momentum_eval(t, spec, ATOM_TRIPLE, 1e-7)
     starred = truncated_momentum_eval(
         t.involution_momentum(), spec, ATOM_TRIPLE, 1e-7)
