@@ -10,13 +10,15 @@ non-finite number is never written: the run fails instead.
 Exit codes: 0 success, 1 task failure, 2 configuration error.  Once the
 output directory is known, a failed task still writes the manifest, with
 status "failed", the error kind and message, and, for a quadrature that did
-not converge, its residual.
+not converge, its residual and the [p, real, imag] rows of the refinement
+rounds it ran.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -311,12 +313,16 @@ def _fail(
     message: str,
     field: Optional[str] = None,
     residual: Optional[float] = None,
+    history: Optional[list] = None,
 ) -> dict:
     doc: Dict[str, object] = {"error": kind, "message": message}
     if field is not None:
         doc["field"] = field
     if residual is not None:
         doc["residual"] = residual if math.isfinite(residual) else None
+    if history is not None:
+        doc["history"] = [[p] + [v if math.isfinite(v) else None for v in vals]
+                          for p, *vals in history]
     print(json.dumps(doc), file=sys.stderr)
     return doc
 
@@ -338,6 +344,18 @@ def _finite(convert: Callable[[str], float]) -> Callable[[str], float]:
     return parse
 
 
+@functools.lru_cache(maxsize=None)
+def _config_validator():
+    """The validator of CONFIG_SCHEMA, built once per process.
+
+    ``jsonschema.validate`` would check the schema against its metaschema
+    and build a validator on every call; the schema's own check is a test.
+    """
+    from jsonschema.validators import validator_for
+
+    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def _load_config(path: str):
     try:
         with open(path, "rb") as fh:
@@ -351,11 +369,10 @@ def _load_config(path: str):
     except ValueError as exc:  # bad encoding, bad syntax or a non-finite number
         _fail("config", f"config is not valid JSON: {exc}")
         return None, None
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = best_match(_config_validator().iter_errors(cfg))
+    if exc is not None:  # the error jsonschema.validate would raise
         field = ".".join(str(p) for p in exc.absolute_path) or "(root)"
         _fail("config", exc.message, field=field)
         return None, None
@@ -932,8 +949,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Exception as exc:  # noqa: BLE001 - boundary: map to exit code 1
         message = str(exc) if isinstance(exc, _CheckFailed) else (
             f"{type(exc).__name__}: {exc}")
-        residual = exc.residual if isinstance(exc, QuadratureError) else None
-        error = _fail("task", message, residual=residual)
+        if isinstance(exc, QuadratureError):
+            error = _fail("task", message, residual=exc.residual,
+                          history=exc.history)
+        else:
+            error = _fail("task", message)
 
     from . import __version__
 

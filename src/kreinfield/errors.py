@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class SizeLimitError(ValueError):
     """Combinatorial input exceeds the supported size cap."""
@@ -32,9 +34,13 @@ class InvalidMajorantError(ValueError):
 class QuadratureError(RuntimeError):
     """Quadrature failed to reach the requested tolerance.
 
-    Carries the residual estimate from the last refinement step.
+    Carries the residual estimate from the last refinement step and, when
+    raised by ``quadrature.refine``, the [p, real, imag] row of every round
+    it evaluated (empty otherwise).
     """
 
-    def __init__(self, message: str, residual: float = float("nan")):
+    def __init__(self, message: str, residual: float = float("nan"),
+                 history: Optional[list] = None):
         super().__init__(message)
         self.residual = residual
+        self.history = [] if history is None else history

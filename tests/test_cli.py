@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from kreinfield import cli
 from kreinfield.cli import CONFIG_SCHEMA, main
 
 ATOM_MODEL = {
@@ -38,6 +39,10 @@ def test_schema_is_valid_draft7():
     import jsonschema
 
     jsonschema.Draft7Validator.check_schema(CONFIG_SCHEMA)
+    # the validator built once per process is of the class checked here
+    validator = cli._config_validator()
+    assert isinstance(validator, jsonschema.Draft7Validator)
+    assert cli._config_validator() is validator
 
 
 def test_malformed_config_exits_2_and_names_field(tmp_path, capsys):
@@ -224,6 +229,27 @@ def test_failed_run_writes_manifest_with_residual(tmp_path, wightman_cfg, capsys
     assert manifest["residual"] == 0.125
     assert "did not stabilize" in manifest["message"]
     assert manifest["outputs"] == []
+
+
+def test_failed_refinement_writes_its_history(tmp_path, wightman_cfg, capsys,
+                                             monkeypatch):
+    import kreinfield.wightman
+    from kreinfield.quadrature import refine
+
+    rounds = {8: 1.0 + 0.5j, 16: 2.0 - 0.25j}
+
+    def diverges(*args, **kwargs):
+        return refine(rounds.get, (8, 16), 1e-9, 0.0, "forced")
+
+    monkeypatch.setattr(kreinfield.wightman, "truncated_momentum_eval", diverges)
+    out = tmp_path / "out"
+    assert main(["wightman", "--config", wightman_cfg, "--out", str(out)]) == 1
+    rows = [[8, 1.0, 0.5], [16, 2.0, -0.25]]
+    assert stderr_doc(capsys)["history"] == rows
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["residual"] == pytest.approx(abs(rounds[16] - rounds[8]))
+    assert manifest["history"] == rows
 
 
 def test_non_finite_output_is_task_failure(tmp_path, wightman_cfg, capsys,

@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,14 @@ def test_refine_raises_with_residual_when_schedule_runs_out():
     assert math.isfinite(info.value.residual)
     assert info.value.residual == pytest.approx(2.0)
     assert rec == []
+
+
+def test_failed_refine_keeps_its_history():
+    vals = {8: 1.0 + 2.0j, 16: 3.0 - 1.0j}
+    with pytest.raises(QuadratureError) as info:
+        refine(vals.get, (8, 16), 1e-9, 0.0, "two rounds")
+    assert info.value.history == [[8, 1.0, 2.0], [16, 3.0, -1.0]]
+    assert info.value.residual == pytest.approx(abs(vals[16] - vals[8]))
 
 
 def test_refine_accepts_on_absolute_floor():
@@ -90,20 +101,65 @@ def _mp_weight(n, x0):
         return float(2 * (1 - x * x) / (n * (p_prev - x * p)) ** 2)
 
 
-@pytest.mark.parametrize("n", [7, 48, 181, 1024, 4096])
+# the nodes nearest x = -1, those around the switch from Gatteschi's
+# guesses (the 40 nodes nearest an endpoint) to Tricomi's, the middle node
+# and the last one
+@pytest.mark.parametrize("n", [7, 48, 64, 181, 255, 256, 1024, 1816, 4096])
 def test_rule_weights_match_high_precision_reference(n):
     t, w = gauss_legendre(n)
-    for i in (0, n // 2, n - 1):
+    for i in sorted({0, 1, 2, 39, 40, 41, n // 2, n - 1} & set(range(n))):
         assert w[i] == pytest.approx(_mp_weight(n, t[i]), rel=1e-13)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 48, 181])
+# 1283, 1816 and 4096 are factorized a-rule sizes, which phase_sums rejects
+# unless mirrored
+@pytest.mark.parametrize("n", [1, 2, 7, 48, 181, 1283, 1816, 4096])
 def test_rule_is_exactly_antisymmetric(n):
     t, w = gauss_legendre(n)
     assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(math.fsum(w) - 2.0) <= 1e-15
     assert np.all(np.diff(t) > 0)
     if n % 2:
         assert t[n // 2] == 0.0
+
+
+def test_bessel_zero_table_and_mcmahon_series_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    j = quadrature._bessel_j0_zeros(40)
+    want = np.array([float(mpmath.besseljzero(0, k)) for k in range(1, 41)])
+    assert np.array_equal(j[:5], want[:5])
+    rel = np.abs(j / want - 1.0)
+    assert rel[5] <= 1e-12 and rel[6] <= 1e-13
+    assert np.all(rel[7:] <= 2e-14)
+    assert np.array_equal(quadrature._bessel_j0_zeros(3), want[:3])
+
+
+@pytest.mark.parametrize("n", [64, 1816, 4096])
+def test_cold_rule_costs_one_recurrence_pass(n, monkeypatch):
+    calls = []
+    legendre = quadrature._legendre
+
+    def counted(y, order):
+        calls.append(order)
+        return legendre(y, order)
+
+    monkeypatch.setattr(quadrature, "_legendre", counted)
+    gauss_legendre.__wrapped__(n)
+    assert calls == [n]
+
+
+def test_package_import_leaves_out_scipy_special_and_mpmath():
+    code = (
+        "import importlib, pkgutil, sys, kreinfield\n"
+        "for mod in pkgutil.iter_modules(kreinfield.__path__):\n"
+        "    importlib.import_module('kreinfield.' + mod.name)\n"
+        "assert 'kreinfield.cli' in sys.modules\n"
+        "print(sorted(m for m in ('scipy.special', 'mpmath') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("na", [1, 8, 9])
