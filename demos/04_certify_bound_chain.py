@@ -19,7 +19,7 @@ triple = LevyTriple(0.1, 0.5, ((1.0, 2.0),))
 
 factors = compute_scalar_factors(spec)
 print("chain factors:")
-print(f"  energy-profile sup : {factors.energy_sup:.4f}")
+print(f"  energy sup E(m)    : {factors.energy_sup:.4f}")
 print(f"  shifted overlap sup: {factors.overlap_sup:.4f} "
       f"(analytic ceiling {factors.overlap_ceiling:.1f})")
 print(f"  refinement history : {[f'{h:.4f}' for h in factors.overlap_history]}")

@@ -30,7 +30,7 @@ from .errors import (
 from .green import GreenSpec
 from .levy import LevyTriple, cumulant_coeff
 from .partitions import MAX_GROUND_SIZE, CorrelationTable, moments_from_cumulants
-from .quadrature import gl_nodes, line_quadrature, refine, sine_nodes, tanh_sinh_nodes
+from .quadrature import refine, sine_nodes, tanh_sinh_nodes
 from .testfunctions import TensorTestFunction, TestFunction
 from .wightman import truncated_momentum_eval
 
@@ -171,33 +171,23 @@ def pair_bound(spec: GreenSpec, triple: LevyTriple, weight_power: int) -> float:
 
     Uses the explicit support representation of the pair distribution: a
     mass-shell line integral at alpha = 1/2, a timelike-region density for
-    alpha < 1/2 (one spatial dimension only).
+    alpha < 1/2 (one spatial dimension only).  The line at alpha = 1/2 is
+    closed; otherwise u = k^2 - m^2 (d = 1) or u = q^2 (d = 2) makes the
+    integral one case of :func:`_line_integral`.
     """
     if weight_power < 2 * spec.dim:
         raise DomainError("pair bound needs weight power at least twice the dimension")
     c2 = abs(cumulant_coeff(2, triple))
-    m = spec.mass
+    alpha, m = spec.alpha, spec.mass
     n = float(weight_power)
-    if spec.alpha == 0.5:
-        if spec.dim == 1:
-            return 2.0 * math.pi * c2 / (2.0 * m) * (1.0 + m * m) ** (-n)
-        q, wq = sine_nodes(0.0, 50.0, 400)
-        om = np.hypot(q, m)
-        integrand = (1.0 + om * om + q * q) ** (-n) / (2.0 * om)
-        val = 2.0 * float(np.sum(integrand * wq))
-        tail = 50.0 ** (-2.0 * n) / (2.0 * n)
-        return 2.0 * math.pi * c2 * (val + tail)
+    if spec.dim == 1 and alpha == 0.5:
+        return 2.0 * math.pi * c2 / (2.0 * m) * (1.0 + m * m) ** (-n)
     if spec.dim == 1:
-        b = max(40.0, 12.0 * m)
-
-        def g(k):
-            return (k * k - m * m) ** (-2.0 * spec.alpha) * (1.0 + k * k) ** (-n)
-
-        val = line_quadrature(g, m, b, npts=320)
-        tail = b ** (-4.0 * spec.alpha - 2.0 * n + 1.0) / (
-            4.0 * spec.alpha + 2.0 * n - 1.0
-        )
-        return 2.0 * c2 * math.sin(2.0 * math.pi * spec.alpha) * (val + tail)
+        line = _line_integral(1.0 - 2.0 * alpha, 1.0 + m * m, n, m * m, 0.5, "pair_bound")
+        return c2 * math.sin(2.0 * math.pi * alpha) * line
+    if spec.dim == 2 and alpha == 0.5:
+        line = _line_integral(0.5, 0.5 * (1.0 + m * m), n, m * m, 0.5, "pair_bound")
+        return 2.0 * math.pi * c2 * 2.0 ** (-n - 1.0) * line
     raise DomainError(
         "pair bound covers alpha = 1/2 in one or two dimensions and "
         "alpha < 1/2 on the line"
@@ -232,40 +222,49 @@ def _overlap_origin(alpha: float, npts: int) -> float:
     return float(2.0 * math.pi / math.sin(0.5 * math.pi * (2.0 - 3.0 * alpha)) * line)
 
 
+def _line_integral(nu: float, beta: float, mu: float, gamma: float, rho: float,
+                   op: str, record: Optional[list] = None) -> float:
+    """G = integral_0^inf x^(nu-1) (beta+x)^(-mu) (gamma+x)^(-rho) dx, refined.
+
+    Gradshteyn & Ryzhik 3.197.1 give G in closed form through 2F1; it is
+    evaluated here by quadrature, split at x = 1.  On [0, 1], x = s^(1/nu)
+    leaves the bounded integrand (beta+x)^(-mu) (gamma+x)^(-rho) / nu; on
+    [1, inf), x = 1/s leaves s^(mu+rho-nu-1) (beta s+1)^(-mu) (gamma s+1)^(-rho),
+    whose endpoint exponent stays above -1 for every caller here.  Both
+    halves share one tanh-sinh rule on s in [0, 1] under :func:`refine` at
+    rtol 1e-12.
+    """
+    def value(npts: int) -> float:
+        s, _, w = tanh_sinh_nodes(0.0, 1.0, npts)
+        x = s ** (1.0 / nu)
+        low = (beta + x) ** -mu * (gamma + x) ** -rho / nu
+        high = (s ** (mu + rho - nu - 1.0)
+                * (beta * s + 1.0) ** -mu * (gamma * s + 1.0) ** -rho)
+        return float(np.sum((low + high) * w))
+
+    return float(refine(value, [24 << k for k in range(7)], 1e-12, 0.0, op, record))
+
+
 def _overlap_ceiling(alpha: float, gamma: float) -> float:
     """Closed-form cap for the shifted overlap integral, any shifts.
 
     Splits the inner integral at distance 2 from the moving singularity.
     The near part contributes a |t|^(-gamma) spike, the far part a constant;
-    integrating both against the remaining weight gives the ceiling.
+    integrating both against the remaining weight gives the ceiling.  The
+    far constant c1 = 2 * integral_R |x|^(-alpha) / (1+x^2) dx is exactly
+    2 pi / cos(pi alpha / 2), from integral_0^inf x^(s-1) / (1+x^2) dx =
+    (pi/2) / sin(pi s/2) at s = 1 - alpha.
     """
     if not 0.0 < gamma < 1.0 - alpha:
         raise DomainError("gamma must lie in (0, 1 - alpha)")
     if 2.0 * alpha - gamma >= 1.0:
         raise DomainError("gamma too small: inner spike not integrable")
-
-    def f(x):
-        return np.abs(x) ** -alpha / (1.0 + x * x)
-
-    c1 = 2.0 * line_quadrature(f, -60.0, 60.0, cuts=(0.0,), npts=400)
-    c1 = max(c1 + 4.0 * 60.0 ** (-alpha) / 60.0, math.pi)
+    c1 = 2.0 * math.pi / math.cos(0.5 * math.pi * alpha)
     p = 2.0 * alpha - gamma
     c2 = 2.0 ** (1.0 - gamma) * (1.0 + 2.0 ** (1.0 - p)) / (1.0 - p)
     return c1 * (2.0 / (1.0 - alpha) + math.pi) + c2 * (
         4.0 / (1.0 - alpha - gamma) + 2.0 * math.pi
     )
-
-
-def _energy_profile(s: float, spec: GreenSpec, npts: int) -> float:
-    om = math.hypot(s, spec.mass)
-    b = max(60.0, 12.0 * om)
-
-    def f(k):
-        return np.abs(k * k - om * om) ** -spec.alpha / (1.0 + k * k)
-
-    val = line_quadrature(f, -b, b, cuts=(-om, om), npts=npts)
-    tail = 2.0 * (b * b - om * om) ** -spec.alpha * (math.pi / 2.0 - math.atan(b))
-    return float(val + tail)
 
 
 @dataclass(frozen=True)
@@ -297,6 +296,14 @@ class ScalarChainFactors:
 def compute_scalar_factors(spec: GreenSpec, gamma: float = 0.25) -> ScalarChainFactors:
     """Evaluate the three auxiliary integrals behind the scalar chain.
 
+    ``spatial`` is 1 on the line and integral sech = pi in the plane.  The
+    energy sup over the transverse momentum s of E(hypot(s, m)), where
+    E(w) = integral |k^2 - w^2|^(-alpha) / (1+k^2) dk, is E(m): closing a
+    contour in the upper half-plane gives E(w) = pi (1+w^2)^(-alpha)
+    + (1 - cos pi alpha) G(1 - alpha, 1 + w^2, 1, w^2, 1/2), both terms
+    decreasing in w (G as in :func:`_line_integral`).  ``energy_history``
+    holds E per refinement round.
+
     The overlap sup over shifts (a, b, c) sits at the origin: by Riesz's
     rearrangement inequality and the Hardy-Littlewood inequality (Lieb &
     Loss, Analysis, Thms 3.4 and 3.7) no shift beats I(0, 0, 0), which
@@ -308,35 +315,14 @@ def compute_scalar_factors(spec: GreenSpec, gamma: float = 0.25) -> ScalarChainF
     if not 0.0 < spec.alpha <= 0.5:
         raise DomainError("scalar chain requires alpha in (0, 1/2]")
     alpha, m = spec.alpha, spec.mass
-
-    if spec.dim == 1:
-        spatial = 1.0
-    else:
-        # transverse Lorentzian integral; sech substitution makes it entire
-        u, wu = gl_nodes(-45.0, 45.0, 400)
-        spatial = float(np.sum(wu / np.cosh(u))) + 2.0 * math.exp(-45.0)
-
-    uniform = 2.0 * (2.0 / (1.0 - alpha) + math.pi)
-    if spec.dim == 1:
-        svals = np.array([0.0])
-    else:
-        # beyond smax the bound (s^2 + m^2)^(-alpha/2) * uniform on the
-        # profile drops below its value at s = 0; the profile squares 12 s,
-        # so s^2 must stay far inside the float range
-        log_s2 = (2.0 / alpha) * math.log(uniform / _energy_profile(0.0, spec, 160))
-        if log_s2 > 600.0:
-            raise QuadratureError("energy sup search window exceeds the float range")
-        smax = max(8.0 * m, math.sqrt(max(math.exp(log_s2) - m * m, 0.0)))
-        svals = np.concatenate(
-            [np.linspace(0.0, 3.0 * m, 25), np.geomspace(3.0 * m, smax, 20)]
-        )
-    energy_history = tuple(
-        max(_energy_profile(float(s), spec, npts) for s in svals)
-        for npts in (160, 320)
-    )
-    energy_sup = energy_history[-1]
+    spatial = 1.0 if spec.dim == 1 else math.pi
 
     record: List[dict] = []
+    lead = math.pi * (1.0 + m * m) ** -alpha
+    lift = 2.0 * math.sin(0.5 * math.pi * alpha) ** 2  # 1 - cos(pi alpha)
+    j_out = _line_integral(1.0 - alpha, 1.0 + m * m, 1.0, m * m, 0.5, "energy_sup", record)
+    energy_sup = lead + lift * j_out
+
     overlap_sup = float(refine(lambda npts: _overlap_origin(alpha, npts),
                                [24 << k for k in range(5)], 1e-12, 0.0,
                                "overlap_sup", record))
@@ -353,8 +339,8 @@ def compute_scalar_factors(spec: GreenSpec, gamma: float = 0.25) -> ScalarChainF
         overlap_ceiling=ceiling,
         third_factor=third,
         gamma=gamma,
-        energy_history=energy_history,
-        overlap_history=tuple(row[1] for row in record[0]["history"]),
+        energy_history=tuple(lead + lift * row[1] for row in record[0]["history"]),
+        overlap_history=tuple(row[1] for row in record[1]["history"]),
     )
 
 

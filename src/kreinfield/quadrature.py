@@ -9,9 +9,10 @@ Every integral in the package is built from the same pieces:
   from the Legendre equation); the rule is exactly antisymmetric;
 * :func:`gl_nodes` -- that rule mapped affinely onto [lo, hi];
 * :func:`sine_nodes` -- the rule under x = mid + half sin(pi t / 2), which
-  crushes the weight at both endpoints so algebraic endpoint singularities
-  |x - a|^(-alpha), alpha < 1, are tamed; it broadcasts over arrays of
-  intervals and gives degenerate intervals zero weight;
+  puts the distance d to either endpoint at d ~ (1 - |t|)^2: an endpoint
+  singularity d^(-1/2) becomes smooth, but d^(-p) stays singular for
+  p > 1/2 and converges only algebraically for 0 < p < 1/2; it broadcasts
+  over arrays of intervals and gives degenerate intervals zero weight;
 * :func:`tanh_sinh_nodes` -- the double-exponential rule, for singularities
   that merge or are stronger than the sine map tames; it hands out each
   node's distances to both endpoints, so none rounds onto a singularity;
@@ -160,6 +161,10 @@ def gl_nodes(lo: float, hi: float, n: int):
 
 def sine_nodes(lo, hi, n: int):
     """Sine-substituted rule on [lo, hi]; arrays of intervals broadcast.
+
+    Near an endpoint d ~ (1 - |t|)^2, so d^(-p) dd ~ (1 - |t|)^(1 - 2p) dt:
+    smooth at p = 1/2, still singular for p > 1/2, and converging only
+    algebraically in n for 0 < p < 1/2 (see :func:`tanh_sinh_nodes`).
 
     Nodes and weights gain a trailing axis of length n.  Intervals with
     hi <= lo get zero weight.

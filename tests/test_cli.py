@@ -391,8 +391,10 @@ def test_bounds_scalar_factors_match_library(tmp_path):
                  "--out", str(out)]) == 0
     doc = json.loads((out / "bounds.json").read_text())
     factors = doc["scalar_factors"]
-    want = compute_scalar_factors(GreenSpec(1, 0.5, 1.0)).overlap_sup
-    assert factors["overlap_sup"] == want
+    want = compute_scalar_factors(GreenSpec(1, 0.5, 1.0))
+    for name in ("overlap_sup", "energy_sup", "spatial", "overlap_ceiling"):
+        assert factors[name] == getattr(want, name)
+    assert factors["energy_history"] == list(want.energy_history)
     assert "interior_max" not in factors and "boundary_max" not in factors
     assert doc["scalar"][0]["order"] == 3
 

@@ -11,7 +11,6 @@ from kreinfield.errors import (
     DomainError,
     InvalidMajorantError,
     PreconditionError,
-    QuadratureError,
     SizeLimitError,
 )
 from kreinfield.green import GreenSpec
@@ -91,8 +90,50 @@ def test_pair_bound_line_closed_form():
     assert pair_bound(spec, ATOM_TRIPLE, 2) == pytest.approx(want, rel=1e-12)
 
 
-def test_pair_bound_dominates_pair_values():
-    spec = GreenSpec(1, 0.5, 1.0)
+@pytest.mark.parametrize("alpha", [0.26, 0.3, 0.35, 0.4, 0.45, 0.49])
+@pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("weight_power", [2, 4])
+def test_pair_bound_below_half_matches_high_precision_line_integral(
+        alpha, mass, weight_power):
+    """A2 = 2 c2 sin(2 pi alpha) * integral over k > m of
+    (k^2 - m^2)^(-2 alpha) (1 + k^2)^(-n), in r = (k - m)^(1 - 2 alpha),
+    where the shell singularity becomes a bounded integrand."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, m, n = mpmath.mpf(alpha), mpmath.mpf(mass), mpmath.mpf(weight_power)
+        e = 1 / (1 - 2 * a)
+
+        def f(r):
+            u = r ** e
+            return (2 * m + u) ** (-2 * a) * (1 + (m + u) ** 2) ** (-n) * e
+
+        line = mpmath.quad(f, [0, 1, mpmath.inf])
+        want = float(2 * 2.5 * mpmath.sin(2 * mpmath.pi * a) * line)  # c2 = 2.5
+    got = pair_bound(GreenSpec(1, alpha, mass), ATOM_TRIPLE, weight_power)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("weight_power", [4, 6])
+def test_pair_bound_plane_matches_high_precision_shell_integral(mass, weight_power):
+    """A2 = 2 pi c2 * integral over q of (1 + w^2 + q^2)^(-n) / (2 w),
+    w = hypot(q, m), in two dimensions at alpha = 1/2."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        m, n = mpmath.mpf(mass), mpmath.mpf(weight_power)
+
+        def f(q):
+            w = mpmath.sqrt(q * q + m * m)
+            return (1 + w * w + q * q) ** (-n) / (2 * w)
+
+        want = float(2 * mpmath.pi * 2.5 * mpmath.quad(f, [-mpmath.inf, 0, mpmath.inf]))
+    got = pair_bound(GreenSpec(2, 0.5, mass), ATOM_TRIPLE, weight_power)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.35, 0.45])
+def test_pair_bound_dominates_pair_values(alpha):
+    spec = GreenSpec(1, alpha, 1.0)
     from kreinfield.wightman import truncated_momentum_eval
 
     a2 = pair_bound(spec, ATOM_TRIPLE, 2)
@@ -130,20 +171,32 @@ def test_scalar_factors_overlap_stable(factors_d2):
 
 @pytest.mark.parametrize("alpha", [0.1, 0.15])
 def test_scalar_factors_d2_small_alpha_is_finite(alpha):
-    # the energy sup window is 3.4e5 m at alpha = 0.1: a search that doubled
-    # from 8 m up to a fixed cap gave up here
     fac = compute_scalar_factors(GreenSpec(2, alpha, 1.0))
     values = [fac.spatial, fac.energy_sup, fac.overlap_sup, fac.third_factor]
     assert all(math.isfinite(x) and x > 0 for x in values)
-    coarse, fine = fac.energy_history
+    coarse, fine = fac.energy_history[-2:]
     assert fine == pytest.approx(coarse, rel=1e-6)
 
 
-def test_scalar_factors_d2_window_beyond_float_range_raises():
-    # at alpha = 0.002 the window would be ~1e258 m: a clean QuadratureError,
-    # not an OverflowError from the power
-    with pytest.raises(QuadratureError, match="float range"):
-        compute_scalar_factors(GreenSpec(2, 0.002, 1.0))
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mass", [1.0, 2.0])
+@pytest.mark.parametrize("alpha", [0.5, 0.35, 0.1, 0.002])
+def test_energy_sup_matches_high_precision_line_integral(alpha, mass, dim):
+    """E(m) = integral over R of |k^2 - m^2|^(-alpha) / (1 + k^2), split at
+    the shell points +-m, to 30 digits.  The sup over the transverse
+    momentum sits at the mass shell for every alpha in two dimensions too,
+    however slowly the profile decays."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, m = mpmath.mpf(alpha), mpmath.mpf(mass)
+
+        def f(k):
+            return abs(k * k - m * m) ** -a / (1 + k * k)
+
+        want = float(mpmath.quad(f, [-mpmath.inf, -m, 0, m, mpmath.inf]))
+    fac = compute_scalar_factors(GreenSpec(dim, alpha, mass))
+    assert fac.energy_sup == pytest.approx(want, rel=1e-12)
+    assert fac.energy_history[-1] == fac.energy_sup
 
 
 def test_scalar_factors_line_spatial_is_trivial():
@@ -229,7 +282,7 @@ def test_scalar_factors_are_pinned(factors_d2):
             fac.overlap_history,
             [38.71675128543898, 38.716803297910346, 38.716803297917544], rtol=1e-13)
         assert fac.overlap_sup == pytest.approx(38.71680329791755, rel=1e-13)
-        assert fac.energy_sup == pytest.approx(3.4681697721553815, rel=1e-13)
+        assert fac.energy_sup == pytest.approx(3.467891949359644, rel=1e-13)
 
 
 def test_scalar_bound_assembly(factors_d2):
