@@ -590,19 +590,32 @@ def _star_factors(mono: Sequence[TestFunction]) -> Tuple[TestFunction, ...]:
     return tuple(g.conjugate().flip() for g in reversed(tuple(mono)))
 
 
+def _evaluate(test: TensorTestFunction, spec: GreenSpec, triple: LevyTriple,
+              tol: Optional[float]) -> Tuple[complex, float]:
+    """W(test) and the largest rtol that a refinement entering it was accepted at."""
+    records: list = []
+    val = complex(truncated_momentum_eval(test, spec, triple, tol, recorder=records))
+    return val, max((r["tolerance"] for r in records), default=0.0)
+
+
 def _full_pairing(
     slots: Sequence[TestFunction],
     spec: GreenSpec,
     triple: LevyTriple,
     tol: Optional[float],
     cache: Dict,
-) -> complex:
-    """Full correlation of the slot list via its cumulant table."""
+) -> Tuple[complex, float]:
+    """Full correlation of the slot list via its cumulant table.
+
+    Returns the value and the largest rtol that any truncated value entering
+    it was accepted at (0 when none needed a quadrature).
+    """
     t = len(slots)
     if t == 0:
-        return 1.0 + 0.0j
+        return 1.0 + 0.0j, 0.0
     table = CorrelationTable(t)
     values: Dict[Tuple[int, ...], complex] = {}
+    rtol = 0.0
     for key in table.all_keys():
         sub = tuple(slots[i - 1] for i in key)
         n = len(sub)
@@ -611,12 +624,11 @@ def _full_pairing(
             continue
         ck = tuple(_factor_key(g) for g in sub)
         if ck not in cache:
-            cache[ck] = complex(
-                truncated_momentum_eval(TensorTestFunction(sub), spec, triple, tol)
-            )
-        values[key] = cache[ck]
+            cache[ck] = _evaluate(TensorTestFunction(sub), spec, triple, tol)
+        values[key], sub_rtol = cache[ck]
+        rtol = max(rtol, sub_rtol)
     full = moments_from_cumulants(CorrelationTable(t, values))
-    return full[tuple(range(1, t + 1))]
+    return full[tuple(range(1, t + 1))], rtol
 
 
 def build_gram_pair(
@@ -645,7 +657,7 @@ def build_gram_pair(
     for i in range(dim):
         star = _star_factors(monos[i])
         for j in range(i, dim):
-            val = _full_pairing(star + monos[j], spec, triple, tol, cache)
+            val, _ = _full_pairing(star + monos[j], spec, triple, tol, cache)
             w[i, j] = val
             w[j, i] = val.conjugate()
     p = np.diag([float(seminorm(m)) ** 2 for m in monos]).astype(complex)
@@ -840,6 +852,11 @@ def hssc_certify(
     p = c_deg * product norm.  The returned dict is JSON-ready; margins are
     reported as found, including failures.
 
+    Each evaluated |W| enters the comparison as |W| * (1 + tol), with tol
+    the largest rtol at which any refinement behind that value was accepted
+    (read from the refinement records), so the verdict, the ratios and the
+    margins count the quadrature's own tolerance.
+
     The default pair cap keeps combined degree at three in two dimensions
     (higher full pairings are quadrature-heavy there) unless every cumulant
     above the second vanishes, in which case the cap is n_max.
@@ -890,7 +907,8 @@ def hssc_certify(
             if n >= 3 and cumulant_coeff(n, triple) == 0.0:
                 lhs = 0.0
             else:
-                lhs = abs(truncated_momentum_eval(family[i], spec, triple, tol))
+                val, rtol = _evaluate(family[i], spec, triple, tol)
+                lhs = abs(val) * (1.0 + rtol)
             rhs = a[n - 1] * norms[i]
             margins.append(rhs - lhs)
             ratios.append(lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf))
@@ -914,8 +932,8 @@ def hssc_certify(
                 continue
             phi, eta = family[i], family[j]
             slots = _star_factors(phi.factors) + tuple(eta.factors)
-            val = _full_pairing(slots, spec, triple, tol, cache)
-            lhs = abs(np.conj(phi.prefactor) * eta.prefactor * val)
+            val, rtol = _full_pairing(slots, spec, triple, tol, cache)
+            lhs = abs(np.conj(phi.prefactor) * eta.prefactor * val) * (1.0 + rtol)
             rhs = seminorm_of(i) * seminorm_of(j)
             pair_count += 1
             pair_worst = max(pair_worst, lhs / rhs if rhs > 0.0 else math.inf)

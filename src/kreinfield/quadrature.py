@@ -251,8 +251,11 @@ def tensor_blocks(axes, fn, chunk: int = 1 << 19) -> complex:
     return complex(out)
 
 
-# phases held at once by :func:`phase_sums`: len(a) * nt * (chunk width)
-_PHASE_BUDGET = 4_000_000
+# floats held at once by one column chunk of :func:`phase_sums`: the phases
+# (len(a) * nt per column) plus their contraction with the bodies
+# (len(a) * 2 nb per column), so the workspace stays bounded however many
+# bodies share the phases
+_PHASE_BUDGET = 2_000_000
 
 
 def phase_sums(a, k, bodies):
@@ -268,34 +271,34 @@ def phase_sums(a, k, bodies):
     so that sum_t exp(+-i a_i k[t, c]) bodies[j, t, c] = P +- iQ.  cos and sin
     are evaluated once per chunk of columns c, on the non-negative half of
     ``a`` only, and contracted against the real and imaginary parts of every
-    body in one batched matmul.
+    body in one batched matmul.  All bodies share the phases: stacking the
+    bodies of several integrands on one (k, a) grid costs one phase pass.
     """
     a = np.asarray(a, dtype=float)
     if not np.array_equal(a, -a[::-1]):
         raise PreconditionError("phase_sums needs an antisymmetric a-rule")
     na = len(a)
-    half = a[na // 2:]
-    nh = len(half)
+    lead = na // 2  # the negative a, mirrored from the half a[lead:]
+    nh = na - lead
     nb, nt, nq = bodies.shape
     # (nq, nt, 2 nb): real parts of all bodies, then their imaginary parts
     parts = np.ascontiguousarray(
         np.concatenate([bodies.real, bodies.imag]).transpose(2, 1, 0))
-    p_half = np.empty((nb, nh, nq), dtype=complex)
-    q_half = np.empty((nb, nh, nq), dtype=complex)
-    step = max(1, _PHASE_BUDGET // max(1, na * nt))
+    p = np.empty((nb, na, nq), dtype=complex)
+    q = np.empty((nb, na, nq), dtype=complex)
+    step = max(1, _PHASE_BUDGET // max(1, na * (nt + 2 * nb)))
     for s in range(0, nq, step):
         cols = slice(s, min(s + step, nq))
         cs = np.empty((cols.stop - s, 2 * nh, nt))
-        np.multiply(half[None, :, None], k[:, cols].T[:, None, :], out=cs[:, nh:])
+        np.multiply(a[lead:, None], k[:, cols].T[:, None, :], out=cs[:, nh:])
         np.cos(cs[:, nh:], out=cs[:, :nh])
         np.sin(cs[:, nh:], out=cs[:, nh:])
         r = (cs @ parts[cols]).transpose(2, 1, 0)  # (2 nb, 2 nh, chunk)
-        p_half[:, :, cols] = r[:nb, :nh] + 1j * r[nb:, :nh]
-        q_half[:, :, cols] = r[:nb, nh:] + 1j * r[nb:, nh:]
-    # the na // 2 negative a mirror the half: cos is even and sin odd in a
-    lead = na // 2
-    p = np.concatenate([p_half[:, ::-1][:, :lead], p_half], axis=1)
-    q = np.concatenate([-q_half[:, ::-1][:, :lead], q_half], axis=1)
+        p[:, lead:, cols] = r[:nb, :nh] + 1j * r[nb:, :nh]
+        q[:, lead:, cols] = r[:nb, nh:] + 1j * r[nb:, nh:]
+    # cos is even and sin odd in a; the sources a[na - lead:] lie in the half
+    p[:, :lead] = p[:, ::-1][:, :lead]
+    q[:, :lead] = -q[:, ::-1][:, :lead]
     return p, q
 
 

@@ -53,7 +53,7 @@ from .quadrature import (
     tensor_blocks,
 )
 from .schwinger import kernel_product_integral
-from .testfunctions import TensorTestFunction, TestFunction
+from .testfunctions import TensorTestFunction, TestFunction, poly_mul
 
 Branch = str  # "+", "-", "0"
 
@@ -461,10 +461,12 @@ def _osc_npts(amax: float, krange: float, floor: int = 24) -> int:
 _GAP = 0.5 * math.pi - 1e-12  # |u| bound of the gap substitution k0 = w sin u
 
 
-def _energy_sums(g: TestFunction, a: np.ndarray, w: np.ndarray,
+def _energy_sums(gs: Sequence[TestFunction], a: np.ndarray, w: np.ndarray,
                  q: Optional[np.ndarray], nt: int, expo: float,
-                 tmax: Optional[float] = None) -> list:
-    """[B+, B-] with B+-[i, c] = sum_t exp(+-i a_i k0) g(+-k0, q_c) jac w_t.
+                 tmax: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """(B+, B-), each of shape (len(gs), len(a), len(w)), with
+
+        B+-[l, i, c] = sum_t exp(+-i a_i k0) g_l(+-k0, q_c) jac w_t.
 
     The energy k0[t, c] runs over one smooth-substituted piece of the branch
     support at each w_c = sqrt(q_c^2 + m^2) (w = [m] and no q in d = 1).
@@ -472,8 +474,8 @@ def _energy_sums(g: TestFunction, a: np.ndarray, w: np.ndarray,
     jac = (w sinh t)^expo, whose two signs are the forward and the backward
     shell regions.  Without it: the gap piece k0 = w sin u, |u| < pi/2, with
     jac = (w cos u)^expo; k0 is odd and jac even in u, so the piece is
-    folded onto u >= 0 and equals B+ + B-.  Both bodies share one
-    phase_sums call.
+    folded onto u >= 0 and equals B+ + B-.  The grid is shared by all the
+    factors g_l, so the 2 len(gs) bodies share one phase_sums call.
     """
     if tmax is None:
         u, wu = gl_nodes(-_GAP, _GAP, nt)
@@ -486,13 +488,13 @@ def _energy_sums(g: TestFunction, a: np.ndarray, w: np.ndarray,
         u = u[:, None]
         k0, jac = w * np.cosh(u), (w * np.sinh(u)) ** expo
     coords = [] if q is None else [np.broadcast_to(q, k0.shape).ravel()]
-    bodies = np.stack([
-        np.ravel(g(np.stack([s * k0.ravel(), *coords], axis=-1))).reshape(k0.shape)
-        * jac * wu[:, None]
-        for s in (1.0, -1.0)
-    ])
+    weight = jac * wu[:, None]
+    pts = [np.stack([s * k0.ravel(), *coords], axis=-1) for s in (1.0, -1.0)]
+    bodies = np.stack([np.ravel(g(x)).reshape(k0.shape) * weight
+                       for x in pts for g in gs])
     p, qs = phase_sums(a, k0, bodies)
-    return [p[0] + 1j * qs[0], p[1] - 1j * qs[1]]
+    n = len(gs)
+    return p[:n] + 1j * qs[:n], p[n:] - 1j * qs[n:]
 
 
 def _combine_branches(plus, minus, inside, alpha: float):
@@ -506,42 +508,47 @@ def _combine_branches(plus, minus, inside, alpha: float):
     return sa * plus, sa * minus, zero
 
 
-def _branch_transforms_1d(g: TestFunction, avals: np.ndarray, spec: GreenSpec,
-                          mult: float, amax: float) -> dict:
-    """A_b(a) = integral rho_b(k) g(k) e^{iak} dk in d = 1 for b in "+-0"."""
+def _branch_transforms_1d(gs: Sequence[TestFunction], avals: np.ndarray,
+                          spec: GreenSpec, mult: float, amax: float) -> dict:
+    """A_b[l](a) = integral rho_b(k) g_l(k) e^{iak} dk in d = 1 for b in "+-0".
+
+    All factors g_l share one energy grid: the gap piece's does not depend
+    on the factor, and the cosh pieces run up to the largest support edge.
+    """
     m = spec.mass
     expo = 1 - 2 * spec.alpha
-    kmax = abs(np.asarray(g.center)).max() + _effective_radius(g)
+    kmax = max(abs(np.asarray(g.center)).max() + _effective_radius(g) for g in gs)
     w = np.array([m])
 
     def sums(krange, tmax=None):
         nt = int(_osc_npts(amax, krange) * mult)
-        return [b[:, 0] for b in _energy_sums(g, avals, w, None, nt, expo, tmax)]
+        return [b[..., 0] for b in _energy_sums(gs, avals, w, None, nt, expo, tmax)]
 
     inside = sum(sums(2 * m * np.sin(_GAP)))
     if kmax > m:
         tmax = math.acosh(kmax / m)
         plus, minus = sums(m * np.cosh(tmax) - m * np.cosh(1e-12), tmax)
     else:
-        plus = minus = np.zeros(len(avals), dtype=complex)
+        plus = minus = np.zeros((len(gs), len(avals)), dtype=complex)
     pref = (2 * math.pi) ** -0.5
     return {b: pref * t for b, t in
             zip("+-0", _combine_branches(plus, minus, inside, spec.alpha))}
 
 
-def _branch_transforms_2d(g: TestFunction, ax0: np.ndarray, ax1: np.ndarray,
-                          spec: GreenSpec, mult: float) -> dict:
+def _branch_transforms_2d(gs: Sequence[TestFunction], ax0: np.ndarray,
+                          ax1: np.ndarray, spec: GreenSpec, mult: float) -> dict:
     """The same transforms in d = 2 on a tensor grid of auxiliary points.
 
-    Returns A_b[a0, a1] for b in "+-0".  The energy quadrature is contracted
-    against each spatial node before the spatial phases are applied, so the
-    workspace stays linear in the number of auxiliary nodes per axis.
+    Returns A_b[l, a0, a1] for b in "+-0".  All factors share one energy and
+    spatial grid, sized by the largest spatial and energy support edge over
+    the factors.  The energy quadrature is contracted against each spatial
+    node before the spatial phases are applied, so the workspace stays
+    linear in the number of auxiliary nodes per axis.
     """
     m = spec.mass
     expo = 1 - 2 * spec.alpha
-    rad = _effective_radius(g)
-    qmax = abs(g.center[1]) + rad
-    k0cap = abs(g.center[0]) + rad
+    qmax = max(abs(g.center[1]) + _effective_radius(g) for g in gs)
+    k0cap = max(abs(g.center[0]) + _effective_radius(g) for g in gs)
     a0max = float(np.max(np.abs(ax0)))
     a1max = float(np.max(np.abs(ax1)))
     nq = int(_osc_npts(a1max, 2 * qmax) * mult)
@@ -549,9 +556,9 @@ def _branch_transforms_2d(g: TestFunction, ax0: np.ndarray, ax1: np.ndarray,
     w = np.sqrt(q * q + m * m)
     tmax = max(0.25, math.acosh(max(1.0 + 1e-9, k0cap / m)))
     plus, minus = _energy_sums(
-        g, ax0, w, q, int(_osc_npts(a0max, max(k0cap - m, 2 * m)) * mult), expo, tmax)
+        gs, ax0, w, q, int(_osc_npts(a0max, max(k0cap - m, 2 * m)) * mult), expo, tmax)
     inside = sum(_energy_sums(
-        g, ax0, w, q, int(_osc_npts(a0max, 2 * math.sqrt(qmax * qmax + m * m)) * mult),
+        gs, ax0, w, q, int(_osc_npts(a0max, 2 * math.sqrt(qmax * qmax + m * m)) * mult),
         expo))
     bm = np.stack(_combine_branches(plus, minus, inside, spec.alpha))
     phase1 = np.exp(1j * np.outer(q, ax1))  # (nq, n1)
@@ -573,13 +580,15 @@ def factorized_eval(
 
         c_n 2^(n-1) * integral da sum_j prod_l A^{branch(l,j)}_l(a),
 
-    with A^b_l the smooth branch transform of the l-th factor.  All three
-    branch transforms of a factor come from one shared phase evaluation
-    (:func:`~kreinfield.quadrature.phase_sums`): the - branch is the + branch
-    with k0 -> -k0, the two-sided branch reuses both cosh pieces for
+    with A^b_l the smooth branch transform of the l-th factor.  All factors'
+    transforms are evaluated on one shared energy/spatial grid, so one phase
+    evaluation per energy piece (:func:`~kreinfield.quadrature.phase_sums`)
+    serves every factor and branch: the - branch is the + branch with
+    k0 -> -k0, the two-sided branch reuses both cosh pieces for
     alpha < 1/2, its gap piece is odd in k0 and folds onto half its grid,
     and the antisymmetric a-rule needs cos and sin of a k0 on its
-    non-negative half only.
+    non-negative half only.  A round makes two phase_sums calls whatever n
+    (one in d = 1 when no support reaches past the mass).
 
     The products decay like |a|^(-n) (d = 2) or |a|^(-n/2) (d = 1), so the
     a-integral converges absolutely for n >= 3.  Node counts per axis follow
@@ -617,16 +626,15 @@ def factorized_eval(
                           int(_osc_npts(bandwidth(axis), 2 * a_box) * mult))
                  for axis in range(spec.dim)]
         if spec.dim == 1:
-            trans = [_branch_transforms_1d(g, rules[0][0], spec, mult, a_box)
-                     for g in test.factors]
+            trans = _branch_transforms_1d(test.factors, rules[0][0], spec, mult, a_box)
         else:
-            trans = [_branch_transforms_2d(g, rules[0][0], rules[1][0], spec, mult)
-                     for g in test.factors]
+            trans = _branch_transforms_2d(test.factors, rules[0][0], rules[1][0],
+                                          spec, mult)
         total = 0.0
         for j in range(n):
             prod = 1.0
-            for l, tr in enumerate(trans):
-                prod = prod * tr["-" if l < j else ("0" if l == j else "+")]
+            for l in range(n):
+                prod = prod * trans["-" if l < j else ("0" if l == j else "+")][l]
             total = total + prod
         for _, aw in reversed(rules):  # contract the a-axes, last first
             total = total @ aw
@@ -901,6 +909,36 @@ def _slot_caps(phi) -> float:
     return 12.0
 
 
+def _spatially_radial(g: TestFunction) -> bool:
+    """Whether g(k0, kvec) depends on kvec only through |kvec|^2.
+
+    Holds when the spatial center and freq vanish and, for every energy
+    degree p, the polynomial's spatial terms of each total degree 2j are one
+    multiple of |u|^(2j) (and odd spatial degrees are absent).
+    """
+    if any(g.center[1:]) or any(g.freq[1:]):
+        return False
+    ns = g.dim - 1
+    groups: dict = {}
+    for beta, c in g.coeffs.items():
+        groups.setdefault((beta[0], sum(beta[1:])), {})[beta[1:]] = c
+    r2 = {tuple(2 * (i == ax) for i in range(ns)): 1.0 for ax in range(ns)}
+    for (_, deg), terms in groups.items():
+        scale = max(abs(c) for c in terms.values())
+        if scale == 0:
+            continue
+        if deg % 2:
+            return False
+        power = {(0,) * ns: 1.0}
+        for _ in range(deg // 2):
+            power = poly_mul(power, r2)
+        lam = terms.get((deg,) + (0,) * (ns - 1), 0.0)
+        if any(abs(terms.get(b, 0.0) - lam * power.get(b, 0.0)) > 1e-12 * scale
+               for b in set(terms) | set(power)):
+            return False
+    return True
+
+
 def _radial_vectors(la, lb, om):
     """Representative spatial vectors with |a| = la, |b| = lb, |a + b| = om."""
     c = np.clip((om * om - la * la - lb * lb) / (2 * la * lb), -1.0, 1.0)
@@ -920,8 +958,12 @@ def vector_measure_radial(
 ) -> complex:
     """Three-slot shell measure against a rotation-invariant test function.
 
-    Precondition (not checkable cheaply): phi(k1, k2, k3) must be invariant
-    under simultaneous spatial rotations of all slots.  The angular integrals
+    Precondition: phi(k1, k2, k3) must be invariant under simultaneous
+    spatial rotations of all slots.  A TensorTestFunction is checked factor
+    by factor (each must have zero spatial center and freq and a polynomial
+    that depends on kvec only through |kvec|^2) and raises
+    PreconditionError otherwise; a plain callable is taken on trust, and so
+    is ``multiplier``.  The angular integrals
     then reduce exactly, leaving smooth quadratures over the two free moduli,
     the resolved modulus on its triangle interval, and (for middle j) s:
 
@@ -935,6 +977,11 @@ def vector_measure_radial(
     if j not in (0, 1, 2, 3):
         raise PreconditionError("slot index j must lie in 0..3")
     f = _phi3(phi)
+    if isinstance(phi, TensorTestFunction) and not all(
+            _spatially_radial(g) for g in phi.factors):
+        raise PreconditionError(
+            "vector_measure_radial needs factors invariant under spatial "
+            "rotations; use vector_measure_eval")
     cap = lam_max if lam_max is not None else _slot_caps(phi)
 
     def assemble(k1, k2, k3):

@@ -13,6 +13,7 @@ from kreinfield.errors import (
     PreconditionError,
     SizeLimitError,
 )
+from kreinfield import hssc
 from kreinfield.green import GreenSpec
 from kreinfield.hssc import (
     GramPair,
@@ -604,6 +605,41 @@ def test_certify_atom_line_full_pairwise():
     assert cert["per_order"][-1]["order"] == 4
     assert all(row["min_margin"] > 0.0 for row in cert["per_order"])
     assert cert["scalar_factors"]["overlap_sup"] < cert["scalar_factors"]["overlap_ceiling"]
+
+
+def _fake_evaluator(value: float, rtol: float):
+    """Stands in for truncated_momentum_eval: one refinement record at rtol."""
+    def evaluate(test, spec, triple, tol=None, recorder=None):
+        if recorder is not None:
+            recorder.append({"op": "fake", "value": [value, 0.0],
+                             "tolerance": rtol, "history": []})
+        return complex(value)
+    return evaluate
+
+
+@pytest.mark.parametrize("row", ["per_order", "pairwise"])
+def test_certify_verdict_counts_the_accepted_tolerance(row, monkeypatch):
+    """A value within its tolerance of the bound fails: |W| (1 + tol) > bound."""
+    spec = GreenSpec(1, 0.5, 1.0)
+    f = TestFunction.gaussian((0.2,), 0.9)
+    member = TensorTestFunction((f, f) if row == "per_order" else (f,))
+    monkeypatch.setattr(hssc, "truncated_momentum_eval", _fake_evaluator(0.0, 0.0))
+    base = hssc_certify(spec, GAUSS_TRIPLE, [member], n_max=2)
+    norm = tensor_schwartz_norm(member, SchwartzNormSpec(0, 2))
+    if row == "per_order":
+        bound = base["constants"]["order_bounds"][1] * norm
+    else:
+        bound = (base["constants"]["norm_constants"][0] * norm) ** 2
+    rtol = 1e-3
+    near = bound * (1 - rtol / 2)
+    monkeypatch.setattr(hssc, "truncated_momentum_eval", _fake_evaluator(near, 0.0))
+    bare = hssc_certify(spec, GAUSS_TRIPLE, [member], n_max=2)
+    monkeypatch.setattr(hssc, "truncated_momentum_eval", _fake_evaluator(near, rtol))
+    counted = hssc_certify(spec, GAUSS_TRIPLE, [member], n_max=2)
+    assert bare["passed"] and not counted["passed"]
+    ratio = counted[row]["worst_ratio"] if row == "pairwise" else \
+        counted[row][0]["worst_ratio"]
+    assert ratio == pytest.approx((1 - rtol / 2) * (1 + rtol), rel=1e-12)
 
 
 def test_certify_rejections():

@@ -166,13 +166,17 @@ def test_package_import_leaves_out_scipy_special_and_mpmath():
 def test_phase_sums_match_direct_exponential(na, monkeypatch):
     rng = np.random.default_rng(na)
     a, _ = gl_nodes(-14.0, 14.0, na)
-    k = 4.0 * rng.normal(size=(13, 5))
-    bodies = rng.normal(size=(3, 13, 5)) + 1j * rng.normal(size=(3, 13, 5))
-    # one q-chunk, then a budget of 2 * na * nt phases that forces three
-    for budget in (None, 2 * na * 13):
+    nb, nt, nq = 8, 13, 5
+    k = 4.0 * rng.normal(size=(nt, nq))
+    bodies = rng.normal(size=(nb, nt, nq)) + 1j * rng.normal(size=(nb, nt, nq))
+    # one q-chunk, then budgets that force chunks of two columns (three
+    # chunks) and of one column; the budget counts the bodies
+    per_column = na * (nt + 2 * nb)
+    for budget in (None, 2 * per_column, per_column):
         if budget is not None:
             monkeypatch.setattr(quadrature, "_PHASE_BUDGET", budget)
         p, q = phase_sums(a, k, bodies)
+        assert p.shape == q.shape == (nb, na, nq)
         for sign in (1.0, -1.0):
             direct = np.einsum("atq,jtq->jaq",
                                np.exp(1j * sign * a[:, None, None] * k), bodies)

@@ -9,7 +9,7 @@ from kreinfield.errors import DomainError, PreconditionError, SingularConfigurat
 from kreinfield.green import GreenSpec
 from kreinfield.lattice import Lattice
 from kreinfield.levy import LevyTriple, cumulant_coeff
-from kreinfield.quadrature import gl_nodes, line_quadrature, refine
+from kreinfield.quadrature import gl_nodes, line_quadrature, phase_sums, refine
 from kreinfield.testfunctions import TestFunction, TensorTestFunction
 from kreinfield.wightman import (
     bracket_scalar,
@@ -499,15 +499,120 @@ def test_factorized_matches_tensor_quadrature_d2():
 
 @pytest.mark.parametrize("dim, alpha, test, want", [
     (2, 0.5, FACTORIZED_D2, 0.01699268330016418),
-    # alpha < 1/2 brings in the cos(pi alpha) cosh pieces of the 0 branch
-    (2, 0.35, FACTORIZED_D2, 0.012176203414709603),
-    (1, 0.35, FACTORIZED_D1, 0.28358155381079303),
+    # alpha < 1/2 brings in the cos(pi alpha) cosh pieces of the 0 branch;
+    # there the endpoint factor (w sinh t)^(1 - 2 alpha) converges only
+    # algebraically, so these pin the factors' shared grid
+    (2, 0.35, FACTORIZED_D2, 0.012176196026722009),
+    (1, 0.35, FACTORIZED_D1, 0.2835815454648208),
 ])
 def test_factorized_values_are_pinned(dim, alpha, test, want):
-    """Pinned from the per-branch transforms, one complex phase tensor per branch."""
+    """Pinned from the transforms of all factors on one shared grid."""
     got = factorized_eval(test, GreenSpec(dim, alpha, 1.0), ATOM_TRIPLE, tol=1e-3)
     assert abs(got.imag) < 1e-12
     assert got.real == pytest.approx(want, rel=1e-12)
+
+
+FACTORIZED_D2_FOUR = TensorTestFunction(
+    FACTORIZED_D2.factors + (TestFunction.gaussian((0.7, -0.9), 1.1, freq=(0.3, -0.2)),))
+
+
+# -- per-factor oracle: each factor's transforms on its own grid, one
+# phase_sums call per factor and energy piece
+
+
+def _energy_sums_one(g, a, w, q, nt, expo, tmax=None):
+    if tmax is None:
+        u, wu = gl_nodes(-wightman._GAP, wightman._GAP, nt)
+        u, wu = u[nt // 2:, None], wu[nt // 2:].copy()
+        if nt % 2:
+            wu[0] *= 0.5
+        k0, jac = w * np.sin(u), (w * np.cos(u)) ** expo
+    else:
+        u, wu = gl_nodes(1e-12, tmax, nt)
+        u = u[:, None]
+        k0, jac = w * np.cosh(u), (w * np.sinh(u)) ** expo
+    coords = [] if q is None else [np.broadcast_to(q, k0.shape).ravel()]
+    bodies = np.stack([
+        np.ravel(g(np.stack([s * k0.ravel(), *coords], axis=-1))).reshape(k0.shape)
+        * jac * wu[:, None]
+        for s in (1.0, -1.0)
+    ])
+    p, qs = phase_sums(a, k0, bodies)
+    return [p[0] + 1j * qs[0], p[1] - 1j * qs[1]]
+
+
+def _per_factor_transforms_1d(g, avals, spec, mult, amax):
+    m, expo = spec.mass, 1 - 2 * spec.alpha
+    kmax = abs(np.asarray(g.center)).max() + wightman._effective_radius(g)
+    w = np.array([m])
+
+    def sums(krange, tmax=None):
+        nt = int(wightman._osc_npts(amax, krange) * mult)
+        return [b[:, 0] for b in _energy_sums_one(g, avals, w, None, nt, expo, tmax)]
+
+    inside = sum(sums(2 * m * np.sin(wightman._GAP)))
+    if kmax > m:
+        tmax = math.acosh(kmax / m)
+        plus, minus = sums(m * np.cosh(tmax) - m * np.cosh(1e-12), tmax)
+    else:
+        plus = minus = np.zeros(len(avals), dtype=complex)
+    return {b: (2 * math.pi) ** -0.5 * t for b, t in zip(
+        "+-0", wightman._combine_branches(plus, minus, inside, spec.alpha))}
+
+
+def _per_factor_transforms_2d(g, ax0, ax1, spec, mult):
+    m, expo = spec.mass, 1 - 2 * spec.alpha
+    rad = wightman._effective_radius(g)
+    qmax, k0cap = abs(g.center[1]) + rad, abs(g.center[0]) + rad
+    a0max, a1max = np.max(np.abs(ax0)), np.max(np.abs(ax1))
+    q, wq = gl_nodes(-qmax, qmax, int(wightman._osc_npts(a1max, 2 * qmax) * mult))
+    w = np.sqrt(q * q + m * m)
+    tmax = max(0.25, math.acosh(max(1.0 + 1e-9, k0cap / m)))
+    nt_cosh = int(wightman._osc_npts(a0max, max(k0cap - m, 2 * m)) * mult)
+    nt_gap = int(wightman._osc_npts(a0max, 2 * math.sqrt(qmax**2 + m * m)) * mult)
+    plus, minus = _energy_sums_one(g, ax0, w, q, nt_cosh, expo, tmax)
+    inside = sum(_energy_sums_one(g, ax0, w, q, nt_gap, expo))
+    bm = np.stack(wightman._combine_branches(plus, minus, inside, spec.alpha))
+    out = (2 * math.pi) ** -1.0 * ((bm * wq) @ np.exp(1j * np.outer(q, ax1)))
+    return dict(zip("+-0", out))
+
+
+@pytest.mark.parametrize("test", [FACTORIZED_D2, FACTORIZED_D2_FOUR, FACTORIZED_D1],
+                         ids=["d2-n3", "d2-n4", "d1-n3"])
+def test_shared_grid_matches_per_factor_oracle(test, monkeypatch):
+    """At alpha = 1/2 every energy piece converges exponentially, so widening
+    each factor's grid to the union of the supports leaves the value put."""
+    spec = GreenSpec(test.dim, 0.5, 1.0)
+    got = factorized_eval(test, spec, ATOM_TRIPLE, tol=1e-3)
+
+    def stacked(per_factor):
+        def transforms(gs, *args):
+            per = [per_factor(g, *args) for g in gs]
+            return {b: np.stack([t[b] for t in per]) for b in "+-0"}
+        return transforms
+
+    monkeypatch.setattr(wightman, "_branch_transforms_1d",
+                        stacked(_per_factor_transforms_1d))
+    monkeypatch.setattr(wightman, "_branch_transforms_2d",
+                        stacked(_per_factor_transforms_2d))
+    want = factorized_eval(test, spec, ATOM_TRIPLE, tol=1e-3)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("test, alpha", [
+    (FACTORIZED_D2, 0.5), (FACTORIZED_D2_FOUR, 0.5), (FACTORIZED_D1, 0.35)],
+    ids=["d2-n3", "d2-n4", "d1-n3"])
+def test_factorized_makes_two_phase_passes_per_round(test, alpha, monkeypatch):
+    calls = []
+    monkeypatch.setattr(wightman, "phase_sums",
+                        lambda *args: calls.append(args[2].shape) or phase_sums(*args))
+    rec = []
+    factorized_eval(test, GreenSpec(test.dim, alpha, 1.0), ATOM_TRIPLE, tol=1e-3,
+                    recorder=rec)
+    rounds = len(rec[0]["history"])
+    assert len(calls) == 2 * rounds
+    # every call carries both signs of every factor
+    assert all(shape[0] == 2 * len(test.factors) for shape in calls)
 
 
 def test_factorized_needs_three_slots():
@@ -649,6 +754,29 @@ def test_vector_off_support_vanishes():
                                   radial4(0.8, 1.1)))
     assert abs(vector_measure_radial(0, phi_off)) < 1e-10
     assert abs(vector_measure_eval(0, phi_off)) < 1e-10
+
+
+def _with_first_factor(g: TestFunction) -> TensorTestFunction:
+    return TensorTestFunction((g,) + VEC_PHI.factors[1:])
+
+
+@pytest.mark.parametrize("factor", [
+    radial4(-1.0, 1.2).translate((0.0, 0.3, 0.0, 0.0)),
+    TestFunction.gaussian((-1.0, 0.0, 0.0, 0.0), 1.2, freq=(0.0, 0.0, 0.4, 0.0)),
+    TestFunction(4, (-1.0, 0.0, 0.0, 0.0), 1.2, {(0, 0, 0, 1): 1.0}),
+    TestFunction(4, (-1.0, 0.0, 0.0, 0.0), 1.2, {(1, 2, 0, 0): 1.0, (1, 0, 2, 0): 1.0}),
+], ids=["spatial-center", "spatial-freq", "odd-polynomial", "anisotropic-polynomial"])
+def test_vector_radial_rejects_non_invariant_factors(factor):
+    with pytest.raises(PreconditionError):
+        vector_measure_radial(0, _with_first_factor(factor))
+
+
+def test_vector_radial_accepts_polynomials_in_the_spatial_modulus():
+    # k0 (1 + |kvec|^2) and an energy-only frequency keep the rotation symmetry
+    coeffs = {(1, 0, 0, 0): 1.0, (1, 2, 0, 0): 1.0, (1, 0, 2, 0): 1.0,
+              (1, 0, 0, 2): 1.0}
+    g = TestFunction(4, (-1.0, 0.0, 0.0, 0.0), 1.2, coeffs, (0.3, 0.0, 0.0, 0.0))
+    assert np.isfinite(vector_measure_radial(0, _with_first_factor(g)))
 
 
 def test_vector_slot_index_guard():
