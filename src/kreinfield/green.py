@@ -92,7 +92,7 @@ def green_alpha_lattice(lat: Lattice, spec: GreenSpec) -> LatticeField:
 
 
 @functools.lru_cache(maxsize=None)
-def _unit_cell_inverse_square_mean(level: int = 5) -> float:
+def _unit_cell_inverse_square_mean() -> float:
     """Mean of 1/|u|^2 over the unit cell [-1/2, 1/2]^4, by refined midpoints."""
 
     def midpoint(n: int) -> float:
@@ -104,7 +104,7 @@ def _unit_cell_inverse_square_mean(level: int = 5) -> float:
             r2 = r2 + (ax**2).reshape(shape)
         return float(np.mean(1.0 / r2))
 
-    coarse, fine = midpoint(2**(level - 1)), midpoint(2**level)
+    coarse, fine = midpoint(16), midpoint(32)
     # midpoint refinement converges ~ O(h); Richardson once
     return 2 * fine - coarse
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -737,14 +736,14 @@ def majorization_check(pair: GramPair) -> MajorizationReport:
     return MajorizationReport(ratio=ratio, passed=ratio <= 1.0 + 1e-10)
 
 
-def _matrix_sign(x: np.ndarray, tol: float = 1e-13, iters: int = 80) -> np.ndarray:
-    """Newton iteration for the matrix sign of a Hermitian matrix."""
+def _matrix_sign(x: np.ndarray) -> np.ndarray:
+    """Newton iteration for the matrix sign of a Hermitian matrix (to 1e-13, 80 steps)."""
     s = x / max(float(np.linalg.norm(x, 2)), 1e-300)
     ident = np.eye(len(x), dtype=complex)
     err = math.inf
-    for _ in range(iters):
+    for _ in range(80):
         err = float(np.linalg.norm(s @ s - ident, 2))
-        if err < tol:
+        if err < 1e-13:
             return 0.5 * (s + s.conj().T)
         s = 0.5 * (s + np.linalg.inv(s))
     raise QuadratureError("matrix sign iteration stalled", residual=err)
@@ -770,12 +769,14 @@ class KreinResult:
     remajorization_ratio: Optional[float]
 
 
-def krein_reduce(pair: GramPair, kernel_tol: float = 1e-10) -> KreinResult:
+def krein_reduce(pair: GramPair) -> KreinResult:
     """Split the whitened pairing into a sign metric and a degenerate part.
 
-    Requires the majorization check to pass.  The metric is computed by a
-    Newton sign iteration on the deflated block (not read off a diagonal),
-    so its self-inverse defect is a genuine numerical residual.
+    Requires the majorization check to pass.  Eigenvalues of the whitened
+    pairing of modulus at most 1e-10 times its spectral norm form the
+    degenerate part.  The metric is computed by a Newton sign iteration on
+    the deflated block (not read off a diagonal), so its self-inverse defect
+    is a genuine numerical residual.
     """
     report = majorization_check(pair)
     if not report.passed:
@@ -789,7 +790,7 @@ def krein_reduce(pair: GramPair, kernel_tol: float = 1e-10) -> KreinResult:
     t = 0.5 * (t + t.conj().T)
     lam, u = np.linalg.eigh(t)
     scale = max(float(np.max(np.abs(lam))), 1e-300)
-    keep = np.abs(lam) > kernel_tol * scale
+    keep = np.abs(lam) > 1e-10 * scale
     k = int(len(lam) - np.count_nonzero(keep))
     u_r = u[:, keep]
     lam_r = lam[keep]
@@ -839,7 +840,6 @@ def hssc_certify(
     gamma: float = 0.25,
     pair_degree_cap: Optional[int] = None,
     tol: Optional[float] = None,
-    out_path: Optional[str] = None,
 ) -> dict:
     """Certify the seminorm domination of the hierarchy on a test family.
 
@@ -976,7 +976,4 @@ def hssc_certify(
         "passed": bool(passed),
         "runtime_seconds": time.perf_counter() - t0,
     }
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(certificate, fh, indent=2)
     return certificate

@@ -96,7 +96,7 @@ def characteristic_functional(
     stabilized below ``tol``.
     """
     d = phi.dim
-    halfwidth = 9.0 * phi.width * (1.0 + 0.35 * phi.degree())
+    halfwidth = phi.effective_radius()
     center = np.asarray(phi.center)
 
     def level_value(npts: int) -> complex:

@@ -235,13 +235,17 @@ def line_quadrature(
     return total
 
 
-def tensor_blocks(axes, fn, chunk: int = 1 << 19) -> complex:
+# grid points per chunk of :func:`tensor_blocks`
+_BLOCK = 1 << 19
+
+
+def tensor_blocks(axes, fn) -> complex:
     """sum over the tensor grid of fn(columns) * prod weights, in chunks."""
     sizes = [len(a[0]) for a in axes]
     total_pts = int(np.prod(sizes))
     out = 0.0 + 0.0j
-    for start in range(0, total_pts, chunk):
-        idx = np.arange(start, min(start + chunk, total_pts))
+    for start in range(0, total_pts, _BLOCK):
+        idx = np.arange(start, min(start + _BLOCK, total_pts))
         unraveled = np.unravel_index(idx, sizes)
         cols, wprod = [], 1.0
         for (nodes, weights), ix in zip(axes, unraveled):

@@ -107,6 +107,10 @@ class TestFunction:
     def degree(self) -> int:
         return max((sum(b) for b in self.coeffs), default=0)
 
+    def effective_radius(self) -> float:
+        """Radius about the center beyond which f is below quadrature noise."""
+        return 9.0 * self.width * (1.0 + 0.35 * self.degree())
+
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x) -> np.ndarray:

@@ -131,10 +131,6 @@ def bracket_scalar(k0s: np.ndarray, kv_sqs: np.ndarray, spec: GreenSpec) -> np.n
     return out
 
 
-def _effective_radius(f: TestFunction) -> float:
-    return 9.0 * f.width * (1.0 + 0.35 * f.degree())
-
-
 # -- n = 2 evaluators -----------------------------------------------------------
 
 
@@ -187,7 +183,7 @@ def two_point_shell_eval(
     kmax = 60.0 * max(1.0, m)
     if isinstance(test, TensorTestFunction):
         rad = max(
-            abs(np.asarray(g.center)).max() + _effective_radius(g)
+            abs(np.asarray(g.center)).max() + g.effective_radius()
             for g in test.factors
         )
         kmax = min(kmax, rad)
@@ -451,11 +447,11 @@ def three_point_eval_2d(
 # -- factorized evaluator for tensor arguments ----------------------------------
 
 
-def _osc_npts(amax: float, krange: float, floor: int = 24) -> int:
+def _osc_npts(amax: float, krange: float) -> int:
     # Gauss-Legendre tracks exp(i a k) once the node count clears the phase
     # half-bandwidth amax*krange/2; the margin covers the transition region
     # before the Bessel-coefficient tail sets in.
-    return int(0.54 * amax * krange) + floor
+    return int(0.54 * amax * krange) + 24
 
 
 _GAP = 0.5 * math.pi - 1e-12  # |u| bound of the gap substitution k0 = w sin u
@@ -517,7 +513,7 @@ def _branch_transforms_1d(gs: Sequence[TestFunction], avals: np.ndarray,
     """
     m = spec.mass
     expo = 1 - 2 * spec.alpha
-    kmax = max(abs(np.asarray(g.center)).max() + _effective_radius(g) for g in gs)
+    kmax = max(abs(np.asarray(g.center)).max() + g.effective_radius() for g in gs)
     w = np.array([m])
 
     def sums(krange, tmax=None):
@@ -547,8 +543,8 @@ def _branch_transforms_2d(gs: Sequence[TestFunction], ax0: np.ndarray,
     """
     m = spec.mass
     expo = 1 - 2 * spec.alpha
-    qmax = max(abs(g.center[1]) + _effective_radius(g) for g in gs)
-    k0cap = max(abs(g.center[0]) + _effective_radius(g) for g in gs)
+    qmax = max(abs(g.center[1]) + g.effective_radius() for g in gs)
+    k0cap = max(abs(g.center[0]) + g.effective_radius() for g in gs)
     a0max = float(np.max(np.abs(ax0)))
     a1max = float(np.max(np.abs(ax1)))
     nq = int(_osc_npts(a1max, 2 * qmax) * mult)
@@ -618,7 +614,7 @@ def factorized_eval(
     # hard support cap is far into the Gaussian tail and would only inflate
     # the node budget.
     def bandwidth(axis: int) -> float:
-        return sum(abs(g.center[axis]) + 0.55 * _effective_radius(g)
+        return sum(abs(g.center[axis]) + 0.55 * g.effective_radius()
                    for g in test.factors)
 
     def value(mult: float) -> complex:
@@ -887,26 +883,14 @@ def cluster_decay(
 # with the certification code.
 
 
-def _phi3(phi) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapter: callable on momentum stacks of shape (3, M, 4) -> (M,)."""
-    if isinstance(phi, TensorTestFunction):
-        if len(phi.factors) != 3 or phi.factors[0].dim != 4:
-            raise PreconditionError("need three four-dimensional factors")
-
-        def f(k):
-            return phi(np.moveaxis(k, 0, -2))
-
-        return f
-    return phi
-
-
-def _slot_caps(phi) -> float:
-    if isinstance(phi, TensorTestFunction):
-        return max(
-            float(abs(np.asarray(g.center)).max()) + _effective_radius(g)
-            for g in phi.factors
-        )
-    return 12.0
+def _vector_cap(phi) -> float:
+    """Modulus cap of a three-slot vector argument, checking its form."""
+    if not (isinstance(phi, TensorTestFunction) and len(phi.factors) == 3
+            and phi.dim == 4):
+        raise PreconditionError(
+            "need a TensorTestFunction of three four-dimensional factors")
+    return max(float(abs(np.asarray(g.center)).max()) + g.effective_radius()
+               for g in phi.factors)
 
 
 def _spatially_radial(g: TestFunction) -> bool:
@@ -939,162 +923,132 @@ def _spatially_radial(g: TestFunction) -> bool:
     return True
 
 
-def _radial_vectors(la, lb, om):
-    """Representative spatial vectors with |a| = la, |b| = lb, |a + b| = om."""
+def _pair_vectors(la, lb, om, axis, perp):
+    """Spatial a = la axis and b in the (axis, perp) plane, |b| = lb, |a + b| = om."""
     c = np.clip((om * om - la * la - lb * lb) / (2 * la * lb), -1.0, 1.0)
     s = np.sqrt(np.maximum(0.0, 1.0 - c * c))
-    za = np.zeros_like(la)
-    va = np.stack([za, za, la], axis=-1)
-    vb = np.stack([lb * s, np.zeros_like(lb), lb * c], axis=-1)
-    return va, vb
+    vb = lb[..., None] * (s[..., None] * perp + c[..., None] * axis)
+    return la[..., None] * axis, vb
 
 
-def vector_measure_radial(
-    j: int,
-    phi,
-    lam_max: Optional[float] = None,
-    tol: float = 5e-3,
-    multiplier: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> complex:
+def _slot_momenta(j: int, la, lb, tot, om, s, va, vb) -> np.ndarray:
+    """Slot momenta (k1, k2, k3) of the measure j, stacked as (3, ..., 4).
+
+    The free slots carry va and vb (moduli la, lb, tot = la + lb), the
+    resolved slot -(va + vb) (modulus om).  The end measures put the free
+    slots on the forward (j = 0) or backward (j = 3) shell; the middle ones
+    slide the pinned energy with s in [0, 1].  Energies sum to zero.
+    """
+    k = np.empty((3,) + va.shape[:-1] + (4,))
+    e = k[..., 0]
+    if j == 0:
+        e[0], e[1], e[2] = -tot, la, lb
+    elif j == 3:
+        e[0], e[1], e[2] = -la, -lb, tot
+    elif j == 1:
+        e[0], e[2] = -(om * s + tot * (1 - s)), lb
+        e[1] = -e[0] - e[2]
+    else:
+        e[0], e[1] = -la, -((la + om) * s + lb * (1 - s) - la)
+        e[2] = -e[0] - e[1]
+    res = (0, 0, 1, 2)[j]  # the resolved slot; the free ones keep their order
+    fa, fb = (i for i in range(3) if i != res)
+    k[fa, ..., 1:] = va
+    k[fb, ..., 1:] = vb
+    k[res, ..., 1:] = -(va + vb)
+    return k
+
+
+def _shell_density(j: int, v, tot, om):
+    """Density of the measure j in (v, u, t[, s]), per unit of the angles.
+
+    Both routes use min/difference moduli v = min(la, lb), u = |la - lb|,
+    so tot = 2 v + u, and om = u + span t on the triangle [u, 2 v + u] with
+    span = 2 v.  In the plain moduli the triangle's limits have a derivative
+    jump across la = lb and the quadrature converges only first order; in
+    (v, u, t) they are smooth, at the price of summing both assignments
+    (la, lb) = (v, v + u) and (v + u, v).  The angles have total measure
+    8 pi^2: the end measures carry -/+span / (8 (tot + om)) for j = 0 / 3,
+    the middle ones span / 8.
+    """
+    span = 2.0 * v
+    if j in (1, 2):
+        return span / 8.0
+    dens = span / (8 * (tot + om))
+    return -dens if j == 0 else dens
+
+
+def vector_measure_radial(j: int, phi: TensorTestFunction,
+                          tol: float = 5e-3) -> complex:
     """Three-slot shell measure against a rotation-invariant test function.
 
-    Precondition: phi(k1, k2, k3) must be invariant under simultaneous
-    spatial rotations of all slots.  A TensorTestFunction is checked factor
-    by factor (each must have zero spatial center and freq and a polynomial
-    that depends on kvec only through |kvec|^2) and raises
-    PreconditionError otherwise; a plain callable is taken on trust, and so
-    is ``multiplier``.  The angular integrals
-    then reduce exactly, leaving smooth quadratures over the two free moduli,
-    the resolved modulus on its triangle interval, and (for middle j) s:
+    ``phi`` must be a TensorTestFunction of three four-dimensional factors,
+    each with zero spatial center and freq and a polynomial that depends on
+    kvec only through |kvec|^2; both are checked on every input and raise
+    PreconditionError.  The angular integrals then reduce exactly, leaving
+    smooth quadratures over the two free moduli, the resolved modulus on its
+    triangle (see :func:`_shell_density`) and, for middle j, s:
 
     * j = 0:  -pi^2 integral dl2 dl3 dw phi / (l2 + l3 + w);
     * j = 3:  +pi^2 integral dl1 dl2 dw phi / (l1 + l2 + w);
     * j in {1, 2}: pi^2 integral dla dlb dw ds phi  (unit density).
-
-    ``multiplier`` is an optional momentum-space factor (e.g. the transform of
-    a first-order operator acting on the slots), evaluated on (3, 4, M) stacks.
     """
     if j not in (0, 1, 2, 3):
         raise PreconditionError("slot index j must lie in 0..3")
-    f = _phi3(phi)
-    if isinstance(phi, TensorTestFunction) and not all(
-            _spatially_radial(g) for g in phi.factors):
+    cap = _vector_cap(phi)
+    if not all(_spatially_radial(g) for g in phi.factors):
         raise PreconditionError(
             "vector_measure_radial needs factors invariant under spatial "
             "rotations; use vector_measure_eval")
-    cap = lam_max if lam_max is not None else _slot_caps(phi)
-
-    def assemble(k1, k2, k3):
-        k = np.stack([k1, k2, k3])
-        vals = f(k)
-        if multiplier is not None:
-            vals = vals * multiplier(k)
-        return vals
-
-    def slot_vectors(L2, L3, OM, si=None):
-        va, vb = _radial_vectors(L2, L3, OM)
-        if j in (0, 3):
-            e2, e3 = (L2, L3) if j == 0 else (-L2, -L3)
-            kshell_a = np.concatenate([e2[..., None], va], axis=-1)
-            kshell_b = np.concatenate([e3[..., None], vb], axis=-1)
-            kres = np.concatenate(
-                [(-(e2 + e3))[..., None], -(va + vb)], axis=-1
-            )
-            return (kres, kshell_a, kshell_b) if j == 0 else (
-                kshell_a, kshell_b, kres)
-        if j == 1:
-            # free: slots 2 (modulus L2) and 3 (modulus L3, forward shell)
-            k0_1 = -(OM * si + (L2 + L3) * (1 - si))
-            k0_3 = L3
-            k0_2 = -k0_1 - k0_3
-            v2, v3 = va, vb
-            v1 = -(v2 + v3)
-        else:
-            # free: slots 1 (backward shell) and 3; slot 2 resolved
-            k0_1 = -L2
-            k0_2 = -((L2 + OM) * si + L3 * (1 - si) - L2)
-            k0_3 = -k0_1 - k0_2
-            v1, v3 = va, vb
-            v2 = -(v1 + v3)
-        return (
-            np.concatenate([k0_1[..., None], v1], axis=-1),
-            np.concatenate([k0_2[..., None], v2], axis=-1),
-            np.concatenate([k0_3[..., None], v3], axis=-1),
-        )
+    axis, perp = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
 
     def value(npts: int) -> complex:
-        # min/difference modulus coordinates: the resolved-modulus triangle
-        # [|la - lb|, la + lb] has a derivative jump across la = lb, so the
-        # plain modulus square converges only first order.  With v = min,
-        # u = |difference| the limits are u and 2 v + u — smooth on the
-        # rectangle — at the price of summing both assignments of (v, v + u).
         v, wv = gl_nodes(0.0, cap, npts)
         u, wu = gl_nodes(0.0, cap, npts)
         t, wt = gl_nodes(0.0, 1.0, max(12, npts // 2))
         V = v[:, None, None]
         U = u[None, :, None]
-        W = (wv[:, None, None] * wu[None, :, None]) * wt[None, None, :]
         OM = U + (2.0 * V) * t[None, None, :]
-        span = np.broadcast_to(2.0 * V, OM.shape)  # d omega = span dt
-        pairs = (
-            (np.broadcast_to(V, OM.shape), np.broadcast_to(V + U, OM.shape)),
-            (np.broadcast_to(V + U, OM.shape), np.broadcast_to(V, OM.shape)),
-        )
-
-        if j in (0, 3):
-            sgn = -1.0 if j == 0 else 1.0
-            total = 0.0 + 0.0j
-            for L2, L3 in pairs:
-                flat = [np.reshape(q, (-1, 4))
-                        for q in slot_vectors(L2, L3, OM)]
-                vals = assemble(*flat).reshape(OM.shape)
-                dens = span / (L2 + L3 + OM)
-                total += np.sum(vals * dens * W)
-            return sgn * math.pi**2 * complex(total)
-
-        # middle measures: constant density pi^2 on the triangle x [0, 1]
-        ns = max(10, npts // 3)
-        snod, swt = gl_nodes(0.0, 1.0, ns)
+        TOT = np.broadcast_to(2.0 * V + U, OM.shape)
+        W = ((wv[:, None, None] * wu[None, :, None]) * wt[None, None, :]
+             * _shell_density(j, V, TOT, OM))
+        slots = []
+        for la, lb in ((V, V + U), (V + U, V)):
+            la, lb = np.broadcast_to(la, OM.shape), np.broadcast_to(lb, OM.shape)
+            slots.append((la, lb) + _pair_vectors(la, lb, OM, axis, perp))
+        srule = (zip(*gl_nodes(0.0, 1.0, max(10, npts // 3))) if j in (1, 2)
+                 else ((None, 1.0),))
         total = 0.0 + 0.0j
-        for si, sw in zip(snod, swt):
-            for L2, L3 in pairs:
-                flat = [np.reshape(q, (-1, 4))
-                        for q in slot_vectors(L2, L3, OM, si)]
-                vals = assemble(*flat).reshape(OM.shape)
-                total += sw * np.sum(vals * span * W)
-        return math.pi**2 * complex(total)
+        for s, sw in srule:
+            for la, lb, va, vb in slots:
+                k = _slot_momenta(j, la, lb, TOT, OM, s, va, vb)
+                total += sw * np.sum(phi(np.moveaxis(k, 0, -2)) * W)
+        return 8 * math.pi**2 * complex(total)
 
     # the absolute floor: arguments supported away from the admissible
     # region integrate to numerical zero, where the relative residual is noise
     return refine(value, (40, 60, 90), tol, 1e-12, "vector_measure_radial")
 
 
-def vector_measure_eval(
-    j: int,
-    phi,
-    lam_max: Optional[float] = None,
-    tol: float = 2e-2,
-    multiplier: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> complex:
+def vector_measure_eval(j: int, phi: TensorTestFunction,
+                        tol: float = 2e-2) -> complex:
     """Three-slot shell measure for a general test function.
 
-    Tensor quadrature over (modulus a, polar a, azimuth a, modulus b,
-    resolved-modulus fraction, relative azimuth[, s]), chunked to bounded
-    memory.  The second slot's relative polar angle is substituted by the
-    modulus of the resolved spatial vector, whose Jacobian cancels the
-    1/|a + b| factor of the measure exactly, so the integrand is smooth.
-    For rotation-invariant arguments prefer :func:`vector_measure_radial`.
+    ``phi`` must be a TensorTestFunction of three four-dimensional factors
+    (PreconditionError otherwise).  Tensor quadrature over (modulus v, polar
+    a, azimuth a, modulus u, resolved-modulus fraction t, relative
+    azimuth[, s]) in the coordinates of :func:`_shell_density`, chunked to
+    bounded memory.  The resolved modulus stands in for the second slot's
+    relative polar angle; its Jacobian cancels the measure's 1/|a + b|, so
+    the integrand is smooth.  For rotation-invariant arguments prefer
+    :func:`vector_measure_radial`.
     """
     if j not in (0, 1, 2, 3):
         raise PreconditionError("slot index j must lie in 0..3")
-    f = _phi3(phi)
-    cap = lam_max if lam_max is not None else _slot_caps(phi)
+    cap = _vector_cap(phi)
 
     def value(npts) -> complex:
         nl, nt, na, ns = npts
-        # min/difference modulus coordinates (see vector_measure_radial): the
-        # triangle limits become u and 2 v + u, smooth on the rectangle, and
-        # each grid point sums both assignments of (v, v + u) to the moduli.
         vax = gl_nodes(0.0, cap, nl)
         uax = gl_nodes(0.0, cap, nl)
         tax_nodes, tax_w = gl_nodes(0.0, math.pi, nt)
@@ -1106,65 +1060,21 @@ def vector_measure_eval(
         if j in (1, 2):
             axes.append(gl_nodes(0.0, 1.0, ns))
 
-        def fn(*cols):
-            v, ta, aa, u, tt, bb = cols[:6]
+        def fn(v, ta, aa, u, tt, bb, s=None):
             st, ct = np.sin(ta), np.cos(ta)
             sp, cp = np.sin(aa), np.cos(aa)
-            na_hat = np.stack([st * cp, st * sp, ct], axis=-1)
+            axis = np.stack([st * cp, st * sp, ct], axis=-1)
             e1 = np.stack([ct * cp, ct * sp, -st], axis=-1)
             e2 = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+            perp = np.cos(bb)[..., None] * e1 + np.sin(bb)[..., None] * e2
             tot = 2.0 * v + u
             om = u + (2.0 * v) * tt
-            span = 2.0 * v
             out = 0.0
             for la, lb in ((v, v + u), (v + u, v)):
-                cg = np.clip(
-                    (om * om - la * la - lb * lb) / (2 * la * lb), -1, 1)
-                sg = np.sqrt(np.maximum(0.0, 1 - cg * cg))
-                va = la[..., None] * na_hat
-                vb = lb[..., None] * (
-                    sg[..., None] * (np.cos(bb)[..., None] * e1
-                                     + np.sin(bb)[..., None] * e2)
-                    + cg[..., None] * na_hat
-                )
-                if j == 0:
-                    k1 = np.concatenate(
-                        [(-tot)[..., None], -(va + vb)], axis=-1)
-                    k2 = np.concatenate([la[..., None], va], axis=-1)
-                    k3 = np.concatenate([lb[..., None], vb], axis=-1)
-                elif j == 3:
-                    k1 = np.concatenate([(-la)[..., None], va], axis=-1)
-                    k2 = np.concatenate([(-lb)[..., None], vb], axis=-1)
-                    k3 = np.concatenate(
-                        [tot[..., None], -(va + vb)], axis=-1)
-                elif j == 1:
-                    s = cols[6]
-                    k0_1 = -(om * s + tot * (1 - s))
-                    k0_3 = lb
-                    k0_2 = -k0_1 - k0_3
-                    k1 = np.concatenate([k0_1[..., None], -(va + vb)], axis=-1)
-                    k2 = np.concatenate([k0_2[..., None], va], axis=-1)
-                    k3 = np.concatenate([k0_3[..., None], vb], axis=-1)
-                else:
-                    s = cols[6]
-                    k0_1 = -la
-                    k0_2 = -((la + om) * s + lb * (1 - s) - la)
-                    k0_3 = -k0_1 - k0_2
-                    k1 = np.concatenate([k0_1[..., None], va], axis=-1)
-                    k2 = np.concatenate([k0_2[..., None], -(va + vb)], axis=-1)
-                    k3 = np.concatenate([k0_3[..., None], vb], axis=-1)
-                k = np.stack([k1, k2, k3])
-                vals = f(k)
-                if multiplier is not None:
-                    vals = vals * multiplier(k)
-                out = out + vals
-            if j in (0, 3):
-                dens = span / (8 * (tot + om))
-                if j == 0:
-                    dens = -dens
-            else:
-                dens = span / 8.0
-            return out * dens
+                va, vb = _pair_vectors(la, lb, om, axis, perp)
+                k = _slot_momenta(j, la, lb, tot, om, s, va, vb)
+                out = out + phi(np.moveaxis(k, 0, -2))
+            return out * _shell_density(j, v, tot, om)
 
         return tensor_blocks(axes, fn)
 

@@ -543,7 +543,7 @@ def _energy_sums_one(g, a, w, q, nt, expo, tmax=None):
 
 def _per_factor_transforms_1d(g, avals, spec, mult, amax):
     m, expo = spec.mass, 1 - 2 * spec.alpha
-    kmax = abs(np.asarray(g.center)).max() + wightman._effective_radius(g)
+    kmax = abs(np.asarray(g.center)).max() + g.effective_radius()
     w = np.array([m])
 
     def sums(krange, tmax=None):
@@ -562,7 +562,7 @@ def _per_factor_transforms_1d(g, avals, spec, mult, amax):
 
 def _per_factor_transforms_2d(g, ax0, ax1, spec, mult):
     m, expo = spec.mass, 1 - 2 * spec.alpha
-    rad = wightman._effective_radius(g)
+    rad = g.effective_radius()
     qmax, k0cap = abs(g.center[1]) + rad, abs(g.center[0]) + rad
     a0max, a1max = np.max(np.abs(ax0)), np.max(np.abs(ax1))
     q, wq = gl_nodes(-qmax, qmax, int(wightman._osc_npts(a1max, 2 * qmax) * mult))
@@ -692,12 +692,16 @@ VEC_PHI = TensorTestFunction((radial4(-1.0, 1.2), radial4(0.4, 1.0),
 
 # pinned from a 140-node run of the min/difference reference quadrature
 VEC_FROZEN = {0: -2.721903469, 1: 6.240378562, 2: 4.591078334, 3: 1.615915999}
+# the radial route's own accepted values, pinned to catch refactors
+VEC_RADIAL = {0: -2.721903468740663, 1: 6.240378561520545,
+              2: 4.591078333729445, 3: 1.6159159992024503}
 
 
 def test_vector_radial_frozen_values():
     for j, want in VEC_FROZEN.items():
         got = vector_measure_radial(j, VEC_PHI)
         assert complex(got).real == pytest.approx(want, rel=1e-5)
+        assert complex(got).real == pytest.approx(VEC_RADIAL[j], rel=1e-12)
         assert abs(complex(got).imag) < 1e-12
 
 
@@ -735,6 +739,9 @@ def test_vector_general_matches_radial():
     r2 = complex(vector_measure_radial(2, VEC_PHI)).real
     g2 = complex(vector_measure_eval(2, VEC_PHI)).real
     assert g2 == pytest.approx(r2, rel=2e-2)
+    # the general route's own accepted values, pinned to catch refactors
+    assert g0 == pytest.approx(-2.723621832562154, rel=1e-12)
+    assert g2 == pytest.approx(4.590317212175853, rel=1e-12)
 
 
 def test_vector_reflection_identities():
@@ -784,3 +791,14 @@ def test_vector_slot_index_guard():
         vector_measure_radial(4, VEC_PHI)
     with pytest.raises(PreconditionError):
         vector_measure_eval(-1, VEC_PHI)
+
+
+@pytest.mark.parametrize("measure", [vector_measure_radial, vector_measure_eval])
+def test_vector_measures_need_three_slot_tensors(measure):
+    def plain(k):
+        return np.ones(k.shape[1:-1])
+
+    with pytest.raises(PreconditionError):
+        measure(0, plain)
+    with pytest.raises(PreconditionError):
+        measure(0, TensorTestFunction(VEC_PHI.factors[:2]))
