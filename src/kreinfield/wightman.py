@@ -353,12 +353,17 @@ def three_point_eval_2d(
 ) -> complex:
     """Three-slot evaluation in d = 2: nested 4-d quadrature.
 
-    ``f(k0s, k1s)`` receives arrays of shape (3, M) (energies and spatial
-    components of the three slots) and must be vectorized over M.  The outer
-    level walks the first slot's energy; for each outer node the remaining
-    three levels (first slot space, second slot space, second slot energy)
-    are laid out as one tensor with a uniform interval decomposition, interval
-    endpoints pinned to the mass shells and crushed by the sine substitution.
+    The outer level walks the first slot's energy; for each outer node the
+    remaining three levels (first slot space, second slot space, second slot
+    energy) are laid out as one grid of shape (n2, 2, n3, K, n4): n2 level-2
+    nodes, two level-3 intervals of n3 nodes, K level-4 intervals of n4
+    nodes.  ``f(k0s, k1s)`` is called once per outer node.  ``k0s`` holds
+    the three slots' energies on that grid, shape (3, n2, 2, n3, K, n4);
+    ``k1s`` holds their spatial components on the level-3 grid, shape
+    (3, n2, 2, n3, 1, 1), since they do not depend on the level-4 energy.
+    The two broadcast against each other, and ``f``'s result must broadcast
+    to the grid.  Interval endpoints are pinned to the mass shells and
+    crushed by the sine substitution.
     On the support every partial energy sum is below -m, which closes all
     boxes once combined with ``energy_box``.
 
@@ -367,8 +372,9 @@ def three_point_eval_2d(
     forward-timelike (k30 >= om3 because k20 <= top) on the whole box, and
     slot 2 is backward-timelike, spacelike and forward-timelike on
     [bot, c1], [c1, c2] and [c2, top].  The bracket there is one constant
-    coefficient (``_bracket3_coefficients``) times the product of the three
-    shell powers, so no branch masks are needed.  At alpha = 1/2 the two
+    coefficient (``_bracket3_coefficients``) times one shell power
+    |msq1 msq2 msq3|^(-alpha) of the product of the three slots'
+    k_l^2 - m^2, so no branch masks are needed.  At alpha = 1/2 the two
     timelike coefficients are exactly 0.0, those intervals get no nodes and
     only the spacelike interval is integrated.
     """
@@ -388,7 +394,6 @@ def three_point_eval_2d(
             return 0.0j
         # level 2: first slot's spatial component on (-lim, lim)
         x2, w2 = sine_nodes(-lim, lim, n2)
-        p1 = _shell_power(k10 * k10 - x2 * x2 - m * m, alpha)
         # level 3: second slot's spatial component, split where k3 space flips
         smax = np.abs(x2) + energy_box
         lo3 = np.stack([-smax, -x2], axis=-1)
@@ -408,21 +413,14 @@ def three_point_eval_2d(
         hi4 = np.stack([c1, c2, top], axis=-1)[..., keep]
         x4, w4 = sine_nodes(lo4, hi4, n4)  # (n2, 2, n3, len(keep), n4)
 
-        k20 = x4
-        k30 = -k10 - k20
-        shp = k20.shape
-        k21 = x3[..., None, None]
-        k31 = k31[..., None, None]
-        bracket = (coef * p1[:, None, None, None, None]) \
-            * _shell_power(k20 * k20 - k21 * k21 - m * m, alpha) \
-            * _shell_power(k30 * k30 - k31 * k31 - m * m, alpha)
-        k0s = np.stack([np.full(shp, k10), k20, k30]).reshape(3, -1)
-        k1s = np.stack([
-            np.broadcast_to(k11[..., None, None], shp),
-            np.broadcast_to(k21, shp),
-            np.broadcast_to(k31, shp),
-        ]).reshape(3, -1)
-        vals = f(k0s, k1s).reshape(shp) * bracket
+        # energies on the full grid, spatial components on the level-3 grid
+        k0s = np.empty((3,) + x4.shape)
+        k0s[0], k0s[1], k0s[2] = k10, x4, -k10 - x4
+        k1s = np.stack([k11, x3, k31])[..., None, None]
+        msq = (k10 * k10 - x2 * x2 - m * m)[:, None, None, None, None] \
+            * (k0s[1] * k0s[1] - k1s[1] * k1s[1] - m * m) \
+            * (k0s[2] * k0s[2] - k1s[2] * k1s[2] - m * m)
+        vals = f(k0s, k1s) * (coef * _shell_power(msq, alpha))
         with np.errstate(invalid="ignore"):
             contrib = np.where(w4 != 0, vals * w4, 0.0)
         lvl3 = np.sum(contrib, axis=(-2, -1))
@@ -658,7 +656,11 @@ def truncated_momentum_eval(
     vectorized callable over the momentum slots that declares ``n_slots``.
     Such a callable gets arrays of any common leading shape: in d = 1 with
     n = 3, ``f(k1, k2, k3)`` gets three arrays of shape (npts, 5, 32) (see
-    ``three_point_eval_1d``).  The one-point value is zero by convention.
+    ``three_point_eval_1d``).  In d = 2 with n = 3, ``f(k0s, k1s)`` gets the
+    slot energies on the grid, shape (3, n2, 2, n3, K, n4), and the spatial
+    components on the level-3 grid, shape (3, n2, 2, n3, 1, 1), and its
+    result must broadcast to the grid (see ``three_point_eval_2d``).  The
+    one-point value is zero by convention.
     """
     if isinstance(test, TensorTestFunction):
         n = len(test.factors)
@@ -750,8 +752,15 @@ def laplace_bridge_check(
                 w = np.sqrt(q * q + m * m)
                 return np.exp(-w * dt) * np.cos(q * dy) / (2 * w)
 
-            val = line_quadrature(integrand, 0.0, box, (), 160)
-            rhs = cn * float(val) / math.pi
+            # cos(q dy) oscillates over the whole box, so the node count
+            # grows until two rounds agree; the absolute floor applies to
+            # the integral before the prefactor
+            pref = cn / math.pi
+            rhs = float(refine(
+                lambda npts: pref * line_quadrature(integrand, 0.0, box, (), npts),
+                tuple(160 << k for k in range(6)), 1e-10, 1e-10 * abs(pref),
+                "pair_bridge_2d", recorder,
+            ))
     elif n == 2:
         if d != 1:
             raise PreconditionError("pair bridge with alpha < 1/2 kept to d = 1")
@@ -784,9 +793,10 @@ def laplace_bridge_check(
         ))
     elif n == 3 and d == 2:
         def f(k0s, k1s):
-            expo = -np.tensordot(times, k0s, axes=(0, 0)) \
-                + 1j * np.tensordot(pts[:, 1], k1s, axes=(0, 0))
-            return np.exp(expo)
+            # k1s lives on the level-3 grid, so the complex exponential
+            # does too; only the real damping runs on every node
+            return np.exp(-np.tensordot(times, k0s, axes=(0, 0))) \
+                * np.exp(1j * np.tensordot(pts[:, 1], k1s, axes=(0, 0)))
 
         rhs = float(np.real(
             three_point_eval_2d(f, spec, triple, tol=2e-3, energy_box=box,
@@ -945,18 +955,32 @@ def _slot_momenta(j: int, la, lb, tot, om, s, va, vb) -> np.ndarray:
         e[0], e[1], e[2] = -tot, la, lb
     elif j == 3:
         e[0], e[1], e[2] = -la, -lb, tot
-    elif j == 1:
-        e[0], e[2] = -(om * s + tot * (1 - s)), lb
-        e[1] = -e[0] - e[2]
     else:
-        e[0], e[1] = -la, -((la + om) * s + lb * (1 - s) - la)
-        e[2] = -e[0] - e[1]
+        if j == 1:
+            e[2] = lb
+        else:
+            e[0] = -la
+        _slide_energies(j, e, la, lb, tot, om, s)
     res = (0, 0, 1, 2)[j]  # the resolved slot; the free ones keep their order
     fa, fb = (i for i in range(3) if i != res)
     k[fa, ..., 1:] = va
     k[fb, ..., 1:] = vb
     k[res, ..., 1:] = -(va + vb)
     return k
+
+
+def _slide_energies(j: int, e, la, lb, tot, om, s) -> None:
+    """Write the two s-dependent energies of the middle measure j into e.
+
+    ``e`` is the energy row block k[..., 0] of :func:`_slot_momenta`'s stack;
+    the pinned energy (lb for j = 1, -la for j = 2) must already be there.
+    """
+    if j == 1:
+        e[0] = -(om * s + tot * (1 - s))
+        e[1] = -e[0] - e[2]
+    else:
+        e[1] = -((la + om) * s + lb * (1 - s) - la)
+        e[2] = -e[0] - e[1]
 
 
 def _shell_density(j: int, v, tot, om):
@@ -1012,16 +1036,21 @@ def vector_measure_radial(j: int, phi: TensorTestFunction,
         TOT = np.broadcast_to(2.0 * V + U, OM.shape)
         W = ((wv[:, None, None] * wu[None, :, None]) * wt[None, None, :]
              * _shell_density(j, V, TOT, OM))
+        srule = (list(zip(*gl_nodes(0.0, 1.0, max(10, npts // 3))))
+                 if j in (1, 2) else [(None, 1.0)])
+        # one momentum stack per modulus assignment; an s node rewrites
+        # only the two energies that slide with s
         slots = []
         for la, lb in ((V, V + U), (V + U, V)):
             la, lb = np.broadcast_to(la, OM.shape), np.broadcast_to(lb, OM.shape)
-            slots.append((la, lb) + _pair_vectors(la, lb, OM, axis, perp))
-        srule = (zip(*gl_nodes(0.0, 1.0, max(10, npts // 3))) if j in (1, 2)
-                 else ((None, 1.0),))
+            k = _slot_momenta(j, la, lb, TOT, OM, srule[0][0],
+                              *_pair_vectors(la, lb, OM, axis, perp))
+            slots.append((la, lb, k))
         total = 0.0 + 0.0j
-        for s, sw in srule:
-            for la, lb, va, vb in slots:
-                k = _slot_momenta(j, la, lb, TOT, OM, s, va, vb)
+        for i, (s, sw) in enumerate(srule):
+            for la, lb, k in slots:
+                if i:
+                    _slide_energies(j, k[..., 0], la, lb, TOT, OM, s)
                 total += sw * np.sum(phi(np.moveaxis(k, 0, -2)) * W)
         return 8 * math.pi**2 * complex(total)
 

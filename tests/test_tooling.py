@@ -1,10 +1,13 @@
-"""Guards for the benchmark tooling, which names library functions by string."""
+"""Guards for the benchmark tooling and for the library's module boundaries."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "kreinfield"
 
 
 def _tracing_module():
@@ -31,3 +34,45 @@ def test_traced_names_resolve():
         if not callable(obj):
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_imports(source: str) -> list:
+    """Lines that import, or reach through an imported module for, a private name."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                modules.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{node.lineno}: import {alias.name}")
+                # ``from . import mod`` binds a module
+                modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_private_import_guard_catches_both_forms():
+    assert _private_imports("from .quadrature import _subdivide") != []
+    assert _private_imports("from . import quadrature\nquadrature._BLOCK") != []
+    assert _private_imports("import numpy as np\nnp._core") != []
+    assert _private_imports(
+        "from . import __version__\nfrom .quadrature import refine\n"
+        "class A:\n    def f(self):\n        return self._x") == []
+
+
+def test_no_module_imports_another_modules_private_names():
+    # ROADMAP design rule: private helpers stay inside their module
+    offenders = {path.name: _private_imports(path.read_text())
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}

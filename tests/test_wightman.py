@@ -5,7 +5,12 @@ import pytest
 from scipy import integrate
 
 from kreinfield import wightman
-from kreinfield.errors import DomainError, PreconditionError, SingularConfigurationError
+from kreinfield.errors import (
+    DomainError,
+    PreconditionError,
+    QuadratureError,
+    SingularConfigurationError,
+)
 from kreinfield.green import GreenSpec
 from kreinfield.lattice import Lattice
 from kreinfield.levy import LevyTriple, cumulant_coeff
@@ -193,6 +198,27 @@ def test_pair_bridge_d2_alpha_half():
     report = laplace_bridge_check(
         np.array([[0.0, 0.0], [0.8125, 0.25]]), spec, ATOM_TRIPLE, lat)
     assert report.gap < 1e-2
+
+
+@pytest.mark.parametrize("dt, dy, lat", [
+    (0.125, 4.0, Lattice(2, 96, 0.125)),
+    (0.05, 2.0, Lattice(2, 160, 0.05)),
+], ids=["dt0.125-dy4", "dt0.05-dy2"])
+def test_pair_bridge_d2_alpha_half_converges_or_raises(dt, dy, lat):
+    """A short time gap widens the box, so cos(q dy) oscillates over it."""
+    # integral_0^inf e^(-w dt) cos(q dy) / w dq = K_0(m sqrt(dt^2 + dy^2))
+    # with w = sqrt(q^2 + m^2); the box cuts off a tail below e^(-45)
+    from scipy.special import k0
+
+    spec = GreenSpec(2, 0.5, 1.0)
+    pts = np.array([[0.0, -dy / 2], [dt, dy / 2]])
+    try:
+        report = laplace_bridge_check(pts, spec, ATOM_TRIPLE, lat)
+    except QuadratureError:
+        return
+    closed = (cumulant_coeff(2, ATOM_TRIPLE) / (2 * math.pi)
+              * k0(spec.mass * math.hypot(dt, dy)))
+    assert report.rhs == pytest.approx(closed, rel=1e-8)
 
 
 def test_pair_bridge_d1_alpha_quarter():
@@ -401,12 +427,37 @@ def test_three_point_2d_rounds_are_pinned(alpha, rounds):
     assert all(abs(row[2]) < 1e-15 for row in history)
 
 
+@pytest.mark.parametrize("alpha", [0.35, 0.5])
+def test_three_point_2d_grid_contract_matches_flat_oracle(alpha):
+    """The bridge's grid-shaped phase against damped_phase on flat (3, M) nodes."""
+    def oracle(k0s, k1s):
+        # spatial components live on the level-3 grid
+        assert k1s.shape == k0s.shape[:-2] + (1, 1)
+        e, x = np.broadcast_arrays(k0s, k1s)
+        return damped_phase(e.reshape(3, -1), x.reshape(3, -1)).reshape(
+            e.shape[1:])
+
+    spec = GreenSpec(2, alpha, 1.0)
+    rec = []
+    # the bridge's box at these times is 45 / 1.25 = 36
+    three_point_eval_2d(oracle, spec, ATOM_TRIPLE, tol=2e-3, energy_box=36.0,
+                        recorder=rec)
+    fast = []
+    laplace_bridge_check(np.stack([BRIDGE_N3_TIMES, BRIDGE_N3_SPACE], axis=1),
+                         spec, ATOM_TRIPLE, Lattice(2, 96, 0.125), recorder=fast)
+    want = [r for r in fast if r["op"] == "three_point_2d"][0]["history"]
+    got = rec[0]["history"]
+    assert [row[0] for row in got] == [row[0] for row in want]
+    assert [row[1] for row in got] == pytest.approx(
+        [row[1] for row in want], rel=1e-12)
+
+
 def test_three_point_2d_half_integrates_only_the_spacelike_interval():
     """At alpha = 1/2 each outer node hands f one level-4 interval, not three."""
     sizes = []
 
     def f(k0s, k1s):
-        sizes.append(k0s.shape[1])
+        sizes.append(k0s[0].size)
         return damped_phase(k0s, k1s)
 
     rec = []
