@@ -2,14 +2,16 @@
 
 On the Minkowski side the truncated n-point functions are measures carried by
 mass shells and backward cones.  The evaluators take tensor products of
-Gaussian wave packets; a recorder list captures which branch did the work and
-the node-refinement history of the stabilized quadratures.
+Gaussian wave packets; a ``collect()`` block gathers the refinement records,
+which name the branch that did the work and give the node-refinement history
+of the stabilized quadratures.
 """
 
 import numpy as np
 
 from kreinfield.green import GreenSpec
 from kreinfield.levy import LevyTriple
+from kreinfield.quadrature import collect
 from kreinfield.testfunctions import TensorTestFunction, TestFunction
 from kreinfield.wightman import minkowski_translate, truncated_momentum_eval
 
@@ -18,15 +20,15 @@ triple = LevyTriple(0.1, 0.5, ((1.0, 2.0),))
 
 pair = TensorTestFunction((TestFunction.gaussian((-1.1,), 0.8),
                            TestFunction.gaussian((0.9,), 0.9, freq=(0.4,))))
-rec = []
-v2 = truncated_momentum_eval(pair, spec, triple, recorder=rec)
+with collect() as rec:
+    v2 = truncated_momentum_eval(pair, spec, triple)
 print(f"two-point value ({rec[0]['op']}): {v2:+.6f}")
 
 triple_test = TensorTestFunction((TestFunction.gaussian((-1.6,), 0.8),
                                   TestFunction.gaussian((-0.2,), 0.9),
                                   TestFunction.gaussian((1.9,), 1.0)))
-rec = []
-v3 = truncated_momentum_eval(triple_test, spec, triple, 1e-6, recorder=rec)
+with collect() as rec:
+    v3 = truncated_momentum_eval(triple_test, spec, triple, 1e-6)
 print(f"three-point value ({rec[0]['op']}): {v3:+.6f}")
 print("  node-refinement history:", [(int(n), f"{x:+.6f}") for n, x, _ in rec[0]["history"]])
 

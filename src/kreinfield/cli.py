@@ -619,6 +619,7 @@ def _run_schwinger(cfg, args, out, files):
 
 
 def _run_wightman(cfg, args, out, files):
+    from .quadrature import collect
     from .wightman import truncated_momentum_eval
 
     spec, triple = _model_objects(cfg)
@@ -627,10 +628,8 @@ def _run_wightman(cfg, args, out, files):
     records = []
     for idx, doc in enumerate(task["tests"]):
         tensor = _tensor_function(doc, spec.dim)
-        rec: List[dict] = []
-        val = truncated_momentum_eval(
-            tensor, spec, triple, args.tolerance, recorder=rec
-        )
+        with collect() as rec:
+            val = truncated_momentum_eval(tensor, spec, triple, args.tolerance)
         rows.append([idx, tensor.n_points, val.real, val.imag])
         for entry in rec:
             entry["test_index"] = idx
@@ -655,7 +654,7 @@ def _run_laplace_check(cfg, args, out, files):
     rows = []
     for pts in task["configs"]:
         arr = np.asarray(pts, dtype=float)
-        rep = laplace_bridge_check(arr, spec, triple, lat, tol=tol)
+        rep = laplace_bridge_check(arr, spec, triple, lat)
         rows.append([len(pts), rep.lhs, rep.rhs, rep.gap, tol, rep.gap <= tol])
     path = os.path.join(out, "laplace_check.csv")
     _write_csv(path, ["order", "lattice", "momentum", "gap", "tolerance", "passed"], rows)

@@ -29,7 +29,7 @@ from .errors import (
 from .green import GreenSpec
 from .levy import LevyTriple, cumulant_coeff
 from .partitions import MAX_GROUND_SIZE, CorrelationTable, moments_from_cumulants
-from .quadrature import refine, sine_nodes, tanh_sinh_nodes
+from .quadrature import collect, refine, sine_nodes, tanh_sinh_nodes
 from .testfunctions import TensorTestFunction, TestFunction
 from .wightman import truncated_momentum_eval
 
@@ -222,7 +222,7 @@ def _overlap_origin(alpha: float, npts: int) -> float:
 
 
 def _line_integral(nu: float, beta: float, mu: float, gamma: float, rho: float,
-                   op: str, record: Optional[list] = None) -> float:
+                   op: str) -> float:
     """G = integral_0^inf x^(nu-1) (beta+x)^(-mu) (gamma+x)^(-rho) dx, refined.
 
     Gradshteyn & Ryzhik 3.197.1 give G in closed form through 2F1; it is
@@ -241,7 +241,7 @@ def _line_integral(nu: float, beta: float, mu: float, gamma: float, rho: float,
                 * (beta * s + 1.0) ** -mu * (gamma * s + 1.0) ** -rho)
         return float(np.sum((low + high) * w))
 
-    return float(refine(value, [24 << k for k in range(7)], 1e-12, 0.0, op, record))
+    return float(refine(value, [24 << k for k in range(7)], 1e-12, 0.0, op))
 
 
 def _overlap_ceiling(alpha: float, gamma: float) -> float:
@@ -316,15 +316,14 @@ def compute_scalar_factors(spec: GreenSpec, gamma: float = 0.25) -> ScalarChainF
     alpha, m = spec.alpha, spec.mass
     spatial = 1.0 if spec.dim == 1 else math.pi
 
-    record: List[dict] = []
     lead = math.pi * (1.0 + m * m) ** -alpha
     lift = 2.0 * math.sin(0.5 * math.pi * alpha) ** 2  # 1 - cos(pi alpha)
-    j_out = _line_integral(1.0 - alpha, 1.0 + m * m, 1.0, m * m, 0.5, "energy_sup", record)
+    with collect() as records:
+        j_out = _line_integral(1.0 - alpha, 1.0 + m * m, 1.0, m * m, 0.5, "energy_sup")
+        overlap_sup = float(refine(lambda npts: _overlap_origin(alpha, npts),
+                                   [24 << k for k in range(5)], 1e-12, 0.0,
+                                   "overlap_sup"))
     energy_sup = lead + lift * j_out
-
-    overlap_sup = float(refine(lambda npts: _overlap_origin(alpha, npts),
-                               [24 << k for k in range(5)], 1e-12, 0.0,
-                               "overlap_sup", record))
     ceiling = _overlap_ceiling(alpha, gamma)
     if overlap_sup > ceiling:
         raise QuadratureError(
@@ -338,8 +337,8 @@ def compute_scalar_factors(spec: GreenSpec, gamma: float = 0.25) -> ScalarChainF
         overlap_ceiling=ceiling,
         third_factor=third,
         gamma=gamma,
-        energy_history=tuple(lead + lift * row[1] for row in record[0]["history"]),
-        overlap_history=tuple(row[1] for row in record[1]["history"]),
+        energy_history=tuple(lead + lift * row[1] for row in records[0]["history"]),
+        overlap_history=tuple(row[1] for row in records[1]["history"]),
     )
 
 
@@ -592,8 +591,8 @@ def _star_factors(mono: Sequence[TestFunction]) -> Tuple[TestFunction, ...]:
 def _evaluate(test: TensorTestFunction, spec: GreenSpec, triple: LevyTriple,
               tol: Optional[float]) -> Tuple[complex, float]:
     """W(test) and the largest rtol that a refinement entering it was accepted at."""
-    records: list = []
-    val = complex(truncated_momentum_eval(test, spec, triple, tol, recorder=records))
+    with collect() as records:
+        val = complex(truncated_momentum_eval(test, spec, triple, tol))
     return val, max((r["tolerance"] for r in records), default=0.0)
 
 

@@ -25,11 +25,15 @@ Every integral in the package is built from the same pieces:
 * :func:`refine` -- the one driver that evaluates a quadrature along a node
   schedule until two successive values agree, records what it did, and
   raises :class:`QuadratureError` with the residual and the rounds' history
-  otherwise.
+  otherwise;
+* :func:`collect` -- the ``with`` block that gathers the records that
+  :func:`refine` and closed forms pass to :func:`emit`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
@@ -306,22 +310,52 @@ def phase_sums(a, k, bodies):
     return p, q
 
 
+# the record list of the innermost open collect() block, or None
+_RECORDS: contextvars.ContextVar[Optional[list]] = contextvars.ContextVar(
+    "kreinfield_records", default=None)
+
+
+def emit(record: dict) -> None:
+    """Append ``record`` to the innermost open :func:`collect` block, if any."""
+    records = _RECORDS.get()
+    if records is not None:
+        records.append(record)
+
+
+@contextlib.contextmanager
+def collect():
+    """``with collect() as records:`` gathers the records emitted in the block.
+
+    When the block closes, its records are appended in order to the
+    enclosing block's list, so an outer block sees every record of the
+    blocks nested in it.
+    """
+    records: list = []
+    token = _RECORDS.set(records)
+    try:
+        yield records
+    finally:
+        _RECORDS.reset(token)
+        for record in records:
+            emit(record)
+
+
 def refine(
     value: Callable[[Any], Any],
     schedule: Iterable[Any],
     rtol: float,
     atol: float,
     op: str,
-    recorder: Optional[list] = None,
 ):
     """Evaluate ``value(p)`` along ``schedule`` until two successive values agree.
 
     The value at round p is accepted once
     |cur - prev| <= max(rtol * max(|cur|, |prev|), atol).  On acceptance a
-    record {"op", "value", "tolerance", "history"} is appended to
-    ``recorder``, with one history row [p, real, imag] per round evaluated.
-    If the schedule runs out first, QuadratureError carries the last
-    residual |cur - prev| and, as ``history``, the same rows.
+    record {"op", "value", "tolerance", "history"} is emitted to the open
+    :func:`collect` block, with one history row [p, real, imag] per round
+    evaluated.  If the schedule runs out first, nothing is emitted and
+    QuadratureError carries the last residual |cur - prev| and, as
+    ``history``, the same rows.
     """
     history = []
     prev, resid = None, math.inf
@@ -331,12 +365,9 @@ def refine(
         if prev is not None:
             resid = abs(cur - prev)
             if resid <= max(rtol * max(abs(cur), abs(prev)), atol):
-                if recorder is not None:
-                    val = complex(cur)
-                    recorder.append(
-                        {"op": op, "value": [val.real, val.imag],
-                         "tolerance": rtol, "history": history}
-                    )
+                val = complex(cur)
+                emit({"op": op, "value": [val.real, val.imag],
+                      "tolerance": rtol, "history": history})
                 return cur
         prev = cur
     raise QuadratureError(

@@ -327,11 +327,6 @@ class TensorTestFunction:
             np.conj(self.prefactor),
         )
 
-    def modulate_factor(self, i: int, b_extra) -> "TensorTestFunction":
-        fs = list(self.factors)
-        fs[i] = fs[i].modulate(b_extra)
-        return TensorTestFunction(tuple(fs), self.prefactor)
-
     def scale(self, factor: complex) -> "TensorTestFunction":
         return TensorTestFunction(self.factors, self.prefactor * factor)
 

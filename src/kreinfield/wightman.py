@@ -44,6 +44,8 @@ from .green import GreenSpec, green_alpha_lattice
 from .lattice import Lattice
 from .levy import LevyTriple, cumulant_coeff
 from .quadrature import (
+    collect,
+    emit,
     gl_nodes,
     line_quadrature,
     phase_sums,
@@ -152,7 +154,6 @@ def two_point_shell_eval(
     spec: GreenSpec,
     triple: LevyTriple,
     tol: float = 1e-10,
-    recorder: Optional[list] = None,
 ) -> complex:
     """Pair distribution at alpha = 1/2: the free-shell integral.
 
@@ -170,12 +171,9 @@ def two_point_shell_eval(
         val = pref * complex(np.asarray(
             f(np.array([[-m]]), np.array([[m]]))
         ).reshape(())) / (2 * m)
-        if recorder is not None:
-            # closed form: one shell point, nothing to refine
-            recorder.append(
-                {"op": "two_point_shell", "value": [val.real, val.imag],
-                 "tolerance": 0.0, "history": [[1, val.real, val.imag]]}
-            )
+        # closed form: one shell point, nothing to refine
+        emit({"op": "two_point_shell", "value": [val.real, val.imag],
+              "tolerance": 0.0, "history": [[1, val.real, val.imag]]})
         return val
     if spec.dim != 2:
         raise PreconditionError("shell evaluator implemented for d <= 2")
@@ -198,9 +196,7 @@ def two_point_shell_eval(
     return refine(
         lambda npts: pref * complex(
             line_quadrature(integrand, -kmax, kmax, (0.0,), npts)),
-        [64 << k for k in range(8)], tol, tol * abs(pref),
-        "two_point_shell", recorder,
-    )
+        [64 << k for k in range(8)], tol, tol * abs(pref), "two_point_shell")
 
 
 def two_point_density_eval(
@@ -208,7 +204,6 @@ def two_point_density_eval(
     spec: GreenSpec,
     triple: LevyTriple,
     tol: float = 1e-8,
-    recorder: Optional[list] = None,
 ) -> complex:
     """Pair distribution for alpha < 1/2: honest density quadrature.
 
@@ -266,8 +261,7 @@ def two_point_density_eval(
     # the absolute floor tol applies to the integral before the prefactor
     return refine(
         lambda npts: scale * complex(integral(npts)),
-        schedule, tol, tol * abs(scale), "two_point_density", recorder,
-    )
+        schedule, tol, tol * abs(scale), "two_point_density")
 
 
 # -- n = 3 hyperplane quadratures ----------------------------------------------
@@ -279,7 +273,6 @@ def three_point_eval_1d(
     triple: LevyTriple,
     tol: float = 1e-6,
     box: float = 40.0,
-    recorder: Optional[list] = None,
 ) -> complex:
     """Three-slot evaluation in d = 1: 2-d split quadrature on k3 = -k1 - k2.
 
@@ -321,9 +314,7 @@ def three_point_eval_1d(
     return refine(
         lambda npts: pref * complex(
             line_quadrature(outer, -box, -m, (-2 * m,), npts)),
-        (24, 36, 54, 81, 121, 181), tol, tol * abs(pref),
-        "three_point_1d", recorder,
-    )
+        (24, 36, 54, 81, 121, 181), tol, tol * abs(pref), "three_point_1d")
 
 
 def _bracket3_coefficients(spec: GreenSpec) -> Tuple[float, float, float]:
@@ -349,7 +340,6 @@ def three_point_eval_2d(
     triple: LevyTriple,
     tol: float = 5e-3,
     energy_box: float = 25.0,
-    recorder: Optional[list] = None,
 ) -> complex:
     """Three-slot evaluation in d = 2: nested 4-d quadrature.
 
@@ -439,7 +429,7 @@ def three_point_eval_2d(
     # node counts per level grow by 1.4 a round
     schedule = ((40, 20, 28, 20), (56, 28, 39, 28), (78, 39, 54, 39),
                 (109, 54, 75, 54))
-    return refine(value, schedule, tol, 0.0, "three_point_2d", recorder)
+    return refine(value, schedule, tol, 0.0, "three_point_2d")
 
 
 # -- factorized evaluator for tensor arguments ----------------------------------
@@ -565,7 +555,6 @@ def factorized_eval(
     spec: GreenSpec,
     triple: LevyTriple,
     tol: float = 1e-3,
-    recorder: Optional[list] = None,
 ) -> complex:
     """n-point value for tensor arguments via the auxiliary-vector route.
 
@@ -637,7 +626,7 @@ def factorized_eval(
     # the schedule scales the oscillation node budgets; the absolute floor
     # 1e-12 applies to the integral before the prefactor
     return refine(value, (1.0, 1.3, 1.69), tol, 1e-12 * abs(pref),
-                  "factorized_eval", recorder)
+                  "factorized_eval")
 
 
 # -- dispatcher -----------------------------------------------------------------
@@ -648,7 +637,6 @@ def truncated_momentum_eval(
     spec: GreenSpec,
     triple: LevyTriple,
     tol: Optional[float] = None,
-    recorder: Optional[list] = None,
 ) -> complex:
     """Truncated n-point momentum distribution applied to a test function.
 
@@ -660,40 +648,26 @@ def truncated_momentum_eval(
     slot energies on the grid, shape (3, n2, 2, n3, K, n4), and the spatial
     components on the level-3 grid, shape (3, n2, 2, n3, 1, 1), and its
     result must broadcast to the grid (see ``three_point_eval_2d``).  The
-    one-point value is zero by convention.
+    one-point value is zero by convention.  The route's refinement record
+    goes to the open :func:`~kreinfield.quadrature.collect` block.
     """
-    if isinstance(test, TensorTestFunction):
-        n = len(test.factors)
-        if n == 1:
-            return 0.0 + 0.0j
-        if n == 2:
-            if spec.alpha == 0.5:
-                return two_point_shell_eval(
-                    test, spec, triple, tol or 1e-10, recorder
-                )
-            return two_point_density_eval(test, spec, triple, tol or 1e-8,
-                                          recorder)
-        if n == 3 and spec.dim == 1:
-            def f(k1, k2, k3):
-                pts = np.stack([k1, k2, k3], axis=-1)[..., None]
-                return test(pts)
-            return three_point_eval_1d(
-                f, spec, triple, tol or 1e-6, recorder=recorder
-            )
-        return factorized_eval(test, spec, triple, tol or 1e-3,
-                               recorder=recorder)
-    # plain callable
-    n = getattr(test, "n_slots", None)
+    tensor = isinstance(test, TensorTestFunction)
+    n = len(test.factors) if tensor else getattr(test, "n_slots", None)
+    if tensor and n == 1:
+        return 0.0 + 0.0j
     if n == 2:
         if spec.alpha == 0.5:
-            return two_point_shell_eval(test, spec, triple, tol or 1e-10, recorder)
-        return two_point_density_eval(test, spec, triple, tol or 1e-8, recorder)
+            return two_point_shell_eval(test, spec, triple, tol or 1e-10)
+        return two_point_density_eval(test, spec, triple, tol or 1e-8)
+    if n == 3 and spec.dim == 1:
+        def slots(k1, k2, k3):
+            return test(np.stack([k1, k2, k3], axis=-1)[..., None])
+        return three_point_eval_1d(slots if tensor else test, spec, triple,
+                                   tol or 1e-6)
+    if tensor:
+        return factorized_eval(test, spec, triple, tol or 1e-3)
     if n == 3:
-        if spec.dim == 1:
-            return three_point_eval_1d(test, spec, triple, tol or 1e-6,
-                                       recorder=recorder)
-        return three_point_eval_2d(test, spec, triple, tol or 5e-3,
-                                   recorder=recorder)
+        return three_point_eval_2d(test, spec, triple, tol or 5e-3)
     raise PreconditionError(
         "callable tests must declare n_slots in {2, 3}; use tensor tests otherwise"
     )
@@ -714,7 +688,6 @@ def laplace_bridge_check(
     spec: GreenSpec,
     triple: LevyTriple,
     lat: Lattice,
-    tol: float = 5e-3,
     recorder: Optional[list] = None,
 ) -> BridgeReport:
     """Position-space lattice value against the damped momentum quadrature.
@@ -723,8 +696,21 @@ def laplace_bridge_check(
     increasing times.  The left side is c_n times the lattice kernel-product
     integral; the right side integrates the momentum bracket against the
     damped exponential exp(-sum k0_l y0_l + i sum kvec_l yvec_l) on the
-    total-momentum hyperplane.
+    total-momentum hyperplane.  The refinement records go to the open
+    :func:`~kreinfield.quadrature.collect` block; ``recorder``, if given, is
+    extended with the same list.
     """
+    with collect() as records:
+        lhs, rhs = _bridge_sides(points, spec, triple, lat)
+    if recorder is not None:
+        recorder.extend(records)
+    gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    return BridgeReport(lhs=float(lhs), rhs=float(rhs), gap=float(gap))
+
+
+def _bridge_sides(points, spec: GreenSpec, triple: LevyTriple,
+                  lat: Lattice) -> Tuple[float, float]:
+    """The lattice and momentum sides of :func:`laplace_bridge_check`."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
     if d != spec.dim:
@@ -759,8 +745,7 @@ def laplace_bridge_check(
             rhs = float(refine(
                 lambda npts: pref * line_quadrature(integrand, 0.0, box, (), npts),
                 tuple(160 << k for k in range(6)), 1e-10, 1e-10 * abs(pref),
-                "pair_bridge_2d", recorder,
-            ))
+                "pair_bridge_2d"))
     elif n == 2:
         if d != 1:
             raise PreconditionError("pair bridge with alpha < 1/2 kept to d = 1")
@@ -788,9 +773,7 @@ def laplace_bridge_check(
             return np.exp(-(k1 * times[0] + k2 * times[1] + k3 * times[2]))
 
         rhs = float(np.real(
-            three_point_eval_1d(f, spec, triple, tol=1e-7, box=box,
-                                recorder=recorder)
-        ))
+            three_point_eval_1d(f, spec, triple, tol=1e-7, box=box)))
     elif n == 3 and d == 2:
         def f(k0s, k1s):
             # k1s lives on the level-3 grid, so the complex exponential
@@ -799,19 +782,10 @@ def laplace_bridge_check(
                 * np.exp(1j * np.tensordot(pts[:, 1], k1s, axes=(0, 0)))
 
         rhs = float(np.real(
-            three_point_eval_2d(f, spec, triple, tol=2e-3, energy_box=box,
-                                recorder=recorder)
-        ))
+            three_point_eval_2d(f, spec, triple, tol=2e-3, energy_box=box)))
     else:
         raise PreconditionError("bridge implemented for n in {2, 3}, d <= 2")
-
-    gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    if recorder is not None:
-        recorder.append(
-            {"op": "laplace_bridge", "n": n, "dim": d, "lhs": lhs, "rhs": rhs,
-             "gap": gap, "tolerance": tol, "history": []}
-        )
-    return BridgeReport(lhs=float(lhs), rhs=float(rhs), gap=float(gap))
+    return lhs, rhs
 
 
 # -- spectral support and clustering --------------------------------------------

@@ -35,7 +35,7 @@ from kreinfield.hssc import (
 )
 from kreinfield.levy import LevyTriple
 from kreinfield.partitions import enumerate_partitions
-from kreinfield.quadrature import line_quadrature, sine_nodes
+from kreinfield.quadrature import emit, line_quadrature, sine_nodes
 from kreinfield.testfunctions import TensorTestFunction, TestFunction
 
 ATOM_TRIPLE = LevyTriple(drift=0.1, variance=0.5, atoms=((1.0, 2.0),))
@@ -609,10 +609,9 @@ def test_certify_atom_line_full_pairwise():
 
 def _fake_evaluator(value: float, rtol: float):
     """Stands in for truncated_momentum_eval: one refinement record at rtol."""
-    def evaluate(test, spec, triple, tol=None, recorder=None):
-        if recorder is not None:
-            recorder.append({"op": "fake", "value": [value, 0.0],
-                             "tolerance": rtol, "history": []})
+    def evaluate(test, spec, triple, tol=None):
+        emit({"op": "fake", "value": [value, 0.0], "tolerance": rtol,
+              "history": []})
         return complex(value)
     return evaluate
 

@@ -11,6 +11,8 @@ import pytest
 from kreinfield.errors import PreconditionError, QuadratureError
 from kreinfield import quadrature
 from kreinfield.quadrature import (
+    collect,
+    emit,
     gauss_legendre,
     gl_nodes,
     phase_sums,
@@ -26,9 +28,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kreinfield"
 
 
 def test_refine_raises_with_residual_when_schedule_runs_out():
-    rec = []
-    with pytest.raises(QuadratureError) as info:
-        refine(float, (1, 2, 4), 1e-6, 0.0, "diverging", rec)
+    with collect() as rec, pytest.raises(QuadratureError) as info:
+        refine(float, (1, 2, 4), 1e-6, 0.0, "diverging")
     assert math.isfinite(info.value.residual)
     assert info.value.residual == pytest.approx(2.0)
     assert rec == []
@@ -59,8 +60,8 @@ def test_refine_accepts_on_relative_rule():
 
 def test_refine_records_one_history_row_per_round():
     vals = {8: 2.0 + 1.0j, 16: 2.5 + 1.0j, 32: 2.5 + 1.0j + 1e-12, 64: 7.0}
-    rec = []
-    got = refine(vals.get, (8, 16, 32, 64), 1e-9, 0.0, "demo", rec)
+    with collect() as rec:
+        got = refine(vals.get, (8, 16, 32, 64), 1e-9, 0.0, "demo")
     assert got == vals[32]
     assert len(rec) == 1
     record = rec[0]
@@ -69,6 +70,49 @@ def test_refine_records_one_history_row_per_round():
     assert record["tolerance"] == 1e-9
     assert record["value"] == [got.real, got.imag]
     assert record["history"] == [[p, vals[p].real, vals[p].imag] for p in (8, 16, 32)]
+
+
+def test_nested_collect_blocks_reach_the_outer_block_in_order():
+    vals = {1: 1.0, 2: 1.0}
+    with collect() as outer:
+        emit({"op": "first"})
+        with collect() as inner:
+            refine(vals.get, (1, 2), 1e-9, 0.0, "second")
+            with collect() as innermost:
+                emit({"op": "third"})
+        emit({"op": "fourth"})
+    assert [r["op"] for r in innermost] == ["third"]
+    assert [r["op"] for r in inner] == ["second", "third"]
+    assert [r["op"] for r in outer] == ["first", "second", "third", "fourth"]
+
+
+def test_refine_outside_a_block_leaves_nothing_behind():
+    vals = {8: 2.0 + 1.0j, 16: 2.0 + 1.0j}
+    assert refine(vals.get, (8, 16), 1e-9, 0.0, "bare") == vals[16]
+    emit({"op": "dropped"})
+    with collect() as rec:
+        pass
+    assert rec == []
+    with collect() as rec:
+        assert refine(vals.get, (8, 16), 1e-9, 0.0, "bare") == vals[16]
+    assert [r["op"] for r in rec] == ["bare"]
+
+
+def test_characteristic_functional_and_radial_measure_leave_their_record():
+    from kreinfield.levy import LevyTriple, characteristic_functional
+    from kreinfield.testfunctions import TensorTestFunction, TestFunction
+    from kreinfield.wightman import vector_measure_radial
+
+    with collect() as rec:
+        characteristic_functional(TestFunction.gaussian((0.0,), 1.0),
+                                  LevyTriple(0.1, 0.5, ((1.0, 2.0),)))
+    assert [r["op"] for r in rec] == ["characteristic_functional"]
+    phi = TensorTestFunction(tuple(TestFunction.gaussian((c0, 0.0, 0.0, 0.0), 1.0)
+                                   for c0 in (-1.0, 0.4, 0.8)))
+    with collect() as rec:
+        vector_measure_radial(3, phi)
+    assert [r["op"] for r in rec] == ["vector_measure_radial"]
+    assert rec[0]["history"]
 
 
 # -- nodes ----------------------------------------------------------------------

@@ -3,7 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 from pathlib import Path
+
+import kreinfield
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -76,3 +80,29 @@ def test_no_module_imports_another_modules_private_names():
     offenders = {path.name: _private_imports(path.read_text())
                  for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def _public_callables():
+    """(qualified name, callable) for every public function and method of kreinfield."""
+    for info in pkgutil.iter_modules(kreinfield.__path__):
+        module = importlib.import_module(f"kreinfield.{info.name}")
+        for name, obj in vars(module).items():
+            if _private(name) or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if not _private(attr) and inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+            elif inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+
+
+def test_records_reach_readers_through_collect_only():
+    # refine emits to the open collect() block; laplace_bridge_check keeps
+    # recorder= as the one adapter onto it
+    takers = sorted(name for name, fn in _public_callables()
+                    if "recorder" in inspect.signature(fn).parameters)
+    assert takers == ["kreinfield.wightman.laplace_bridge_check"]
+    from kreinfield.quadrature import refine
+    assert list(inspect.signature(refine).parameters) == [
+        "value", "schedule", "rtol", "atol", "op"]

@@ -14,7 +14,7 @@ from kreinfield.errors import (
 from kreinfield.green import GreenSpec
 from kreinfield.lattice import Lattice
 from kreinfield.levy import LevyTriple, cumulant_coeff
-from kreinfield.quadrature import gl_nodes, line_quadrature, phase_sums, refine
+from kreinfield.quadrature import collect, gl_nodes, line_quadrature, phase_sums, refine
 from kreinfield.testfunctions import TestFunction, TensorTestFunction
 from kreinfield.wightman import (
     bracket_scalar,
@@ -282,7 +282,7 @@ def tensor_slots(test):
     return f
 
 
-def three_point_1d_per_node(f, spec, triple, tol=1e-6, box=40.0, recorder=None):
+def three_point_1d_per_node(f, spec, triple, tol=1e-6, box=40.0):
     """Oracle: the d = 1 evaluator with one Python-level inner line integral
     per outer node, split at that node's shell cuts."""
     m = spec.mass
@@ -305,9 +305,7 @@ def three_point_1d_per_node(f, spec, triple, tol=1e-6, box=40.0, recorder=None):
     return refine(
         lambda npts: pref * complex(
             line_quadrature(outer, -box, -m, (-2 * m,), npts)),
-        (24, 36, 54, 81, 121, 181), tol, tol * abs(pref),
-        "three_point_1d", recorder,
-    )
+        (24, 36, 54, 81, 121, 181), tol, tol * abs(pref), "three_point_1d")
 
 
 @pytest.mark.parametrize("f, alpha, tol, box", [
@@ -318,9 +316,10 @@ def three_point_1d_per_node(f, spec, triple, tol=1e-6, box=40.0, recorder=None):
 ], ids=["bridge", "complex-tensor", "small-box"])
 def test_three_point_1d_matches_per_node_loop(f, alpha, tol, box):
     spec = GreenSpec(1, alpha, 1.0)
-    got, want = [], []
-    three_point_eval_1d(f, spec, ATOM_TRIPLE, tol, box, recorder=got)
-    three_point_1d_per_node(f, spec, ATOM_TRIPLE, tol, box, recorder=want)
+    with collect() as got:
+        three_point_eval_1d(f, spec, ATOM_TRIPLE, tol, box)
+    with collect() as want:
+        three_point_1d_per_node(f, spec, ATOM_TRIPLE, tol, box)
     got, want = got[0]["history"], want[0]["history"]
     assert [row[0] for row in got] == [row[0] for row in want]
     for (_, re1, im1), (_, re2, im2) in zip(got, want):
@@ -330,16 +329,27 @@ def test_three_point_1d_matches_per_node_loop(f, alpha, tol, box):
 
 def test_three_point_1d_bridge_rounds_are_pinned():
     """Pinned from the per-node loop on test_three_point_bridge_d1's points."""
-    rec = []
-    laplace_bridge_check(np.array([[t] for t in BRIDGE_D1_TIMES]),
-                         GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE,
-                         Lattice(1, 1024, 0.025), recorder=rec)
+    with collect() as rec:
+        laplace_bridge_check(np.array([[t] for t in BRIDGE_D1_TIMES]),
+                             GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE,
+                             Lattice(1, 1024, 0.025))
     history = rec[0]["history"]
     assert [row[0] for row in history] == [24, 36, 54]
     assert [row[1] for row in history] == pytest.approx(
         (0.047840173254327205, 0.047838446082214936, 0.047838166301038786),
         rel=1e-12)
     assert all(row[2] == 0.0 for row in history)
+
+
+def test_bridge_recorder_matches_a_collect_block():
+    """recorder= gets exactly the records a collect() block around the call sees."""
+    rec = []
+    with collect() as seen:
+        laplace_bridge_check(np.array([[t] for t in BRIDGE_D1_TIMES]),
+                             GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE,
+                             Lattice(1, 1024, 0.025), recorder=rec)
+    assert [r["op"] for r in seen] == ["three_point_1d"]
+    assert rec == seen
 
 
 def test_three_point_1d_calls_f_once_per_outer_piece():
@@ -350,9 +360,9 @@ def test_three_point_1d_calls_f_once_per_outer_piece():
         shapes.append((k1.shape, k2.shape, k3.shape))
         return bridge_d1_phase(k1, k2, k3)
 
-    rec = []
-    three_point_eval_1d(f, GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE, 1e-7,
-                        BRIDGE_D1_BOX, recorder=rec)
+    with collect() as rec:
+        three_point_eval_1d(f, GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE, 1e-7,
+                            BRIDGE_D1_BOX)
     want = []
     for npts, _, _ in rec[0]["history"]:
         # two outer pieces, split at -2m, of npts nodes each
@@ -419,9 +429,9 @@ def damped_phase(k0s, k1s):
 ])
 def test_three_point_2d_rounds_are_pinned(alpha, rounds):
     """Pinned from the masked-bracket evaluator (branch masks on every node)."""
-    rec = []
-    three_point_eval_2d(damped_phase, GreenSpec(2, alpha, 1.0), ATOM_TRIPLE,
-                        tol=1.0, energy_box=36.0, recorder=rec)
+    with collect() as rec:
+        three_point_eval_2d(damped_phase, GreenSpec(2, alpha, 1.0), ATOM_TRIPLE,
+                            tol=1.0, energy_box=36.0)
     history = rec[0]["history"]
     assert [row[1] for row in history] == pytest.approx(rounds, rel=1e-12)
     assert all(abs(row[2]) < 1e-15 for row in history)
@@ -438,13 +448,12 @@ def test_three_point_2d_grid_contract_matches_flat_oracle(alpha):
             e.shape[1:])
 
     spec = GreenSpec(2, alpha, 1.0)
-    rec = []
     # the bridge's box at these times is 45 / 1.25 = 36
-    three_point_eval_2d(oracle, spec, ATOM_TRIPLE, tol=2e-3, energy_box=36.0,
-                        recorder=rec)
-    fast = []
-    laplace_bridge_check(np.stack([BRIDGE_N3_TIMES, BRIDGE_N3_SPACE], axis=1),
-                         spec, ATOM_TRIPLE, Lattice(2, 96, 0.125), recorder=fast)
+    with collect() as rec:
+        three_point_eval_2d(oracle, spec, ATOM_TRIPLE, tol=2e-3, energy_box=36.0)
+    with collect() as fast:
+        laplace_bridge_check(np.stack([BRIDGE_N3_TIMES, BRIDGE_N3_SPACE], axis=1),
+                             spec, ATOM_TRIPLE, Lattice(2, 96, 0.125))
     want = [r for r in fast if r["op"] == "three_point_2d"][0]["history"]
     got = rec[0]["history"]
     assert [row[0] for row in got] == [row[0] for row in want]
@@ -460,9 +469,9 @@ def test_three_point_2d_half_integrates_only_the_spacelike_interval():
         sizes.append(k0s[0].size)
         return damped_phase(k0s, k1s)
 
-    rec = []
-    three_point_eval_2d(f, GreenSpec(2, 0.5, 1.0), ATOM_TRIPLE,
-                        tol=1.0, energy_box=36.0, recorder=rec)
+    with collect() as rec:
+        three_point_eval_2d(f, GreenSpec(2, 0.5, 1.0), ATOM_TRIPLE,
+                            tol=1.0, energy_box=36.0)
     want = []
     for (n1, n2, n3, n4), _, _ in rec[0]["history"]:
         # two outer pieces, split at -2m, of n1 nodes each
@@ -657,9 +666,8 @@ def test_factorized_makes_two_phase_passes_per_round(test, alpha, monkeypatch):
     calls = []
     monkeypatch.setattr(wightman, "phase_sums",
                         lambda *args: calls.append(args[2].shape) or phase_sums(*args))
-    rec = []
-    factorized_eval(test, GreenSpec(test.dim, alpha, 1.0), ATOM_TRIPLE, tol=1e-3,
-                    recorder=rec)
+    with collect() as rec:
+        factorized_eval(test, GreenSpec(test.dim, alpha, 1.0), ATOM_TRIPLE, tol=1e-3)
     rounds = len(rec[0]["history"])
     assert len(calls) == 2 * rounds
     # every call carries both signs of every factor
