@@ -163,7 +163,7 @@ def gl_nodes(lo: float, hi: float, n: int):
     return 0.5 * (hi + lo) + 0.5 * (hi - lo) * t, 0.5 * (hi - lo) * w
 
 
-def sine_nodes(lo, hi, n: int):
+def sine_nodes(lo, hi, n: int, out=None):
     """Sine-substituted rule on [lo, hi]; arrays of intervals broadcast.
 
     Near an endpoint d ~ (1 - |t|)^2, so d^(-p) dd ~ (1 - |t|)^(1 - 2p) dt:
@@ -171,15 +171,23 @@ def sine_nodes(lo, hi, n: int):
     algebraically in n for 0 < p < 1/2 (see :func:`tanh_sinh_nodes`).
 
     Nodes and weights gain a trailing axis of length n.  Intervals with
-    hi <= lo get zero weight.
+    hi <= lo get zero weight.  ``out=(x, w)`` writes them into two float
+    arrays of that shape, which are returned; otherwise they are allocated.
     """
     t, wt = gauss_legendre(n)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    half = 0.5 * np.maximum(hi - lo, 0.0)
-    mid = 0.5 * (hi + lo)
-    x = mid[..., None] + half[..., None] * np.sin(0.5 * math.pi * t)
-    w = half[..., None] * wt * 0.5 * math.pi * np.cos(0.5 * math.pi * t)
+    half = 0.5 * np.maximum(hi - lo, 0.0)[..., None]
+    mid = 0.5 * (hi + lo)[..., None]
+    if out is None:
+        shape = mid.shape[:-1] + (n,)
+        out = np.empty(shape), np.empty(shape)
+    x, w = out
+    np.multiply(half, np.sin(0.5 * math.pi * t), out=x)
+    x += mid
+    np.multiply(half, wt, out=w)
+    w *= 0.5 * math.pi
+    w *= np.cos(0.5 * math.pi * t)
     return x, w
 
 
@@ -353,9 +361,10 @@ def refine(
     |cur - prev| <= max(rtol * max(|cur|, |prev|), atol).  On acceptance a
     record {"op", "value", "tolerance", "history"} is emitted to the open
     :func:`collect` block, with one history row [p, real, imag] per round
-    evaluated.  If the schedule runs out first, nothing is emitted and
-    QuadratureError carries the last residual |cur - prev| and, as
-    ``history``, the same rows.
+    evaluated.  If the schedule runs out first, QuadratureError carries the
+    last residual |cur - prev| and, as ``history``, the same rows; before
+    it is raised the record is emitted with the last round's value and two
+    more keys, ``"residual"`` and ``"error"`` (the exception's message).
     """
     history = []
     prev, resid = None, math.inf
@@ -370,8 +379,12 @@ def refine(
                       "tolerance": rtol, "history": history})
                 return cur
         prev = cur
-    raise QuadratureError(
+    error = QuadratureError(
         f"{op} did not stabilize (rtol {rtol:g}, atol {atol:g})",
         residual=float(resid),
         history=history,
     )
+    emit({"op": op, "value": history[-1][1:] if history else None,
+          "tolerance": rtol, "history": history, "residual": error.residual,
+          "error": str(error)})
+    raise error

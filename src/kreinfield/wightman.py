@@ -63,14 +63,21 @@ Branch = str  # "+", "-", "0"
 # -- branch densities ---------------------------------------------------------
 
 
-def _shell_power(msq, alpha: float):
+def _shell_power(msq, alpha: float, out=None):
     """|msq|^(-alpha) for msq = k^2 - m^2, set to 0 where msq == 0.
 
     Exact shell hits only occur at zero-weight quadrature nodes; returning 0
     there keeps inf/nan out of the node tensors (pointwise API raises instead).
+    ``out``, a float array of msq's shape, receives the result.
     """
+    msq = np.asarray(msq)
+    if out is None:
+        out = np.empty(msq.shape)
+    np.abs(msq, out=out)
     with np.errstate(divide="ignore"):
-        return np.where(msq != 0, np.abs(msq) ** (-alpha), 0.0)
+        out **= -alpha
+    out[msq == 0] = 0.0
+    return out
 
 
 def _density_arrays(k0, kv_sq, spec: GreenSpec, branches: Sequence[Branch]):
@@ -352,8 +359,10 @@ def three_point_eval_2d(
     ``k1s`` holds their spatial components on the level-3 grid, shape
     (3, n2, 2, n3, 1, 1), since they do not depend on the level-4 energy.
     The two broadcast against each other, and ``f``'s result must broadcast
-    to the grid.  Interval endpoints are pinned to the mass shells and
-    crushed by the sine substitution.
+    to the grid.  Both are read-only and ``k0s`` is overwritten at the next
+    outer node, so ``f`` must not keep or write its inputs.  Interval
+    endpoints are pinned to the mass shells and crushed by the sine
+    substitution.
     On the support every partial energy sum is below -m, which closes all
     boxes once combined with ``energy_box``.
 
@@ -378,10 +387,12 @@ def three_point_eval_2d(
     keep = [i for i, c in enumerate(coefs) if c != 0.0]
     coef = np.array([coefs[i] for i in keep])[:, None]
 
-    def inner(k10: float, n2: int, n3: int, n4: int) -> complex:
+    def inner(k10: float, grids) -> complex:
         lim = math.sqrt(max(k10 * k10 - m * m, 0.0))
         if lim == 0.0:
             return 0.0j
+        k0s, k0s_in, msq, tmp, w4, vals = grids
+        _, n2, _, n3, _, n4 = k0s.shape
         # level 2: first slot's spatial component on (-lim, lim)
         x2, w2 = sine_nodes(-lim, lim, n2)
         # level 3: second slot's spatial component, split where k3 space flips
@@ -401,27 +412,47 @@ def three_point_eval_2d(
         c2 = np.clip(om2, c1, top)
         lo4 = np.stack([bot, c1, c2], axis=-1)[..., keep]
         hi4 = np.stack([c1, c2, top], axis=-1)[..., keep]
-        x4, w4 = sine_nodes(lo4, hi4, n4)  # (n2, 2, n3, len(keep), n4)
-
-        # energies on the full grid, spatial components on the level-3 grid
-        k0s = np.empty((3,) + x4.shape)
-        k0s[0], k0s[1], k0s[2] = k10, x4, -k10 - x4
+        # energies on the full grid (n2, 2, n3, len(keep), n4), spatial
+        # components on the level-3 grid
+        k0s[0].fill(k10)
+        sine_nodes(lo4, hi4, n4, out=(k0s[1], w4))
+        np.subtract(-k10, k0s[1], out=k0s[2])
         k1s = np.stack([k11, x3, k31])[..., None, None]
-        msq = (k10 * k10 - x2 * x2 - m * m)[:, None, None, None, None] \
-            * (k0s[1] * k0s[1] - k1s[1] * k1s[1] - m * m) \
-            * (k0s[2] * k0s[2] - k1s[2] * k1s[2] - m * m)
-        vals = f(k0s, k1s) * (coef * _shell_power(msq, alpha))
+        k1s.flags.writeable = False
+        # msq = (k1^2 - m^2) (k2^2 - m^2) (k3^2 - m^2), built in place
+        np.multiply(k0s[1], k0s[1], out=msq)
+        msq -= k1s[1] * k1s[1]
+        msq -= m * m
+        msq *= (k10 * k10 - x2 * x2 - m * m)[:, None, None, None, None]
+        np.multiply(k0s[2], k0s[2], out=tmp)
+        tmp -= k1s[2] * k1s[2]
+        tmp -= m * m
+        msq *= tmp
+        fk = f(k0s_in, k1s)
+        _shell_power(msq, alpha, out=tmp)
+        tmp *= coef
+        np.multiply(fk, tmp, out=vals)
         with np.errstate(invalid="ignore"):
-            contrib = np.where(w4 != 0, vals * w4, 0.0)
-        lvl3 = np.sum(contrib, axis=(-2, -1))
+            vals *= w4
+        # a zero-weight node may sit on a shell, where vals is not finite
+        vals[w4 == 0] = 0.0
+        lvl3 = np.sum(vals, axis=(-2, -1))
         lvl2 = np.sum(lvl3 * w3, axis=(-2, -1))
         return complex(np.sum(lvl2 * w2))
 
     def value(npts4) -> complex:
         n1, n2, n3, n4 = npts4
+        # the grid arrays of one round, written in place at every outer
+        # node; f gets a read-only view of the energies
+        grid = (n2, 2, n3, len(keep), n4)
+        k0s = np.empty((3,) + grid)
+        k0s_in = k0s.view()
+        k0s_in.flags.writeable = False
+        grids = (k0s, k0s_in, np.empty(grid), np.empty(grid), np.empty(grid),
+                 np.empty(grid, dtype=complex))
 
         def level1(p0):
-            return np.array([inner(k10, n2, n3, n4) for k10 in p0])
+            return np.array([inner(k10, grids) for k10 in p0])
 
         return pref * complex(
             line_quadrature(level1, -energy_box, -m, (-2 * m,), n1))
@@ -647,9 +678,11 @@ def truncated_momentum_eval(
     ``three_point_eval_1d``).  In d = 2 with n = 3, ``f(k0s, k1s)`` gets the
     slot energies on the grid, shape (3, n2, 2, n3, K, n4), and the spatial
     components on the level-3 grid, shape (3, n2, 2, n3, 1, 1), and its
-    result must broadcast to the grid (see ``three_point_eval_2d``).  The
-    one-point value is zero by convention.  The route's refinement record
-    goes to the open :func:`~kreinfield.quadrature.collect` block.
+    result must broadcast to the grid; both inputs are read-only and the
+    energies are overwritten at the next call, so ``f`` must not keep or
+    write them (see ``three_point_eval_2d``).  The one-point value is zero
+    by convention.  The route's refinement record goes to the open
+    :func:`~kreinfield.quadrature.collect` block.
     """
     tensor = isinstance(test, TensorTestFunction)
     n = len(test.factors) if tensor else getattr(test, "n_slots", None)
@@ -731,6 +764,9 @@ def _bridge_sides(points, spec: GreenSpec, triple: LevyTriple,
         dt = times[1] - times[0]
         if d == 1:
             rhs = cn * math.exp(-m * dt) / (2 * m)
+            # closed form: nothing to refine
+            emit({"op": "pair_bridge_1d", "value": [rhs, 0.0],
+                  "tolerance": 0.0, "history": [[1, rhs, 0.0]]})
         else:
             dy = pts[0, 1] - pts[1, 1]
 

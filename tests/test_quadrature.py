@@ -32,7 +32,21 @@ def test_refine_raises_with_residual_when_schedule_runs_out():
         refine(float, (1, 2, 4), 1e-6, 0.0, "diverging")
     assert math.isfinite(info.value.residual)
     assert info.value.residual == pytest.approx(2.0)
-    assert rec == []
+    assert [r["op"] for r in rec] == ["diverging"]
+
+
+def test_failed_refine_leaves_a_record_matching_its_exception():
+    vals = {8: 1.0 + 2.0j, 16: 3.0 - 1.0j}
+    with collect() as rec, pytest.raises(QuadratureError) as info:
+        refine(vals.get, (8, 16), 1e-9, 0.0, "two rounds")
+    assert len(rec) == 1
+    record = rec[0]
+    assert record["op"] == "two rounds"
+    assert record["value"] == [3.0, -1.0]
+    assert record["tolerance"] == 1e-9
+    assert record["history"] == info.value.history
+    assert record["residual"] == info.value.residual
+    assert record["error"] == str(info.value)
 
 
 def test_failed_refine_keeps_its_history():
@@ -246,6 +260,19 @@ def test_sine_map_broadcasts_and_zeroes_degenerate_intervals():
     assert np.all(w[0, 1] == 0.0) and np.all(w[1, 0] == 0.0)
     assert np.sum(w[0, 0]) == pytest.approx(1.0, rel=1e-12)
     assert np.sum(w[1, 1]) == pytest.approx(4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-0.5, 2.0),
+    # (2, 3) intervals; [0, -1] is empty
+    (np.array([[0.0], [2.0]]), np.array([[1.0, 3.0, -1.0], [4.0, 2.5, 3.0]])),
+], ids=["scalar", "broadcast-2x3"])
+def test_sine_nodes_out_fills_the_given_buffers(lo, hi):
+    x, w = sine_nodes(lo, hi, 9)
+    out = (np.empty(x.shape), np.empty(w.shape))
+    got = sine_nodes(lo, hi, 9, out=out)
+    assert got[0] is out[0] and got[1] is out[1]
+    assert np.array_equal(got[0], x) and np.array_equal(got[1], w)
 
 
 TANH_SINH_SCHEDULE = [24 << k for k in range(5)]

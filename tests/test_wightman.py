@@ -221,6 +221,18 @@ def test_pair_bridge_d2_alpha_half_converges_or_raises(dt, dy, lat):
     assert report.rhs == pytest.approx(closed, rel=1e-8)
 
 
+def test_pair_bridge_d1_alpha_half_emits_its_closed_form_record():
+    """The closed form cn e^(-m dt) / (2 m) leaves a one-row record."""
+    with collect() as rec:
+        report = laplace_bridge_check(np.array([[0.0], [0.75]]),
+                                      GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE,
+                                      Lattice(1, 64, 0.25))
+    rhs = cumulant_coeff(2, ATOM_TRIPLE) * math.exp(-0.75) / 2
+    assert report.rhs == rhs
+    assert rec == [{"op": "pair_bridge_1d", "value": [rhs, 0.0],
+                    "tolerance": 0.0, "history": [[1, rhs, 0.0]]}]
+
+
 def test_pair_bridge_d1_alpha_quarter():
     spec = GreenSpec(1, 0.25, 1.0)
     lat = Lattice(1, 2048, 0.015625)
@@ -478,6 +490,17 @@ def test_three_point_2d_half_integrates_only_the_spacelike_interval():
         want += [n2 * 2 * n3 * n4] * (2 * n1)
     assert len(rec[0]["history"]) == 2
     assert sizes == want
+
+
+def test_three_point_2d_grid_is_read_only_for_f():
+    """The energy grid is reused at every outer node, so f may not write it."""
+    def f(k0s, k1s):
+        k0s[0] = 0.0
+        return damped_phase(k0s, k1s)
+
+    with pytest.raises(ValueError):
+        three_point_eval_2d(f, GreenSpec(2, 0.5, 1.0), ATOM_TRIPLE,
+                            tol=1.0, energy_box=36.0)
 
 
 def test_bridge_requires_increasing_times():
