@@ -3,10 +3,14 @@
 Every integral in the package is built from the same pieces:
 
 * :func:`gauss_legendre` -- the order-n rule on [-1, 1], built once per order
-  and handed out as read-only arrays: Bessel-zero guesses in theta = arccos x
-  near the endpoints and Tricomi's guesses elsewhere, finished by one pass of
-  the Legendre recurrence for n >= 63 (Newton steps in theta and x, weights
-  from the Legendre equation); the rule is exactly antisymmetric;
+  and handed out as read-only arrays, exactly antisymmetric.  From n = 256
+  on it comes straight from Bogaert's expansions of each node and weight,
+  in O(n) and without iteration (nodes within 2.2e-16 absolute, weights
+  within 7e-16 relative of a 40-digit reference).  Below 256 Bessel-zero
+  guesses in theta = arccos x near the endpoints and Tricomi's guesses
+  elsewhere are finished by one pass of the Legendre recurrence for
+  n >= 63 (Newton steps in theta and x, weights from the Legendre
+  equation; nodes within 1.2e-16, weights within 8e-15);
 * :func:`gl_nodes` -- that rule mapped affinely onto [lo, hi];
 * :func:`sine_nodes` -- the rule under x = mid + half sin(pi t / 2), which
   puts the distance d to either endpoint at d ~ (1 - |t|)^2: an endpoint
@@ -70,60 +74,143 @@ def _legendre(y: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 # j_{0,k}, the first zeros of the Bessel function J_0 (mpmath.besseljzero)
 _J0_ZEROS = (2.4048255576957728, 5.5200781102863106, 8.6537279129110122,
-             11.791534439014282, 14.930917708487786)
+             11.791534439014282, 14.930917708487786, 18.071063967910924,
+             21.21163662987926, 24.352471530749302, 27.493479132040253,
+             30.634606468431976, 33.77582021357357, 36.917098353664045,
+             40.05842576462824, 43.19979171317673, 46.341188371661815,
+             49.482609897397815, 52.624051841115, 55.76551075501998,
+             58.90698392608094, 62.048469190227166)
+
+# J_1(j_{0,k})^2 (mpmath.besselj at mpmath.besseljzero)
+_J1_SQUARED = (0.2695141239419169, 0.11578013858220369, 0.07368635113640822,
+               0.05403757319811628, 0.04266142901724309, 0.0352421034909961,
+               0.030021070103054673, 0.02614739149530809, 0.023159121824691393,
+               0.02078382912226786, 0.01885045066931767, 0.017246157569665008,
+               0.0158935181059236, 0.01473762609647219, 0.013738465145387117,
+               0.012866181737615133, 0.012098051548626797, 0.011416471224491609,
+               0.010807592791180204, 0.010260372926280762, 0.009765897139791051)
 
 # nodes nearest x = 1 that get Gatteschi's Bessel-zero guess
 _ENDPOINT_NODES = 40
 
 
-def _bessel_j0_zeros(m: int) -> np.ndarray:
-    """The first m zeros of J_0: tabulated, then McMahon's series.
+def _bessel_j0_zeros(m: int, tabulated: int = len(_J0_ZEROS)):
+    """beta_k = (k - 1/4) pi and the offsets j_{0,k} - beta_k for k = 1..m.
 
-    With beta = (k - 1/4) pi the series is relatively accurate to 4e-12 at
-    k = 5, 4e-13 at k = 6 and 2e-14 from k = 8, so the table covers k <= 5.
+    The first ``tabulated`` offsets come from ``_J0_ZEROS`` (each difference
+    is exact, so beta_k + offset_k gives the tabulated zero back), later
+    ones from McMahon's series, summed directly so that no digits cancel.
+    Relative to the zero the series is accurate to 4e-12 at k = 5, 4e-13 at
+    k = 6, 2e-14 from k = 8 and 1e-19 from k = 21.
     """
     beta = (np.arange(1, m + 1) - 0.25) * math.pi
     u = 1.0 / (8.0 * beta)
     u2 = u * u
-    j = beta + u * (1.0 + u2 * (-124.0 / 3.0 + u2 * (120928.0 / 15.0 + u2 * (
+    offset = u * (1.0 + u2 * (-124.0 / 3.0 + u2 * (120928.0 / 15.0 + u2 * (
         -401743168.0 / 105.0 + u2 * 1071187749376.0 / 315.0))))
-    j[:5] = _J0_ZEROS[:m]
-    return j
+    k = min(m, tabulated)
+    offset[:k] = np.array(_J0_ZEROS[:k]) - beta[:k]
+    return beta, offset
 
 
-@functools.lru_cache(maxsize=256)
-def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Order-n Gauss-Legendre nodes and weights on [-1, 1] (read-only, cached).
+def _bessel_j1_squared(m: int) -> np.ndarray:
+    """J_1(j_{0,k})^2 for k = 1..m: tabulated, then its series in 1/(k - 1/4).
 
-    The n // 2 positive nodes start from asymptotic guesses in
-    theta = arccos x (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013);
-    Bogaert, SIAM J. Sci. Comput. 36 (2014)): Gatteschi's Bessel-zero form
-    for the 40 nodes nearest x = 1 and Tricomi's form for the rest.  For
-    n >= 63 every guess is within 1e-9 (relative) of its node, so one pass
-    of the recurrence finishes the rule.  From P_n and P_{n-1} - x P_n at
-    the guesses that pass gives
-
-    * Newton's step delta in theta, whose error is about delta^2 / theta;
-    * the weight 2 / P_theta^2 at the node, from the Taylor series of
-      P_theta about the pass point to order delta^2, with the higher
-      derivatives taken from the Legendre equation in theta.  Working in
-      theta avoids the cancellation in 1 - x^2 near the endpoints;
-    * a Newton step in x, where a node's absolute accuracy is set.
-
-    A smaller n repeats the pass from the stepped theta until the step is
-    small enough.  The negative half mirrors the positive one and an odd
-    rule has the middle node 0.0, so t == -t[::-1] and w == w[::-1] hold
-    exactly.
+    The series, x (2 / pi^2 - 7 x^4 / (24 pi^6) + ...) with x = 1/(k - 1/4),
+    follows from J_1(j) Y_0(j) = 2 / (pi j) at a zero of J_0, the Hankel
+    expansion of J_0^2 + Y_0^2 and McMahon's series; its first neglected
+    term is under 1e-18 relative at k = 22.
     """
-    if n < 1:
-        raise PreconditionError("a Gauss-Legendre rule needs n >= 1")
+    x = 1.0 / (np.arange(1, m + 1) - 0.25)
+    x2 = x * x
+    out = x * (0.20264236728467555 + x2 * x2 * (-0.00030338042971129027 + x2 * (
+        0.0001989243642459693 + x2 * (-0.00022896990277211166
+                                      + x2 * 0.0004337107191307463))))
+    k = min(m, len(_J1_SQUARED))
+    out[:k] = _J1_SQUARED[:k]
+    return out
+
+
+# the order from which gauss_legendre uses the expansions instead of the
+# recurrence (see its docstring for the choice)
+_EXPANSION_ORDER = 256
+
+# Bogaert's functions F1-F3 and W1-W3 of the node and weight expansions
+# (see _expansion_half) as powers of x = theta^2 for 0 <= theta <= pi/2:
+# truncated Chebyshev interpolants, computed offline in 50-digit mpmath
+# from the expansion of P_n(cos theta) in J_0 and J_0'.  Each is cut where
+# its error moves a node or weight by under 1e-18 at n = 256.
+_NODE_F1 = (-0.0416666666666663, 0.004166666666651934, -0.00014880952371390914,
+            2.7557316896206124e-06, -3.1314865463599204e-08,
+            2.4072468586433013e-10, -1.2905299627428051e-12)
+_NODE_F2 = (0.008159721974625559, -0.0020902153899889334, 0.0002820833438640059,
+            -2.527203094104021e-05, 1.5743573047653096e-06,
+            -5.8971498575335694e-08)
+_NODE_F3 = (-0.004159191047594412, 0.001273981989260863,
+            -0.00022420685590563084, 2.181375496039575e-05)
+_WEIGHT_W1 = (0.08333333333333276, -0.030555555555517793, 0.00436507936467061,
+              -0.0003262786579076916, 1.4964455846834881e-05,
+              -4.639645313298087e-07, 1.0372775735799559e-08,
+              -1.741229652543076e-10, 2.058382085526116e-12)
+_WEIGHT_W2 = (-0.011111111103620638, 0.002689594060880055,
+              -0.0004072952817503245, 4.659237791693621e-05,
+              -3.812975991816219e-06, 2.0848476163305094e-07,
+              -6.300397720181659e-09)
+_WEIGHT_W3 = (0.0065693768552132865, -8.870727118943678e-05,
+              -0.00012668496357684655, -1.5783276620831185e-05,
+              5.073714496994688e-06)
+
+
+def _horner(coeffs, x):
+    """sum_i coeffs[i] x^i; importing numpy.polynomial would add ~5 ms to every start."""
+    out = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out = out * x + c
+    return out
+
+
+def _expansion_half(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes x_k (k = 1..n // 2) and weights (k = 1..n // 2 + n % 2), no iteration.
+
+    With w = 1/(n + 1/2), nu = j_{0,k}, theta = w nu and
+    u = (w^2 nu / sin theta)^2, Bogaert's expansions give the node angle
+    w (nu + theta (w^2 nu / sin theta) (F1 + u (F2 + u F3))) and the weight
+    2 w / (J_1(nu)^2 (nu / sin theta) (1 + u (W1 + u (W2 + u W3)))).  The
+    node is taken as sin phi, phi = pi/2 - node angle, with pi/2 - w (k - 1/4)
+    pi written as pi (n/2 - k + 1/2) w, so that neither the large terms of phi
+    nor cos of the angle cancel any digits.
+    """
+    half = n // 2
+    m = half + n % 2
+    k = np.arange(1, half + 1)
+    beta, offset = _bessel_j0_zeros(m)
+    w = 1.0 / (n + 0.5)
+    nu = beta + offset
+    theta = w * nu
+    x = theta * theta
+    nu_sin = nu / np.sin(theta)
+    wis = w * w * nu_sin
+    u = wis * wis
+    corr = theta * wis * (_horner(_NODE_F1, x)
+                          + u * (_horner(_NODE_F2, x) + u * _horner(_NODE_F3, x)))
+    phi = (math.pi * w) * (0.5 * n + 0.5 - k) - w * offset[:half] - w * corr[:half]
+    weights = 2.0 * w / (_bessel_j1_squared(m) * nu_sin * (1.0 + u * (
+        _horner(_WEIGHT_W1, x) + u * (_horner(_WEIGHT_W2, x) + u * _horner(_WEIGHT_W3, x)))))
+    return np.sin(phi), weights
+
+
+def _recurrence_half(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes x_k (k = 1..n // 2) and weights (k = 1..n // 2 + n % 2) by Newton steps."""
     half, odd = n // 2, n % 2
     k = np.arange(1, half + 1)
     theta = np.arccos((1.0 - (n - 1) / (8.0 * n**3))
                       * np.cos((4 * k - 1) * math.pi / (4 * n + 2)))
     m = min(half, _ENDPOINT_NODES)
     v = 1.0 / (n + 0.5)
-    psi = _bessel_j0_zeros(m) * v
+    # five tabulated zeros already put every guess well inside what one pass
+    # needs; more would move these rules by an ulp here and there
+    beta, offset = _bessel_j0_zeros(m, tabulated=5)
+    psi = (beta + offset) * v
     theta[:m] = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi) * v * v
     # an odd rule's middle node sits at theta = pi / 2, y = 1 exactly, and
     # only needs its weight
@@ -150,6 +237,47 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     d3 = -cot_t * d2 + (1.0 / sin_t**2 - nn1) * d1
     w = 2.0 / (d1 + step * (d2 + 0.5 * step * d3)) ** 2
     x = ((1.0 - y) - p * y * (2.0 - y) / (n * q))[:half]
+    return x, w
+
+
+@functools.lru_cache(maxsize=256)
+def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Order-n Gauss-Legendre nodes and weights on [-1, 1] (read-only, cached).
+
+    The n // 2 positive nodes are built in one of two ways.
+
+    * n >= 256: without iteration, from Bogaert's expansions of each node
+      and weight in powers of 1/(n + 1/2) (Bogaert, SIAM J. Sci. Comput. 36
+      (2014) A1008), in O(n) time; no recurrence pass runs.  Against a
+      40-digit reference the nodes are within 2.2e-16 absolute and the
+      weights within 7e-16 relative (every node of n = 256, 257, 512, 513,
+      700, 1035 and 1283; 125-152 nodes each of n = 2048 and 4096).
+    * n < 256: asymptotic guesses in theta = arccos x (Hale & Townsend, SIAM
+      J. Sci. Comput. 35 (2013)), Gatteschi's Bessel-zero form for the 40
+      nodes nearest x = 1 and Tricomi's form for the rest, finished by the
+      Legendre recurrence.  For n >= 63 every guess is within 1e-9
+      (relative) of its node, so one pass finishes the rule; a smaller n
+      repeats the pass from the stepped theta until the step is small
+      enough.  From P_n and P_{n-1} - x P_n at the guesses the pass gives
+      Newton's step delta in theta, whose error is about delta^2 / theta;
+      the weight 2 / P_theta^2 at the node, from the Taylor series of
+      P_theta about the pass point to order delta^2 with the higher
+      derivatives taken from the Legendre equation in theta (which avoids
+      the cancellation in 1 - x^2 near the endpoints); and a Newton step in
+      x, where a node's absolute accuracy is set.  The nodes are within
+      1.2e-16 absolute and the weights within 8e-15 relative (every node
+      of n = 64, 100, 128, 181, 200, 255).
+
+    The expansions hold from n ~ 100 on and are faster at every order, but
+    at n = 181 a few of their nodes sit 2.8e-16 from numpy's, so the cutoff
+    is above that.  The negative half mirrors the positive one and an odd
+    rule has the middle node 0.0, so t == -t[::-1] and w == w[::-1] hold
+    exactly.
+    """
+    if n < 1:
+        raise PreconditionError("a Gauss-Legendre rule needs n >= 1")
+    odd = n % 2
+    x, w = (_expansion_half if n >= _EXPANSION_ORDER else _recurrence_half)(n)
     t = np.concatenate([-x, [0.0] * odd, x[::-1]])
     w = np.concatenate([w, w[::-1][odd:]])
     t.setflags(write=False)

@@ -145,33 +145,52 @@ def test_cached_rule_matches_numpy_and_is_read_only(n):
         w[0] = 0.0
 
 
-def _mp_weight(n, x0):
-    """Weight of the order-n rule at the node next to x0, to 40 digits."""
+def _mp_node_and_weight(n, x0, steps=6):
+    """Node of the order-n rule next to x0 and its weight, to 40 digits."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         x = mpmath.mpf(x0)
-        for _ in range(6):
+        for _ in range(steps):
             p_prev, p = mpmath.mpf(1), x
             for k in range(1, n):
                 p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
             step = p * (1 - x * x) / (n * (p_prev - x * p))
             x -= step
-        return float(2 * (1 - x * x) / (n * (p_prev - x * p)) ** 2)
+        return +x, 2 * (1 - x * x) / (n * (p_prev - x * p)) ** 2
 
 
 # the nodes nearest x = -1, those around the switch from Gatteschi's
 # guesses (the 40 nodes nearest an endpoint) to Tricomi's, the middle node
-# and the last one
-@pytest.mark.parametrize("n", [7, 48, 64, 181, 255, 256, 1024, 1816, 4096])
+# and the last one; 255 and the cutoff straddle the switch from the
+# recurrence to the expansions
+@pytest.mark.parametrize("n", [7, 48, 64, 181, 255, quadrature._EXPANSION_ORDER,
+                               1024, 1283, 1816, 4096])
 def test_rule_weights_match_high_precision_reference(n):
     t, w = gauss_legendre(n)
     for i in sorted({0, 1, 2, 39, 40, 41, n // 2, n - 1} & set(range(n))):
-        assert w[i] == pytest.approx(_mp_weight(n, t[i]), rel=1e-13)
+        assert w[i] == pytest.approx(float(_mp_node_and_weight(n, t[i])[1]), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [quadrature._EXPANSION_ORDER,
+                               quadrature._EXPANSION_ORDER + 1])
+def test_expansion_rule_matches_high_precision_reference_at_every_node(n):
+    mpmath = pytest.importorskip("mpmath")
+    t, w = gauss_legendre(n)
+    node_err = weight_err = 0.0
+    # two Newton steps from a node within 1e-15 pass 40 digits
+    for i in range(n // 2, n):
+        x, wx = _mp_node_and_weight(n, t[i], steps=2)
+        with mpmath.workdps(40):
+            node_err = max(node_err, float(abs(mpmath.mpf(t[i]) - x)))
+            weight_err = max(weight_err, float(abs(mpmath.mpf(w[i]) / wx - 1)))
+    assert node_err <= 4e-16
+    assert weight_err <= 1e-15
 
 
 # 1283, 1816 and 4096 are factorized a-rule sizes, which phase_sums rejects
 # unless mirrored
-@pytest.mark.parametrize("n", [1, 2, 7, 48, 181, 1283, 1816, 4096])
+@pytest.mark.parametrize("n", [1, 2, 7, 48, 181, quadrature._EXPANSION_ORDER,
+                               1283, 1816, 4096])
 def test_rule_is_exactly_antisymmetric(n):
     t, w = gauss_legendre(n)
     assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
@@ -183,17 +202,37 @@ def test_rule_is_exactly_antisymmetric(n):
 
 def test_bessel_zero_table_and_mcmahon_series_match_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    j = quadrature._bessel_j0_zeros(40)
-    want = np.array([float(mpmath.besseljzero(0, k)) for k in range(1, 41)])
+    with mpmath.workdps(40):
+        zeros = [mpmath.besseljzero(0, k) for k in range(1, 61)]
+        want = np.array([float(z) for z in zeros])
+        # both tables are the correctly rounded 40-digit values
+        assert np.array_equal(quadrature._J0_ZEROS, want[:20])
+        j1sq = np.array([float(mpmath.besselj(1, z) ** 2) for z in zeros])
+        assert np.array_equal(quadrature._J1_SQUARED, j1sq[:21])
+        beta, offset = quadrature._bessel_j0_zeros(60)
+        # past the table the offsets j_{0,k} - (k - 1/4) pi carry no
+        # cancellation error; they enter the expansion nodes directly
+        off_err = [float(abs(offset[k] - (zeros[k] - (k + 0.75) * mpmath.pi)))
+                   for k in range(20, 60)]
+    assert np.array_equal((beta + offset)[:20], want[:20])
+    assert max(off_err) <= 1e-17
+    rel = np.abs(quadrature._bessel_j1_squared(60) / j1sq - 1.0)
+    assert np.all(rel[:21] == 0.0) and np.all(rel[21:] <= 3e-16)
+    # the recurrence path's guesses: five tabulated zeros, then McMahon
+    beta, offset = quadrature._bessel_j0_zeros(40, tabulated=5)
+    j = beta + offset
     assert np.array_equal(j[:5], want[:5])
-    rel = np.abs(j / want - 1.0)
+    rel = np.abs(j / want[:40] - 1.0)
     assert rel[5] <= 1e-12 and rel[6] <= 1e-13
     assert np.all(rel[7:] <= 2e-14)
-    assert np.array_equal(quadrature._bessel_j0_zeros(3), want[:3])
+    beta, offset = quadrature._bessel_j0_zeros(3)
+    assert np.array_equal(beta + offset, want[:3])
 
 
 @pytest.mark.parametrize("n", [64, 1816, 4096])
 def test_cold_rule_costs_one_recurrence_pass(n, monkeypatch):
+    """One pass below the cutoff, none from it on."""
+    passes = {64: 1, 1816: 0, 4096: 0}[n]
     calls = []
     legendre = quadrature._legendre
 
@@ -203,7 +242,7 @@ def test_cold_rule_costs_one_recurrence_pass(n, monkeypatch):
 
     monkeypatch.setattr(quadrature, "_legendre", counted)
     gauss_legendre.__wrapped__(n)
-    assert calls == [n]
+    assert calls == [n] * passes
 
 
 def test_package_import_leaves_out_scipy_special_and_mpmath():
@@ -212,6 +251,7 @@ def test_package_import_leaves_out_scipy_special_and_mpmath():
         "for mod in pkgutil.iter_modules(kreinfield.__path__):\n"
         "    importlib.import_module('kreinfield.' + mod.name)\n"
         "assert 'kreinfield.cli' in sys.modules\n"
+        "kreinfield.quadrature.gauss_legendre(4096)\n"
         "print(sorted(m for m in ('scipy.special', 'mpmath') if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

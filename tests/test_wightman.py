@@ -233,6 +233,24 @@ def test_pair_bridge_d1_alpha_half_emits_its_closed_form_record():
                     "tolerance": 0.0, "history": [[1, rhs, 0.0]]}]
 
 
+def test_pair_bridge_d1_density_loop_leaves_its_record():
+    """The alpha < 1/2 loop records every round and its last residual."""
+    with collect() as rec:
+        report = laplace_bridge_check(np.array([[0.0], [0.75]]),
+                                      GreenSpec(1, 0.35, 1.0), ATOM_TRIPLE,
+                                      Lattice(1, 64, 0.25))
+    assert [r["op"] for r in rec] == ["pair_bridge_1d_density"]
+    record = rec[0]
+    assert set(record) == {"op", "value", "tolerance", "history", "residual"}
+    assert record["tolerance"] == 1e-9
+    assert [row[0] for row in record["history"]] == [64 << k for k in range(7)]
+    assert record["value"] == record["history"][-1][1:]
+    # the loop ran out without meeting its test, and says so
+    assert record["residual"] > 1e-9 * abs(record["value"][0])
+    assert report.rhs == (cumulant_coeff(2, ATOM_TRIPLE) * math.sin(2 * math.pi * 0.35)
+                          * record["value"][0] / math.pi)
+
+
 def test_pair_bridge_d1_alpha_quarter():
     spec = GreenSpec(1, 0.25, 1.0)
     lat = Lattice(1, 2048, 0.015625)
