@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kreinfield import euclidean
-from kreinfield.errors import ConfigurationError, LatticeMismatchError
+from kreinfield.errors import ConfigurationError, LatticeMismatchError, SizeLimitError
 from kreinfield.euclidean import (
     convolve,
     estimate_moment_table,
@@ -167,20 +167,32 @@ def test_gaussian_noise_has_no_third_cumulant():
     assert abs(est.value) < 4 * est.std_error
 
 
+def _replicate_projections(lat, sks, triple, seed, r):
+    """One replicate's smeared values by the stream contract, from a fresh stream."""
+    rng = noise_generator(seed, r)
+    v = lat.cell_volume
+    S = np.stack([sk.ravel() for sk in sks])
+    sites = S.shape[1]
+    p = triple.compensated_drift() * S.sum(axis=1)
+    for s, lam in triple.atoms:
+        count = rng.poisson(lam * v * sites)
+        idx = rng.integers(0, sites, count)
+        p = p + (s / v) * (S @ np.bincount(idx, minlength=sites))
+    if triple.variance > 0:
+        r_factor = np.linalg.qr(S.T, mode="r")
+        z = rng.standard_normal(len(sks))
+        p = p + math.sqrt(triple.variance / v) * r_factor.T @ z
+    return p * v
+
+
 def test_jackknife_reduces_to_classic_se_for_mean():
     lat = Lattice(1, 32, 0.5)
     G = green_alpha_lattice(lat, GreenSpec(1, 0.5, 1.0))
     w = sample_function(lat, TestFunction.gaussian((0.0,), 1.0)).values.real
     est = estimate_schwinger_mc(lat, G, [w], ATOM_TRIPLE, 400, seed=1, n_batches=20)
     # recompute batch means directly
-    kr = reflect(G)
-    from kreinfield.euclidean import convolve as conv
-
-    sk = conv(kr, LatticeField(lat, w)).values
-    ms = []
-    for r in range(400):
-        noise = white_noise_field(lat, ATOM_TRIPLE, noise_generator(1, r)).values
-        ms.append(np.sum(noise * sk) * lat.cell_volume)
+    sk = convolve(reflect(G), LatticeField(lat, w)).values
+    ms = [_replicate_projections(lat, [sk], ATOM_TRIPLE, 1, r)[0] for r in range(400)]
     bm = np.array(ms).reshape(20, 20).mean(axis=1)
     classic = bm.std(ddof=1) / math.sqrt(20)
     assert est.value == pytest.approx(np.mean(ms), rel=1e-12)
@@ -200,7 +212,7 @@ def test_estimator_input_validation():
 
 
 def _reference_batch_sums(lat, kernel, weights, triple, n_samples, seed, n_batches):
-    """The per-replicate loop: n inner products and one np.prod per subset."""
+    """The per-replicate loop: fresh streams and one np.prod per subset."""
     n = len(weights)
     kr = reflect(kernel)
     sks = [convolve(kr, LatticeField(lat, w)).values for w in weights]
@@ -209,8 +221,7 @@ def _reference_batch_sums(lat, kernel, weights, triple, n_samples, seed, n_batch
     per_batch = n_samples // n_batches
     sums = np.zeros((n_batches, len(keys)))
     for r in range(n_samples):
-        noise = white_noise_field(lat, triple, noise_generator(seed, r)).values
-        m = np.array([np.sum(noise * sk) * lat.cell_volume for sk in sks])
+        m = _replicate_projections(lat, sks, triple, seed, r)
         sums[r // per_batch] += [np.prod(m[np.array(key) - 1]) for key in keys]
     return keys, sums
 
@@ -265,3 +276,59 @@ def test_kernel_on_another_lattice_is_rejected(estimator):
     other = green_alpha_lattice(Lattice(1, 16, 0.25), GreenSpec(1, 0.5, 1.0))
     with pytest.raises(LatticeMismatchError):
         estimator(lat, other, [np.ones(lat.shape)], ATOM_TRIPLE, 40, seed=0)
+
+
+@pytest.mark.parametrize("triple", [
+    LevyTriple(drift=0.3, variance=1.0),
+    LevyTriple(drift=-0.2, atoms=((1.0, 2.0),)),
+    ATOM_TRIPLE,
+], ids=["gaussian", "atom", "mixed"])
+def test_mc_cumulants_agree_with_lattice_expectation_in_law(triple):
+    lat = Lattice(1, 32, 0.25)
+    G = green_alpha_lattice(lat, GreenSpec(1, 0.5, 1.0))
+    ws = [sample_function(lat, TestFunction.gaussian((c,), 0.8)).values.real
+          for c in (-0.5, 0.0, 0.75)]
+    for n in (2, 3):
+        est = estimate_schwinger_mc(lat, G, ws[:n], triple, 4000, seed=29)
+        want = lattice_truncated_expectation(lat, G, ws[:n], triple)
+        assert abs(est.value - want) < 3 * est.std_error
+
+
+@pytest.mark.parametrize("triple", [LevyTriple(variance=1.0), ATOM_TRIPLE],
+                         ids=["gaussian", "mixed"])
+def test_rank_deficient_weights_are_sampled(triple):
+    # a zero weight and a repeated one: S S^T is singular, which a Cholesky
+    # factor would reject; the zero weight's smeared value is exactly 0
+    lat = Lattice(1, 32, 0.25)
+    G = green_alpha_lattice(lat, GreenSpec(1, 0.5, 1.0))
+    w = sample_function(lat, TestFunction.gaussian((0.0,), 0.8)).values.real
+    weights = [np.zeros(lat.shape), w, w]
+    table = estimate_moment_table(lat, G, weights, triple, 200, seed=3)
+    for key, est in table.items():
+        if 1 in key:
+            assert est.value == 0.0 and est.std_error == 0.0
+        else:
+            assert est.value != 0.0
+    assert estimate_schwinger_mc(lat, G, weights, triple, 200, seed=3).value == 0.0
+    est = estimate_schwinger_mc(lat, G, [w, w, w], triple, 200, seed=3)
+    assert math.isfinite(est.value) and est.std_error > 0
+
+
+@pytest.mark.parametrize("estimator", [estimate_schwinger_mc, estimate_moment_table])
+def test_estimators_build_no_noise_field(monkeypatch, estimator):
+    def no_field(*args, **kwargs):
+        raise AssertionError("the estimators sample projections, not fields")
+
+    monkeypatch.setattr(euclidean, "white_noise_field", no_field)
+    lat = Lattice(1, 16, 0.5)
+    G = green_alpha_lattice(lat, GreenSpec(1, 0.5, 1.0))
+    w = sample_function(lat, TestFunction.gaussian((0.0,), 1.0)).values.real
+    estimator(lat, G, [w, w], ATOM_TRIPLE, 40, seed=0)
+
+
+@pytest.mark.parametrize("estimator", [estimate_schwinger_mc, estimate_moment_table])
+def test_more_than_six_weights_are_rejected(estimator):
+    lat = Lattice(1, 16, 0.5)
+    G = green_alpha_lattice(lat, GreenSpec(1, 0.5, 1.0))
+    with pytest.raises(SizeLimitError):
+        estimator(lat, G, [np.ones(lat.shape)] * 7, ATOM_TRIPLE, 40, seed=0)
