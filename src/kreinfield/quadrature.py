@@ -414,13 +414,18 @@ def phase_sums(a, k, bodies):
 
     so that sum_t exp(+-i a_i k[t, c]) bodies[j, t, c] = P +- iQ.  cos and sin
     are evaluated once per chunk of columns c, on the non-negative half of
-    ``a`` only, and contracted against the real and imaginary parts of every
-    body in one batched matmul.  All bodies share the phases: stacking the
-    bodies of several integrands on one (k, a) grid costs one phase pass.
+    ``a`` only, into one buffer reused by every chunk, and contracted against
+    the real and imaginary parts of every body in one batched matmul.  All
+    bodies share the phases: stacking the bodies of several integrands on one
+    (k, a) grid costs one phase pass.
     """
     a = np.asarray(a, dtype=float)
     if not np.array_equal(a, -a[::-1]):
         raise PreconditionError("phase_sums needs an antisymmetric a-rule")
+    if np.shape(k) != bodies.shape[1:]:
+        raise PreconditionError(
+            f"phase_sums needs k of shape bodies.shape[1:] = {bodies.shape[1:]},"
+            f" got {np.shape(k)}")
     na = len(a)
     lead = na // 2  # the negative a, mirrored from the half a[lead:]
     nh = na - lead
@@ -431,9 +436,10 @@ def phase_sums(a, k, bodies):
     p = np.empty((nb, na, nq), dtype=complex)
     q = np.empty((nb, na, nq), dtype=complex)
     step = max(1, _PHASE_BUDGET // max(1, na * (nt + 2 * nb)))
+    buf = np.empty((min(step, nq), 2 * nh, nt))
     for s in range(0, nq, step):
         cols = slice(s, min(s + step, nq))
-        cs = np.empty((cols.stop - s, 2 * nh, nt))
+        cs = buf[:cols.stop - s]
         np.multiply(a[lead:, None], k[:, cols].T[:, None, :], out=cs[:, nh:])
         np.cos(cs[:, nh:], out=cs[:, :nh])
         np.sin(cs[:, nh:], out=cs[:, nh:])

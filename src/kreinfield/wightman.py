@@ -479,18 +479,22 @@ _GAP = 0.5 * math.pi - 1e-12  # |u| bound of the gap substitution k0 = w sin u
 def _energy_sums(gs: Sequence[TestFunction], a: np.ndarray, w: np.ndarray,
                  q: Optional[np.ndarray], nt: int, expo: float,
                  tmax: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """(B+, B-), each of shape (len(gs), len(a), len(w)), with
+    """(B+, B-), each of shape (len(gs), len(a), h len(w)), with
 
         B+-[l, i, c] = sum_t exp(+-i a_i k0) g_l(+-k0, q_c) jac w_t.
 
     The energy k0[t, c] runs over one smooth-substituted piece of the branch
-    support at each w_c = sqrt(q_c^2 + m^2) (w = [m] and no q in d = 1).
+    support at each w_c = sqrt(q_c^2 + m^2).  In d = 1 there is no q, w = [m]
+    and h = 1.  In d = 2, ``q`` is the half q >= 0 of a mirror-symmetric
+    q-rule and h = 2: column c holds q_c and column len(q) + c holds -q_c.
+    The energies do not depend on the sign of q, so both halves share them.
     With ``tmax``: the cosh piece k0 = w cosh t, t in (0, tmax], with
     jac = (w sinh t)^expo, whose two signs are the forward and the backward
     shell regions.  Without it: the gap piece k0 = w sin u, |u| < pi/2, with
     jac = (w cos u)^expo; k0 is odd and jac even in u, so the piece is
     folded onto u >= 0 and equals B+ + B-.  The grid is shared by all the
-    factors g_l, so the 2 len(gs) bodies share one phase_sums call.
+    factors g_l, so the 2 h len(gs) bodies share one phase_sums call on the
+    len(w) columns of k0.
     """
     if tmax is None:
         u, wu = gl_nodes(-_GAP, _GAP, nt)
@@ -502,14 +506,23 @@ def _energy_sums(gs: Sequence[TestFunction], a: np.ndarray, w: np.ndarray,
         u, wu = gl_nodes(1e-12, tmax, nt)
         u = u[:, None]
         k0, jac = w * np.cosh(u), (w * np.sinh(u)) ** expo
-    coords = [] if q is None else [np.broadcast_to(q, k0.shape).ravel()]
+    coords = [[]] if q is None else [
+        [np.broadcast_to(sq * q, k0.shape).ravel()] for sq in (1.0, -1.0)]
     weight = jac * wu[:, None]
-    pts = [np.stack([s * k0.ravel(), *coords], axis=-1) for s in (1.0, -1.0)]
+    pts = [np.stack([s * k0.ravel(), *c], axis=-1)
+           for s in (1.0, -1.0) for c in coords]
     bodies = np.stack([np.ravel(g(x)).reshape(k0.shape) * weight
                        for x in pts for g in gs])
     p, qs = phase_sums(a, k0, bodies)
-    n = len(gs)
-    return p[:n] + 1j * qs[:n], p[n:] - 1j * qs[n:]
+    half = len(coords) * len(gs)  # the bodies of one energy sign
+    qs[:half] *= 1j
+    qs[half:] *= -1j
+    p += qs
+    del qs  # freed before the transposing copy below
+    # (energy sign, q sign, l, i, c) -> (energy sign, l, i, q sign and c)
+    p = p.reshape(2, len(coords), len(gs), len(a), -1).transpose(0, 2, 3, 1, 4)
+    p = p.reshape(2, len(gs), len(a), -1)
+    return p[0], p[1]
 
 
 def _combine_branches(plus, minus, inside, alpha: float):
@@ -556,9 +569,12 @@ def _branch_transforms_2d(gs: Sequence[TestFunction], ax0: np.ndarray,
 
     Returns A_b[l, a0, a1] for b in "+-0".  All factors share one energy and
     spatial grid, sized by the largest spatial and energy support edge over
-    the factors.  The energy quadrature is contracted against each spatial
-    node before the spatial phases are applied, so the workspace stays
-    linear in the number of auxiliary nodes per axis.
+    the factors.  The q-rule is mirror-symmetric and the energies depend on
+    q^2 only, so the energy sums run on its half q >= 0 and carry the bodies
+    at +q and -q side by side; the q = 0 node of an odd rule sits in both
+    halves at half weight.  The energy quadrature is contracted against each
+    spatial node before the spatial phases e^{+-i q a1} are applied, so the
+    workspace stays linear in the number of auxiliary nodes per axis.
     """
     m = spec.mass
     expo = 1 - 2 * spec.alpha
@@ -568,6 +584,9 @@ def _branch_transforms_2d(gs: Sequence[TestFunction], ax0: np.ndarray,
     a1max = float(np.max(np.abs(ax1)))
     nq = int(_osc_npts(a1max, 2 * qmax) * mult)
     q, wq = gl_nodes(-qmax, qmax, nq)
+    q, wq = q[nq // 2:], wq[nq // 2:].copy()
+    if nq % 2:
+        wq[0] *= 0.5  # both halves hold the middle node q = 0
     w = np.sqrt(q * q + m * m)
     tmax = max(0.25, math.acosh(max(1.0 + 1e-9, k0cap / m)))
     plus, minus = _energy_sums(
@@ -575,10 +594,12 @@ def _branch_transforms_2d(gs: Sequence[TestFunction], ax0: np.ndarray,
     inside = sum(_energy_sums(
         gs, ax0, w, q, int(_osc_npts(a0max, 2 * math.sqrt(qmax * qmax + m * m)) * mult),
         expo))
-    bm = np.stack(_combine_branches(plus, minus, inside, spec.alpha))
-    phase1 = np.exp(1j * np.outer(q, ax1))  # (nq, n1)
-    out = (2 * math.pi) ** -1.0 * ((bm * wq) @ phase1)
-    return dict(zip("+-0", out))
+    weight = np.tile(wq / (2 * math.pi), 2)
+    bm = np.empty((3,) + plus.shape, dtype=complex)
+    for dst, src in zip(bm, _combine_branches(plus, minus, inside, spec.alpha)):
+        np.multiply(src, weight, out=dst)
+    phase1 = np.exp(1j * np.outer(q, ax1))  # the -q half takes its conjugate
+    return dict(zip("+-0", bm @ np.concatenate([phase1, phase1.conj()])))
 
 
 def factorized_eval(
@@ -600,9 +621,12 @@ def factorized_eval(
     serves every factor and branch: the - branch is the + branch with
     k0 -> -k0, the two-sided branch reuses both cosh pieces for
     alpha < 1/2, its gap piece is odd in k0 and folds onto half its grid,
-    and the antisymmetric a-rule needs cos and sin of a k0 on its
-    non-negative half only.  A round makes two phase_sums calls whatever n
-    (one in d = 1 when no support reaches past the mass).
+    the antisymmetric a-rule needs cos and sin of a k0 on its non-negative
+    half only, and in d = 2 the energies depend on q^2 only, so the phases
+    are evaluated on the half q >= 0 of the mirror-symmetric q-rule and
+    serve the bodies at +q and -q alike.  A round makes two phase_sums calls
+    whatever n (one in d = 1 when no support reaches past the mass), each
+    with 2 n bodies in d = 1 and 4 n in d = 2.
 
     The products decay like |a|^(-n) (d = 2) or |a|^(-n/2) (d = 1), so the
     a-integral converges absolutely for n >= 3.  Node counts per axis follow

@@ -287,6 +287,13 @@ def test_phase_sums_reject_a_rule_without_mirror_symmetry():
         phase_sums(np.array([-1.0, 0.0, 2.0]), np.ones((2, 1)), np.ones((1, 2, 1)))
 
 
+@pytest.mark.parametrize("k_shape", [(2, 4), (2, 1)], ids=["wider", "broadcast"])
+def test_phase_sums_reject_k_not_shaped_like_bodies(k_shape):
+    a, _ = gl_nodes(-1.0, 1.0, 4)
+    with pytest.raises(PreconditionError):
+        phase_sums(a, np.ones(k_shape), np.ones((3, 2, 2)))
+
+
 def test_sine_map_tames_endpoint_singularity():
     x, w = sine_nodes(0.0, 1.0, 32)
     assert abs(np.sum(w / np.sqrt(x)) - 2.0) < 1e-12

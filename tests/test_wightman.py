@@ -700,19 +700,55 @@ def test_shared_grid_matches_per_factor_oracle(test, monkeypatch):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.35])
+@pytest.mark.parametrize("parity", [1, 0], ids=["odd-nq", "even-nq"])
+def test_folded_q_axis_matches_full_grid_oracle(alpha, parity):
+    """The transforms summed on the half q >= 0 equal the oracle's on the
+    full q-rule; with an odd rule this shows the node q = 0 counts once."""
+    spec = GreenSpec(2, alpha, 1.0)
+    ax0, _ = gl_nodes(-14.0, 14.0, 61)
+    ax1, _ = gl_nodes(-14.0, 14.0, 40)
+    a1max = np.max(np.abs(ax1))
+    for g in FACTORIZED_D2_FOUR.factors:  # one grid per factor, as the oracle's
+        qmax = abs(g.center[1]) + g.effective_radius()
+        mult = next(mu for mu in (1.0, 1.01, 1.02, 1.03)
+                    if int(wightman._osc_npts(a1max, 2 * qmax) * mu) % 2 == parity)
+        got = wightman._branch_transforms_2d([g], ax0, ax1, spec, mult)
+        want = _per_factor_transforms_2d(g, ax0, ax1, spec, mult)
+        for b in "+-0":
+            assert got[b].shape == (1,) + want[b].shape
+            err = np.max(np.abs(got[b][0] - want[b]))
+            assert err <= 1e-12 * np.max(np.abs(want[b]))
+
+
 @pytest.mark.parametrize("test, alpha", [
     (FACTORIZED_D2, 0.5), (FACTORIZED_D2_FOUR, 0.5), (FACTORIZED_D1, 0.35)],
     ids=["d2-n3", "d2-n4", "d1-n3"])
 def test_factorized_makes_two_phase_passes_per_round(test, alpha, monkeypatch):
-    calls = []
+    calls, nqs = [], []
     monkeypatch.setattr(wightman, "phase_sums",
                         lambda *args: calls.append(args[2].shape) or phase_sums(*args))
+    transforms_2d = wightman._branch_transforms_2d
+
+    def spy(gs, ax0, ax1, spec, mult):  # the size of the full q-rule, as the oracle's
+        qmax = max(abs(g.center[1]) + g.effective_radius() for g in gs)
+        nqs.append(int(wightman._osc_npts(np.max(np.abs(ax1)), 2 * qmax) * mult))
+        return transforms_2d(gs, ax0, ax1, spec, mult)
+
+    monkeypatch.setattr(wightman, "_branch_transforms_2d", spy)
     with collect() as rec:
         factorized_eval(test, GreenSpec(test.dim, alpha, 1.0), ATOM_TRIPLE, tol=1e-3)
     rounds = len(rec[0]["history"])
+    n = len(test.factors)
     assert len(calls) == 2 * rounds
-    # every call carries both signs of every factor
-    assert all(shape[0] == 2 * len(test.factors) for shape in calls)
+    if test.dim == 1:
+        # every call carries both energy signs of every factor
+        assert all(shape[0] == 2 * n for shape in calls)
+    else:
+        # ... and both signs of q, on the ceil(nq / 2) columns of the half q >= 0
+        assert len(nqs) == rounds
+        assert [shape[0] for shape in calls] == [4 * n] * (2 * rounds)
+        assert [shape[2] for shape in calls] == [-(-nq // 2) for nq in nqs for _ in "ab"]
 
 
 def test_factorized_needs_three_slots():
