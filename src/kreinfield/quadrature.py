@@ -20,12 +20,18 @@ Every integral in the package is built from the same pieces:
 * :func:`tanh_sinh_nodes` -- the double-exponential rule, for singularities
   that merge or are stronger than the sine map tames; it hands out each
   node's distances to both endpoints, so none rounds onto a singularity;
+* :func:`gregory_nodes` -- the equispaced rule with trapezoid weights and
+  order-8 Gregory end corrections (exact to degree 7; order 6 misses a
+  pinned factorized value, order 10 has a negative weight), exactly
+  antisymmetric on [-c, c];
 * :func:`line_quadrature` -- a sine-substituted line integral split at
   interior singular points;
 * :func:`tensor_blocks` -- a chunked sum over a tensor grid of rules;
 * :func:`phase_sums` -- the cosine and sine sums of several bodies against
-  the phases a * k of an antisymmetric a-rule, from one evaluation of the
-  phases on its non-negative half;
+  the phases a * k of an equispaced antisymmetric a-rule: cos and sin on
+  about 2 sqrt(nh) baby and giant phases of its nh non-negative nodes, the
+  table by angle addition, within (4 delta + 2u max|a|) |k| + 5u per entry
+  (delta the rule's distance from exactly equispaced, u = 2^-53);
 * :func:`refine` -- the one driver that evaluates a quadrature along a node
   schedule until two successive values agree, records what it did, and
   raises :class:`QuadratureError` with the residual and the rounds' history
@@ -352,6 +358,44 @@ def tanh_sinh_nodes(lo, hi, n: int):
     return dlo, dhi, w
 
 
+# the weights of the seven end nodes of the order-8 Gregory rule, in units of
+# the spacing h: the trapezoid's (1/2, 1, ..., 1) plus the corrections that
+# make the rule exact for polynomials of degree <= 7, namely 5257/17280,
+# 22081/15120, 54851/120960, 103/70, 89437/120960, 16367/15120, 23917/24192
+_GREGORY_END = (0.30422453703703706, 1.460383597883598, 0.45346395502645503,
+                1.4714285714285715, 0.7393931878306879, 1.082473544973545,
+                0.9886326058201058)
+
+
+def gregory_nodes(lo: float, hi: float, n: int):
+    """Equispaced rule on [lo, hi]: trapezoid weights with order-8 Gregory ends.
+
+    The n nodes lo + j h, h = (hi - lo) / (n - 1), are built as the
+    tanh-sinh rule's s-grid is, so on [-c, c] they are exactly
+    antisymmetric.  The weights are h away from the ends and h times
+    ``_GREGORY_END`` on the seven nodes at either end (Fornberg & Reeger,
+    Numer. Math. 141 (2019)): the rule is exact for polynomials of degree
+    <= 7, and on a smooth integrand its error is O(h^8) plus the
+    trapezoid's aliasing error, which an integrand resolved by the grid
+    makes exponentially small.  Order 8 is the lowest order at which the
+    factorized evaluator holds its three pinned values to 1e-12 (it is
+    within 1.5e-13; order 6 is 2.6e-12 off at d = 2, alpha = 0.35), and the
+    highest at which every Gregory weight stays positive (order 10 has a
+    weight -797/5670 h).  Needs n >= 16, so that two uncorrected nodes
+    separate the two ends.
+    """
+    if n < 16:
+        raise PreconditionError("a Gregory rule needs n >= 16")
+    t = np.linspace(-1.0, 1.0, n)
+    t = 0.5 * (t - t[::-1])  # exactly antisymmetric
+    h = (hi - lo) / (n - 1)
+    w = np.full(n, h)
+    end = len(_GREGORY_END)
+    w[:end] *= _GREGORY_END
+    w[-end:] *= _GREGORY_END[::-1]
+    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * t, w
+
+
 def _subdivide(lo: float, hi: float, cuts: Sequence[float]) -> List[Tuple[float, float]]:
     inner = sorted({c for c in cuts if lo < c < hi})
     edges = [lo, *inner, hi]
@@ -395,29 +439,51 @@ def tensor_blocks(axes, fn) -> complex:
     return complex(out)
 
 
-# floats held at once by one column chunk of :func:`phase_sums`: the phases
-# (len(a) * nt per column) plus their contraction with the bodies
+# floats held at once by one chunk of :func:`phase_sums`: the phase table
+# (about len(a) per column c and row t) plus its contraction with the bodies
 # (len(a) * 2 nb per column), so the workspace stays bounded however many
-# bodies share the phases
-_PHASE_BUDGET = 2_000_000
+# bodies share the phases and however long a column is.  2^18 floats (2 MiB)
+# keeps a chunk cache-sized: on a certify-size d = 2 call (len(a) = 365,
+# nt = 126, nq = 125, 12 bodies; 2-vCPU Xeon, one BLAS thread) 2^16-2^20
+# took 0.057-0.064 s and 2e6 took 0.071 s, and 2^19 raised the peak RSS of
+# the d = 1 and d = 2 benchmark workloads by 3.5 MiB
+_PHASE_BUDGET = 1 << 18
 
 
 def phase_sums(a, k, bodies):
     """Cosine and sine sums of ``bodies`` against the phases a * k.
 
-    ``a`` is an antisymmetric rule, a[i] == -a[-1 - i] (every
-    :func:`gl_nodes` rule on [-c, c] is one), ``k`` has shape (nt, nq) and
-    ``bodies`` shape (nb, nt, nq).  Returns P and Q of shape (nb, len(a), nq),
+    ``a`` is an equispaced antisymmetric rule, a[i] == -a[-1 - i] (every
+    :func:`gregory_nodes` rule on [-c, c] is one), ``k`` has shape (nt, nq)
+    and ``bodies`` shape (nb, nt, nq).  Returns P and Q of shape
+    (nb, len(a), nq),
 
         P[j, i, c] = sum_t cos(a_i k[t, c]) bodies[j, t, c],
         Q[j, i, c] = sum_t sin(a_i k[t, c]) bodies[j, t, c],
 
-    so that sum_t exp(+-i a_i k[t, c]) bodies[j, t, c] = P +- iQ.  cos and sin
-    are evaluated once per chunk of columns c, on the non-negative half of
-    ``a`` only, into one buffer reused by every chunk, and contracted against
-    the real and imaginary parts of every body in one batched matmul.  All
-    bodies share the phases: stacking the bodies of several integrands on one
-    (k, a) grid costs one phase pass.
+    so that sum_t exp(+-i a_i k[t, c]) bodies[j, t, c] = P +- iQ.
+
+    cos is even and sin odd in a, so only the nh non-negative nodes
+    a_i = a_0 + i h are needed.  Writing i = g B + r with B = ceil(sqrt(nh)),
+    cos and sin are evaluated on a baby grid r h (r < B) and a giant grid
+    a_0 + g B h (g < ceil(nh / B)) only, about 2 sqrt(nh) phases per (t, c)
+    instead of nh, and the table exp(i a_i k) is built from them by angle
+    addition, one complex multiply per entry.  With u = 2^-53 and delta the
+    rule's largest distance from an exactly equispaced grid, an entry is
+    then within (4 delta + 2u max|a|) |k| + 5u of exp(i a_i k): the split of
+    a_i into a giant and a baby node, the rounding of both phases, and of
+    cos, sin and the product.  A :func:`gregory_nodes` rule has delta under
+    2 ulp of max|a|, so the bound is about 11 u max|a| |k|, 5e-13 at
+    max|a| = 14 and |k| = 30 (measured there: 1.3e-13, against 2.8e-14 for
+    a direct evaluation, whose rounding of a_i k alone is up to u |a_i k|).
+    A rule further than 4 eps max|a| from ``np.linspace(a[0], a[-1],
+    len(a))`` (a Gauss-Legendre rule, say) raises PreconditionError.
+
+    The table of each chunk of columns c (of rows t, when one column alone
+    exceeds ``_PHASE_BUDGET``) is built in one buffer reused by every chunk
+    and contracted against the real and imaginary parts of every body in
+    one batched matmul.  All bodies share the phases: stacking the bodies
+    of several integrands on one (k, a) grid costs one phase pass.
     """
     a = np.asarray(a, dtype=float)
     if not np.array_equal(a, -a[::-1]):
@@ -427,25 +493,60 @@ def phase_sums(a, k, bodies):
             f"phase_sums needs k of shape bodies.shape[1:] = {bodies.shape[1:]},"
             f" got {np.shape(k)}")
     na = len(a)
+    span = np.abs(a).max(initial=0.0)
+    if np.any(np.abs(a - np.linspace(a[0], a[-1], na)) > 4 * np.finfo(float).eps * span):
+        raise PreconditionError("phase_sums needs an equispaced a-rule")
     lead = na // 2  # the negative a, mirrored from the half a[lead:]
-    nh = na - lead
+    half = a[lead:]
+    nh = len(half)
     nb, nt, nq = bodies.shape
-    # (nq, nt, 2 nb): real parts of all bodies, then their imaginary parts
-    parts = np.ascontiguousarray(
-        np.concatenate([bodies.real, bodies.imag]).transpose(2, 1, 0))
+    baby_n = math.isqrt(nh - 1) + 1  # ceil(sqrt(nh))
+    giant = half[::baby_n]
+    baby = half[:baby_n] - half[0]
+    ng = len(giant)
     p = np.empty((nb, na, nq), dtype=complex)
     q = np.empty((nb, na, nq), dtype=complex)
-    step = max(1, _PHASE_BUDGET // max(1, na * (nt + 2 * nb)))
-    buf = np.empty((min(step, nq), 2 * nh, nt))
+    # columns c per chunk; a column too large for the budget on its own is
+    # split into chunks of rows t instead, whose contractions are summed
+    step = _PHASE_BUDGET // (na * (nt + 2 * nb))
+    rows = nt if step else max(1, _PHASE_BUDGET // na - 2 * nb)
+    step = max(1, step)
+    width = min(step, nq)
+    # exp(i a k) for a = giant[g] + baby[r] at [c, t, g, r]; its float view
+    # interleaves cos and sin along the last axis
+    table = np.empty((width, rows, ng, baby_n), dtype=complex)
+    factors = [np.empty((width, rows, len(x)), dtype=complex) for x in (giant, baby)]
+    phase = np.empty((width, rows, max(ng, baby_n)))
+    # (chunk, 2 nb, rows): real parts of all bodies, then their imaginary parts
+    parts = np.empty((width, 2 * nb, rows))
+    # (chunk, 2 nb, 2 ng baby_n): cos sums at even, sin sums at odd columns
+    sums = np.empty((width, 2 * nb, 2 * ng * baby_n))
     for s in range(0, nq, step):
         cols = slice(s, min(s + step, nq))
-        cs = buf[:cols.stop - s]
-        np.multiply(a[lead:, None], k[:, cols].T[:, None, :], out=cs[:, nh:])
-        np.cos(cs[:, nh:], out=cs[:, :nh])
-        np.sin(cs[:, nh:], out=cs[:, nh:])
-        r = (cs @ parts[cols]).transpose(2, 1, 0)  # (2 nb, 2 nh, chunk)
-        p[:, lead:, cols] = r[:nb, :nh] + 1j * r[nb:, :nh]
-        q[:, lead:, cols] = r[:nb, nh:] + 1j * r[nb:, nh:]
+        c = cols.stop - s
+        for t in range(0, nt, rows):
+            ts = slice(t, min(t + rows, nt))
+            m = ts.stop - t
+            kc = k[ts, cols].T[:, :, None]
+            for e, x in zip(factors, (giant, baby)):
+                ph = phase[:c, :m, :len(x)]
+                np.multiply(kc, x, out=ph)
+                np.cos(ph, out=e[:c, :m].real)
+                np.sin(ph, out=e[:c, :m].imag)
+            tab = table[:c, :m]
+            np.multiply(factors[0][:c, :m, :, None], factors[1][:c, :m, None, :], out=tab)
+            part = parts[:c, :, :m]
+            part[:, :nb] = bodies.real[:, ts, cols].transpose(2, 0, 1)
+            part[:, nb:] = bodies.imag[:, ts, cols].transpose(2, 0, 1)
+            tab = tab.reshape(c, m, -1).view(float)
+            if t:
+                sums[:c] += part @ tab
+            else:
+                np.matmul(part, tab, out=sums[:c])
+        r = sums[:c].transpose(1, 2, 0)
+        for out, cut in ((p, slice(0, 2 * nh, 2)), (q, slice(1, 2 * nh, 2))):
+            out.real[:, lead:, cols] = r[:nb, cut]
+            out.imag[:, lead:, cols] = r[nb:, cut]
     # cos is even and sin odd in a; the sources a[na - lead:] lie in the half
     p[:, :lead] = p[:, ::-1][:, :lead]
     q[:, :lead] = -q[:, ::-1][:, :lead]

@@ -15,6 +15,7 @@ from kreinfield.quadrature import (
     emit,
     gauss_legendre,
     gl_nodes,
+    gregory_nodes,
     phase_sums,
     refine,
     sine_nodes,
@@ -187,8 +188,8 @@ def test_expansion_rule_matches_high_precision_reference_at_every_node(n):
     assert weight_err <= 1e-15
 
 
-# 1283, 1816 and 4096 are factorized a-rule sizes, which phase_sums rejects
-# unless mirrored
+# the folded q-rule of the d = 2 factorized transforms relies on the mirror
+# symmetry at every size
 @pytest.mark.parametrize("n", [1, 2, 7, 48, 181, quadrature._EXPANSION_ORDER,
                                1283, 1816, 4096])
 def test_rule_is_exactly_antisymmetric(n):
@@ -252,7 +253,9 @@ def test_package_import_leaves_out_scipy_special_and_mpmath():
         "    importlib.import_module('kreinfield.' + mod.name)\n"
         "assert 'kreinfield.cli' in sys.modules\n"
         "kreinfield.quadrature.gauss_legendre(4096)\n"
-        "print(sorted(m for m in ('scipy.special', 'mpmath') if m in sys.modules))\n"
+        "kreinfield.quadrature.gregory_nodes(-14, 14, 365)\n"
+        "print(sorted(m for m in ('scipy.special', 'mpmath', 'fractions')\n"
+        "             if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -260,17 +263,103 @@ def test_package_import_leaves_out_scipy_special_and_mpmath():
     assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("na", [1, 8, 9])
+def _bernoulli(m):
+    """B_0..B_m as fractions, from sum_{k <= n} C(n + 1, k) B_k = 0."""
+    from fractions import Fraction
+    b = [Fraction(1)]
+    for n in range(1, m + 1):
+        b.append(-sum(math.comb(n + 1, k) * b[k] for k in range(n)) / (n + 1))
+    return b
+
+
+def _gregory_end_weights(m):
+    """The m end weights, in units of h, of the rule exact to degree m - 1.
+
+    With h = 1 and f = x^p, Euler-Maclaurin puts the trapezoid's error at
+    the left end at -B_{p+1} / (p + 1) for odd p and at 0 for even p; the
+    corrections c_j on the nodes j < m cancel it for p < m, a Vandermonde
+    system solved exactly.
+    """
+    from fractions import Fraction
+    b = _bernoulli(m)
+    rows = [[Fraction(j) ** p for j in range(m)]
+            + [b[p + 1] / (p + 1) if p % 2 else Fraction(0)] for p in range(m)]
+    for i in range(m):  # Gauss-Jordan; the Vandermonde pivots are non-zero
+        rows[i] = [x / rows[i][i] for x in rows[i]]
+        for r in range(m):
+            if r != i:
+                rows[r] = [x - rows[r][i] * y for x, y in zip(rows[r], rows[i])]
+    trapezoid = [Fraction(1, 2)] + [Fraction(1)] * (m - 1)
+    return [t + row[m] for t, row in zip(trapezoid, rows)]
+
+
+def test_gregory_end_weights_match_bernoulli_derivation():
+    want = [float(x) for x in _gregory_end_weights(7)]
+    got = quadrature._GREGORY_END
+    assert len(got) == 7
+    for g, v in zip(got, want):
+        assert abs(g - v) <= np.spacing(v)
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 365])
+def test_gregory_rule_is_exactly_antisymmetric(n):
+    a, w = gregory_nodes(-14.0, 14.0, n)
+    assert np.array_equal(a, -a[::-1]) and np.array_equal(w, w[::-1])
+    assert a[0] == -14.0 and np.all(np.diff(a) > 0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-14.0, 14.0), (0.5, 3.0)])
+@pytest.mark.parametrize("n", [16, 17, 64, 1817])
+def test_gregory_weights_sum_to_the_length(lo, hi, n):
+    _, w = gregory_nodes(lo, hi, n)
+    assert math.fsum(w) == pytest.approx(hi - lo, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [16, 17, 64])
+def test_gregory_rule_is_exact_to_degree_seven(n):
+    lo, hi = -0.75, 2.5
+    x, w = gregory_nodes(lo, hi, n)
+    for p in range(8):
+        want = (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
+        assert math.fsum(w * x ** p) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 15])
+def test_gregory_rule_needs_sixteen_nodes(n):
+    with pytest.raises(PreconditionError):
+        gregory_nodes(-1.0, 1.0, n)
+
+
+def _equispaced(na):
+    """The antisymmetric equispaced a-rule on [-14, 14], also below 16 nodes."""
+    if na >= 16:
+        return gregory_nodes(-14.0, 14.0, na)[0]
+    t = np.linspace(-14.0, 14.0, na)
+    return 0.5 * (t - t[::-1])
+
+
+def _baby_giant(na):
+    """phase_sums' split of the nh non-negative nodes: B = ceil(sqrt(nh)), G."""
+    nh = na - na // 2
+    baby = math.isqrt(nh - 1) + 1
+    return nh, baby, -(-nh // baby)
+
+
+@pytest.mark.parametrize("na", [1, 8, 9, 61])
 def test_phase_sums_match_direct_exponential(na, monkeypatch):
     rng = np.random.default_rng(na)
-    a, _ = gl_nodes(-14.0, 14.0, na)
+    a = _equispaced(na)
+    if na == 61:  # ragged: the last giant step holds fewer than B nodes
+        nh, baby, _ = _baby_giant(na)
+        assert nh % baby
     nb, nt, nq = 8, 13, 5
     k = 4.0 * rng.normal(size=(nt, nq))
     bodies = rng.normal(size=(nb, nt, nq)) + 1j * rng.normal(size=(nb, nt, nq))
     # one q-chunk, then budgets that force chunks of two columns (three
-    # chunks) and of one column; the budget counts the bodies
+    # chunks), of one column, and of four rows t of one column (3 + 1
+    # chunks summed per column); the budget counts the bodies
     per_column = na * (nt + 2 * nb)
-    for budget in (None, 2 * per_column, per_column):
+    for budget in (None, 2 * per_column, per_column, na * (4 + 2 * nb)):
         if budget is not None:
             monkeypatch.setattr(quadrature, "_PHASE_BUDGET", budget)
         p, q = phase_sums(a, k, bodies)
@@ -282,14 +371,59 @@ def test_phase_sums_match_direct_exponential(na, monkeypatch):
             assert err <= 1e-13 * np.max(np.abs(direct))
 
 
+def test_phase_sums_match_direct_exponential_at_d1_size():
+    """The largest d = 1 a-rule size, with |k| up to 30 and one column."""
+    rng = np.random.default_rng(1817)
+    a = _equispaced(1817)
+    nb, nt = 6, 452
+    k = rng.uniform(-30.0, 30.0, size=(nt, 1))
+    bodies = rng.normal(size=(nb, nt, 1)) + 1j * rng.normal(size=(nb, nt, 1))
+    p, q = phase_sums(a, k, bodies)
+    phases = np.exp(1j * a[:, None] * k[:, 0])
+    for sign, table in ((1.0, phases), (-1.0, phases.conj())):
+        direct = np.einsum("at,jt->ja", table, bodies[..., 0])
+        err = np.max(np.abs(p[..., 0] + 1j * sign * q[..., 0] - direct))
+        assert err <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_phase_sums_evaluate_cos_and_sin_on_the_baby_and_giant_grids_only(monkeypatch):
+    """A certify-size call (d = 2): cos and sin see (B + G) nt nq phases each."""
+    na, nt, nq, nb = 365, 126, 125, 12
+    rng = np.random.default_rng(365)
+    a = _equispaced(na)
+    k = rng.uniform(-20.0, 20.0, size=(nt, nq))
+    bodies = rng.normal(size=(nb, nt, nq)) + 1j * rng.normal(size=(nb, nt, nq))
+    seen = []
+
+    def counted(fn):
+        def wrapper(x, *args, **kwargs):
+            seen.append(np.size(x))
+            return fn(x, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "cos", counted(np.cos))
+    monkeypatch.setattr(np, "sin", counted(np.sin))
+    phase_sums(a, k, bodies)
+    nh, baby, giant = _baby_giant(na)
+    assert 0 < sum(seen) <= 2 * (baby + giant) * nt * nq
+    assert 2 * (baby + giant) < nh  # a direct table would need 2 nh per (t, c)
+
+
 def test_phase_sums_reject_a_rule_without_mirror_symmetry():
     with pytest.raises(PreconditionError):
         phase_sums(np.array([-1.0, 0.0, 2.0]), np.ones((2, 1)), np.ones((1, 2, 1)))
 
 
+def test_phase_sums_reject_an_antisymmetric_gauss_legendre_rule():
+    a, _ = gl_nodes(-14.0, 14.0, 365)
+    assert np.array_equal(a, -a[::-1])
+    with pytest.raises(PreconditionError, match="equispaced"):
+        phase_sums(a, np.ones((2, 3)), np.ones((1, 2, 3)))
+
+
 @pytest.mark.parametrize("k_shape", [(2, 4), (2, 1)], ids=["wider", "broadcast"])
 def test_phase_sums_reject_k_not_shaped_like_bodies(k_shape):
-    a, _ = gl_nodes(-1.0, 1.0, 4)
+    a, _ = gregory_nodes(-1.0, 1.0, 16)
     with pytest.raises(PreconditionError):
         phase_sums(a, np.ones(k_shape), np.ones((3, 2, 2)))
 

@@ -14,7 +14,8 @@ from kreinfield.errors import (
 from kreinfield.green import GreenSpec
 from kreinfield.lattice import Lattice
 from kreinfield.levy import LevyTriple, cumulant_coeff
-from kreinfield.quadrature import collect, gl_nodes, line_quadrature, phase_sums, refine
+from kreinfield.quadrature import (collect, gl_nodes, gregory_nodes, line_quadrature,
+                                   phase_sums, refine)
 from kreinfield.testfunctions import TestFunction, TensorTestFunction
 from kreinfield.wightman import (
     bracket_scalar,
@@ -706,8 +707,8 @@ def test_folded_q_axis_matches_full_grid_oracle(alpha, parity):
     """The transforms summed on the half q >= 0 equal the oracle's on the
     full q-rule; with an odd rule this shows the node q = 0 counts once."""
     spec = GreenSpec(2, alpha, 1.0)
-    ax0, _ = gl_nodes(-14.0, 14.0, 61)
-    ax1, _ = gl_nodes(-14.0, 14.0, 40)
+    ax0, _ = gregory_nodes(-14.0, 14.0, 61)
+    ax1, _ = gregory_nodes(-14.0, 14.0, 40)
     a1max = np.max(np.abs(ax1))
     for g in FACTORIZED_D2_FOUR.factors:  # one grid per factor, as the oracle's
         qmax = abs(g.center[1]) + g.effective_radius()
