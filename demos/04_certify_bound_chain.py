@@ -33,7 +33,7 @@ family = [
                         TestFunction.gaussian((-0.3,), 0.9),
                         TestFunction.gaussian((0.7,), 1.2))),
 ]
-cert = hssc_certify(spec, triple, family, n_max=3, gamma=0.25)
+cert = hssc_certify(spec, triple, family, n_max=3)
 
 print(f"\ncertificate passed: {cert['passed']}")
 print(f"order bounds a_n   : {['%.4g' % a for a in cert['constants']['order_bounds']]}")

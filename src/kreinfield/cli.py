@@ -169,11 +169,6 @@ CONFIG_SCHEMA: dict = {
                                 "items": {"type": "integer", "minimum": 0},
                             },
                         },
-                        "gamma": {
-                            "type": "number",
-                            "exclusiveMinimum": 0.0,
-                            "exclusiveMaximum": 1.0,
-                        },
                     },
                 },
                 "certify": {
@@ -672,16 +667,15 @@ def _run_bounds(cfg, args, out, files):
 
     spec, triple = _model_objects(cfg)
     task = _task_section(cfg, "bounds")
-    gamma = task.get("gamma", 0.25)
     orders = task.get("orders", [])
     vector_slots = task.get("vector_slots", [])
     rows = []
     doc: Dict[str, object] = {"scalar": [], "vector": []}
     if orders:
-        factors = compute_scalar_factors(spec, gamma)
+        factors = compute_scalar_factors(spec)
         doc["scalar_factors"] = factors.as_dict()
         for n in orders:
-            rep = bound_integral_scalar(n, spec, triple, gamma, factors)
+            rep = bound_integral_scalar(n, spec, triple, factors)
             rows.append(["scalar", n, "", rep.constant])
             doc["scalar"].append(rep.as_dict())
     for n, j in vector_slots:

@@ -49,7 +49,12 @@ from .quaternion import quaternion_mul
 
 
 def noise_generator(seed: int, replicate: int) -> np.random.Generator:
-    """Independent stream for one replicate of one experiment."""
+    """Independent stream for one replicate of one experiment.
+
+    Check: test_rekeyed_streams_match_fresh_generators, where it is the
+    reference stream that the estimators' re-keyed generators must
+    reproduce.
+    """
     return np.random.Generator(np.random.Philox(key=[seed, replicate]))
 
 
@@ -80,8 +85,11 @@ def white_noise_field(lat: Lattice, triple: LevyTriple, rng) -> LatticeField:
     with N_j ~ Poisson(lam_j v) and a_c the compensated drift; its n-th
     cumulant is c_n v^(1-n), matching the continuum noise smeared with the
     cell indicator divided by v.  This is the field whose projections the
-    estimators sample directly; it serves the field-level checks (site
-    cumulants, translation equivariance, the adjoint smearing identity).
+    estimators sample directly.
+
+    Check: the field-level checks test_site_statistics_match_cumulants,
+    test_convolve_translation_equivariance, test_adjoint_smearing_identity
+    and test_full_moments_match_raw_mc; perfbench also traces it.
     """
     v = lat.cell_volume
     vals = np.full(lat.shape, triple.compensated_drift())
@@ -98,6 +106,9 @@ def quaternion_noise_field(lat: Lattice, data: QuaternionLevyData, rng) -> Latti
     Jumps sit on the real axis; each imaginary component is an independent
     centered Gaussian.  Small jumps (|y| < 1) are compensated, matching the
     exponent convention of ``psi_eval_vector``.
+
+    Check: test_quaternion_noise_channels, the vector model's noise law per
+    channel.
     """
     v = lat.cell_volume
     comp = data.beta - sum(lam * y for y, lam in data.atoms if abs(y) < 1)
@@ -153,7 +164,11 @@ def reflect(field: LatticeField) -> LatticeField:
 
 
 def smear(field: LatticeField, weight: np.ndarray) -> complex:
-    """sum_x field(x) w(x) v  (the lattice pairing)."""
+    """sum_x field(x) w(x) v  (the lattice pairing).
+
+    Check: test_adjoint_smearing_identity and
+    test_full_moments_match_raw_mc, the lattice pairing of a sampled field.
+    """
     if weight.shape != field.lattice.shape:
         raise LatticeMismatchError("weight grid does not match the lattice")
     return complex(np.sum(field.values * weight) * field.lattice.cell_volume)
@@ -339,9 +354,12 @@ def lattice_truncated_expectation(
 
     Independence across cells gives  c_n v sum_x prod_j (K~ * w_j)(x)  for the
     joint cumulant of the smeared field; this is the finite-volume analytic
-    value the estimator converges to.  It is the oracle of the in-law checks
-    of the Monte Carlo (its estimates agree with this value within their
-    error bars), which fixes the sampler's law, not its stream.
+    value the estimator converges to.  Its estimates agree with this value
+    within their error bars, which fixes the sampler's law, not its stream.
+
+    Check: test_mc_cumulants_agree_with_lattice_expectation_in_law, the
+    Monte Carlo in-law check, and the other agreement tests in
+    test_euclidean.
     """
     n = len(weights)
     kr = reflect(kernel)

@@ -47,14 +47,6 @@ class GreenSpec:
             raise ValueError("mass must be positive")
 
 
-def green_alpha_momentum(k, spec: GreenSpec) -> np.ndarray:
-    """Momentum symbol (|k|^2 + m^2)^(-alpha); k has shape (..., dim)."""
-    k = np.asarray(k, dtype=float)
-    if k.shape[-1] != spec.dim:
-        raise ValueError(f"momenta must have {spec.dim} components")
-    return (np.sum(k * k, axis=-1) + spec.mass**2) ** (-spec.alpha)
-
-
 def fractional_kernel_values(lat: Lattice, alpha: float, mass: float) -> np.ndarray:
     """Raw position-space kernel with symbol (|k|^2+m^2)^(-alpha) on ``lat``.
 
@@ -127,6 +119,9 @@ def dbar_g_kernel(lat: Lattice) -> LatticeField:
     """Directional kernel K(x) = x / (2 pi^2 |x|^4) as a quaternion field.
 
     The origin cell average vanishes because every component is odd.
+
+    Check: test_dbar_kernel_is_gradient_of_g, the vector model's
+    directional kernel against the harmonic kernel's lattice gradient.
     """
     if lat.dim != 4:
         raise ConfigurationError("the quaternionic kernels live in dimension 4")
@@ -140,7 +135,11 @@ def dbar_g_kernel(lat: Lattice) -> LatticeField:
 
 
 def dbar_g_analytic(points) -> np.ndarray:
-    """K(x) off the origin, for arrays of shape (..., 4)."""
+    """K(x) off the origin, for arrays of shape (..., 4).
+
+    Check: test_dbar_kernel_values_and_symmetry, the continuum reference
+    for :func:`dbar_g_kernel`.
+    """
     x = np.asarray(points, dtype=float)
     r2 = np.sum(x * x, axis=-1, keepdims=True)
     if np.any(r2 == 0):

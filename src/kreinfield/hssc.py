@@ -61,12 +61,21 @@ def _slot_weight(x: np.ndarray, slot_groups, power: float) -> np.ndarray:
     return out
 
 
-def _sup_one_term(df: TestFunction, slot_groups, power: float, rtol: float):
-    """Bracketed sup of weight * |df| over its essential support box."""
+_SUP_RTOL = 0.01  # relative width of the bracket around each weighted sup
+
+
+def _sup_one_term(df: TestFunction, slot_groups, power: float):
+    """Upper end of a bracket on the sup of weight * |df| over its support box.
+
+    The box grows until the envelope beyond it is below _SUP_RTOL / 8 of
+    the coarse sup; the grid sup is then refined on nested grids to
+    _SUP_RTOL / 4, and the upper end adds twice the accepted residual and
+    the envelope.
+    """
     deg = df.degree()
     coeff_sum = sum(abs(v) for v in df.coeffs.values())
     if coeff_sum == 0.0:
-        return 0.0, 0.0
+        return 0.0
     w = df.width
     total_power = power * len(slot_groups)
     cmax = max(abs(c) for c in df.center)
@@ -94,7 +103,7 @@ def _sup_one_term(df: TestFunction, slot_groups, power: float, rtol: float):
     coarse = grid_sup(31)
     floor = max(coarse, 1e-300)
     for _ in range(60):
-        if envelope(half) <= 0.125 * rtol * floor and envelope(half) >= envelope(
+        if envelope(half) <= 0.125 * _SUP_RTOL * floor and envelope(half) >= envelope(
             1.5 * half
         ):
             break
@@ -102,32 +111,24 @@ def _sup_one_term(df: TestFunction, slot_groups, power: float, rtol: float):
     else:
         raise QuadratureError("support box for the weighted sup did not close")
 
-    prev = grid_sup(31)
-    gap = math.inf
-    for npts in (61, 121, 241, 481):
-        cur = grid_sup(npts)
-        gap = abs(cur - prev) / max(cur, 1e-300)
-        prev = cur
-        if gap <= 0.25 * rtol:
-            break
-    else:
-        raise QuadratureError("weighted sup not grid-stable", residual=gap)
-    upper = prev * (1.0 + 2.0 * gap) + envelope(half)
-    return prev, upper
+    with collect() as records:
+        sup = refine(grid_sup, (31, 61, 121, 241, 481), 0.25 * _SUP_RTOL, 0.0,
+                     "weighted_sup")
+    gap = records[-1]["residual"] / max(sup, 1e-300)
+    return sup * (1.0 + 2.0 * gap) + envelope(half)
 
 
 def schwartz_norm(
     f: TestFunction,
     spec: SchwartzNormSpec,
     slots: Optional[Sequence[Sequence[int]]] = None,
-    rtol: float = 0.01,
 ) -> float:
     """Weighted sup-norm  max_alpha sup_x  prod_s (1+|x_s|^2)^(N/2) |d^alpha f|.
 
     The derivative multi-index runs over {0..K}^dim componentwise.  The sup
     is taken on a refining grid inside a box that provably contains it, and
     the returned value is the certified upper end of a bracket whose
-    relative width is at most ``rtol``.
+    relative width is at most ``_SUP_RTOL`` = 1e-2.
 
     ``slots`` partitions the coordinate axes into weight groups; by default
     the whole argument is one slot.
@@ -145,8 +146,7 @@ def schwartz_norm(
     k = spec.max_derivative_order
     for alpha in itertools.product(range(k + 1), repeat=f.dim):
         df = f if not any(alpha) else f.derivative_multi(alpha)
-        _, upper = _sup_one_term(df, slot_groups, float(spec.weight_power), rtol)
-        best = max(best, upper)
+        best = max(best, _sup_one_term(df, slot_groups, float(spec.weight_power)))
     return best
 
 
@@ -244,7 +244,7 @@ def _line_integral(nu: float, beta: float, mu: float, gamma: float, rho: float,
     return float(refine(value, [24 << k for k in range(7)], 1e-12, 0.0, op))
 
 
-def _overlap_ceiling(alpha: float, gamma: float) -> float:
+def _overlap_ceiling(alpha: float) -> float:
     """Closed-form cap for the shifted overlap integral, any shifts.
 
     Splits the inner integral at distance 2 from the moving singularity.
@@ -252,12 +252,11 @@ def _overlap_ceiling(alpha: float, gamma: float) -> float:
     integrating both against the remaining weight gives the ceiling.  The
     far constant c1 = 2 * integral_R |x|^(-alpha) / (1+x^2) dx is exactly
     2 pi / cos(pi alpha / 2), from integral_0^inf x^(s-1) / (1+x^2) dx =
-    (pi/2) / sin(pi s/2) at s = 1 - alpha.
+    (pi/2) / sin(pi s/2) at s = 1 - alpha.  The split exponent gamma = 1/4
+    meets both conditions of the bound, 0 < gamma < 1 - alpha and
+    2 alpha - gamma < 1, for every alpha in (0, 1/2].
     """
-    if not 0.0 < gamma < 1.0 - alpha:
-        raise DomainError("gamma must lie in (0, 1 - alpha)")
-    if 2.0 * alpha - gamma >= 1.0:
-        raise DomainError("gamma too small: inner spike not integrable")
+    gamma = 0.25
     c1 = 2.0 * math.pi / math.cos(0.5 * math.pi * alpha)
     p = 2.0 * alpha - gamma
     c2 = 2.0 ** (1.0 - gamma) * (1.0 + 2.0 ** (1.0 - p)) / (1.0 - p)
@@ -275,7 +274,6 @@ class ScalarChainFactors:
     overlap_sup: float
     overlap_ceiling: float
     third_factor: float
-    gamma: float
     energy_history: Tuple[float, ...]
     overlap_history: Tuple[float, ...]
 
@@ -286,13 +284,12 @@ class ScalarChainFactors:
             "overlap_sup": self.overlap_sup,
             "overlap_ceiling": self.overlap_ceiling,
             "third_factor": self.third_factor,
-            "gamma": self.gamma,
             "energy_history": list(self.energy_history),
             "overlap_history": list(self.overlap_history),
         }
 
 
-def compute_scalar_factors(spec: GreenSpec, gamma: float = 0.25) -> ScalarChainFactors:
+def compute_scalar_factors(spec: GreenSpec) -> ScalarChainFactors:
     """Evaluate the three auxiliary integrals behind the scalar chain.
 
     ``spatial`` is 1 on the line and integral sech = pi in the plane.  The
@@ -324,7 +321,7 @@ def compute_scalar_factors(spec: GreenSpec, gamma: float = 0.25) -> ScalarChainF
                                    [24 << k for k in range(5)], 1e-12, 0.0,
                                    "overlap_sup"))
     energy_sup = lead + lift * j_out
-    ceiling = _overlap_ceiling(alpha, gamma)
+    ceiling = _overlap_ceiling(alpha)
     if overlap_sup > ceiling:
         raise QuadratureError(
             "overlap sup exceeds its analytic ceiling", residual=overlap_sup / ceiling
@@ -336,7 +333,6 @@ def compute_scalar_factors(spec: GreenSpec, gamma: float = 0.25) -> ScalarChainF
         overlap_sup=overlap_sup,
         overlap_ceiling=ceiling,
         third_factor=third,
-        gamma=gamma,
         energy_history=tuple(lead + lift * row[1] for row in records[0]["history"]),
         overlap_history=tuple(row[1] for row in records[1]["history"]),
     )
@@ -362,7 +358,6 @@ def bound_integral_scalar(
     n: int,
     spec: GreenSpec,
     triple: LevyTriple,
-    gamma: float = 0.25,
     factors: Optional[ScalarChainFactors] = None,
 ) -> ScalarBoundReport:
     """Order-n sup-bound constant A_n with |W_n(f)| <= A_n ||f||_{0,2d}.
@@ -374,7 +369,7 @@ def bound_integral_scalar(
     if n < 3:
         raise DomainError("sup-bound chain starts at order 3; use pair_bound below")
     if factors is None:
-        factors = compute_scalar_factors(spec, gamma)
+        factors = compute_scalar_factors(spec)
     cn = abs(cumulant_coeff(n, triple))
     d = spec.dim
     constant = (
@@ -835,9 +830,6 @@ def hssc_certify(
     triple: LevyTriple,
     family: Sequence[TensorTestFunction],
     n_max: int = 4,
-    norm_spec: Optional[SchwartzNormSpec] = None,
-    gamma: float = 0.25,
-    pair_degree_cap: Optional[int] = None,
     tol: Optional[float] = None,
 ) -> dict:
     """Certify the seminorm domination of the hierarchy on a test family.
@@ -846,17 +838,19 @@ def hssc_certify(
     chain for n >= 3, through order 2 * n_max), turns them into partition
     sums and norm constants, then checks two things on the family: that
     every member of order n obeys |W_n(f)| <= A_n ||f||, and that every
-    pair of members with combined degree within ``pair_degree_cap`` obeys
-    the two-sided seminorm bound |W(phi* x eta)| <= p(phi) p(eta) with
-    p = c_deg * product norm.  The returned dict is JSON-ready; margins are
-    reported as found, including failures.
+    pair of members with combined degree within the pair cap obeys the
+    two-sided seminorm bound |W(phi* x eta)| <= p(phi) p(eta) with
+    p = c_deg * product norm.  The norm is the weighted sup norm
+    ||f||_{0,2d} (``SchwartzNormSpec(0, 2 * dim)``), the weight power the
+    bounds need.  The returned dict is JSON-ready; margins are reported as
+    found, including failures.
 
     Each evaluated |W| enters the comparison as |W| * (1 + tol), with tol
     the largest rtol at which any refinement behind that value was accepted
     (read from the refinement records), so the verdict, the ratios and the
     margins count the quadrature's own tolerance.
 
-    The default pair cap keeps combined degree at three in two dimensions
+    The pair cap keeps combined degree at three in two dimensions
     (higher full pairings are quadrature-heavy there) unless every cumulant
     above the second vanishes, in which case the cap is n_max.
     """
@@ -868,13 +862,9 @@ def hssc_certify(
     for f in family:
         if not isinstance(f, TensorTestFunction):
             raise TypeError("family members must be tensor test functions")
-    if norm_spec is None:
-        norm_spec = SchwartzNormSpec(0, 2 * spec.dim)
-    if norm_spec.weight_power < 2 * spec.dim:
-        raise DomainError("weight power below twice the dimension: bounds invalid")
+    norm_spec = SchwartzNormSpec(0, 2 * spec.dim)
     quadratic = _is_quadratic(triple, 2 * n_max)
-    if pair_degree_cap is None:
-        pair_degree_cap = n_max if (spec.dim == 1 or quadratic) else min(n_max, 3)
+    pair_degree_cap = n_max if (spec.dim == 1 or quadratic) else min(n_max, 3)
 
     a: List[float] = [0.0, pair_bound(spec, triple, norm_spec.weight_power)]
     if quadratic:
@@ -883,9 +873,9 @@ def hssc_certify(
         factors = None
         a.extend(0.0 for _ in range(3, 2 * n_max + 1))
     else:
-        factors = compute_scalar_factors(spec, gamma)
+        factors = compute_scalar_factors(spec)
         for n in range(3, 2 * n_max + 1):
-            a.append(bound_integral_scalar(n, spec, triple, gamma, factors).constant)
+            a.append(bound_integral_scalar(n, spec, triple, factors).constant)
     b, c = constant_chain(a)
 
     norms = [tensor_schwartz_norm(f, norm_spec) for f in family]
@@ -956,7 +946,6 @@ def hssc_certify(
             "max_derivative_order": norm_spec.max_derivative_order,
             "weight_power": norm_spec.weight_power,
         },
-        "gamma": gamma,
         "family_size": len(family),
         "family_orders": sorted(set(degrees)),
         "constants": {

@@ -16,7 +16,6 @@ real (central) axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -46,10 +45,6 @@ class LevyTriple:
             if s == 0:
                 raise ValueError("atom jumps must be nonzero")
         object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def is_gaussian(self) -> bool:
-        return not self.atoms
 
     def compensated_drift(self) -> float:
         """Drift with the jump compensators folded in.
@@ -94,6 +89,9 @@ def characteristic_functional(
     Gauss-Legendre quadrature with doubling refinement.  Raises
     QuadratureError (carrying the residual) if the refinement has not
     stabilized below ``tol``.
+
+    Check: the closed forms of test_levy (Gaussian, pure drift, modulus at
+    most 1), which pin the exponent's normalization.
     """
     d = phi.dim
     halfwidth = phi.effective_radius()
@@ -115,18 +113,6 @@ def characteristic_functional(
     exponent = refine(level_value, [24 << k for k in range(11)], tol, tol,
                       "characteristic_functional")
     return complex(np.exp(exponent))
-
-
-def small_argument_exponent(triple: LevyTriple, radii=None) -> float:
-    """Fitted growth exponent of |psi| near zero (recorded, never enforced)."""
-    if radii is None:
-        radii = np.geomspace(1e-4, 1e-2, 9)
-    vals = np.abs(psi_eval(radii, triple))
-    mask = vals > 0
-    if mask.sum() < 2:
-        return math.inf
-    slope = np.polyfit(np.log(radii[mask]), np.log(vals[mask]), 1)[0]
-    return float(slope)
 
 
 # -- quaternionic vector noise ------------------------------------------------
@@ -158,34 +144,14 @@ class QuaternionLevyData:
                 raise ValueError("atom positions must be nonzero")
         object.__setattr__(self, "atoms", atoms)
 
-    def coefficient_real(self) -> float:
-        """Second-order coefficient of the real (time) direction."""
-        return self.variance_real + sum(lam * y * y for y, lam in self.atoms)
-
-    def coefficient_imag(self) -> float:
-        """Second-order coefficient of each imaginary direction.
-
-        Central atoms carry no imaginary component, so only the Gaussian
-        variance contributes.
-        """
-        return self.variance_imag
-
-    def mixed_cumulant(self, n: int, l: int) -> float:
-        """Coefficient of order n with l imaginary slots (binomial-weighted).
-
-        For atoms on the real axis every term with l > 0 vanishes.
-        """
-        if n < 1 or l < 0 or l > n:
-            raise ValueError("need n >= 1 and 0 <= l <= n")
-        if l > 0:
-            return 0.0
-        return float(
-            math.comb(n, l) / (l + 1) * sum(lam * y**n for y, lam in self.atoms)
-        )
-
 
 def psi_eval_vector(x, data: QuaternionLevyData) -> np.ndarray:
-    """Vector-model exponent at quaternion arguments x (shape (..., 4))."""
+    """Vector-model exponent at quaternion arguments x (shape (..., 4)).
+
+    Check: test_vector_psi_small_jump_compensated, the vector model's
+    exponent convention that
+    :func:`~kreinfield.euclidean.quaternion_noise_field` samples.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 4:
         raise ValueError("arguments must have 4 components")

@@ -594,12 +594,13 @@ def refine(
 
     The value at round p is accepted once
     |cur - prev| <= max(rtol * max(|cur|, |prev|), atol).  On acceptance a
-    record {"op", "value", "tolerance", "history"} is emitted to the open
-    :func:`collect` block, with one history row [p, real, imag] per round
-    evaluated.  If the schedule runs out first, QuadratureError carries the
-    last residual |cur - prev| and, as ``history``, the same rows; before
-    it is raised the record is emitted with the last round's value and two
-    more keys, ``"residual"`` and ``"error"`` (the exception's message).
+    record {"op", "value", "tolerance", "history", "residual"} is emitted to
+    the open :func:`collect` block, with one history row [p, real, imag] per
+    round evaluated and the accepted residual |cur - prev|.  If the schedule
+    runs out first, QuadratureError carries the last residual and, as
+    ``history``, the same rows; before it is raised the record is emitted
+    with the last round's value and one more key, ``"error"`` (the
+    exception's message).
     """
     history = []
     prev, resid = None, math.inf
@@ -611,7 +612,8 @@ def refine(
             if resid <= max(rtol * max(abs(cur), abs(prev)), atol):
                 val = complex(cur)
                 emit({"op": op, "value": [val.real, val.imag],
-                      "tolerance": rtol, "history": history})
+                      "tolerance": rtol, "history": history,
+                      "residual": float(resid)})
                 return cur
         prev = cur
     error = QuadratureError(

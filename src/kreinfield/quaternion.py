@@ -14,23 +14,19 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Quaternion:
+    """One quaternion w + x i + y j + z k with the scalar Hamilton product.
+
+    Check: test_hamilton_product_example and
+    test_array_product_matches_scalar, where it is the reference for
+    :func:`quaternion_mul`.
+    """
+
     w: float = 0.0
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
 
-    def __add__(self, other):
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
         a, b, c, d = self.w, self.x, self.y, self.z
         e, f, g, h = other.w, other.x, other.y, other.z
         return Quaternion(
@@ -39,25 +35,6 @@ class Quaternion:
             a * g - b * h + c * e + d * f,
             a * h + b * g - c * f + d * e,
         )
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm_sq(self) -> float:
-        return self.w**2 + self.x**2 + self.y**2 + self.z**2
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    @staticmethod
-    def from_array(a) -> "Quaternion":
-        a = np.asarray(a)
-        return Quaternion(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
 
 def quaternion_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,13 +56,6 @@ def quaternion_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def quaternion_conj(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    out = a.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
 # -- first-order operator on component functions --------------------------------
 #
 # apply_left_del:  (1 d0 - i d1 - j d2 - k d3) q
@@ -100,7 +70,11 @@ def _neg(f):
 
 
 def apply_left_del(q):
-    """Left action of the conjugate first-order operator on a 4-tuple."""
+    """Left action of the conjugate first-order operator on a 4-tuple.
+
+    Check: test_del_dbar_is_laplacian, the operator pair's identity del
+    dbar = Laplacian.
+    """
     q0, q1, q2, q3 = q
     d = lambda f, ax: f.derivative(ax)
     return (
@@ -112,5 +86,8 @@ def apply_left_del(q):
 
 
 def dbar_of_scalar(f):
-    """Gradient 4-tuple (d0 f, d1 f, d2 f, d3 f) of a scalar function."""
+    """Gradient 4-tuple (d0 f, d1 f, d2 f, d3 f) of a scalar function.
+
+    Check: test_del_dbar_is_laplacian.
+    """
     return tuple(f.derivative(ax) for ax in range(4))

@@ -54,15 +54,13 @@ def kernel_product_integral(kernel: LatticeField, points) -> float:
     return float(np.sum(prod) * lat.cell_volume)
 
 
-def product_integral_scalar(lat: Lattice, spec: GreenSpec, points) -> float:
-    """Scalar-model n-point kernel contraction at the given points."""
-    return kernel_product_integral(green_alpha_lattice(lat, spec), points)
-
-
 def pair_correlator_vector(y1, y2) -> float:
     """Two-point kernel of the four-dimensional vector model (exact).
 
     The value is -(1/(8 pi)) log |y1 - y2|; it diverges at coincident points.
+
+    Check: test_vector_pair_printed_values, the vector model's exact
+    two-point kernel.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -79,6 +77,9 @@ def product_integral_vector(lat: Lattice, points) -> float:
 
     Uses the cell-averaged origin regularization; the integral is finite for
     pairwise distinct points but logarithmically divergent when two collide.
+
+    Check: test_vector_three_point_matches_quadrature_oracle, the lattice
+    contraction against an independent continuum quadrature.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if len(pts) < 3:
@@ -128,6 +129,9 @@ def full_from_truncated_lattice(
 
     Sums over set partitions with bosonic signs; positions in ``tests`` index
     the slots of the moment.
+
+    Check: test_full_moments_match_raw_mc, the moment assembled from
+    truncated values against raw Monte Carlo moments.
     """
     from .partitions import BOSE, CorrelationTable, moments_from_cumulants
     from itertools import combinations

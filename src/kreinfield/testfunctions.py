@@ -173,14 +173,6 @@ class TestFunction:
             tuple(-b for b in self.freq),
         )
 
-    def translate(self, shift) -> "TestFunction":
-        """f(x - shift)."""
-        shift = np.asarray(shift, dtype=float)
-        return TestFunction(
-            self.dim, tuple(np.asarray(self.center) + shift), self.width,
-            self.coeffs, self.freq,
-        )
-
     def modulate(self, b_extra) -> "TestFunction":
         """exp(i b_extra.x) * f(x)."""
         b_extra = np.asarray(b_extra, dtype=float)
@@ -261,7 +253,12 @@ class TestFunction:
         return complex((2 * math.pi) ** (self.dim / 2) * ft0)
 
     def l2_norm_sq(self) -> float:
-        """integral |f|^2 dx, exactly (phases cancel)."""
+        """integral |f|^2 dx, exactly (phases cancel).
+
+        Check: test_parseval and
+        test_characteristic_functional_gaussian_closed_form, whose
+        closed forms it supplies.
+        """
         conj_c = {b: np.conj(c) for b, c in self.coeffs.items()}
         p2 = poly_mul(self.coeffs, conj_c)
         tot = 0j
@@ -308,18 +305,6 @@ class TensorTestFunction:
             val = val * f(pts[..., i, :])
         return val
 
-    def conjugate(self) -> "TensorTestFunction":
-        return TensorTestFunction(
-            tuple(f.conjugate() for f in self.factors), np.conj(self.prefactor)
-        )
-
-    def reverse(self) -> "TensorTestFunction":
-        return TensorTestFunction(tuple(reversed(self.factors)), self.prefactor)
-
-    def involution(self) -> "TensorTestFunction":
-        """Position-space star: reverse the factor order and conjugate."""
-        return self.reverse().conjugate()
-
     def involution_momentum(self) -> "TensorTestFunction":
         """Momentum-space image of the star: reverse, flip arguments, conjugate."""
         return TensorTestFunction(
@@ -329,8 +314,3 @@ class TensorTestFunction:
 
     def scale(self, factor: complex) -> "TensorTestFunction":
         return TensorTestFunction(self.factors, self.prefactor * factor)
-
-    def fourier(self) -> "TensorTestFunction":
-        return TensorTestFunction(
-            tuple(f.fourier() for f in self.factors), self.prefactor
-        )

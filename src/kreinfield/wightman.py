@@ -113,6 +113,9 @@ def spectral_density(k, spec: GreenSpec, branch: Branch) -> float:
     """Pointwise branch density at the Minkowski momentum k = (k0, kvec).
 
     Raises on the mass shell, where the density is singular.
+
+    Check: test_density_branch_values and test_density_guards, the
+    pointwise reference of the vectorized branch densities.
     """
     k = np.asarray(k, dtype=float)
     if k.shape != (spec.dim,):
@@ -144,21 +147,19 @@ def bracket_scalar(k0s: np.ndarray, kv_sqs: np.ndarray, spec: GreenSpec) -> np.n
 # -- n = 2 evaluators -----------------------------------------------------------
 
 
-def _pair_callable(test) -> Callable:
-    if isinstance(test, TensorTestFunction):
-        if len(test.factors) != 2:
-            raise PreconditionError("need a two-slot tensor test function")
+def _pair_callable(test: TensorTestFunction) -> Callable:
+    """f(k1, k2) of a two-slot tensor test function, vectorized over the slots."""
+    if not (isinstance(test, TensorTestFunction) and len(test.factors) == 2):
+        raise PreconditionError("need a two-slot tensor test function")
 
-        def f(k1, k2):
-            pts = np.stack([k1, k2], axis=-2)
-            return test(pts)
+    def f(k1, k2):
+        return test(np.stack([k1, k2], axis=-2))
 
-        return f
-    return test
+    return f
 
 
 def two_point_shell_eval(
-    test,
+    test: TensorTestFunction,
     spec: GreenSpec,
     triple: LevyTriple,
     tol: float = 1e-10,
@@ -186,13 +187,9 @@ def two_point_shell_eval(
     if spec.dim != 2:
         raise PreconditionError("shell evaluator implemented for d <= 2")
 
-    kmax = 60.0 * max(1.0, m)
-    if isinstance(test, TensorTestFunction):
-        rad = max(
-            abs(np.asarray(g.center)).max() + g.effective_radius()
-            for g in test.factors
-        )
-        kmax = min(kmax, rad)
+    kmax = min(60.0 * max(1.0, m), max(
+        abs(np.asarray(g.center)).max() + g.effective_radius()
+        for g in test.factors))
 
     def integrand(q):
         w = np.sqrt(q * q + m * m)
@@ -208,7 +205,7 @@ def two_point_shell_eval(
 
 
 def two_point_density_eval(
-    test,
+    test: TensorTestFunction,
     spec: GreenSpec,
     triple: LevyTriple,
     tol: float = 1e-8,
@@ -220,8 +217,8 @@ def two_point_density_eval(
     the prefactor c2 * 2^(n-1) * (2 pi)^d then cancels the (2 pi)^(-d).
     Each k0-line [-kmax, -w] ends on the shell, so it gets a tanh-sinh rule
     built from the distance to it (a sine map leaves the singularity in
-    place for alpha > 1/4).  In d = 2 a plain pair callable gets momenta of
-    shape (nq, nk0, 2): one k0-line per spatial node q, all in one call.
+    place for alpha > 1/4).  In d = 2 one call evaluates every k0-line, one
+    per spatial node q.
     """
     if not spec.alpha < 0.5:
         raise PreconditionError("density route needs alpha < 1/2")
@@ -715,29 +712,23 @@ def factorized_eval(
 
 
 def truncated_momentum_eval(
-    test,
+    test: TensorTestFunction,
     spec: GreenSpec,
     triple: LevyTriple,
     tol: Optional[float] = None,
 ) -> complex:
-    """Truncated n-point momentum distribution applied to a test function.
+    """Truncated n-point momentum distribution applied to a tensor test function.
 
-    Accepts a TensorTestFunction (any supported n) or, for n <= 3, a
-    vectorized callable over the momentum slots that declares ``n_slots``.
-    Such a callable gets arrays of any common leading shape: in d = 1 with
-    n = 3, ``f(k1, k2, k3)`` gets three arrays of shape (npts, 5, 32) (see
-    ``three_point_eval_1d``).  In d = 2 with n = 3, ``f(k0s, k1s)`` gets the
-    slot energies on the grid, shape (3, n2, 2, n3, K, n4), and the spatial
-    components on the level-3 grid, shape (3, n2, 2, n3, 1, 1), and its
-    result must broadcast to the grid; both inputs are read-only and the
-    energies are overwritten at the next call, so ``f`` must not keep or
-    write them (see ``three_point_eval_2d``).  The one-point value is zero
-    by convention.  The route's refinement record goes to the open
-    :func:`~kreinfield.quadrature.collect` block.
+    The route follows n and d: the pair evaluators for n = 2, the d = 1
+    hyperplane quadrature for n = 3 on the line, and the factorized route
+    otherwise.  The one-point value is zero by convention.  The route's
+    refinement record goes to the open :func:`~kreinfield.quadrature.collect`
+    block.
     """
-    tensor = isinstance(test, TensorTestFunction)
-    n = len(test.factors) if tensor else getattr(test, "n_slots", None)
-    if tensor and n == 1:
+    if not isinstance(test, TensorTestFunction):
+        raise PreconditionError("truncated_momentum_eval takes a TensorTestFunction")
+    n = len(test.factors)
+    if n == 1:
         return 0.0 + 0.0j
     if n == 2:
         if spec.alpha == 0.5:
@@ -746,15 +737,8 @@ def truncated_momentum_eval(
     if n == 3 and spec.dim == 1:
         def slots(k1, k2, k3):
             return test(np.stack([k1, k2, k3], axis=-1)[..., None])
-        return three_point_eval_1d(slots if tensor else test, spec, triple,
-                                   tol or 1e-6)
-    if tensor:
-        return factorized_eval(test, spec, triple, tol or 1e-3)
-    if n == 3:
-        return three_point_eval_2d(test, spec, triple, tol or 5e-3)
-    raise PreconditionError(
-        "callable tests must declare n_slots in {2, 3}; use tensor tests otherwise"
-    )
+        return three_point_eval_1d(slots, spec, triple, tol or 1e-6)
+    return factorized_eval(test, spec, triple, tol or 1e-3)
 
 
 # -- Laplace bridge -------------------------------------------------------------
@@ -1069,8 +1053,7 @@ def _shell_density(j: int, v, tot, om):
     return -dens if j == 0 else dens
 
 
-def vector_measure_radial(j: int, phi: TensorTestFunction,
-                          tol: float = 5e-3) -> complex:
+def vector_measure_radial(j: int, phi: TensorTestFunction) -> complex:
     """Three-slot shell measure against a rotation-invariant test function.
 
     ``phi`` must be a TensorTestFunction of three four-dimensional factors,
@@ -1083,6 +1066,11 @@ def vector_measure_radial(j: int, phi: TensorTestFunction,
     * j = 0:  -pi^2 integral dl2 dl3 dw phi / (l2 + l3 + w);
     * j = 3:  +pi^2 integral dl1 dl2 dw phi / (l1 + l2 + w);
     * j in {1, 2}: pi^2 integral dla dlb dw ds phi  (unit density).
+
+    The node schedule is refined to rtol 5e-3.
+
+    Check: criterion 6 (test_criterion_6_vector_bounds), the vector bounds
+    against the measures.
     """
     if j not in (0, 1, 2, 3):
         raise PreconditionError("slot index j must lie in 0..3")
@@ -1123,11 +1111,10 @@ def vector_measure_radial(j: int, phi: TensorTestFunction,
 
     # the absolute floor: arguments supported away from the admissible
     # region integrate to numerical zero, where the relative residual is noise
-    return refine(value, (40, 60, 90), tol, 1e-12, "vector_measure_radial")
+    return refine(value, (40, 60, 90), 5e-3, 1e-12, "vector_measure_radial")
 
 
-def vector_measure_eval(j: int, phi: TensorTestFunction,
-                        tol: float = 2e-2) -> complex:
+def vector_measure_eval(j: int, phi: TensorTestFunction) -> complex:
     """Three-slot shell measure for a general test function.
 
     ``phi`` must be a TensorTestFunction of three four-dimensional factors
@@ -1136,8 +1123,11 @@ def vector_measure_eval(j: int, phi: TensorTestFunction,
     azimuth[, s]) in the coordinates of :func:`_shell_density`, chunked to
     bounded memory.  The resolved modulus stands in for the second slot's
     relative polar angle; its Jacobian cancels the measure's 1/|a + b|, so
-    the integrand is smooth.  For rotation-invariant arguments prefer
-    :func:`vector_measure_radial`.
+    the integrand is smooth.  Two rounds are compared at rtol 2e-2.  For
+    rotation-invariant arguments prefer :func:`vector_measure_radial`.
+
+    Check: test_vector_general_matches_radial, the general route against
+    the radial one.
     """
     if j not in (0, 1, 2, 3):
         raise PreconditionError("slot index j must lie in 0..3")
@@ -1175,11 +1165,15 @@ def vector_measure_eval(j: int, phi: TensorTestFunction,
         return tensor_blocks(axes, fn)
 
     # (modulus, angle, azimuth, s) node counts; the second round is 1.4x
-    return refine(value, ((12, 7, 7, 7), (16, 9, 9, 9)), tol, 1e-12,
+    return refine(value, ((12, 7, 7, 7), (16, 9, 9, 9)), 2e-2, 1e-12,
                   "vector_measure_eval")
 
 
 def reflect_three_slot(phi: TensorTestFunction) -> TensorTestFunction:
-    """phi'(k1, k2, k3) = phi(-k3, -k2, -k1): slot reversal with negation."""
+    """phi'(k1, k2, k3) = phi(-k3, -k2, -k1): slot reversal with negation.
+
+    Check: test_vector_reflection_identities, the slot reversal under which
+    the measures map onto each other.
+    """
     flipped = tuple(g.flip() for g in reversed(phi.factors))
     return TensorTestFunction(flipped, phi.prefactor)

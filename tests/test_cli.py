@@ -54,6 +54,16 @@ def test_malformed_config_exits_2_and_names_field(tmp_path, capsys):
     assert doc["field"] == "model.alpha"
 
 
+def test_retired_bounds_gamma_exits_2(tmp_path, capsys):
+    # the overlap ceiling's split exponent is a constant now, not a field
+    bad = {"model": ATOM_MODEL, "tasks": {"bounds": {"orders": [3], "gamma": 0.25}}}
+    rc = main(["bounds", "--config", write_cfg(tmp_path, bad), "--out", str(tmp_path)])
+    assert rc == 2
+    doc = stderr_doc(capsys)
+    assert doc["field"] == "tasks.bounds"
+    assert "'gamma'" in doc["message"]
+
+
 def test_missing_required_key_names_field(tmp_path, capsys):
     bad = {"model": {k: v for k, v in ATOM_MODEL.items() if k != "mass"}}
     rc = main(["bounds", "--config", write_cfg(tmp_path, bad), "--out", str(tmp_path)])
@@ -396,6 +406,7 @@ def test_bounds_scalar_factors_match_library(tmp_path):
         assert factors[name] == getattr(want, name)
     assert factors["energy_history"] == list(want.energy_history)
     assert "interior_max" not in factors and "boundary_max" not in factors
+    assert "gamma" not in factors
     assert doc["scalar"][0]["order"] == 3
 
 
@@ -414,6 +425,7 @@ def test_certify_gaussian_passes_exit_zero(tmp_path):
     assert cert["passed"] is True
     assert cert["model"]["quadratic"] is True
     assert "runtime_seconds" not in cert  # timing lives in the manifest
+    assert "gamma" not in cert
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["certify_runtime_seconds"] >= 0.0
 

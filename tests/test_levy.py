@@ -11,7 +11,6 @@ from kreinfield.levy import (
     cumulant_coeff,
     psi_eval,
     psi_eval_vector,
-    small_argument_exponent,
 )
 from kreinfield.testfunctions import TestFunction
 
@@ -35,7 +34,6 @@ def test_cumulant_examples():
     assert cumulant_coeff(1, gauss) == pytest.approx(0.1)
     assert cumulant_coeff(2, gauss) == pytest.approx(0.9)
     assert cumulant_coeff(5, gauss) == 0.0
-    assert gauss.is_gaussian
 
 
 def test_cumulants_match_taylor_derivatives():
@@ -112,23 +110,6 @@ def test_psi_bounded_real_part(a, sig2, s, lam):
     tri = LevyTriple(a, sig2, ((s, lam),))
     ts = np.linspace(-5, 5, 41)
     assert np.all(psi_eval(ts, tri).real <= 1e-12)
-
-
-def test_small_argument_exponent_gaussian():
-    # pure centered Gaussian: psi ~ t^2
-    tri = LevyTriple(0.0, 1.0)
-    assert small_argument_exponent(tri) == pytest.approx(2.0, abs=1e-3)
-    # with drift the linear term dominates
-    tri2 = LevyTriple(1.0, 1.0)
-    assert small_argument_exponent(tri2) == pytest.approx(1.0, abs=1e-2)
-
-
-def test_vector_data_coefficients():
-    data = QuaternionLevyData(0.1, 0.3, 0.7, ((1.5, 2.0),))
-    assert data.coefficient_real() == pytest.approx(0.3 + 2.0 * 1.5**2)
-    assert data.coefficient_imag() == pytest.approx(0.7)
-    assert data.mixed_cumulant(4, 0) == pytest.approx(2.0 * 1.5**4)
-    assert data.mixed_cumulant(4, 2) == 0.0
 
 
 def test_vector_psi_small_jump_compensated():

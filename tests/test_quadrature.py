@@ -80,7 +80,8 @@ def test_refine_records_one_history_row_per_round():
     assert got == vals[32]
     assert len(rec) == 1
     record = rec[0]
-    assert set(record) == {"op", "value", "tolerance", "history"}
+    assert set(record) == {"op", "value", "tolerance", "history", "residual"}
+    assert record["residual"] == abs(vals[32] - vals[16])
     assert record["op"] == "demo"
     assert record["tolerance"] == 1e-9
     assert record["value"] == [got.real, got.imag]

@@ -18,7 +18,6 @@ from kreinfield.schwinger import (
     full_from_truncated_lattice,
     kernel_product_integral,
     pair_correlator_vector,
-    product_integral_scalar,
     product_integral_vector,
     smeared_truncated_correlator,
 )
@@ -32,7 +31,7 @@ def test_two_point_contraction_is_doubled_exponent_kernel():
     spec = GreenSpec(2, 0.25, 1.0)
     doubled = fractional_kernel_values(lat, 0.5, 1.0)
     y1, y2 = np.array([0.75, -0.5]), np.array([-0.25, 0.5])
-    got = product_integral_scalar(lat, spec, [y1, y2])
+    got = kernel_product_integral(green_alpha_lattice(lat, spec), [y1, y2])
     want = doubled[lat.site_index(y1 - y2)]
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -41,11 +40,12 @@ def test_contraction_symmetry_and_translation():
     lat = Lattice(2, 32, 0.25)
     spec = GreenSpec(2, 0.5, 1.0)
     pts = [np.array([0.5, 0.0]), np.array([-0.25, 0.5]), np.array([0.0, -0.75])]
-    base = product_integral_scalar(lat, spec, pts)
-    perm = product_integral_scalar(lat, spec, [pts[2], pts[0], pts[1]])
+    kernel = green_alpha_lattice(lat, spec)
+    base = kernel_product_integral(kernel, pts)
+    perm = kernel_product_integral(kernel, [pts[2], pts[0], pts[1]])
     assert perm == base
     shift = np.array([0.5, -0.25])  # a lattice vector
-    moved = product_integral_scalar(lat, spec, [p + shift for p in pts])
+    moved = kernel_product_integral(kernel, [p + shift for p in pts])
     assert moved == pytest.approx(base, rel=1e-12)
 
 
@@ -53,7 +53,8 @@ def test_points_must_sit_in_inner_half():
     lat = Lattice(2, 16, 0.25)  # extent 4, inner half |x| <= 1
     spec = GreenSpec(2, 0.5, 2.0)
     with pytest.raises(PreconditionError):
-        product_integral_scalar(lat, spec, [np.array([1.5, 0.0]), np.zeros(2)])
+        kernel_product_integral(green_alpha_lattice(lat, spec),
+                                [np.array([1.5, 0.0]), np.zeros(2)])
 
 
 def test_vector_pair_printed_values():

@@ -91,10 +91,72 @@ def _public_callables():
                 continue
             if inspect.isclass(obj):
                 for attr, member in vars(obj).items():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
                     if not _private(attr) and inspect.isfunction(member):
                         yield f"{module.__name__}.{name}.{attr}", member
             elif inspect.isfunction(obj):
                 yield f"{module.__name__}.{name}", obj
+
+
+def _called_names(sources) -> set:
+    """Names that a call in any of the sources invokes, as f(...) or x.f(...).
+
+    Found in the syntax tree, so a name that appears only in a string or a
+    docstring does not count.
+    """
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    names.add(func.id)
+                elif isinstance(func, ast.Attribute):
+                    names.add(func.attr)
+    return names
+
+
+def _unplaced(callables, called: set) -> list:
+    """Public names with no call site in ``called`` and no ``Check:`` line."""
+    out = []
+    for qualname, fn in callables:
+        short = qualname.rsplit(".", 1)[-1]
+        if short.startswith("__") or short in called:
+            continue
+        doc = inspect.getdoc(fn) or ""
+        if not any(line.startswith("Check:") for line in doc.splitlines()):
+            out.append(qualname)
+    return sorted(out)
+
+
+def test_public_names_have_a_caller_or_name_their_check():
+    # a public function or method is either used by the library, the demos
+    # or the benchmark, or it is an oracle whose docstring names the test
+    # or acceptance criterion it serves
+    sources = [path.read_text() for folder in ("src", "demos", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert _unplaced(_public_callables(), _called_names(sources)) == []
+
+
+def test_public_name_guard_catches_a_test_only_name():
+    def orphan():
+        """Used by a test only."""
+
+    def oracle():
+        """Reference value.
+
+        Check: test_something.
+        """
+
+    def used():
+        """Called by the library."""
+
+    called = _called_names(["used()\nobj.attr_call()\nx = 'orphan()'"])
+    assert called == {"used", "attr_call"}
+    pairs = [("m.orphan", orphan), ("m.oracle", oracle), ("m.used", used),
+             ("m.C.__call__", orphan)]
+    assert _unplaced(pairs, called) == ["m.orphan"]
 
 
 def test_records_reach_readers_through_collect_only():
@@ -106,3 +168,4 @@ def test_records_reach_readers_through_collect_only():
     from kreinfield.quadrature import refine
     assert list(inspect.signature(refine).parameters) == [
         "value", "schedule", "rtol", "atol", "op"]
+

@@ -815,6 +815,17 @@ def test_dispatcher_conventions():
 
     with pytest.raises(PreconditionError):
         truncated_momentum_eval(bare, spec, ATOM_TRIPLE)
+    # the evaluators take tensor test functions only: a callable that
+    # declares its slot count, or a plain pair callable, is refused
+    bare.n_slots = 2
+    with pytest.raises(PreconditionError):
+        truncated_momentum_eval(bare, spec, ATOM_TRIPLE)
+    with pytest.raises(PreconditionError):
+        two_point_shell_eval(bare, spec, ATOM_TRIPLE)
+    with pytest.raises(PreconditionError):
+        two_point_density_eval(bare, GreenSpec(1, 0.35, 1.0), ATOM_TRIPLE)
+    with pytest.raises(PreconditionError):
+        two_point_density_eval(bare, GreenSpec(2, 0.35, 1.0), ATOM_TRIPLE)
 
 
 # -- massless vector-model shell measures ----------------------------------------
@@ -905,7 +916,7 @@ def _with_first_factor(g: TestFunction) -> TensorTestFunction:
 
 
 @pytest.mark.parametrize("factor", [
-    radial4(-1.0, 1.2).translate((0.0, 0.3, 0.0, 0.0)),
+    TestFunction.gaussian((-1.0, 0.3, 0.0, 0.0), 1.2),
     TestFunction.gaussian((-1.0, 0.0, 0.0, 0.0), 1.2, freq=(0.0, 0.0, 0.4, 0.0)),
     TestFunction(4, (-1.0, 0.0, 0.0, 0.0), 1.2, {(0, 0, 0, 1): 1.0}),
     TestFunction(4, (-1.0, 0.0, 0.0, 0.0), 1.2, {(1, 2, 0, 0): 1.0, (1, 0, 2, 0): 1.0}),
