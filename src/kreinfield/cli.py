@@ -7,6 +7,11 @@ files and the run's status.  Numeric outputs are deterministic for a fixed
 config and seed; only the manifest carries timestamps and runtimes.  A
 non-finite number is never written: the run fails instead.
 
+``main`` owns the run.  It validates the config for the subcommand and
+builds the model objects before anything runs, calls the subcommand's
+handler, which returns the contents of its files, and writes those and the
+manifest through one writer.
+
 Exit codes: 0 success, 1 task failure, 2 configuration error.  Once the
 output directory is known, a failed task still writes the manifest, with
 status "failed", the error kind and message, and, for a quadrature that did
@@ -20,6 +25,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -303,6 +309,17 @@ SUBCOMMANDS = (
 )
 
 
+_LATTICE_COMMANDS = ("sample", "schwinger", "laplace-check")
+
+
+class _ConfigError(Exception):
+    """A config the library cannot honour: exit 2, naming the field if known."""
+
+    def __init__(self, field: Optional[str], message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def _fail(
     kind: str,
     message: str,
@@ -320,10 +337,6 @@ def _fail(
                           for p, *vals in history]
     print(json.dumps(doc), file=sys.stderr)
     return doc
-
-
-class _CheckFailed(Exception):
-    """A task ran to the end and wrote its outputs, but its check failed."""
 
 
 def _reject_constant(name: str):
@@ -351,138 +364,136 @@ def _config_validator():
     return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
-def _load_config(path: str):
+def _load_config(path: str, command: str):
+    """(config, SHA-256 of its bytes, the inputs of ``command``'s handler).
+
+    Raises _ConfigError for an unreadable file, invalid JSON, a schema
+    violation or a constraint of :func:`_semantic_check`.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        _fail("config", f"cannot read config: {exc}")
-        return None, None
+        raise _ConfigError(None, f"cannot read config: {exc}") from None
     try:
         cfg = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant,
                          parse_float=_finite(float), parse_int=_finite(int))
     except ValueError as exc:  # bad encoding, bad syntax or a non-finite number
-        _fail("config", f"config is not valid JSON: {exc}")
-        return None, None
+        raise _ConfigError(None, f"config is not valid JSON: {exc}") from None
     from jsonschema.exceptions import best_match
 
     exc = best_match(_config_validator().iter_errors(cfg))
     if exc is not None:  # the error jsonschema.validate would raise
         field = ".".join(str(p) for p in exc.absolute_path) or "(root)"
-        _fail("config", exc.message, field=field)
-        return None, None
-    bad = _semantic_check(cfg)
-    if bad is not None:
-        _fail("config", bad[1], field=bad[0])
-        return None, None
-    return cfg, hashlib.sha256(raw).hexdigest()
+        raise _ConfigError(field, exc.message)
+    return cfg, hashlib.sha256(raw).hexdigest(), _semantic_check(cfg, command)
 
 
-def _semantic_check(cfg: dict):
-    """Constraints the schema cannot express: (field, message) or None."""
+def _semantic_check(cfg: dict, command: str):
+    """Constraints the schema cannot express, and the model objects they build.
+
+    Returns (spec, triple, lattice, task section) for ``command``'s handler,
+    the lattice None for a subcommand that takes none.  Raises _ConfigError
+    naming the field.
+    """
+    from .green import MIN_MASS_EXTENT, GreenSpec
+    from .lattice import Lattice
     from .levy import LevyTriple
 
+    model, lat = cfg["model"], None
+    field = "model"
     try:  # the model objects' own checks, e.g. a zero jump size
-        for i, atom in enumerate(cfg["model"]["levy"]["atoms"]):
+        for i, atom in enumerate(model["levy"]["atoms"]):
             field = f"model.levy.atoms.{i}"
             LevyTriple(atoms=(atom,))
         field = "model"
-        _model_objects(cfg)
+        spec = GreenSpec(model["dim"], model["alpha"], model["mass"])
+        lv = model["levy"]
+        triple = LevyTriple(
+            drift=lv["drift"],
+            variance=lv["variance"],
+            atoms=tuple((float(s), float(r)) for s, r in lv["atoms"]),
+        )
+        if command in _LATTICE_COMMANDS:
+            field = "lattice"
+            if "lattice" not in cfg:
+                raise ValueError(f"{command} needs a lattice section in the config")
+            lat = Lattice(spec.dim, cfg["lattice"]["sites"], cfg["lattice"]["spacing"])
+            if spec.mass * lat.extent < MIN_MASS_EXTENT:  # green_alpha_lattice's guard
+                raise ValueError(
+                    f"box under-resolves the mass: mass*extent = "
+                    f"{spec.mass * lat.extent:.3g} < {MIN_MASS_EXTENT}")
     except ValueError as exc:  # DomainError is a ValueError
-        return field, str(exc)
-    dim = cfg["model"]["dim"]
+        raise _ConfigError(field, str(exc)) from None
+    dim = spec.dim
     tasks = cfg.get("tasks") or {}
+    name = command.replace("-", "_")
+    if name not in tasks:
+        raise _ConfigError(f"tasks.{name}", f"config has no tasks.{name} section")
 
     def point(field, p):
         if len(p) != dim:
-            return field, f"expected {dim} coordinates, got {len(p)}"
-        return None
+            raise _ConfigError(field, f"expected {dim} coordinates, got {len(p)}")
 
     def slots(field, doc):
         for j, s in enumerate(doc["slots"]):
-            bad = point(f"{field}.slots.{j}.center", s["center"])
-            if bad:
-                return bad
+            point(f"{field}.slots.{j}.center", s["center"])
             if s.get("freq") is not None and len(s["freq"]) != dim:
-                return f"{field}.slots.{j}.freq", f"expected {dim} components"
-        return None
+                raise _ConfigError(f"{field}.slots.{j}.freq", f"expected {dim} components")
 
-    for name in ("sample", "schwinger"):
-        sect = tasks.get(name)
+    for key in ("sample", "schwinger"):
+        sect = tasks.get(key)
         if sect:
             for i, c in enumerate(sect["smear_centers"]):
-                bad = point(f"tasks.{name}.smear_centers.{i}", c)
-                if bad:
-                    return bad
+                point(f"tasks.{key}.smear_centers.{i}", c)
             # the jackknife needs equal batches; a remainder also catches
             # n_batches > n_samples
             n_batches, n_samples = sect.get("n_batches", 20), sect["n_samples"]
             if n_samples % n_batches:
-                return (f"tasks.{name}.n_batches",
-                        f"n_batches {n_batches} must divide n_samples {n_samples}")
+                raise _ConfigError(
+                    f"tasks.{key}.n_batches",
+                    f"n_batches {n_batches} must divide n_samples {n_samples}")
     if "schwinger" in tasks:
         sect = tasks["schwinger"]
         if max(sect["orders"]) > len(sect["smear_centers"]):
-            return "tasks.schwinger.orders", "an order exceeds the number of smear centers"
-    for name, key in (("wightman", "tests"), ("spectral", "off_support"),
+            raise _ConfigError("tasks.schwinger.orders",
+                               "an order exceeds the number of smear centers")
+    for key, docs in (("wightman", "tests"), ("spectral", "off_support"),
                       ("certify", "tests")):
-        sect = tasks.get(name)
-        for i, doc in enumerate((sect or {}).get(key, [])):
-            bad = slots(f"tasks.{name}.{key}.{i}", doc)
-            if bad:
-                return bad
+        for i, doc in enumerate(tasks.get(key, {}).get(docs, [])):
+            slots(f"tasks.{key}.{docs}.{i}", doc)
     if "spectral" in tasks:
-        bad = slots("tasks.spectral.control", tasks["spectral"]["control"])
-        if bad:
-            return bad
+        slots("tasks.spectral.control", tasks["spectral"]["control"])
+    if "certify" in tasks:
+        sect = tasks["certify"]
+        block = sect.get("random_family", {})
+        if not sect.get("tests") and not any(
+                block.get(k, 0) for k in ("singles", "doubles", "triples", "quads")):
+            raise _ConfigError("tasks.certify",
+                               "certify needs tests and/or a random_family block")
     for i, pts in enumerate(tasks.get("laplace_check", {}).get("configs", [])):
         for j, p in enumerate(pts):
-            bad = point(f"tasks.laplace_check.configs.{i}.{j}", p)
-            if bad:
-                return bad
+            point(f"tasks.laplace_check.configs.{i}.{j}", p)
+    if "krein" in tasks:
+        sect = tasks["krein"]
+        for i, idxs in enumerate(sect["monomials"]):
+            if any(j >= sect["n_functions"] for j in idxs):
+                raise _ConfigError(
+                    f"tasks.krein.monomials.{i}",
+                    f"monomial index outside the pool of {sect['n_functions']} functions")
     if "cluster" in tasks:
         sect = tasks["cluster"]
-        bad = point("tasks.cluster.direction", sect["direction"])
-        if bad:
-            return bad
+        point("tasks.cluster.direction", sect["direction"])
         for side in ("left", "right"):
             for i, s in enumerate(sect[side]):
-                bad = point(f"tasks.cluster.{side}.{i}.center", s["center"])
-                if bad:
-                    return bad
-    return None
+                point(f"tasks.cluster.{side}.{i}.center", s["center"])
+    return spec, triple, lat, tasks[name]
 
 
-def _model_objects(cfg: dict):
-    from .green import GreenSpec
-    from .levy import LevyTriple
-
-    m = cfg["model"]
-    spec = GreenSpec(m["dim"], m["alpha"], m["mass"])
-    lv = m["levy"]
-    triple = LevyTriple(
-        drift=lv["drift"],
-        variance=lv["variance"],
-        atoms=tuple((float(s), float(r)) for s, r in lv["atoms"]),
-    )
-    return spec, triple
-
-
-def _lattice(cfg: dict):
-    from .lattice import Lattice
-
-    sect = cfg.get("lattice")
-    if sect is None:
-        raise ValueError("this subcommand needs a lattice section in the config")
-    return Lattice(cfg["model"]["dim"], sect["sites"], sect["spacing"])
-
-
-def _slot_function(doc: dict, dim: int):
+def _slot_function(doc: dict):
     from .testfunctions import TestFunction
 
     center = tuple(float(x) for x in doc["center"])
-    if len(center) != dim:
-        raise ValueError("slot center does not match the model dimension")
     freq = doc.get("freq")
     if freq is not None:
         freq = tuple(float(x) for x in freq)
@@ -491,64 +502,61 @@ def _slot_function(doc: dict, dim: int):
     )
 
 
-def _tensor_function(doc: dict, dim: int):
+def _tensor_function(doc: dict):
     from .testfunctions import TensorTestFunction
 
-    factors = tuple(_slot_function(s, dim) for s in doc["slots"])
+    factors = tuple(_slot_function(s) for s in doc["slots"])
     return TensorTestFunction(factors, prefactor=doc.get("prefactor", 1.0))
 
 
-def _write_csv(path: str, header: List[str], rows: List[list]) -> None:
-    for i, row in enumerate(rows):
-        for cell in row:
-            if isinstance(cell, float) and not math.isfinite(cell):
-                raise ValueError(
-                    f"{os.path.basename(path)}: non-finite value {cell} in row {i}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _json_text(path: str, doc, **kwargs) -> str:
+def _json_text(name: str, doc, **kwargs) -> str:
     try:
         return json.dumps(doc, sort_keys=True, allow_nan=False, **kwargs)
     except ValueError as exc:  # NaN or infinity somewhere in doc
-        raise ValueError(f"{os.path.basename(path)}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
-def _write_json(path: str, doc) -> None:
-    text = _json_text(path, doc, indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+def _write(path: str, payload) -> None:
+    """Write one output file in the format its extension names.
 
-
-def _write_jsonl(path: str, records: List[dict]) -> None:
-    lines = [_json_text(path, rec) + "\n" for rec in records]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-
-
-def _task_section(cfg: dict, name: str) -> dict:
-    tasks = cfg.get("tasks") or {}
-    sect = tasks.get(name)
-    if sect is None:
-        raise ValueError(f"config has no tasks.{name} section")
-    return sect
+    A ``.csv`` payload is (header, rows), a ``.jsonl`` payload a list of
+    records and a ``.json`` payload one document.  A non-finite number
+    raises ValueError naming the file before any byte of it is written.
+    """
+    name = os.path.basename(path)
+    if name.endswith(".csv"):
+        header, rows = payload
+        for i, row in enumerate(rows):
+            for cell in row:
+                if isinstance(cell, float) and not math.isfinite(cell):
+                    raise ValueError(f"{name}: non-finite value {cell} in row {i}")
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *rows])
+        text = buf.getvalue()
+    elif name.endswith(".jsonl"):
+        text = "".join(_json_text(name, rec) + "\n" for rec in payload)
+    else:
+        text = _json_text(name, payload, indent=2) + "\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # -- subcommand handlers ----------------------------------------------------------
+#
+# A handler takes the model objects and task section _semantic_check built,
+# the effective seed and the quadrature tolerance (None: the library's
+# defaults).  It returns (outputs, fields): outputs maps each file name to
+# its payload (see _write), in the order main writes them; fields go into
+# the manifest, all but "failed", the message of a check that ran to the
+# end and did not pass.
 
 
-def _run_sample(cfg, args, out, files):
+def _run_sample(spec, triple, lat, task, seed, tol):
     from .euclidean import estimate_moment_table
     from .green import green_alpha_lattice
     from .lattice import sample_function
     from .testfunctions import TestFunction
 
-    spec, triple = _model_objects(cfg)
-    lat = _lattice(cfg)
-    task = _task_section(cfg, "sample")
     kernel = green_alpha_lattice(lat, spec)
     weights = [
         sample_function(
@@ -562,28 +570,23 @@ def _run_sample(cfg, args, out, files):
         weights,
         triple,
         task["n_samples"],
-        args.effective_seed,
+        seed,
         n_batches=task.get("n_batches", 20),
     )
     rows = [
         ["-".join(map(str, key)), est.value, est.std_error, est.n_samples]
         for key, est in sorted(table.items())
     ]
-    path = os.path.join(out, "sample.csv")
-    _write_csv(path, ["subset", "moment", "std_error", "n_samples"], rows)
-    files.append(path)
+    return {"sample.csv": (["subset", "moment", "std_error", "n_samples"], rows)}, {}
 
 
-def _run_schwinger(cfg, args, out, files):
+def _run_schwinger(spec, triple, lat, task, seed, tol):
     from .euclidean import estimate_schwinger_mc
     from .green import green_alpha_lattice
     from .lattice import sample_function
     from .schwinger import smeared_truncated_correlator
     from .testfunctions import TestFunction
 
-    spec, triple = _model_objects(cfg)
-    lat = _lattice(cfg)
-    task = _task_section(cfg, "schwinger")
     tests = [
         TestFunction.gaussian(tuple(c), task["smear_width"])
         for c in task["smear_centers"]
@@ -591,8 +594,6 @@ def _run_schwinger(cfg, args, out, files):
     weights = [sample_function(lat, t).values.real for t in tests]
     rows = []
     for n in task["orders"]:
-        if n > len(tests):
-            raise ValueError(f"order {n} exceeds the number of smear centers")
         analytic = smeared_truncated_correlator(lat, spec, triple, tests[:n])
         mc = estimate_schwinger_mc(
             lat,
@@ -600,73 +601,55 @@ def _run_schwinger(cfg, args, out, files):
             weights[:n],
             triple,
             task["n_samples"],
-            args.effective_seed,
+            seed,
             n_batches=task.get("n_batches", 20),
         )
         diff = abs(mc.value - analytic)
         sigmas = diff / mc.std_error if mc.std_error > 0 else float("inf")
         rows.append([n, analytic, mc.value, mc.std_error, diff, sigmas])
-    path = os.path.join(out, "schwinger.csv")
-    _write_csv(
-        path, ["order", "analytic", "mc", "std_error", "abs_diff", "sigmas"], rows
-    )
-    files.append(path)
+    header = ["order", "analytic", "mc", "std_error", "abs_diff", "sigmas"]
+    return {"schwinger.csv": (header, rows)}, {}
 
 
-def _run_wightman(cfg, args, out, files):
+def _run_wightman(spec, triple, lat, task, seed, tol):
     from .quadrature import collect
     from .wightman import truncated_momentum_eval
 
-    spec, triple = _model_objects(cfg)
-    task = _task_section(cfg, "wightman")
     rows = []
     records = []
     for idx, doc in enumerate(task["tests"]):
-        tensor = _tensor_function(doc, spec.dim)
+        tensor = _tensor_function(doc)
         with collect() as rec:
-            val = truncated_momentum_eval(tensor, spec, triple, args.tolerance)
+            val = truncated_momentum_eval(tensor, spec, triple, tol)
         rows.append([idx, tensor.n_points, val.real, val.imag])
-        for entry in rec:
-            entry["test_index"] = idx
-            records.append(entry)
-    path = os.path.join(out, "wightman.csv")
-    _write_csv(path, ["test_index", "order", "real", "imag"], rows)
-    files.append(path)
-    jpath = os.path.join(out, "wightman_records.jsonl")
-    _write_jsonl(jpath, records)
-    files.append(jpath)
+        records.extend(dict(entry, test_index=idx) for entry in rec)
+    return {"wightman.csv": (["test_index", "order", "real", "imag"], rows),
+            "wightman_records.jsonl": records}, {}
 
 
-def _run_laplace_check(cfg, args, out, files):
+def _run_laplace_check(spec, triple, lat, task, seed, tol):
     import numpy as np
 
     from .wightman import laplace_bridge_check
 
-    spec, triple = _model_objects(cfg)
-    lat = _lattice(cfg)
-    task = _task_section(cfg, "laplace_check")
-    tol = args.tolerance or task.get("tolerance", 5e-3)
+    gap_tol = task.get("tolerance", 5e-3)  # a bound on the gap, not a quadrature tolerance
     rows = []
     for pts in task["configs"]:
-        arr = np.asarray(pts, dtype=float)
-        rep = laplace_bridge_check(arr, spec, triple, lat)
-        rows.append([len(pts), rep.lhs, rep.rhs, rep.gap, tol, rep.gap <= tol])
-    path = os.path.join(out, "laplace_check.csv")
-    _write_csv(path, ["order", "lattice", "momentum", "gap", "tolerance", "passed"], rows)
-    files.append(path)
-    if not all(r[-1] for r in rows):
-        raise _CheckFailed("a bridge gap exceeded its tolerance")
+        rep = laplace_bridge_check(np.asarray(pts, dtype=float), spec, triple, lat)
+        rows.append([len(pts), rep.lhs, rep.rhs, rep.gap, gap_tol, rep.gap <= gap_tol])
+    header = ["order", "lattice", "momentum", "gap", "tolerance", "passed"]
+    fields = {} if all(r[-1] for r in rows) else {
+        "failed": "a bridge gap exceeded its tolerance"}
+    return {"laplace_check.csv": (header, rows)}, fields
 
 
-def _run_bounds(cfg, args, out, files):
+def _run_bounds(spec, triple, lat, task, seed, tol):
     from .hssc import (
         bound_integral_scalar,
         bound_integral_vector,
         compute_scalar_factors,
     )
 
-    spec, triple = _model_objects(cfg)
-    task = _task_section(cfg, "bounds")
     orders = task.get("orders", [])
     vector_slots = task.get("vector_slots", [])
     rows = []
@@ -682,12 +665,8 @@ def _run_bounds(cfg, args, out, files):
         rep = bound_integral_vector(n, j)
         rows.append(["vector", n, j, rep.constant])
         doc["vector"].append(rep.as_dict())
-    path = os.path.join(out, "bounds.csv")
-    _write_csv(path, ["family", "order", "slot", "constant"], rows)
-    files.append(path)
-    jpath = os.path.join(out, "bounds.json")
-    _write_json(jpath, doc)
-    files.append(jpath)
+    return {"bounds.csv": (["family", "order", "slot", "constant"], rows),
+            "bounds.json": doc}, {}
 
 
 def _random_family(spec, block: dict, seed: int):
@@ -718,36 +697,26 @@ def _random_family(spec, block: dict, seed: int):
     return fam
 
 
-def _run_certify(cfg, args, out, files):
+def _run_certify(spec, triple, lat, task, seed, tol):
     from .hssc import hssc_certify
 
-    spec, triple = _model_objects(cfg)
-    task = _task_section(cfg, "certify")
-    family = [_tensor_function(doc, spec.dim) for doc in task.get("tests", [])]
+    family = [_tensor_function(doc) for doc in task.get("tests", [])]
     if "random_family" in task:
-        family.extend(_random_family(spec, task["random_family"], args.effective_seed))
-    if not family:
-        raise ValueError("certify needs tests and/or a random_family block")
-    cert = hssc_certify(
-        spec, triple, family, n_max=task.get("n_max", 4), tol=args.tolerance
-    )
-    runtime = cert.pop("runtime_seconds")  # timestamps live in the manifest only
-    path = os.path.join(out, "certificate.json")
-    _write_json(path, cert)
-    files.append(path)
+        family.extend(_random_family(spec, task["random_family"], seed))
+    cert = hssc_certify(spec, triple, family, n_max=task.get("n_max", 4), tol=tol)
+    # timestamps live in the manifest only
+    fields = {"certify_runtime_seconds": cert.pop("runtime_seconds")}
+    if not cert["passed"]:
+        fields["failed"] = "certificate did not pass"
     rows = [
         [row["order"], row["count"], row["worst_ratio"], row["min_margin"]]
         for row in cert["per_order"]
     ]
-    cpath = os.path.join(out, "certify.csv")
-    _write_csv(cpath, ["order", "count", "worst_ratio", "min_margin"], rows)
-    files.append(cpath)
-    args.manifest_extra["certify_runtime_seconds"] = runtime
-    if not cert["passed"]:
-        raise _CheckFailed("certificate did not pass")
+    return {"certificate.json": cert,
+            "certify.csv": (["order", "count", "worst_ratio", "min_margin"], rows)}, fields
 
 
-def _run_krein(cfg, args, out, files):
+def _run_krein(spec, triple, lat, task, seed, tol):
     import numpy as np
 
     from .hssc import (
@@ -760,30 +729,24 @@ def _run_krein(cfg, args, out, files):
     )
     from .testfunctions import TestFunction
 
-    spec, triple = _model_objects(cfg)
-    task = _task_section(cfg, "krein")
-    rng = np.random.default_rng(args.effective_seed)
+    rng = np.random.default_rng(seed)
     pool = []
     for _ in range(task["n_functions"]):
         center = tuple(rng.uniform(-1.2, 1.2, size=spec.dim))
         width = float(rng.uniform(0.7, 1.2))
         freq = tuple(rng.uniform(-0.8, 0.8, size=spec.dim))
         pool.append(TestFunction.gaussian(center, width, freq=freq))
-    monos = []
-    for idxs in task["monomials"]:
-        if any(i >= len(pool) for i in idxs):
-            raise ValueError("monomial index outside the function pool")
-        monos.append(tuple(pool[i] for i in idxs))
+    monos = [tuple(pool[i] for i in idxs) for idxs in task["monomials"]]
     nspec = SchwartzNormSpec(0, 2 * spec.dim)
     scale = task.get("seminorm_scale", 1.0)
 
     def seminorm(mono):
-        out_ = scale
+        value = scale
         for g in mono:
-            out_ *= schwartz_norm(g, nspec)
-        return out_
+            value *= schwartz_norm(g, nspec)
+        return value
 
-    pair = build_gram_pair(spec, triple, monos, seminorm, tol=args.tolerance)
+    pair = build_gram_pair(spec, triple, monos, seminorm, tol=tol)
     eigs = np.linalg.eigvalsh(pair.form)
     report: Dict[str, object] = {
         "basis_size": len(monos),
@@ -806,61 +769,40 @@ def _run_krein(cfg, args, out, files):
     n_cand = task.get("search_candidates", 0)
     if n_cand:
         report["indefinite_search"] = search_indefinite_gram(
-            spec, triple, n_candidates=n_cand, seed=args.effective_seed,
-            tol=args.tolerance,
+            spec, triple, n_candidates=n_cand, seed=seed, tol=tol,
         )
-    path = os.path.join(out, "krein.json")
-    _write_json(path, report)
-    files.append(path)
     rows = [[i, float(x)] for i, x in enumerate(eigs)]
-    cpath = os.path.join(out, "krein_eigenvalues.csv")
-    _write_csv(cpath, ["index", "eigenvalue"], rows)
-    files.append(cpath)
+    return {"krein.json": report,
+            "krein_eigenvalues.csv": (["index", "eigenvalue"], rows)}, {}
 
 
-def _run_cluster(cfg, args, out, files):
+def _run_cluster(spec, triple, lat, task, seed, tol):
     from .wightman import cluster_decay
 
-    spec, triple = _model_objects(cfg)
-    task = _task_section(cfg, "cluster")
-    left = [_slot_function(doc, spec.dim) for doc in task["left"]]
-    right = [_slot_function(doc, spec.dim) for doc in task["right"]]
     rows = cluster_decay(
-        left,
-        right,
+        [_slot_function(doc) for doc in task["left"]],
+        [_slot_function(doc) for doc in task["right"]],
         task["direction"],
         task["lambdas"],
         spec,
         triple,
-        tol=args.tolerance or 1e-9,
+        tol=tol or 1e-9,
     )
-    path = os.path.join(out, "cluster.csv")
-    _write_csv(path, ["lambda", "abs_value"], [[l, v] for l, v in rows])
-    files.append(path)
+    return {"cluster.csv": (["lambda", "abs_value"], [[l, v] for l, v in rows])}, {}
 
 
-def _run_spectral(cfg, args, out, files):
+def _run_spectral(spec, triple, lat, task, seed, tol):
     from .wightman import spectral_support_check
 
-    spec, triple = _model_objects(cfg)
-    task = _task_section(cfg, "spectral")
-    off = [_tensor_function(doc, spec.dim) for doc in task["off_support"]]
-    control = _tensor_function(task["control"], spec.dim)
-    tol = args.tolerance or task.get("tolerance", 1e-8)
-    result = spectral_support_check(spec, triple, off, control, tol=tol)
-    path = os.path.join(out, "spectral.json")
-    _write_json(path, result)
-    files.append(path)
-    cpath = os.path.join(out, "spectral.csv")
-    _write_csv(
-        cpath,
-        ["max_off_support", "control", "tolerance", "passed"],
-        [[result["max_off_support"], result["control"], result["tolerance"],
-          result["passed"]]],
-    )
-    files.append(cpath)
-    if not result["passed"]:
-        raise _CheckFailed("spectral support check failed")
+    off = [_tensor_function(doc) for doc in task["off_support"]]
+    control = _tensor_function(task["control"])
+    # the off-support values are held to the quadrature tolerance itself
+    result = spectral_support_check(
+        spec, triple, off, control, tol=tol or task.get("tolerance", 1e-8))
+    header = ["max_off_support", "control", "tolerance", "passed"]
+    fields = {} if result["passed"] else {"failed": "spectral support check failed"}
+    return {"spectral.json": result,
+            "spectral.csv": (header, [[result[k] for k in header]])}, fields
 
 
 _HANDLERS: Dict[str, Callable] = {
@@ -904,44 +846,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            _fail("config", "--threads must be at least one", field="threads")
-            return 2
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ[var] = str(args.threads)
-
-    cfg, digest = _load_config(args.config)
-    if cfg is None:
+    try:
+        if args.threads is not None:
+            if args.threads < 1:
+                raise _ConfigError("threads", "--threads must be at least one")
+            for var in (
+                "OMP_NUM_THREADS",
+                "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS",
+            ):
+                os.environ[var] = str(args.threads)
+        cfg, digest, inputs = _load_config(args.config, args.command)
+        if args.tolerance is not None and args.tolerance <= 0:
+            raise _ConfigError("tolerance", "--tolerance must be positive")
+        out = args.out or cfg.get("output_dir")
+        if out is None:
+            raise _ConfigError("output_dir", "no output directory (--out or output_dir)")
+    except _ConfigError as exc:
+        _fail("config", str(exc), field=exc.field)
         return 2
-    if args.tolerance is not None and args.tolerance <= 0:
-        _fail("config", "--tolerance must be positive", field="tolerance")
-        return 2
-    if args.tolerance is None:
-        args.tolerance = (cfg.get("quadrature") or {}).get("tolerance")
-    args.effective_seed = (
-        args.seed if args.seed is not None else cfg.get("seed", 0)
-    )
-    out = args.out or cfg.get("output_dir")
-    if out is None:
-        _fail("config", "no output directory (--out or output_dir)", field="output_dir")
-        return 2
+    tol = args.tolerance
+    if tol is None:
+        tol = (cfg.get("quadrature") or {}).get("tolerance")
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     os.makedirs(out, exist_ok=True)
-    args.manifest_extra = {}
 
-    files: List[str] = []
+    written: List[str] = []
+    fields: dict = {}
     t0 = time.time()
     error: Optional[dict] = None
     try:
-        _HANDLERS[args.command](cfg, args, out, files)
+        outputs, fields = _HANDLERS[args.command](*inputs, seed, tol)
+        failed = fields.pop("failed", None)
+        for name, payload in outputs.items():
+            _write(os.path.join(out, name), payload)
+            written.append(name)
+        if failed is not None:
+            error = _fail("task", failed)
     except Exception as exc:  # noqa: BLE001 - boundary: map to exit code 1
-        message = str(exc) if isinstance(exc, _CheckFailed) else (
-            f"{type(exc).__name__}: {exc}")
+        message = f"{type(exc).__name__}: {exc}"
         if isinstance(exc, QuadratureError):
             error = _fail("task", message, residual=exc.residual,
                           history=exc.history)
@@ -958,9 +902,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "config_path": os.path.abspath(args.config),
         "config_sha256": digest,
         "status": "ok" if error is None else "failed",
-        "seed": args.effective_seed,
-        "tolerance": args.tolerance,
-        "outputs": [os.path.basename(f) for f in files],
+        "seed": seed,
+        "tolerance": tol,
+        "outputs": written,
         "versions": {
             "kreinfield": __version__,
             "python": sys.version.split()[0],
@@ -970,9 +914,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t0)),
         "wall_seconds": time.time() - t0,
     }
-    manifest.update(args.manifest_extra)
+    manifest.update(fields)
     manifest.update(error or {})
-    _write_json(os.path.join(out, "manifest.json"), manifest)
+    _write(os.path.join(out, "manifest.json"), manifest)
     return 0 if error is None else 1
 
 

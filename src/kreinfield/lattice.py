@@ -115,7 +115,10 @@ class LatticeField:
             raise LatticeMismatchError("fields live on different lattices")
 
     def integral(self) -> complex:
-        """Riemann sum of the field over the box."""
+        """Riemann sum of the field over the box.
+
+        Check: test_sum_rule_exact, the kernel's normalisation.
+        """
         return complex(np.sum(self.values)) * self.lattice.cell_volume
 
 

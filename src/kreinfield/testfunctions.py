@@ -41,23 +41,6 @@ def poly_mul(a: Coeffs, b: Coeffs) -> Coeffs:
     return _clean(out)
 
 
-def poly_shift(coeffs: Coeffs, delta: np.ndarray) -> Coeffs:
-    """Coefficients of p(u + delta) given those of p(u)."""
-    d = len(delta)
-    out: Coeffs = dict(coeffs)
-    for axis in range(d):
-        if delta[axis] == 0:
-            continue
-        nxt: Coeffs = {}
-        for beta, c in out.items():
-            m = beta[axis]
-            for j in range(m + 1):
-                key = beta[:axis] + (j,) + beta[axis + 1:]
-                nxt[key] = nxt.get(key, 0j) + c * math.comb(m, j) * delta[axis] ** (m - j)
-        out = nxt
-    return _clean(out)
-
-
 def _gauss_moment(m: int, s: float) -> float:
     """integral u^m exp(-u^2 / s^2) du over the line (0 for odd m)."""
     if m % 2:
@@ -200,27 +183,6 @@ class TestFunction:
             out[b] = out.get(b, 0j) + c
         return TestFunction(self.dim, self.center, self.width, out, self.freq)
 
-    def product(self, other: "TestFunction") -> "TestFunction":
-        """Pointwise product; the result is again in the family."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        w1s, w2s = self.width**2, other.width**2
-        ws = 1.0 / (1.0 / w1s + 1.0 / w2s)
-        c1, c2 = np.asarray(self.center), np.asarray(other.center)
-        cnew = ws * (c1 / w1s + c2 / w2s)
-        # residual Gaussian factor from completing the square
-        amp = math.exp(-float(np.sum((c1 - c2) ** 2)) / (2 * (w1s + w2s)))
-        p1 = poly_shift(self.coeffs, cnew - c1)
-        p2 = poly_shift(other.coeffs, cnew - c2)
-        prod = poly_mul(p1, p2)
-        b1, b2 = np.asarray(self.freq), np.asarray(other.freq)
-        phase = amp * np.exp(1j * float(b1 @ (cnew - c1) + b2 @ (cnew - c2)))
-        return TestFunction(
-            self.dim, tuple(cnew), math.sqrt(ws),
-            {b: c * phase for b, c in prod.items()},
-            tuple(b1 + b2),
-        )
-
     def fourier(self) -> "TestFunction":
         """Fourier transform (2 pi)^(-d/2) integral exp(-ik.x) f(x) dx.
 
@@ -248,7 +210,12 @@ class TestFunction:
     # -- exact integrals -----------------------------------------------------
 
     def integral(self) -> complex:
-        """integral f(x) dx, exactly."""
+        """integral f(x) dx, exactly.
+
+        Check: test_gaussian_l2_and_integral and
+        test_characteristic_functional_drift_closed_form, whose closed form
+        it supplies.
+        """
         ft0 = np.ravel(self.fourier()(np.zeros(self.dim)))[0]
         return complex((2 * math.pi) ** (self.dim / 2) * ft0)
 
@@ -311,6 +278,3 @@ class TensorTestFunction:
             tuple(f.flip().conjugate() for f in reversed(self.factors)),
             np.conj(self.prefactor),
         )
-
-    def scale(self, factor: complex) -> "TensorTestFunction":
-        return TensorTestFunction(self.factors, self.prefactor * factor)

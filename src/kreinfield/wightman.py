@@ -548,58 +548,37 @@ def _combine_branches(plus, minus, inside, alpha: float) -> np.ndarray:
     return out
 
 
-def _branch_transforms_1d(gs: Sequence[TestFunction], avals: np.ndarray,
-                          spec: GreenSpec, mult: float, amax: float) -> dict:
-    """A_b[l](a) = integral rho_b(k) g_l(k) e^{iak} dk in d = 1 for b in "+-0".
+def _branch_transforms(gs: Sequence[TestFunction], spec: GreenSpec, mult: float,
+                       ax0: np.ndarray, ax1: Optional[np.ndarray] = None) -> dict:
+    """A_b[l](a) = integral rho_b(k) g_l(k) e^{i a.k} dk for b in "+-0".
 
-    All factors g_l share one energy grid: the gap piece's does not depend
-    on the factor, and the cosh pieces run up to the largest support edge.
+    Returns A_b[l, a0] in d = 1, with no ``ax1``, and A_b[l, a0, a1] in
+    d = 2, on the tensor grid of auxiliary points.  All factors share one
+    energy and spatial grid, sized by the largest spatial and energy support
+    edge over the factors.  In d = 1 there is no spatial axis: the energies
+    sit at w = m alone.  In d = 2 the q-rule is mirror-symmetric and the
+    energies depend on q^2 only, so the energy sums run on its half q >= 0
+    and carry the bodies at +q and -q side by side; the q = 0 node of an
+    odd rule sits in both halves at half weight.  The energy quadrature is
+    contracted against each spatial node before the spatial phases
+    e^{+-i q a1} are applied, so the workspace stays linear in the number of
+    auxiliary nodes per axis.
     """
     m = spec.mass
     expo = 1 - 2 * spec.alpha
-    kmax = max(abs(np.asarray(g.center)).max() + g.effective_radius() for g in gs)
-    w = np.array([m])
-
-    def sums(krange, tmax=None):
-        nt = int(_osc_npts(amax, krange) * mult)
-        return [b[..., 0] for b in _energy_sums(gs, avals, w, None, nt, expo, tmax)]
-
-    inside = sum(sums(2 * m * np.sin(_GAP)))
-    if kmax > m:
-        tmax = math.acosh(kmax / m)
-        plus, minus = sums(m * np.cosh(tmax) - m * np.cosh(1e-12), tmax)
-    else:
-        plus = minus = np.zeros((len(gs), len(avals)), dtype=complex)
-    pref = (2 * math.pi) ** -0.5
-    return {b: pref * t for b, t in
-            zip("+-0", _combine_branches(plus, minus, inside, spec.alpha))}
-
-
-def _branch_transforms_2d(gs: Sequence[TestFunction], ax0: np.ndarray,
-                          ax1: np.ndarray, spec: GreenSpec, mult: float) -> dict:
-    """The same transforms in d = 2 on a tensor grid of auxiliary points.
-
-    Returns A_b[l, a0, a1] for b in "+-0".  All factors share one energy and
-    spatial grid, sized by the largest spatial and energy support edge over
-    the factors.  The q-rule is mirror-symmetric and the energies depend on
-    q^2 only, so the energy sums run on its half q >= 0 and carry the bodies
-    at +q and -q side by side; the q = 0 node of an odd rule sits in both
-    halves at half weight.  The energy quadrature is contracted against each
-    spatial node before the spatial phases e^{+-i q a1} are applied, so the
-    workspace stays linear in the number of auxiliary nodes per axis.
-    """
-    m = spec.mass
-    expo = 1 - 2 * spec.alpha
-    qmax = max(abs(g.center[1]) + g.effective_radius() for g in gs)
     k0cap = max(abs(g.center[0]) + g.effective_radius() for g in gs)
     a0max = float(np.max(np.abs(ax0)))
-    a1max = float(np.max(np.abs(ax1)))
-    nq = int(_osc_npts(a1max, 2 * qmax) * mult)
-    q, wq = gl_nodes(-qmax, qmax, nq)
-    q, wq = q[nq // 2:], wq[nq // 2:].copy()
-    if nq % 2:
-        wq[0] *= 0.5  # both halves hold the middle node q = 0
-    w = np.sqrt(q * q + m * m)
+    if ax1 is None:
+        q, qmax, w = None, 0.0, np.array([m])
+    else:
+        qmax = max(abs(g.center[1]) + g.effective_radius() for g in gs)
+        a1max = float(np.max(np.abs(ax1)))
+        nq = int(_osc_npts(a1max, 2 * qmax) * mult)
+        q, wq = gl_nodes(-qmax, qmax, nq)
+        q, wq = q[nq // 2:], wq[nq // 2:].copy()
+        if nq % 2:
+            wq[0] *= 0.5  # both halves hold the middle node q = 0
+        w = np.sqrt(q * q + m * m)
     tmax = max(0.25, math.acosh(max(1.0 + 1e-9, k0cap / m)))
     plus, minus = _energy_sums(
         gs, ax0, w, q, int(_osc_npts(a0max, max(k0cap - m, 2 * m)) * mult), expo, tmax)
@@ -608,6 +587,8 @@ def _branch_transforms_2d(gs: Sequence[TestFunction], ax0: np.ndarray,
         expo))
     bm = _combine_branches(plus, minus, inside, spec.alpha)
     del plus, minus, inside  # freed before the contraction's output is allocated
+    if q is None:
+        return dict(zip("+-0", (2 * math.pi) ** -0.5 * bm[..., 0]))
     bm *= np.tile(wq / (2 * math.pi), 2)
     phase1 = np.exp(1j * np.outer(q, ax1))  # the -q half takes its conjugate
     return dict(zip("+-0", bm @ np.concatenate([phase1, phase1.conj()])))
@@ -635,8 +616,8 @@ def factorized_eval(
     and in d = 2 the energies depend on q^2 only, so the phases are
     evaluated on the half q >= 0 of the mirror-symmetric Gauss-Legendre
     q-rule and serve the bodies at +q and -q alike.  A round makes two
-    phase_sums calls whatever n (one in d = 1 when no support reaches past
-    the mass), each with 2 n bodies in d = 1 and 4 n in d = 2.
+    phase_sums calls whatever n, each with 2 n bodies in d = 1 and 4 n in
+    d = 2.
 
     Every a-axis takes :func:`~kreinfield.quadrature.gregory_nodes`, an
     equispaced and exactly antisymmetric rule with order-8 Gregory end
@@ -687,11 +668,7 @@ def factorized_eval(
         rules = [gregory_nodes(-a_box, a_box,
                                int(_osc_npts(bandwidth(axis), 2 * a_box) * mult))
                  for axis in range(spec.dim)]
-        if spec.dim == 1:
-            trans = _branch_transforms_1d(test.factors, rules[0][0], spec, mult, a_box)
-        else:
-            trans = _branch_transforms_2d(test.factors, rules[0][0], rules[1][0],
-                                          spec, mult)
+        trans = _branch_transforms(test.factors, spec, mult, *(a for a, _ in rules))
         total = 0.0
         for j in range(n):
             prod = 1.0

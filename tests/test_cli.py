@@ -22,6 +22,70 @@ GAUSS_MODEL = {
 }
 
 
+WIGHTMAN_CFG = {
+    "model": ATOM_MODEL,
+    "seed": 5,
+    "tasks": {"wightman": {"tests": [
+        {"slots": [{"center": [0.2], "width": 1.0},
+                   {"center": [-0.3], "width": 0.9, "freq": [0.5]}]},
+        {"slots": [{"center": [0.0], "width": 1.0},
+                   {"center": [0.1], "width": 1.1},
+                   {"center": [-0.1], "width": 0.8}], "prefactor": 2.0},
+    ]}},
+}
+SAMPLE_CFG = {
+    "model": ATOM_MODEL,
+    "lattice": {"sites": 16, "spacing": 0.5},
+    "seed": 9,
+    "tasks": {"sample": {"n_samples": 200, "smear_centers": [[0.5]],
+                         "smear_width": 0.8}},
+}
+SCHWINGER_CFG = {
+    "model": ATOM_MODEL,
+    "lattice": {"sites": 32, "spacing": 0.25},
+    "seed": 21,
+    "tasks": {"schwinger": {"orders": [2], "n_samples": 2000,
+                            "smear_centers": [[0.5], [-1.0]],
+                            "smear_width": 0.8}},
+}
+LAPLACE_CFG = {
+    "model": ATOM_MODEL,
+    "lattice": {"sites": 64, "spacing": 0.25},
+    "tasks": {"laplace_check": {"configs": [[[0.5], [1.25]]],
+                                "tolerance": 0.02}},
+}
+BOUNDS_CFG = {"model": ATOM_MODEL, "tasks": {"bounds": {"vector_slots": [[3, 0]]}}}
+CERTIFY_CFG = {
+    "model": GAUSS_MODEL,
+    "seed": 11,
+    "tasks": {"certify": {"n_max": 3,
+                          "random_family": {"singles": 2, "doubles": 1,
+                                            "triples": 1}}},
+}
+KREIN_CFG = {
+    "model": ATOM_MODEL,
+    "seed": 3,
+    "tasks": {"krein": {"n_functions": 3, "monomials": [[], [0], [1, 2]],
+                        "seminorm_scale": 50.0}},
+}
+CLUSTER_CFG = {
+    "model": dict(ATOM_MODEL, dim=2),
+    "tasks": {"cluster": {"direction": [0.0, 1.0],
+                          "lambdas": [0.0, 4.0],
+                          "left": [{"center": [0.0, 0.0], "width": 1.0}],
+                          "right": [{"center": [0.2, 0.1], "width": 0.9}]}},
+}
+OFF_SUPPORT = {"slots": [{"center": [3.0], "width": 0.2, "freq": [0.0]},
+                         {"center": [3.0], "width": 0.2, "freq": [0.0]}]}
+SPECTRAL_CFG = {
+    "model": ATOM_MODEL,
+    "tasks": {"spectral": {"off_support": [OFF_SUPPORT],
+                           "control": {"slots": [{"center": [-1.0], "width": 0.3},
+                                                 {"center": [1.0], "width": 0.3}]},
+                           "tolerance": 1e-8}},
+}
+
+
 def write_cfg(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -143,29 +207,48 @@ def test_unknown_subcommand_rejected(tmp_path):
         main(["frobnicate", "--config", "x"])
 
 
-def test_missing_task_section_is_task_failure(tmp_path, capsys):
+def test_missing_task_section_is_config_error(tmp_path, capsys):
     cfg = {"model": ATOM_MODEL}
-    rc = main(["wightman", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
-    assert rc == 1
-    assert "tasks.wightman" in stderr_doc(capsys)["message"]
+    rc = main(["wightman", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    doc = stderr_doc(capsys)
+    assert doc["error"] == "config"
+    assert doc["field"] == "tasks.wightman"
+    assert not (tmp_path / "run").exists()
+
+
+def with_task(cfg, name, **changes):
+    return dict(cfg, tasks={name: dict(cfg["tasks"][name], **changes)})
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("sample", {k: v for k, v in SAMPLE_CFG.items() if k != "lattice"}, "lattice"),
+    ("schwinger", {k: v for k, v in SCHWINGER_CFG.items() if k != "lattice"}, "lattice"),
+    ("laplace-check", {k: v for k, v in LAPLACE_CFG.items() if k != "lattice"},
+     "lattice"),
+    # mass * extent = 1 * 16 * 0.2 = 3.2, below the kernel's resolution guard 4
+    ("sample", dict(SAMPLE_CFG, lattice={"sites": 16, "spacing": 0.2}), "lattice"),
+    ("krein", with_task(KREIN_CFG, "krein", monomials=[[0], [1, 3]]),
+     "tasks.krein.monomials.1"),
+], ids=["sample-no-lattice", "schwinger-no-lattice", "laplace-check-no-lattice",
+        "mass-extent-below-4", "krein-index-outside-pool"])
+def test_config_the_handler_cannot_run_is_config_error(tmp_path, capsys, command,
+                                                       cfg, field):
+    rc = main([command, "--config", write_cfg(tmp_path, cfg),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    doc = stderr_doc(capsys)
+    assert doc["error"] == "config"
+    assert doc["field"] == field
+    assert not (tmp_path / "run").exists()
 
 
 # ---- wightman pipeline and manifests ----
 
 @pytest.fixture
 def wightman_cfg(tmp_path):
-    cfg = {
-        "model": ATOM_MODEL,
-        "seed": 5,
-        "tasks": {"wightman": {"tests": [
-            {"slots": [{"center": [0.2], "width": 1.0},
-                       {"center": [-0.3], "width": 0.9, "freq": [0.5]}]},
-            {"slots": [{"center": [0.0], "width": 1.0},
-                       {"center": [0.1], "width": 1.1},
-                       {"center": [-0.1], "width": 0.8}], "prefactor": 2.0},
-        ]}},
-    }
-    return write_cfg(tmp_path, cfg)
+    return write_cfg(tmp_path, WIGHTMAN_CFG)
 
 
 def test_wightman_outputs_match_direct_eval(tmp_path, wightman_cfg):
@@ -201,22 +284,36 @@ def test_wightman_outputs_match_direct_eval(tmp_path, wightman_cfg):
         assert r["history"]
 
 
-def test_manifest_lists_outputs_and_config_hash(tmp_path, wightman_cfg):
+def test_manifest_lists_outputs_and_config_hash(tmp_path):
     import hashlib
 
-    out = tmp_path / "out"
-    assert main(["wightman", "--config", wightman_cfg, "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    produced = {p.name for p in out.iterdir()} - {"manifest.json"}
-    assert set(manifest["outputs"]) == produced
-    raw = open(wightman_cfg, "rb").read()
-    assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
-    assert manifest["subcommand"] == "wightman"
-    assert manifest["seed"] == 5
-    assert manifest["status"] == "ok"
-    assert "error" not in manifest
-    for key in ("kreinfield", "python", "numpy", "scipy"):
-        assert key in manifest["versions"]
+    runs = [  # each subcommand's outputs, in the order its handler returns them
+        ("sample", SAMPLE_CFG, ["sample.csv"]),
+        ("schwinger", SCHWINGER_CFG, ["schwinger.csv"]),
+        ("wightman", WIGHTMAN_CFG, ["wightman.csv", "wightman_records.jsonl"]),
+        ("laplace-check", LAPLACE_CFG, ["laplace_check.csv"]),
+        ("bounds", BOUNDS_CFG, ["bounds.csv", "bounds.json"]),
+        ("certify", CERTIFY_CFG, ["certificate.json", "certify.csv"]),
+        ("krein", KREIN_CFG, ["krein.json", "krein_eigenvalues.csv"]),
+        ("cluster", CLUSTER_CFG, ["cluster.csv"]),
+        ("spectral", SPECTRAL_CFG, ["spectral.json", "spectral.csv"]),
+    ]
+    assert sorted(command for command, _, _ in runs) == sorted(cli.SUBCOMMANDS)
+    for command, cfg, outputs in runs:
+        path = write_cfg(tmp_path, cfg, f"{command}.json")
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == outputs
+        assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
+        raw = open(path, "rb").read()
+        assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
+        assert manifest["subcommand"] == command
+        assert manifest["seed"] == cfg.get("seed", 0)
+        assert manifest["status"] == "ok"
+        assert "error" not in manifest
+        for key in ("kreinfield", "python", "numpy", "scipy"):
+            assert key in manifest["versions"]
 
 
 def test_failed_run_writes_manifest_with_residual(tmp_path, wightman_cfg, capsys,
@@ -303,14 +400,7 @@ def test_threads_flag_does_not_change_results(tmp_path, wightman_cfg):
 # ---- sampling determinism ----
 
 def test_sample_seed_controls_output(tmp_path):
-    cfg = {
-        "model": ATOM_MODEL,
-        "lattice": {"sites": 16, "spacing": 0.5},
-        "seed": 9,
-        "tasks": {"sample": {"n_samples": 200, "smear_centers": [[0.5]],
-                             "smear_width": 0.8}},
-    }
-    path = write_cfg(tmp_path, cfg)
+    path = write_cfg(tmp_path, SAMPLE_CFG)
     outs = [tmp_path / n for n in ("a", "b", "c")]
     assert main(["sample", "--config", path, "--out", str(outs[0])]) == 0
     assert main(["sample", "--config", path, "--out", str(outs[1])]) == 0
@@ -342,16 +432,8 @@ def test_n_batches_must_divide_n_samples(tmp_path, capsys, task):
 
 
 def test_schwinger_table_within_errors(tmp_path):
-    cfg = {
-        "model": ATOM_MODEL,
-        "lattice": {"sites": 32, "spacing": 0.25},
-        "seed": 21,
-        "tasks": {"schwinger": {"orders": [2], "n_samples": 2000,
-                                "smear_centers": [[0.5], [-1.0]],
-                                "smear_width": 0.8}},
-    }
     out = tmp_path / "out"
-    assert main(["schwinger", "--config", write_cfg(tmp_path, cfg),
+    assert main(["schwinger", "--config", write_cfg(tmp_path, SCHWINGER_CFG),
                  "--out", str(out)]) == 0
     header, row = (out / "schwinger.csv").read_text().splitlines()
     vals = dict(zip(header.split(","), row.split(",")))
@@ -362,14 +444,8 @@ def test_schwinger_table_within_errors(tmp_path):
 # ---- task pipelines ----
 
 def test_laplace_check_writes_gap_row(tmp_path):
-    cfg = {
-        "model": ATOM_MODEL,
-        "lattice": {"sites": 64, "spacing": 0.25},
-        "tasks": {"laplace_check": {"configs": [[[0.5], [1.25]]],
-                                    "tolerance": 0.02}},
-    }
     out = tmp_path / "out"
-    assert main(["laplace-check", "--config", write_cfg(tmp_path, cfg),
+    assert main(["laplace-check", "--config", write_cfg(tmp_path, LAPLACE_CFG),
                  "--out", str(out)]) == 0
     header, row = (out / "laplace_check.csv").read_text().splitlines()
     vals = dict(zip(header.split(","), row.split(",")))
@@ -377,11 +453,22 @@ def test_laplace_check_writes_gap_row(tmp_path):
     assert float(vals["gap"]) <= 0.02
 
 
-def test_bounds_vector_constants(tmp_path):
-    cfg = {"model": ATOM_MODEL,
-           "tasks": {"bounds": {"vector_slots": [[3, 0]]}}}
+def test_laplace_gap_bound_ignores_quadrature_tolerance(tmp_path):
+    # the README's minimal config: the gap is held to tasks.laplace_check.tolerance,
+    # and quadrature.tolerance does not replace it
+    cfg = dict(LAPLACE_CFG, seed=7, quadrature={"tolerance": 1e-9})
     out = tmp_path / "out"
-    assert main(["bounds", "--config", write_cfg(tmp_path, cfg),
+    assert main(["laplace-check", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    header, row = (out / "laplace_check.csv").read_text().splitlines()
+    vals = dict(zip(header.split(","), row.split(",")))
+    assert float(vals["tolerance"]) == 0.02
+    assert vals["passed"] == "True"
+
+
+def test_bounds_vector_constants(tmp_path):
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", write_cfg(tmp_path, BOUNDS_CFG),
                  "--out", str(out)]) == 0
     header, row = (out / "bounds.csv").read_text().splitlines()
     vals = dict(zip(header.split(","), row.split(",")))
@@ -411,15 +498,8 @@ def test_bounds_scalar_factors_match_library(tmp_path):
 
 
 def test_certify_gaussian_passes_exit_zero(tmp_path):
-    cfg = {
-        "model": GAUSS_MODEL,
-        "seed": 11,
-        "tasks": {"certify": {"n_max": 3,
-                              "random_family": {"singles": 2, "doubles": 1,
-                                                "triples": 1}}},
-    }
     out = tmp_path / "out"
-    assert main(["certify", "--config", write_cfg(tmp_path, cfg),
+    assert main(["certify", "--config", write_cfg(tmp_path, CERTIFY_CFG),
                  "--out", str(out)]) == 0
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["passed"] is True
@@ -430,23 +510,20 @@ def test_certify_gaussian_passes_exit_zero(tmp_path):
     assert manifest["certify_runtime_seconds"] >= 0.0
 
 
-def test_certify_with_no_family_is_task_failure(tmp_path, capsys):
+def test_certify_with_no_family_is_config_error(tmp_path, capsys):
     cfg = {"model": GAUSS_MODEL, "tasks": {"certify": {"n_max": 2}}}
     rc = main(["certify", "--config", write_cfg(tmp_path, cfg),
                "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert stderr_doc(capsys)["error"] == "task"
+    assert rc == 2
+    doc = stderr_doc(capsys)
+    assert doc["error"] == "config"
+    assert doc["field"] == "tasks.certify"
+    assert not (tmp_path / "out").exists()
 
 
 def test_krein_report_reduces_gram(tmp_path):
-    cfg = {
-        "model": ATOM_MODEL,
-        "seed": 3,
-        "tasks": {"krein": {"n_functions": 3, "monomials": [[], [0], [1, 2]],
-                            "seminorm_scale": 50.0}},
-    }
     out = tmp_path / "out"
-    assert main(["krein", "--config", write_cfg(tmp_path, cfg),
+    assert main(["krein", "--config", write_cfg(tmp_path, KREIN_CFG),
                  "--out", str(out)]) == 0
     doc = json.loads((out / "krein.json").read_text())
     assert doc["basis_size"] == 3
@@ -458,15 +535,8 @@ def test_krein_report_reduces_gram(tmp_path):
 
 
 def test_cluster_rows_decay(tmp_path):
-    cfg = {
-        "model": dict(ATOM_MODEL, dim=2),
-        "tasks": {"cluster": {"direction": [0.0, 1.0],
-                              "lambdas": [0.0, 4.0],
-                              "left": [{"center": [0.0, 0.0], "width": 1.0}],
-                              "right": [{"center": [0.2, 0.1], "width": 0.9}]}},
-    }
     out = tmp_path / "out"
-    assert main(["cluster", "--config", write_cfg(tmp_path, cfg),
+    assert main(["cluster", "--config", write_cfg(tmp_path, CLUSTER_CFG),
                  "--out", str(out)]) == 0
     rows = (out / "cluster.csv").read_text().splitlines()[1:]
     vals = [float(r.split(",")[1]) for r in rows]
@@ -474,13 +544,7 @@ def test_cluster_rows_decay(tmp_path):
 
 
 def test_cluster_timelike_direction_is_task_failure(tmp_path, capsys):
-    cfg = {
-        "model": dict(ATOM_MODEL, dim=2),
-        "tasks": {"cluster": {"direction": [1.0, 0.0],
-                              "lambdas": [0.0, 4.0],
-                              "left": [{"center": [0.0, 0.0], "width": 1.0}],
-                              "right": [{"center": [0.2, 0.1], "width": 0.9}]}},
-    }
+    cfg = with_task(CLUSTER_CFG, "cluster", direction=[1.0, 0.0])
     rc = main(["cluster", "--config", write_cfg(tmp_path, cfg),
                "--out", str(tmp_path / "out")])
     assert rc == 1
@@ -488,21 +552,14 @@ def test_cluster_timelike_direction_is_task_failure(tmp_path, capsys):
 
 
 def test_spectral_pass_and_fail_paths(tmp_path, capsys):
-    off = {"slots": [{"center": [3.0], "width": 0.2, "freq": [0.0]},
-                     {"center": [3.0], "width": 0.2, "freq": [0.0]}]}
-    good_control = {"slots": [{"center": [-1.0], "width": 0.3},
-                              {"center": [1.0], "width": 0.3}]}
-    cfg = {"model": ATOM_MODEL,
-           "tasks": {"spectral": {"off_support": [off], "control": good_control,
-                                  "tolerance": 1e-8}}}
     out = tmp_path / "out"
-    assert main(["spectral", "--config", write_cfg(tmp_path, cfg),
+    assert main(["spectral", "--config", write_cfg(tmp_path, SPECTRAL_CFG),
                  "--out", str(out)]) == 0
     doc = json.loads((out / "spectral.json").read_text())
     assert doc["passed"] is True
 
     # a control with no overlap either cannot certify anything
-    cfg["tasks"]["spectral"]["control"] = off
+    cfg = with_task(SPECTRAL_CFG, "spectral", control=OFF_SUPPORT)
     rc = main(["spectral", "--config", write_cfg(tmp_path, cfg, "bad.json"),
                "--out", str(tmp_path / "out2")])
     assert rc == 1
@@ -510,7 +567,7 @@ def test_spectral_pass_and_fail_paths(tmp_path, capsys):
     manifest = json.loads((tmp_path / "out2" / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["message"] == "spectral support check failed"
-    assert set(manifest["outputs"]) == {"spectral.json", "spectral.csv"}
+    assert manifest["outputs"] == ["spectral.json", "spectral.csv"]
 
 
 def test_non_finite_json_output_is_task_failure(tmp_path, capsys, monkeypatch):
@@ -528,3 +585,19 @@ def test_non_finite_json_output_is_task_failure(tmp_path, capsys, monkeypatch):
     assert rc == 1
     assert "spectral.json" in stderr_doc(capsys)["message"]
     assert not (out / "spectral.json").exists()
+
+
+def test_cli_import_loads_neither_numpy_nor_jsonschema():
+    # the handlers import the library in their bodies, so --help and a
+    # config error stay fast
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = ("import sys, kreinfield.cli\n"
+            "print(sorted(m for m in ('numpy', 'jsonschema') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

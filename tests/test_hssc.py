@@ -574,7 +574,7 @@ def test_certify_scaling_leaves_ratios_invariant():
     fam = _gaussian_family()[:3]
     spec = GreenSpec(2, 0.5, 1.0)
     base = hssc_certify(spec, GAUSS_TRIPLE, fam, n_max=2)
-    scaled_fam = [f.scale(10.0) for f in fam]
+    scaled_fam = [TensorTestFunction(f.factors, f.prefactor * 10.0) for f in fam]
     scaled = hssc_certify(spec, GAUSS_TRIPLE, scaled_fam, n_max=2)
     assert scaled["pairwise"]["worst_ratio"] == pytest.approx(
         base["pairwise"]["worst_ratio"], abs=1e-10

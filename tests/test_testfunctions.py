@@ -50,14 +50,6 @@ def test_fourier_involution_roundtrip():
     assert np.allclose(g(pts), flipped(pts), rtol=1e-10, atol=1e-12)
 
 
-def test_product_different_centers():
-    f = TestFunction(1, (-0.5,), 0.8, {(1,): 1.0}, (0.9,))
-    g = TestFunction(1, (0.7,), 1.3, {(0,): 2.0, (2,): -0.3}, (-0.2,))
-    p = f.product(g)
-    xs = np.linspace(-3, 3, 17).reshape(-1, 1)
-    assert np.allclose(p(xs), f(xs) * g(xs), rtol=1e-10, atol=1e-12)
-
-
 def test_translate_and_modulate():
     f = TestFunction(1, (0.0,), 1.0, {(2,): 1.0})
     x = np.array([0.7])

@@ -83,7 +83,8 @@ def test_no_module_imports_another_modules_private_names():
 
 
 def _public_callables():
-    """(qualified name, callable) for every public function and method of kreinfield."""
+    """(qualified name, kind, callable) for every public function and method
+    of kreinfield, kind "function" or "method"."""
     for info in pkgutil.iter_modules(kreinfield.__path__):
         module = importlib.import_module(f"kreinfield.{info.name}")
         for name, obj in vars(module).items():
@@ -94,35 +95,69 @@ def _public_callables():
                     if isinstance(member, (staticmethod, classmethod)):
                         member = member.__func__
                     if not _private(attr) and inspect.isfunction(member):
-                        yield f"{module.__name__}.{name}.{attr}", member
+                        yield f"{module.__name__}.{name}.{attr}", "method", member
             elif inspect.isfunction(obj):
-                yield f"{module.__name__}.{name}", obj
+                yield f"{module.__name__}.{name}", "function", obj
+
+
+def _is_module(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ImportError:  # the part before the last dot is not a package
+        return False
+
+
+def _module_names(tree) -> set:
+    """Names that the imports in ``tree`` bind to a module.
+
+    ``import a.b`` binds a, ``import a as b`` binds b, and ``from p import y``
+    binds y when p.y is a module; relative imports are resolved against
+    kreinfield, the one package whose sources use them.
+    """
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), "kreinfield")
+            names.update(alias.asname or alias.name for alias in node.names
+                         if _is_module(f"{package}.{alias.name}"))
+    return names
 
 
 def _called_names(sources) -> set:
-    """Names that a call in any of the sources invokes, as f(...) or x.f(...).
+    """(kind, name) for each call in any of the sources.
 
-    Found in the syntax tree, so a name that appears only in a string or a
-    docstring does not count.
+    A bare call f(...) and a call m.f(...) through an imported module m
+    count as ("function", "f"); any other call x.f(...) counts as
+    ("method", "f").  Found in the syntax tree, so a name that appears only
+    in a string or a docstring does not count.  Receivers are not resolved:
+    x.f(...) credits every public method named f, whatever the class of x.
     """
     names = set()
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        modules = _module_names(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 if isinstance(func, ast.Name):
-                    names.add(func.id)
+                    names.add(("function", func.id))
                 elif isinstance(func, ast.Attribute):
-                    names.add(func.attr)
+                    receiver = func.value
+                    through_module = (isinstance(receiver, ast.Name)
+                                      and receiver.id in modules)
+                    names.add(("function" if through_module else "method", func.attr))
     return names
 
 
 def _unplaced(callables, called: set) -> list:
-    """Public names with no call site in ``called`` and no ``Check:`` line."""
+    """Public names with no call of their kind in ``called`` and no ``Check:`` line."""
     out = []
-    for qualname, fn in callables:
+    for qualname, kind, fn in callables:
         short = qualname.rsplit(".", 1)[-1]
-        if short.startswith("__") or short in called:
+        if short.startswith("__") or (kind, short) in called:
             continue
         doc = inspect.getdoc(fn) or ""
         if not any(line.startswith("Check:") for line in doc.splitlines()):
@@ -153,16 +188,34 @@ def test_public_name_guard_catches_a_test_only_name():
         """Called by the library."""
 
     called = _called_names(["used()\nobj.attr_call()\nx = 'orphan()'"])
-    assert called == {"used", "attr_call"}
-    pairs = [("m.orphan", orphan), ("m.oracle", oracle), ("m.used", used),
-             ("m.C.__call__", orphan)]
+    assert called == {("function", "used"), ("method", "attr_call")}
+    pairs = [("m.orphan", "function", orphan), ("m.oracle", "function", oracle),
+             ("m.used", "function", used), ("m.C.__call__", "method", orphan)]
     assert _unplaced(pairs, called) == ["m.orphan"]
+
+    # a call of one kind does not credit a name of the other: a local
+    # integral(n) is no call of a method integral, itertools.product(...) no
+    # call of a method product; module functions are credited through their
+    # module, relative imports resolved against kreinfield
+    called = _called_names([
+        "import itertools\nfrom kreinfield import hssc\nfrom . import quadrature\n"
+        "from .testfunctions import TestFunction\n"
+        "integral(8)\nitertools.product([], [])\nhssc.hssc_certify()\n"
+        "quadrature.refine()\nTestFunction.gaussian()\ng.scale(2.0)\n"])
+    assert called == {("function", "integral"), ("function", "product"),
+                      ("function", "hssc_certify"), ("function", "refine"),
+                      ("method", "gaussian"), ("method", "scale")}
+    pairs = [("m.C.integral", "method", used), ("m.C.product", "method", used),
+             ("m.hssc_certify", "function", used), ("m.refine", "function", used),
+             ("m.C.gaussian", "method", used), ("m.gaussian", "function", used),
+             ("m.D.scale", "method", used)]
+    assert _unplaced(pairs, called) == ["m.C.integral", "m.C.product", "m.gaussian"]
 
 
 def test_records_reach_readers_through_collect_only():
     # refine emits to the open collect() block; laplace_bridge_check keeps
     # recorder= as the one adapter onto it
-    takers = sorted(name for name, fn in _public_callables()
+    takers = sorted(name for name, _, fn in _public_callables()
                     if "recorder" in inspect.signature(fn).parameters)
     assert takers == ["kreinfield.wightman.laplace_bridge_check"]
     from kreinfield.quadrature import refine

@@ -687,16 +687,13 @@ def test_shared_grid_matches_per_factor_oracle(test, monkeypatch):
     spec = GreenSpec(test.dim, 0.5, 1.0)
     got = factorized_eval(test, spec, ATOM_TRIPLE, tol=1e-3)
 
-    def stacked(per_factor):
-        def transforms(gs, *args):
-            per = [per_factor(g, *args) for g in gs]
-            return {b: np.stack([t[b] for t in per]) for b in "+-0"}
-        return transforms
+    def stacked(gs, spec, mult, ax0, ax1=None):
+        per = [_per_factor_transforms_1d(g, ax0, spec, mult, np.max(np.abs(ax0)))
+               if ax1 is None else _per_factor_transforms_2d(g, ax0, ax1, spec, mult)
+               for g in gs]
+        return {b: np.stack([t[b] for t in per]) for b in "+-0"}
 
-    monkeypatch.setattr(wightman, "_branch_transforms_1d",
-                        stacked(_per_factor_transforms_1d))
-    monkeypatch.setattr(wightman, "_branch_transforms_2d",
-                        stacked(_per_factor_transforms_2d))
+    monkeypatch.setattr(wightman, "_branch_transforms", stacked)
     want = factorized_eval(test, spec, ATOM_TRIPLE, tol=1e-3)
     assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -714,7 +711,7 @@ def test_folded_q_axis_matches_full_grid_oracle(alpha, parity):
         qmax = abs(g.center[1]) + g.effective_radius()
         mult = next(mu for mu in (1.0, 1.01, 1.02, 1.03)
                     if int(wightman._osc_npts(a1max, 2 * qmax) * mu) % 2 == parity)
-        got = wightman._branch_transforms_2d([g], ax0, ax1, spec, mult)
+        got = wightman._branch_transforms([g], spec, mult, ax0, ax1)
         want = _per_factor_transforms_2d(g, ax0, ax1, spec, mult)
         for b in "+-0":
             assert got[b].shape == (1,) + want[b].shape
@@ -729,14 +726,15 @@ def test_factorized_makes_two_phase_passes_per_round(test, alpha, monkeypatch):
     calls, nqs = [], []
     monkeypatch.setattr(wightman, "phase_sums",
                         lambda *args: calls.append(args[2].shape) or phase_sums(*args))
-    transforms_2d = wightman._branch_transforms_2d
+    transforms = wightman._branch_transforms
 
-    def spy(gs, ax0, ax1, spec, mult):  # the size of the full q-rule, as the oracle's
-        qmax = max(abs(g.center[1]) + g.effective_radius() for g in gs)
-        nqs.append(int(wightman._osc_npts(np.max(np.abs(ax1)), 2 * qmax) * mult))
-        return transforms_2d(gs, ax0, ax1, spec, mult)
+    def spy(gs, spec, mult, ax0, ax1=None):  # the size of the full q-rule, as the oracle's
+        if ax1 is not None:
+            qmax = max(abs(g.center[1]) + g.effective_radius() for g in gs)
+            nqs.append(int(wightman._osc_npts(np.max(np.abs(ax1)), 2 * qmax) * mult))
+        return transforms(gs, spec, mult, ax0, ax1)
 
-    monkeypatch.setattr(wightman, "_branch_transforms_2d", spy)
+    monkeypatch.setattr(wightman, "_branch_transforms", spy)
     with collect() as rec:
         factorized_eval(test, GreenSpec(test.dim, alpha, 1.0), ATOM_TRIPLE, tol=1e-3)
     rounds = len(rec[0]["history"])
