@@ -644,6 +644,8 @@ def _run_laplace_check(spec, triple, lat, task, seed, tol):
 
 
 def _run_bounds(spec, triple, lat, task, seed, tol):
+    from dataclasses import asdict
+
     from .hssc import (
         bound_integral_scalar,
         bound_integral_vector,
@@ -656,15 +658,15 @@ def _run_bounds(spec, triple, lat, task, seed, tol):
     doc: Dict[str, object] = {"scalar": [], "vector": []}
     if orders:
         factors = compute_scalar_factors(spec)
-        doc["scalar_factors"] = factors.as_dict()
+        doc["scalar_factors"] = asdict(factors)
         for n in orders:
             rep = bound_integral_scalar(n, spec, triple, factors)
             rows.append(["scalar", n, "", rep.constant])
-            doc["scalar"].append(rep.as_dict())
+            doc["scalar"].append(asdict(rep))
     for n, j in vector_slots:
         rep = bound_integral_vector(n, j)
         rows.append(["vector", n, j, rep.constant])
-        doc["vector"].append(rep.as_dict())
+        doc["vector"].append(asdict(rep))
     return {"bounds.csv": (["family", "order", "slot", "constant"], rows),
             "bounds.json": doc}, {}
 
@@ -720,7 +722,6 @@ def _run_krein(spec, triple, lat, task, seed, tol):
     import numpy as np
 
     from .hssc import (
-        SchwartzNormSpec,
         build_gram_pair,
         krein_reduce,
         majorization_check,
@@ -737,13 +738,12 @@ def _run_krein(spec, triple, lat, task, seed, tol):
         freq = tuple(rng.uniform(-0.8, 0.8, size=spec.dim))
         pool.append(TestFunction.gaussian(center, width, freq=freq))
     monos = [tuple(pool[i] for i in idxs) for idxs in task["monomials"]]
-    nspec = SchwartzNormSpec(0, 2 * spec.dim)
     scale = task.get("seminorm_scale", 1.0)
 
     def seminorm(mono):
         value = scale
         for g in mono:
-            value *= schwartz_norm(g, nspec)
+            value *= schwartz_norm(g, 2 * spec.dim)
         return value
 
     pair = build_gram_pair(spec, triple, monos, seminorm, tol=tol)
@@ -786,7 +786,7 @@ def _run_cluster(spec, triple, lat, task, seed, tol):
         task["lambdas"],
         spec,
         triple,
-        tol=tol or 1e-9,
+        **({} if tol is None else {"tol": tol}),
     )
     return {"cluster.csv": (["lambda", "abs_value"], [[l, v] for l, v in rows])}, {}
 
@@ -797,8 +797,10 @@ def _run_spectral(spec, triple, lat, task, seed, tol):
     off = [_tensor_function(doc) for doc in task["off_support"]]
     control = _tensor_function(task["control"])
     # the off-support values are held to the quadrature tolerance itself
+    if tol is None:
+        tol = task.get("tolerance")
     result = spectral_support_check(
-        spec, triple, off, control, tol=tol or task.get("tolerance", 1e-8))
+        spec, triple, off, control, **({} if tol is None else {"tol": tol}))
     header = ["max_off_support", "control", "tolerance", "passed"]
     fields = {} if result["passed"] else {"failed": "spectral support check failed"}
     return {"spectral.json": result,

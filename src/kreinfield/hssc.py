@@ -11,10 +11,9 @@ certificate for a concrete noise model and a family of test functions.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,67 +36,49 @@ from .wightman import truncated_momentum_eval
 # -- weighted Schwartz norms ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchwartzNormSpec:
-    """Degree of smoothness and growth tested by a seminorm.
-
-    ``max_derivative_order`` caps each component of the derivative
-    multi-index; ``weight_power`` is the exponent N in the per-slot weight
-    (1 + |x|^2)^(N/2).
-    """
-
-    max_derivative_order: int = 0
-    weight_power: int = 0
-
-    def __post_init__(self):
-        if self.max_derivative_order < 0 or self.weight_power < 0:
-            raise DomainError("norm orders must be nonnegative")
-
-
-def _slot_weight(x: np.ndarray, slot_groups, power: float) -> np.ndarray:
-    out = np.ones(x.shape[:-1])
-    for axes in slot_groups:
-        out = out * (1.0 + np.sum(x[..., list(axes)] ** 2, axis=-1)) ** (0.5 * power)
-    return out
-
-
 _SUP_RTOL = 0.01  # relative width of the bracket around each weighted sup
 
 
-def _sup_one_term(df: TestFunction, slot_groups, power: float):
-    """Upper end of a bracket on the sup of weight * |df| over its support box.
+def schwartz_norm(f: TestFunction, weight_power: float) -> float:
+    """Weighted sup norm  ||f||_{0,N} = sup_x (1+|x|^2)^(N/2) |f(x)|.
 
-    The box grows until the envelope beyond it is below _SUP_RTOL / 8 of
-    the coarse sup; the grid sup is then refined on nested grids to
+    N is ``weight_power``.  The returned value is the certified upper end
+    of a bracket whose relative width is at most ``_SUP_RTOL`` = 1e-2.  The
+    support box grows until the envelope beyond it is below _SUP_RTOL / 8
+    of the coarse sup; the grid sup is then refined on nested grids to
     _SUP_RTOL / 4, and the upper end adds twice the accepted residual and
     the envelope.
     """
-    deg = df.degree()
-    coeff_sum = sum(abs(v) for v in df.coeffs.values())
+    if not isinstance(f, TestFunction):
+        raise TypeError("schwartz_norm expects a TestFunction")
+    if weight_power < 0:
+        raise DomainError("weight power must be nonnegative")
+    power = float(weight_power)
+    deg = f.degree()
+    coeff_sum = sum(abs(v) for v in f.coeffs.values())
     if coeff_sum == 0.0:
         return 0.0
-    w = df.width
-    total_power = power * len(slot_groups)
-    cmax = max(abs(c) for c in df.center)
-    half = w * (math.sqrt(2.0 * (total_power + deg + 2.0)) + 6.0)
+    w = f.width
+    cmax = max(abs(c) for c in f.center)
+    half = w * (math.sqrt(2.0 * (power + deg + 2.0)) + 6.0)
 
     def envelope(r: float) -> float:
         # radial majorant: polynomial growth times the Gaussian envelope
         return (
-            (1.0 + (cmax + r) ** 2) ** (0.5 * total_power)
+            (1.0 + (cmax + r) ** 2) ** (0.5 * power)
             * coeff_sum
             * max(1.0, r) ** deg
             * math.exp(-0.5 * (r / w) ** 2)
         )
 
     def grid_sup(npts: int) -> float:
-        axes = [np.linspace(c - half, c + half, npts) for c in df.center]
-        if df.dim == 1:
+        axes = [np.linspace(c - half, c + half, npts) for c in f.center]
+        if f.dim == 1:
             pts = axes[0][:, None]
         else:
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = _slot_weight(pts, slot_groups, power) * np.abs(df(pts))
+        vals = (1.0 + np.sum(pts**2, axis=-1)) ** (0.5 * power) * np.abs(f(pts))
         return float(np.max(vals))
 
     coarse = grid_sup(31)
@@ -118,47 +99,16 @@ def _sup_one_term(df: TestFunction, slot_groups, power: float):
     return sup * (1.0 + 2.0 * gap) + envelope(half)
 
 
-def schwartz_norm(
-    f: TestFunction,
-    spec: SchwartzNormSpec,
-    slots: Optional[Sequence[Sequence[int]]] = None,
-) -> float:
-    """Weighted sup-norm  max_alpha sup_x  prod_s (1+|x_s|^2)^(N/2) |d^alpha f|.
+def tensor_schwartz_norm(t: TensorTestFunction, weight_power: float) -> float:
+    """Norm of a pure tensor with the weight taken slot by slot.
 
-    The derivative multi-index runs over {0..K}^dim componentwise.  The sup
-    is taken on a refining grid inside a box that provably contains it, and
-    the returned value is the certified upper end of a bracket whose
-    relative width is at most ``_SUP_RTOL`` = 1e-2.
-
-    ``slots`` partitions the coordinate axes into weight groups; by default
-    the whole argument is one slot.
-    """
-    if not isinstance(f, TestFunction):
-        raise TypeError("schwartz_norm expects a TestFunction")
-    if slots is None:
-        slot_groups: Tuple[Tuple[int, ...], ...] = (tuple(range(f.dim)),)
-    else:
-        slot_groups = tuple(tuple(int(a) for a in g) for g in slots)
-        seen = [a for g in slot_groups for a in g]
-        if sorted(seen) != list(range(f.dim)):
-            raise DomainError("slot groups must partition the coordinate axes")
-    best = 0.0
-    k = spec.max_derivative_order
-    for alpha in itertools.product(range(k + 1), repeat=f.dim):
-        df = f if not any(alpha) else f.derivative_multi(alpha)
-        best = max(best, _sup_one_term(df, slot_groups, float(spec.weight_power)))
-    return best
-
-
-def tensor_schwartz_norm(t: TensorTestFunction, spec: SchwartzNormSpec) -> float:
-    """Product norm of a pure tensor: |prefactor| times the factor norms.
-
-    Exact for slot-wise weights, since both the sup and the derivative cap
-    factor across slots.
+    sup over (x_1, ..., x_n) of prod_s (1+|x_s|^2)^(N/2) |t(x)| factors into
+    |prefactor| times the factors' :func:`schwartz_norm`, since both the
+    weight and |t| are products over the slots.
     """
     out = abs(t.prefactor)
     for g in t.factors:
-        out *= schwartz_norm(g, spec)
+        out *= schwartz_norm(g, weight_power)
     return out
 
 
@@ -277,17 +227,6 @@ class ScalarChainFactors:
     energy_history: Tuple[float, ...]
     overlap_history: Tuple[float, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "spatial": self.spatial,
-            "energy_sup": self.energy_sup,
-            "overlap_sup": self.overlap_sup,
-            "overlap_ceiling": self.overlap_ceiling,
-            "third_factor": self.third_factor,
-            "energy_history": list(self.energy_history),
-            "overlap_history": list(self.overlap_history),
-        }
-
 
 def compute_scalar_factors(spec: GreenSpec) -> ScalarChainFactors:
     """Evaluate the three auxiliary integrals behind the scalar chain.
@@ -345,14 +284,6 @@ class ScalarBoundReport:
     cumulant: float
     factors: ScalarChainFactors
 
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "constant": self.constant,
-            "cumulant": self.cumulant,
-            "factors": self.factors.as_dict(),
-        }
-
 
 def bound_integral_scalar(
     n: int,
@@ -387,30 +318,6 @@ def bound_integral_scalar(
 # -- vector bounding integrals ----------------------------------------------------
 
 
-def _shifted_radial_value(a: float, npts: int, cap: float = 60.0) -> float:
-    """integral |k + a e|^-1 |k|^-1 (1+|k|^2)^(-3/2) d^3k, cylindrical form."""
-    if cap < 2.0 * a:
-        cap = 2.0 * a + 10.0
-    lam, wl = sine_nodes(0.0, cap, npts)
-    acc = np.zeros_like(lam)
-    for lo, hi in ((-cap, min(-a, 0.0)), (min(-a, 0.0), 0.0), (0.0, cap)):
-        if hi <= lo:
-            continue
-        z, wz = sine_nodes(lo, hi, npts)
-        zz = z[None, :]
-        ll = lam[:, None]
-        rsq = zz * zz + ll * ll
-        v = (
-            ((zz + a) ** 2 + ll * ll) ** -0.5
-            * rsq**-0.5
-            * (1.0 + rsq) ** -1.5
-        )
-        acc = acc + np.sum(v * wz[None, :], axis=1)
-    core = 2.0 * math.pi * float(np.sum(wl * lam * acc))
-    tail = 8.0 * math.pi * (1.0 - cap / math.hypot(1.0, cap))
-    return core + tail
-
-
 @dataclass(frozen=True)
 class VectorBoundReport:
     order: int
@@ -419,50 +326,37 @@ class VectorBoundReport:
     linear_moment: float
     quadratic_moment: float
     shifted_sup: float
-    shifted_history: Tuple[float, ...]
-    stop_radius: float
-
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "slot": self.slot,
-            "constant": self.constant,
-            "linear_moment": self.linear_moment,
-            "quadratic_moment": self.quadratic_moment,
-            "shifted_sup": self.shifted_sup,
-            "shifted_history": list(self.shifted_history),
-            "stop_radius": self.stop_radius,
-        }
 
 
 @functools.lru_cache(maxsize=None)
-def _shift_sup() -> Tuple[float, Tuple[float, ...], float]:
-    """Sup over shifts of the mixed moment: (sup, history, stop radius).
+def _shift_sup() -> float:
+    """Sup over shifts a of the mixed moment of the vector chain,
 
-    The search over an expanding radius stops once the derived decay cap
-    8 pi / a + 8 pi / a^2 falls below the running sup.
+        M(a) = integral |k + a e|^-1 |k|^-1 (1+|k|^2)^(-3/2) d^3k.
+
+    Both factors are symmetric decreasing, the first about -a e, so by
+    Riesz's rearrangement inequality and the Hardy-Littlewood inequality
+    (Lieb & Loss, Analysis, Thms 3.4 and 3.7) no shift beats M(0), as for
+    the scalar overlap sup.  M(0) is taken in cylindrical coordinates
+    (lambda, z) inside radius 60 on 160 sine nodes per axis, z split at 0,
+    plus the closed tail beyond; a value above the Cauchy-Schwarz cap
+    4 pi^2 is raised.
     """
-    grid = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
-    history: List[float] = []
-    sup = 0.0
-    amax = grid[-1]
-    while True:
-        for a in grid:
-            v = _shifted_radial_value(float(a), 160)
-            sup = max(sup, v)
-            history.append(v)
-        if 8.0 * math.pi / amax + 8.0 * math.pi / amax**2 < sup:
-            break
-        grid = [2.0 * amax]
-        amax *= 2.0
-        if amax > 512.0:
-            raise QuadratureError("shift sup search window did not close")
+    cap = 60.0
+    lam, wl = sine_nodes(0.0, cap, 160)
+    acc = np.zeros_like(lam)
+    for lo, hi in ((-cap, 0.0), (0.0, cap)):
+        z, wz = sine_nodes(lo, hi, 160)
+        rsq = z[None, :] ** 2 + lam[:, None] ** 2
+        acc = acc + np.sum(rsq**-1.0 * (1.0 + rsq) ** -1.5 * wz[None, :], axis=1)
+    core = 2.0 * math.pi * float(np.sum(wl * lam * acc))
+    sup = core + 8.0 * math.pi * (1.0 - cap / math.hypot(1.0, cap))
     ceiling = 4.0 * math.pi**2
     if sup > ceiling:
         raise QuadratureError(
             "shifted moment exceeds its Cauchy-Schwarz cap", residual=sup / ceiling
         )
-    return sup, tuple(history), amax
+    return sup
 
 
 def bound_integral_vector(n: int, j: int) -> VectorBoundReport:
@@ -471,15 +365,16 @@ def bound_integral_vector(n: int, j: int) -> VectorBoundReport:
     The three ingredients are the |k|^-1 and |k|^-2 moments of the massless
     momentum weight, 4 pi * int_0^inf lambda^(2 - p) (1 + lambda^2)^(-3/2)
     dlambda for p = 1, 2 (both exactly 4 pi), and the sup over shifts of the
-    mixed moment, bounded above by 4 pi^2.  The sup depends on neither n nor
-    j, so it is searched once per process.
+    mixed moment, which sits at zero shift (see :func:`_shift_sup`) and is
+    bounded above by 4 pi^2.  The sup depends on neither n nor j, so it is
+    evaluated once per process.
     """
     if n < 3:
         raise DomainError("vector bounds are assembled from order 3 up")
     if not 0 <= j <= n:
         raise DomainError("slot index out of range")
     r1 = r2 = 4.0 * math.pi
-    sup, history, amax = _shift_sup()
+    sup = _shift_sup()
     base = (2.0 * math.pi) ** (3 - n) * 2.0 ** (-n)
     if j in (0, n):
         constant = base * r1 ** (n - 3) * r2 * sup
@@ -492,8 +387,6 @@ def bound_integral_vector(n: int, j: int) -> VectorBoundReport:
         linear_moment=r1,
         quadratic_moment=r2,
         shifted_sup=sup,
-        shifted_history=history,
-        stop_radius=amax,
     )
 
 
@@ -840,9 +733,10 @@ def hssc_certify(
     every member of order n obeys |W_n(f)| <= A_n ||f||, and that every
     pair of members with combined degree within the pair cap obeys the
     two-sided seminorm bound |W(phi* x eta)| <= p(phi) p(eta) with
-    p = c_deg * product norm.  The norm is the weighted sup norm
-    ||f||_{0,2d} (``SchwartzNormSpec(0, 2 * dim)``), the weight power the
-    bounds need.  The returned dict is JSON-ready; margins are reported as
+    p = c_deg * product norm.  The norm is :func:`tensor_schwartz_norm` at
+    weight power 2 * dim, the weighted sup norm ||f||_{0,2d} the bounds
+    need.  The returned dict is JSON-ready (``json.dumps`` writes the
+    scalar factors' histories, tuples, as lists); margins are reported as
     found, including failures.
 
     Each evaluated |W| enters the comparison as |W| * (1 + tol), with tol
@@ -862,11 +756,11 @@ def hssc_certify(
     for f in family:
         if not isinstance(f, TensorTestFunction):
             raise TypeError("family members must be tensor test functions")
-    norm_spec = SchwartzNormSpec(0, 2 * spec.dim)
+    weight_power = 2 * spec.dim
     quadratic = _is_quadratic(triple, 2 * n_max)
     pair_degree_cap = n_max if (spec.dim == 1 or quadratic) else min(n_max, 3)
 
-    a: List[float] = [0.0, pair_bound(spec, triple, norm_spec.weight_power)]
+    a: List[float] = [0.0, pair_bound(spec, triple, weight_power)]
     if quadratic:
         # no higher cumulants: every order bound above the pair vanishes and
         # the singular factor integrals are never needed
@@ -878,7 +772,7 @@ def hssc_certify(
             a.append(bound_integral_scalar(n, spec, triple, factors).constant)
     b, c = constant_chain(a)
 
-    norms = [tensor_schwartz_norm(f, norm_spec) for f in family]
+    norms = [tensor_schwartz_norm(f, weight_power) for f in family]
     degrees = [f.n_points for f in family]
 
     def seminorm_of(idx: int) -> float:
@@ -942,10 +836,7 @@ def hssc_certify(
             "atoms": [list(atom) for atom in triple.atoms],
             "quadratic": quadratic,
         },
-        "norm": {
-            "max_derivative_order": norm_spec.max_derivative_order,
-            "weight_power": norm_spec.weight_power,
-        },
+        "norm": {"max_derivative_order": 0, "weight_power": weight_power},
         "family_size": len(family),
         "family_orders": sorted(set(degrees)),
         "constants": {
@@ -953,7 +844,7 @@ def hssc_certify(
             "partition_sums": b,
             "norm_constants": c,
         },
-        "scalar_factors": None if factors is None else factors.as_dict(),
+        "scalar_factors": None if factors is None else asdict(factors),
         "per_order": per_order,
         "pairwise": {
             "degree_cap": pair_degree_cap,

@@ -132,13 +132,6 @@ class TestFunction:
             out[key] = out.get(key, 0j) - c / w2
         return TestFunction(self.dim, self.center, self.width, _clean(out), self.freq)
 
-    def derivative_multi(self, alpha: MultiIndex) -> "TestFunction":
-        f = self
-        for ax, m in enumerate(alpha):
-            for _ in range(m):
-                f = f.derivative(ax)
-        return f
-
     def conjugate(self) -> "TestFunction":
         return TestFunction(
             self.dim, self.center, self.width,

@@ -30,7 +30,7 @@ increasing Euclidean times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -700,22 +700,23 @@ def truncated_momentum_eval(
     hyperplane quadrature for n = 3 on the line, and the factorized route
     otherwise.  The one-point value is zero by convention.  The route's
     refinement record goes to the open :func:`~kreinfield.quadrature.collect`
-    block.
+    block.  ``tol`` None leaves each route at its own default tolerance.
     """
     if not isinstance(test, TensorTestFunction):
         raise PreconditionError("truncated_momentum_eval takes a TensorTestFunction")
     n = len(test.factors)
     if n == 1:
         return 0.0 + 0.0j
+    kwargs = {} if tol is None else {"tol": tol}
     if n == 2:
         if spec.alpha == 0.5:
-            return two_point_shell_eval(test, spec, triple, tol or 1e-10)
-        return two_point_density_eval(test, spec, triple, tol or 1e-8)
+            return two_point_shell_eval(test, spec, triple, **kwargs)
+        return two_point_density_eval(test, spec, triple, **kwargs)
     if n == 3 and spec.dim == 1:
         def slots(k1, k2, k3):
             return test(np.stack([k1, k2, k3], axis=-1)[..., None])
-        return three_point_eval_1d(slots, spec, triple, tol or 1e-6)
-    return factorized_eval(test, spec, triple, tol or 1e-3)
+        return three_point_eval_1d(slots, spec, triple, **kwargs)
+    return factorized_eval(test, spec, triple, **kwargs)
 
 
 # -- Laplace bridge -------------------------------------------------------------

@@ -227,12 +227,12 @@ def _axial(c0: float, width: float, f0: float = 0.0) -> TestFunction:
 def _axial_norm(g: TestFunction):
     # the slot weight and |g| both depend only on (k0, |kvec|), so the sup
     # over R^4 equals the sup of the reduced two-variable profile
-    from kreinfield.hssc import SchwartzNormSpec, schwartz_norm
+    from kreinfield.hssc import schwartz_norm
 
     f0 = g.freq[0] if any(g.freq) else 0.0
     reduced = TestFunction.gaussian(
         (g.center[0], 0.0), g.width, freq=(f0, 0.0) if f0 else None)
-    return schwartz_norm(reduced, SchwartzNormSpec(0, 3))
+    return schwartz_norm(reduced, 3)
 
 
 def test_criterion_6_vector_bounds():

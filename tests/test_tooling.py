@@ -82,6 +82,36 @@ def test_no_module_imports_another_modules_private_names():
     assert {name: found for name, found in offenders.items() if found} == {}
 
 
+def _unused_imports(source: str) -> list:
+    """Module-level imports whose bound name the module never uses."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{line}: {name}" for name, line in bound.items() if name not in used)
+
+
+def test_unused_import_guard_catches_both_forms():
+    assert _unused_imports("import math\nfrom typing import List\n") == [
+        "1: math", "2: List"]
+    assert _unused_imports(
+        "from __future__ import annotations\nimport numpy as np\nimport os.path\n"
+        "from typing import List\nx: List[int] = np.zeros(os.path.sep)") == []
+    # a name in a string is no use
+    assert _unused_imports("import math\nx = 'math.pi'") == ["1: math"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    offenders = {path.name: _unused_imports(path.read_text())
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
 def _public_callables():
     """(qualified name, kind, callable) for every public function and method
     of kreinfield, kind "function" or "method"."""
