@@ -35,6 +35,19 @@ from typing import Callable, Dict, List, Optional
 
 from .errors import QuadratureError
 
+# the Monte Carlo sampling plan that sample and schwinger share
+_SMEARING: dict = {
+    "n_samples": {"type": "integer", "minimum": 20},
+    "n_batches": {"type": "integer", "minimum": 2},
+    "smear_centers": {
+        "type": "array",
+        "minItems": 1,
+        "maxItems": 6,
+        "items": {"type": "array", "items": {"type": "number"}},
+    },
+    "smear_width": {"type": "number", "exclusiveMinimum": 0.0},
+}
+
 CONFIG_SCHEMA: dict = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -96,17 +109,7 @@ CONFIG_SCHEMA: dict = {
                     "type": "object",
                     "required": ["n_samples", "smear_centers", "smear_width"],
                     "additionalProperties": False,
-                    "properties": {
-                        "n_samples": {"type": "integer", "minimum": 20},
-                        "n_batches": {"type": "integer", "minimum": 2},
-                        "smear_centers": {
-                            "type": "array",
-                            "minItems": 1,
-                            "maxItems": 6,
-                            "items": {"type": "array", "items": {"type": "number"}},
-                        },
-                        "smear_width": {"type": "number", "exclusiveMinimum": 0.0},
-                    },
+                    "properties": _SMEARING,
                 },
                 "schwinger": {
                     "type": "object",
@@ -118,15 +121,7 @@ CONFIG_SCHEMA: dict = {
                             "minItems": 1,
                             "items": {"type": "integer", "minimum": 2, "maximum": 6},
                         },
-                        "n_samples": {"type": "integer", "minimum": 20},
-                        "n_batches": {"type": "integer", "minimum": 2},
-                        "smear_centers": {
-                            "type": "array",
-                            "minItems": 1,
-                            "maxItems": 6,
-                            "items": {"type": "array", "items": {"type": "number"}},
-                        },
-                        "smear_width": {"type": "number", "exclusiveMinimum": 0.0},
+                        **_SMEARING,
                     },
                 },
                 "wightman": {
@@ -430,16 +425,21 @@ def _semantic_check(cfg: dict, command: str):
     name = command.replace("-", "_")
     if name not in tasks:
         raise _ConfigError(f"tasks.{name}", f"config has no tasks.{name} section")
+    # the momentum-space routes, the scalar chain and the bridge cover d = 1, 2;
+    # bounds reads the scalar model only for its scalar orders
+    if dim > 2 and command not in ("sample", "schwinger") and (
+            command != "bounds" or tasks[name].get("orders")):
+        raise _ConfigError("model.dim", f"{command} covers dim 1 and 2, got {dim}")
 
     def point(field, p):
         if len(p) != dim:
             raise _ConfigError(field, f"expected {dim} coordinates, got {len(p)}")
 
-    def slots(field, doc):
-        for j, s in enumerate(doc["slots"]):
-            point(f"{field}.slots.{j}.center", s["center"])
+    def slots(field, docs):
+        for j, s in enumerate(docs):
+            point(f"{field}.{j}.center", s["center"])
             if s.get("freq") is not None and len(s["freq"]) != dim:
-                raise _ConfigError(f"{field}.slots.{j}.freq", f"expected {dim} components")
+                raise _ConfigError(f"{field}.{j}.freq", f"expected {dim} components")
 
     for key in ("sample", "schwinger"):
         sect = tasks.get(key)
@@ -461,9 +461,9 @@ def _semantic_check(cfg: dict, command: str):
     for key, docs in (("wightman", "tests"), ("spectral", "off_support"),
                       ("certify", "tests")):
         for i, doc in enumerate(tasks.get(key, {}).get(docs, [])):
-            slots(f"tasks.{key}.{docs}.{i}", doc)
+            slots(f"tasks.{key}.{docs}.{i}.slots", doc["slots"])
     if "spectral" in tasks:
-        slots("tasks.spectral.control", tasks["spectral"]["control"])
+        slots("tasks.spectral.control.slots", tasks["spectral"]["control"]["slots"])
     if "certify" in tasks:
         sect = tasks["certify"]
         block = sect.get("random_family", {})
@@ -471,9 +471,14 @@ def _semantic_check(cfg: dict, command: str):
                 block.get(k, 0) for k in ("singles", "doubles", "triples", "quads")):
             raise _ConfigError("tasks.certify",
                                "certify needs tests and/or a random_family block")
-    for i, pts in enumerate(tasks.get("laplace_check", {}).get("configs", [])):
-        for j, p in enumerate(pts):
-            point(f"tasks.laplace_check.configs.{i}.{j}", p)
+    if command == "laplace-check":
+        from .wightman import bridge_points
+
+        for i, pts in enumerate(tasks[name]["configs"]):
+            try:
+                bridge_points(pts, spec, lat)
+            except ValueError as exc:  # PreconditionError, or ragged points
+                raise _ConfigError(f"tasks.laplace_check.configs.{i}", str(exc)) from None
     if "krein" in tasks:
         sect = tasks["krein"]
         for i, idxs in enumerate(sect["monomials"]):
@@ -485,8 +490,7 @@ def _semantic_check(cfg: dict, command: str):
         sect = tasks["cluster"]
         point("tasks.cluster.direction", sect["direction"])
         for side in ("left", "right"):
-            for i, s in enumerate(sect[side]):
-                point(f"tasks.cluster.{side}.{i}.center", s["center"])
+            slots(f"tasks.cluster.{side}", sect[side])
     return spec, triple, lat, tasks[name]
 
 
@@ -628,14 +632,12 @@ def _run_wightman(spec, triple, lat, task, seed, tol):
 
 
 def _run_laplace_check(spec, triple, lat, task, seed, tol):
-    import numpy as np
-
     from .wightman import laplace_bridge_check
 
     gap_tol = task.get("tolerance", 5e-3)  # a bound on the gap, not a quadrature tolerance
     rows = []
     for pts in task["configs"]:
-        rep = laplace_bridge_check(np.asarray(pts, dtype=float), spec, triple, lat)
+        rep = laplace_bridge_check(pts, spec, triple, lat)
         rows.append([len(pts), rep.lhs, rep.rhs, rep.gap, gap_tol, rep.gap <= gap_tol])
     header = ["order", "lattice", "momentum", "gap", "tolerance", "passed"]
     fields = {} if all(r[-1] for r in rows) else {
@@ -671,22 +673,27 @@ def _run_bounds(spec, triple, lat, task, seed, tol):
             "bounds.json": doc}, {}
 
 
+def _packet(rng, dim: int, center_scale: float, widths, freq_scale: float):
+    """A modulated Gaussian drawn from ``rng``: its center, width, then freq."""
+    from .testfunctions import TestFunction
+
+    center = tuple(rng.uniform(-center_scale, center_scale, size=dim))
+    width = float(rng.uniform(*widths))
+    freq = tuple(rng.uniform(-freq_scale, freq_scale, size=dim))
+    return TestFunction.gaussian(center, width, freq=freq)
+
+
 def _random_family(spec, block: dict, seed: int):
     import numpy as np
 
-    from .testfunctions import TensorTestFunction, TestFunction
+    from .testfunctions import TensorTestFunction
 
     rng = np.random.default_rng(seed)
     scale = block.get("center_scale", 1.2)
 
     def one(n):
-        factors = []
-        for _ in range(n):
-            center = tuple(rng.uniform(-scale, scale, size=spec.dim))
-            width = float(rng.uniform(0.8, 1.2))
-            freq = tuple(rng.uniform(-0.6, 0.6, size=spec.dim))
-            factors.append(TestFunction.gaussian(center, width, freq=freq))
-        return TensorTestFunction(tuple(factors))
+        return TensorTestFunction(tuple(
+            _packet(rng, spec.dim, scale, (0.8, 1.2), 0.6) for _ in range(n)))
 
     fam = []
     for count, n in (
@@ -728,15 +735,10 @@ def _run_krein(spec, triple, lat, task, seed, tol):
         schwartz_norm,
         search_indefinite_gram,
     )
-    from .testfunctions import TestFunction
 
     rng = np.random.default_rng(seed)
-    pool = []
-    for _ in range(task["n_functions"]):
-        center = tuple(rng.uniform(-1.2, 1.2, size=spec.dim))
-        width = float(rng.uniform(0.7, 1.2))
-        freq = tuple(rng.uniform(-0.8, 0.8, size=spec.dim))
-        pool.append(TestFunction.gaussian(center, width, freq=freq))
+    pool = [_packet(rng, spec.dim, 1.2, (0.7, 1.2), 0.8)
+            for _ in range(task["n_functions"])]
     monos = [tuple(pool[i] for i in idxs) for idxs in task["monomials"]]
     scale = task.get("seminorm_scale", 1.0)
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -187,6 +186,14 @@ def _cumulant_from_subset_moments(moments: np.ndarray, n: int, keys) -> complex:
     return cumulants_from_moments(table, BOSE).values[tuple(range(1, n + 1))]
 
 
+def _jackknife(value: float, loo: np.ndarray, n_samples: int) -> MCEstimate:
+    """``value`` with the delete-one jackknife error of its leave-one-out estimates."""
+    nb = len(loo)
+    var = (nb - 1) / nb * np.sum(np.abs(loo - loo.mean()) ** 2)
+    return MCEstimate(value=value, std_error=float(math.sqrt(var)),
+                      n_samples=n_samples, n_batches=nb)
+
+
 # subset products held at once (512 KiB): a batch is summed in slices of
 # replicates, so memory grows neither with n_samples nor with the batch size
 _SLICE_ENTRIES = 1 << 16
@@ -239,9 +246,7 @@ def _subset_moment_batches(
         gauss = math.sqrt(triple.variance / v) * np.linalg.qr(smeared.T, mode="r").T
     jumps = [(s / v, lam * v * sites) for s, lam in triple.atoms]
 
-    keys = []
-    for size in range(1, n + 1):
-        keys.extend(combinations(range(1, n + 1), size))
+    keys = CorrelationTable(n).all_keys()
     columns = [sum(1 << (i - 1) for i in key) for key in keys]
     per_batch = n_samples // n_batches
     rows = min(per_batch, max(1, _SLICE_ENTRIES >> n))
@@ -302,13 +307,7 @@ def estimate_schwinger_mc(
     for b in range(n_batches):
         moments_b = (grand - batch_sums[b]) / (n_samples - per_batch)
         loo[b] = _cumulant_from_subset_moments(moments_b, n, keys)
-    var = (n_batches - 1) / n_batches * np.sum(np.abs(loo - loo.mean()) ** 2)
-    return MCEstimate(
-        value=float(np.real(theta)),
-        std_error=float(math.sqrt(var)),
-        n_samples=n_samples,
-        n_batches=n_batches,
-    )
+    return _jackknife(float(np.real(theta)), loo, n_samples)
 
 
 def estimate_moment_table(
@@ -334,13 +333,7 @@ def estimate_moment_table(
     out: Dict[Tuple[int, ...], MCEstimate] = {}
     for i, key in enumerate(keys):
         loo = (grand[i] - batch_sums[:, i]) / (n_samples - per_batch)
-        var = (n_batches - 1) / n_batches * np.sum((loo - loo.mean()) ** 2)
-        out[key] = MCEstimate(
-            value=float(grand[i] / n_samples),
-            std_error=float(math.sqrt(var)),
-            n_samples=n_samples,
-            n_batches=n_batches,
-        )
+        out[key] = _jackknife(float(grand[i] / n_samples), loo, n_samples)
     return out
 
 

@@ -249,6 +249,8 @@ def compute_scalar_factors(spec: GreenSpec) -> ScalarChainFactors:
     """
     if not 0.0 < spec.alpha <= 0.5:
         raise DomainError("scalar chain requires alpha in (0, 1/2]")
+    if spec.dim not in (1, 2):
+        raise DomainError("scalar chain covers one and two dimensions")
     alpha, m = spec.alpha, spec.mass
     spatial = 1.0 if spec.dim == 1 else math.pi
 
@@ -425,15 +427,6 @@ def norm_constants(b: Sequence[float]) -> List[float]:
     return [max(max(b[: 2 * n]), 1.0) for n in range(1, len(b) // 2 + 1)]
 
 
-def constant_chain(a: Sequence[float]) -> Tuple[List[float], List[float]]:
-    """Partition sums of the order bounds and their norm constants.
-
-    Returns (b, c) with len(b) = len(a) and len(c) = len(a) // 2.
-    """
-    b = partition_sums(a)
-    return b, norm_constants(b)
-
-
 # -- Gram pairs -------------------------------------------------------------------
 
 
@@ -503,11 +496,10 @@ def _full_pairing(
     values: Dict[Tuple[int, ...], complex] = {}
     rtol = 0.0
     for key in table.all_keys():
-        sub = tuple(slots[i - 1] for i in key)
-        n = len(sub)
-        if n == 1 or cumulant_coeff(n, triple) == 0.0:
+        if len(key) == 1:  # the one-point value is zero by convention
             values[key] = 0.0 + 0.0j
             continue
+        sub = tuple(slots[i - 1] for i in key)
         ck = tuple(_factor_key(g) for g in sub)
         if ck not in cache:
             cache[ck] = _evaluate(TensorTestFunction(sub), spec, triple, tol)
@@ -604,8 +596,8 @@ class MajorizationReport:
     passed: bool
 
 
-def majorization_check(pair: GramPair) -> MajorizationReport:
-    """Spectral norm of P^(-1/2) W P^(-1/2) and the <= 1 verdict.
+def _whiten(pair: GramPair) -> Tuple[np.ndarray, np.ndarray, MajorizationReport]:
+    """P^(1/2), the whitened form T = P^(-1/2) W P^(-1/2) and T's majorization report.
 
     Raises :class:`InvalidMajorantError` when the majorant is not positive
     definite, since the whitened form is undefined there.
@@ -616,11 +608,21 @@ def majorization_check(pair: GramPair) -> MajorizationReport:
         raise InvalidMajorantError(
             f"majorant lowest eigenvalue {pvals[0]:.3e} is not positive"
         )
+    p_half = pvecs @ np.diag(pvals**0.5) @ pvecs.conj().T
     inv_half = pvecs @ np.diag(pvals**-0.5) @ pvecs.conj().T
     t = inv_half @ pair.form @ inv_half
     t = 0.5 * (t + t.conj().T)
     ratio = float(np.max(np.abs(np.linalg.eigvalsh(t))))
-    return MajorizationReport(ratio=ratio, passed=ratio <= 1.0 + 1e-10)
+    return p_half, t, MajorizationReport(ratio=ratio, passed=ratio <= 1.0 + 1e-10)
+
+
+def majorization_check(pair: GramPair) -> MajorizationReport:
+    """Spectral norm of P^(-1/2) W P^(-1/2) and the <= 1 verdict.
+
+    Raises :class:`InvalidMajorantError` when the majorant is not positive
+    definite, since the whitened form is undefined there.
+    """
+    return _whiten(pair)[2]
 
 
 def _matrix_sign(x: np.ndarray) -> np.ndarray:
@@ -665,16 +667,11 @@ def krein_reduce(pair: GramPair) -> KreinResult:
     the deflated block (not read off a diagonal), so its self-inverse defect
     is a genuine numerical residual.
     """
-    report = majorization_check(pair)
+    p_half, t, report = _whiten(pair)
     if not report.passed:
         raise PreconditionError(
             f"majorization ratio {report.ratio:.6e} exceeds one; no reduction"
         )
-    pvals, pvecs = np.linalg.eigh(pair.majorant)
-    p_half = pvecs @ np.diag(pvals**0.5) @ pvecs.conj().T
-    inv_half = pvecs @ np.diag(pvals**-0.5) @ pvecs.conj().T
-    t = inv_half @ pair.form @ inv_half
-    t = 0.5 * (t + t.conj().T)
     lam, u = np.linalg.eigh(t)
     scale = max(float(np.max(np.abs(lam))), 1e-300)
     keep = np.abs(lam) > 1e-10 * scale
@@ -770,7 +767,8 @@ def hssc_certify(
         factors = compute_scalar_factors(spec)
         for n in range(3, 2 * n_max + 1):
             a.append(bound_integral_scalar(n, spec, triple, factors).constant)
-    b, c = constant_chain(a)
+    b = partition_sums(a)
+    c = norm_constants(b)
 
     norms = [tensor_schwartz_norm(f, weight_power) for f in family]
     degrees = [f.n_points for f in family]
@@ -787,11 +785,8 @@ def hssc_certify(
         ratios = []
         margins = []
         for i in members:
-            if n >= 3 and cumulant_coeff(n, triple) == 0.0:
-                lhs = 0.0
-            else:
-                val, rtol = _evaluate(family[i], spec, triple, tol)
-                lhs = abs(val) * (1.0 + rtol)
+            val, rtol = _evaluate(family[i], spec, triple, tol)
+            lhs = abs(val) * (1.0 + rtol)
             rhs = a[n - 1] * norms[i]
             margins.append(rhs - lhs)
             ratios.append(lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf))
@@ -821,8 +816,6 @@ def hssc_certify(
             pair_count += 1
             pair_worst = max(pair_worst, lhs / rhs if rhs > 0.0 else math.inf)
             pair_margin = min(pair_margin, rhs - lhs)
-    if pair_count == 0:
-        pair_margin = math.inf
     worst_margin = min(worst_margin, pair_margin)
 
     passed = worst_margin >= -1e-12 * max(1.0, *(abs(x) for x in a))

@@ -134,14 +134,10 @@ def full_from_truncated_lattice(
     truncated values against raw Monte Carlo moments.
     """
     from .partitions import BOSE, CorrelationTable, moments_from_cumulants
-    from itertools import combinations
 
     n = len(tests)
-    values = {}
-    for size in range(1, n + 1):
-        for key in combinations(range(1, n + 1), size):
-            values[key] = smeared_truncated_correlator(
-                lat, spec, triple, [tests[i - 1] for i in key]
-            )
-    table = CorrelationTable(n, values)
+    table = CorrelationTable(n)
+    for key in table.all_keys():
+        table[key] = smeared_truncated_correlator(
+            lat, spec, triple, [tests[i - 1] for i in key])
     return moments_from_cumulants(table, BOSE).values[tuple(range(1, n + 1))]

@@ -173,23 +173,31 @@ def two_point_shell_eval(
     if spec.alpha != 0.5:
         raise PreconditionError("shell evaluator applies at alpha = 1/2 only")
     f = _pair_callable(test)
-    c2 = cumulant_coeff(2, triple)
+    kmax = min(60.0 * max(1.0, spec.mass), max(
+        abs(np.asarray(g.center)).max() + g.effective_radius()
+        for g in test.factors))
+    return _shell_integral(f, 2 * math.pi * cumulant_coeff(2, triple), spec,
+                           kmax, tol)
+
+
+def _shell_integral(f: Callable, pref: float, spec: GreenSpec, kmax: float,
+                    tol: float) -> complex:
+    """pref * integral over q of f((-w, q), (w, -q)) / (2 w), w = sqrt(q^2 + m^2).
+
+    In d = 1 the shell is the point q = (), a closed form; in d = 2 the
+    line over [-kmax, kmax], split at q = 0, is refined to ``tol``.
+    """
     m = spec.mass
-    pref = 2 * math.pi * c2
     if spec.dim == 1:
         val = pref * complex(np.asarray(
             f(np.array([[-m]]), np.array([[m]]))
         ).reshape(())) / (2 * m)
-        # closed form: one shell point, nothing to refine
         emit({"op": "two_point_shell", "value": [val.real, val.imag],
-              "tolerance": 0.0, "history": [[1, val.real, val.imag]]})
+              "tolerance": 0.0, "history": [[1, val.real, val.imag]],
+              "residual": 0.0})
         return val
     if spec.dim != 2:
         raise PreconditionError("shell evaluator implemented for d <= 2")
-
-    kmax = min(60.0 * max(1.0, m), max(
-        abs(np.asarray(g.center)).max() + g.effective_radius()
-        for g in test.factors))
 
     def integrand(q):
         w = np.sqrt(q * q + m * m)
@@ -648,8 +656,6 @@ def factorized_eval(
     if spec.dim not in (1, 2):
         raise PreconditionError("implemented for d <= 2")
     cn = cumulant_coeff(n, triple)
-    if cn == 0:
-        return 0.0 + 0.0j
     a_box = 60.0 if spec.dim == 1 else 14.0
     # the bracket densities carry (2 pi)^(-d/2) each and the master
     # constant is (2 pi)^(d - n d / 2); with the delta's (2 pi)^(-d)
@@ -698,14 +704,16 @@ def truncated_momentum_eval(
 
     The route follows n and d: the pair evaluators for n = 2, the d = 1
     hyperplane quadrature for n = 3 on the line, and the factorized route
-    otherwise.  The one-point value is zero by convention.  The route's
-    refinement record goes to the open :func:`~kreinfield.quadrature.collect`
-    block.  ``tol`` None leaves each route at its own default tolerance.
+    otherwise.  The one-point value is zero by convention, and a vanishing
+    cumulant coefficient c_n gives a vanishing truncated function; neither
+    runs a route.  The route's refinement record goes to the open
+    :func:`~kreinfield.quadrature.collect` block.  ``tol`` None leaves each
+    route at its own default tolerance.
     """
     if not isinstance(test, TensorTestFunction):
         raise PreconditionError("truncated_momentum_eval takes a TensorTestFunction")
     n = len(test.factors)
-    if n == 1:
+    if n == 1 or cumulant_coeff(n, triple) == 0.0:
         return 0.0 + 0.0j
     kwargs = {} if tol is None else {"tol": tol}
     if n == 2:
@@ -739,10 +747,11 @@ def laplace_bridge_check(
     """Position-space lattice value against the damped momentum quadrature.
 
     ``points`` is an (n, d) array of Euclidean points with strictly
-    increasing times.  The left side is c_n times the lattice kernel-product
-    integral; the right side integrates the momentum bracket against the
-    damped exponential exp(-sum k0_l y0_l + i sum kvec_l yvec_l) on the
-    total-momentum hyperplane.  The refinement records go to the open
+    increasing times, checked and snapped by :func:`bridge_points`.  The
+    left side is c_n times the lattice kernel-product integral; the right
+    side integrates the momentum bracket against the damped exponential
+    exp(-sum k0_l y0_l + i sum kvec_l yvec_l) on the total-momentum
+    hyperplane.  The refinement records go to the open
     :func:`~kreinfield.quadrature.collect` block; ``recorder``, if given, is
     extended with the same list.
     """
@@ -754,18 +763,40 @@ def laplace_bridge_check(
     return BridgeReport(lhs=float(lhs), rhs=float(rhs), gap=float(gap))
 
 
-def _bridge_sides(points, spec: GreenSpec, triple: LevyTriple,
-                  lat: Lattice) -> Tuple[float, float]:
-    """The lattice and momentum sides of :func:`laplace_bridge_check`."""
+def bridge_points(points, spec: GreenSpec, lat: Lattice) -> np.ndarray:
+    """The points of a Laplace bridge, snapped to the sites of ``lat``.
+
+    Raises PreconditionError unless ``points`` is an (n, d) array with d the
+    model dimension, the bridge covers (n, d, alpha) (n = 3 in d = 1 or 2;
+    n = 2 at alpha = 1/2 in d = 1 or 2, and at alpha < 1/2 in d = 1), the
+    snapped times increase strictly and every snapped point lies in the
+    inner half of the lattice.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
     if d != spec.dim:
         raise PreconditionError("points do not match the model dimension")
+    if n not in (2, 3) or d not in (1, 2):
+        raise PreconditionError("bridge implemented for n in {2, 3}, d <= 2")
+    if n == 2 and spec.alpha < 0.5 and d != 1:
+        raise PreconditionError("pair bridge with alpha < 1/2 kept to d = 1")
     # snap to exact lattice sites so both pipelines see the same configuration
     pts = np.round(pts / lat.spacing) * lat.spacing
-    times = pts[:, 0]
-    if not np.all(np.diff(times) > 0):
+    if not np.all(np.diff(pts[:, 0]) > 0):
         raise PreconditionError("Euclidean times must be strictly increasing")
+    for p in pts:
+        if not lat.in_inner_half(p):
+            raise PreconditionError(
+                f"point {tuple(p)} outside the inner half of the lattice")
+    return pts
+
+
+def _bridge_sides(points, spec: GreenSpec, triple: LevyTriple,
+                  lat: Lattice) -> Tuple[float, float]:
+    """The lattice and momentum sides of :func:`laplace_bridge_check`."""
+    pts = bridge_points(points, spec, lat)
+    n, d = pts.shape
+    times = pts[:, 0]
     cn = cumulant_coeff(n, triple)
     lhs = cn * kernel_product_integral(green_alpha_lattice(lat, spec), pts)
 
@@ -773,31 +804,17 @@ def _bridge_sides(points, spec: GreenSpec, triple: LevyTriple,
     box = max(8.0 * spec.mass, 45.0 / min_gap)
 
     if n == 2 and spec.alpha == 0.5:
-        m = spec.mass
         dt = times[1] - times[0]
-        if d == 1:
-            rhs = cn * math.exp(-m * dt) / (2 * m)
-            # closed form: nothing to refine
-            emit({"op": "pair_bridge_1d", "value": [rhs, 0.0],
-                  "tolerance": 0.0, "history": [[1, rhs, 0.0]]})
-        else:
-            dy = pts[0, 1] - pts[1, 1]
+        dy = pts[0, 1:] - pts[1, 1:]
 
-            def integrand(q):
-                w = np.sqrt(q * q + m * m)
-                return np.exp(-w * dt) * np.cos(q * dy) / (2 * w)
+        def damped(k1, k2):
+            # the damped exponential on the hyperplane k2 = -k1
+            return np.exp(k1[..., 0] * dt) * np.exp(1j * (k1[..., 1:] @ dy))
 
-            # cos(q dy) oscillates over the whole box, so the node count
-            # grows until two rounds agree; the absolute floor applies to
-            # the integral before the prefactor
-            pref = cn / math.pi
-            rhs = float(refine(
-                lambda npts: pref * line_quadrature(integrand, 0.0, box, (), npts),
-                tuple(160 << k for k in range(6)), 1e-10, 1e-10 * abs(pref),
-                "pair_bridge_2d"))
+        # c2 (2 pi)^(1 - d) stands in for the pair distribution's 2 pi c2
+        rhs = float(np.real(_shell_integral(
+            damped, cn * (2 * math.pi) ** (1 - d), spec, box, 1e-10)))
     elif n == 2:
-        if d != 1:
-            raise PreconditionError("pair bridge with alpha < 1/2 kept to d = 1")
         m = spec.mass
         dt = times[1] - times[0]
 
@@ -823,13 +840,13 @@ def _bridge_sides(points, spec: GreenSpec, triple: LevyTriple,
         emit({"op": "pair_bridge_1d_density", "value": history[-1][1:],
               "tolerance": 1e-9, "history": history, "residual": float(resid)})
         rhs = cn * math.sin(2 * math.pi * spec.alpha) * float(cur) / math.pi
-    elif n == 3 and d == 1:
+    elif d == 1:  # n = 3, the only other order bridge_points admits
         def f(k1, k2, k3):
             return np.exp(-(k1 * times[0] + k2 * times[1] + k3 * times[2]))
 
         rhs = float(np.real(
             three_point_eval_1d(f, spec, triple, tol=1e-7, box=box)))
-    elif n == 3 and d == 2:
+    else:
         def f(k0s, k1s):
             # k1s lives on the level-3 grid, so the complex exponential
             # does too; only the real damping runs on every node
@@ -838,8 +855,6 @@ def _bridge_sides(points, spec: GreenSpec, triple: LevyTriple,
 
         rhs = float(np.real(
             three_point_eval_2d(f, spec, triple, tol=2e-3, energy_box=box)))
-    else:
-        raise PreconditionError("bridge implemented for n in {2, 3}, d <= 2")
     return lhs, rhs
 
 
@@ -922,8 +937,10 @@ def cluster_decay(
 # with the certification code.
 
 
-def _vector_cap(phi) -> float:
-    """Modulus cap of a three-slot vector argument, checking its form."""
+def _vector_cap(j: int, phi) -> float:
+    """Modulus cap of a three-slot vector argument, checking j and its form."""
+    if j not in (0, 1, 2, 3):
+        raise PreconditionError("slot index j must lie in 0..3")
     if not (isinstance(phi, TensorTestFunction) and len(phi.factors) == 3
             and phi.dim == 4):
         raise PreconditionError(
@@ -1050,9 +1067,7 @@ def vector_measure_radial(j: int, phi: TensorTestFunction) -> complex:
     Check: criterion 6 (test_criterion_6_vector_bounds), the vector bounds
     against the measures.
     """
-    if j not in (0, 1, 2, 3):
-        raise PreconditionError("slot index j must lie in 0..3")
-    cap = _vector_cap(phi)
+    cap = _vector_cap(j, phi)
     if not all(_spatially_radial(g) for g in phi.factors):
         raise PreconditionError(
             "vector_measure_radial needs factors invariant under spatial "
@@ -1107,9 +1122,7 @@ def vector_measure_eval(j: int, phi: TensorTestFunction) -> complex:
     Check: test_vector_general_matches_radial, the general route against
     the radial one.
     """
-    if j not in (0, 1, 2, 3):
-        raise PreconditionError("slot index j must lie in 0..3")
-    cap = _vector_cap(phi)
+    cap = _vector_cap(j, phi)
 
     def value(npts) -> complex:
         nl, nt, na, ns = npts

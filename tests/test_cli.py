@@ -231,8 +231,19 @@ def with_task(cfg, name, **changes):
     ("sample", dict(SAMPLE_CFG, lattice={"sites": 16, "spacing": 0.2}), "lattice"),
     ("krein", with_task(KREIN_CFG, "krein", monomials=[[0], [1, 3]]),
      "tasks.krein.monomials.1"),
+    ("cluster", with_task(CLUSTER_CFG, "cluster", left=[
+        {"center": [0.0, 0.0], "width": 1.0, "freq": [0.5]}]),
+     "tasks.cluster.left.0.freq"),
+    ("laplace-check", with_task(LAPLACE_CFG, "laplace_check", configs=[[[1.25], [0.5]]]),
+     "tasks.laplace_check.configs.0"),
+    # the pair bridge below alpha = 1/2 is kept to d = 1
+    ("laplace-check", dict(LAPLACE_CFG, model=dict(ATOM_MODEL, dim=2, alpha=0.35),
+                           tasks={"laplace_check": {"configs": [[[0.5, 0.0],
+                                                                 [1.25, 0.0]]]}}),
+     "tasks.laplace_check.configs.0"),
 ], ids=["sample-no-lattice", "schwinger-no-lattice", "laplace-check-no-lattice",
-        "mass-extent-below-4", "krein-index-outside-pool"])
+        "mass-extent-below-4", "krein-index-outside-pool", "cluster-freq-length",
+        "laplace-check-decreasing-times", "laplace-check-d2-pair-below-half"])
 def test_config_the_handler_cannot_run_is_config_error(tmp_path, capsys, command,
                                                        cfg, field):
     rc = main([command, "--config", write_cfg(tmp_path, cfg),
@@ -241,6 +252,31 @@ def test_config_the_handler_cannot_run_is_config_error(tmp_path, capsys, command
     doc = stderr_doc(capsys)
     assert doc["error"] == "config"
     assert doc["field"] == field
+    assert not (tmp_path / "run").exists()
+
+
+def with_dim(cfg, dim):
+    return dict(cfg, model=dict(cfg["model"], dim=dim))
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("wightman", WIGHTMAN_CFG),
+    ("laplace-check", with_task(LAPLACE_CFG, "laplace_check",
+                                configs=[[[0.5, 0.0, 0.0], [1.25, 0.0, 0.0]]])),
+    ("bounds", {"model": ATOM_MODEL, "tasks": {"bounds": {"orders": [3]}}}),
+    ("certify", CERTIFY_CFG),
+    ("krein", KREIN_CFG),
+    ("cluster", CLUSTER_CFG),
+    ("spectral", SPECTRAL_CFG),
+])
+def test_momentum_space_subcommands_reject_dim_above_two(tmp_path, capsys, command,
+                                                         cfg):
+    rc = main([command, "--config", write_cfg(tmp_path, with_dim(cfg, 3)),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    doc = stderr_doc(capsys)
+    assert doc["error"] == "config"
+    assert doc["field"] == "model.dim"
     assert not (tmp_path / "run").exists()
 
 
@@ -476,6 +512,11 @@ def test_bounds_vector_constants(tmp_path):
     assert float(vals["constant"]) == pytest.approx(2 * math.pi**2, rel=5e-3)
     doc = json.loads((out / "bounds.json").read_text())
     assert doc["vector"][0]["order"] == 3
+    # vector slots do not read the scalar model, so its dimension is free
+    out4 = tmp_path / "out4"
+    assert main(["bounds", "--config", write_cfg(tmp_path, with_dim(BOUNDS_CFG, 4)),
+                 "--out", str(out4)]) == 0
+    assert (out4 / "bounds.csv").read_text() == (out / "bounds.csv").read_text()
 
 
 def test_bounds_scalar_factors_match_library(tmp_path):

@@ -21,7 +21,6 @@ from kreinfield.hssc import (
     bound_integral_vector,
     build_gram_pair,
     compute_scalar_factors,
-    constant_chain,
     hssc_certify,
     krein_reduce,
     majorization_check,
@@ -205,6 +204,12 @@ def test_energy_sup_matches_high_precision_line_integral(alpha, mass, dim):
 def test_scalar_factors_line_spatial_is_trivial():
     fac = compute_scalar_factors(GreenSpec(1, 0.5, 1.0))
     assert fac.spatial == 1.0
+
+
+def test_scalar_factors_reject_dimensions_outside_the_chain():
+    # the spatial factor is known on the line and in the plane only
+    with pytest.raises(DomainError):
+        compute_scalar_factors(GreenSpec(3, 0.5, 1.0))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.35, 0.1])
@@ -414,9 +419,9 @@ def test_norm_constants_floor_and_running_max():
 
 def test_constant_chain_size_cap():
     with pytest.raises(SizeLimitError):
-        constant_chain([1.0] * 13)
+        partition_sums([1.0] * 13)
     with pytest.raises(DomainError):
-        constant_chain([1.0, -1.0])
+        partition_sums([1.0, -1.0])
 
 
 @settings(max_examples=40, deadline=None)

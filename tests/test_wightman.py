@@ -104,7 +104,8 @@ def test_pair_shell_closed_form_d1():
     m = spec.mass
     g1 = TestFunction.gaussian((-0.9,), 0.8)
     g2 = TestFunction.gaussian((1.1,), 1.2)
-    got = truncated_momentum_eval(TensorTestFunction((g1, g2)), spec, ATOM_TRIPLE)
+    with collect() as rec:
+        got = truncated_momentum_eval(TensorTestFunction((g1, g2)), spec, ATOM_TRIPLE)
     c2 = cumulant_coeff(2, ATOM_TRIPLE)
     want = (
         math.pi * c2 / m
@@ -113,6 +114,10 @@ def test_pair_shell_closed_form_d1():
     )
     assert complex(got).real == pytest.approx(want, rel=1e-12)
     assert complex(got).imag == pytest.approx(0.0, abs=1e-14)
+    # the closed form's record has the shape of every refined one
+    assert rec == [{"op": "two_point_shell", "value": [got.real, got.imag],
+                    "tolerance": 0.0, "history": [[1, got.real, got.imag]],
+                    "residual": 0.0}]
 
 
 def test_pair_shell_d2_matches_quad_oracle():
@@ -223,15 +228,16 @@ def test_pair_bridge_d2_alpha_half_converges_or_raises(dt, dy, lat):
 
 
 def test_pair_bridge_d1_alpha_half_emits_its_closed_form_record():
-    """The closed form cn e^(-m dt) / (2 m) leaves a one-row record."""
+    """The closed form cn e^(-m dt) / (2 m) leaves the shell evaluator's one-row record."""
     with collect() as rec:
         report = laplace_bridge_check(np.array([[0.0], [0.75]]),
                                       GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE,
                                       Lattice(1, 64, 0.25))
     rhs = cumulant_coeff(2, ATOM_TRIPLE) * math.exp(-0.75) / 2
     assert report.rhs == rhs
-    assert rec == [{"op": "pair_bridge_1d", "value": [rhs, 0.0],
-                    "tolerance": 0.0, "history": [[1, rhs, 0.0]]}]
+    assert rec == [{"op": "two_point_shell", "value": [rhs, 0.0],
+                    "tolerance": 0.0, "history": [[1, rhs, 0.0]],
+                    "residual": 0.0}]
 
 
 def test_pair_bridge_d1_density_loop_leaves_its_record():
@@ -529,6 +535,29 @@ def test_bridge_requires_increasing_times():
         laplace_bridge_check(np.array([[0.5], [0.0]]), spec, ATOM_TRIPLE, lat)
 
 
+@pytest.mark.parametrize("spec, pts", [
+    (GreenSpec(3, 0.5, 1.0), [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]),
+    (GreenSpec(2, 0.35, 1.0), [[0.0, 0.0], [0.5, 0.0]]),
+    (GreenSpec(1, 0.5, 1.0), [[0.0], [0.5], [1.0], [1.5]]),
+], ids=["d3", "d2-pair-below-half", "n4"])
+def test_bridge_rejects_cases_it_does_not_cover(spec, pts):
+    # checked before the lattice side runs, so the lattice is never built
+    lat = Lattice(spec.dim, 16, 0.25)
+    with pytest.raises(PreconditionError):
+        wightman.bridge_points(pts, spec, lat)
+    with pytest.raises(PreconditionError):
+        laplace_bridge_check(np.array(pts), spec, ATOM_TRIPLE, lat)
+
+
+def test_bridge_points_snap_to_sites_and_stay_in_the_inner_half():
+    lat = Lattice(1, 64, 0.25)
+    spec = GreenSpec(1, 0.5, 1.0)
+    snapped = wightman.bridge_points([[0.1], [0.8]], spec, lat)
+    assert snapped.tolist() == [[0.0], [0.75]]
+    with pytest.raises(PreconditionError):
+        wightman.bridge_points([[0.0], [4.5]], spec, lat)  # extent / 4 = 4
+
+
 # -- distributional symmetries --------------------------------------------------
 
 
@@ -807,6 +836,12 @@ def test_dispatcher_conventions():
     spec = GreenSpec(1, 0.5, 1.0)
     single = TensorTestFunction((TestFunction.gaussian((0.0,), 1.0),))
     assert truncated_momentum_eval(single, spec, ATOM_TRIPLE) == 0.0
+    # a vanishing cumulant coefficient runs no route: c3 = 0 for Gaussian noise
+    triple = TensorTestFunction(tuple(TestFunction.gaussian((c,), 1.0)
+                                      for c in (-0.5, 0.2, 0.6)))
+    with collect() as rec:
+        assert truncated_momentum_eval(triple, spec, LevyTriple(variance=0.7)) == 0.0
+    assert rec == []
 
     def bare(k1, k2):
         return np.ones_like(k1)
