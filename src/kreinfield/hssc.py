@@ -14,7 +14,7 @@ import functools
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -291,18 +291,17 @@ def bound_integral_scalar(
     n: int,
     spec: GreenSpec,
     triple: LevyTriple,
-    factors: Optional[ScalarChainFactors] = None,
+    factors: ScalarChainFactors,
 ) -> ScalarBoundReport:
     """Order-n sup-bound constant A_n with |W_n(f)| <= A_n ||f||_{0,2d}.
 
     Valid from n = 3 up; the pair level has the sharper closed form in
-    :func:`pair_bound`.  ``factors`` may carry precomputed auxiliary
-    integrals so a whole chain of orders shares one evaluation.
+    :func:`pair_bound`.  ``factors`` holds the auxiliary integrals of
+    :func:`compute_scalar_factors`, so a whole chain of orders shares one
+    evaluation.
     """
     if n < 3:
         raise DomainError("sup-bound chain starts at order 3; use pair_bound below")
-    if factors is None:
-        factors = compute_scalar_factors(spec)
     cn = abs(cumulant_coeff(n, triple))
     d = spec.dim
     constant = (
@@ -464,17 +463,12 @@ def _factor_key(g: TestFunction):
     return (g.dim, g.center, g.width, tuple(sorted(g.coeffs.items())), g.freq)
 
 
-def _star_factors(mono: Sequence[TestFunction]) -> Tuple[TestFunction, ...]:
-    # momentum-space adjoint: reverse slot order, conjugate, flip momenta
-    return tuple(g.conjugate().flip() for g in reversed(tuple(mono)))
-
-
 def _evaluate(test: TensorTestFunction, spec: GreenSpec, triple: LevyTriple,
               tol: Optional[float]) -> Tuple[complex, float]:
-    """W(test) and the largest rtol that a refinement entering it was accepted at."""
+    """W(test) and the summed residual of the refinements behind it (0 where none ran)."""
     with collect() as records:
         val = complex(truncated_momentum_eval(test, spec, triple, tol))
-    return val, max((r["tolerance"] for r in records), default=0.0)
+    return val, math.fsum(r["residual"] for r in records)
 
 
 def _full_pairing(
@@ -484,29 +478,43 @@ def _full_pairing(
     tol: Optional[float],
     cache: Dict,
 ) -> Tuple[complex, float]:
-    """Full correlation of the slot list via its cumulant table.
+    """Full correlation of the slot list via its cumulant table, and its error bound.
 
-    Returns the value and the largest rtol that any truncated value entering
-    it was accepted at (0 when none needed a quadrature).
+    With T the truncated values, r their residuals and M the partition sum
+    at the top key, the bound is M(|T| + r) - M(|T|), which holds term by
+    term, so also where the signed sum cancels.
     """
     t = len(slots)
     if t == 0:
         return 1.0 + 0.0j, 0.0
-    table = CorrelationTable(t)
     values: Dict[Tuple[int, ...], complex] = {}
-    rtol = 0.0
-    for key in table.all_keys():
-        if len(key) == 1:  # the one-point value is zero by convention
-            values[key] = 0.0 + 0.0j
-            continue
+    sizes: Dict[Tuple[int, ...], float] = {}
+    padded: Dict[Tuple[int, ...], float] = {}
+    for key in CorrelationTable(t).all_keys():
         sub = tuple(slots[i - 1] for i in key)
         ck = tuple(_factor_key(g) for g in sub)
         if ck not in cache:
             cache[ck] = _evaluate(TensorTestFunction(sub), spec, triple, tol)
-        values[key], sub_rtol = cache[ck]
-        rtol = max(rtol, sub_rtol)
-    full = moments_from_cumulants(CorrelationTable(t, values))
-    return full[tuple(range(1, t + 1))], rtol
+        values[key], resid = cache[ck]
+        sizes[key] = abs(values[key])
+        padded[key] = sizes[key] + resid
+    top = tuple(range(1, t + 1))
+    full, low, high = (moments_from_cumulants(CorrelationTable(t, v))[top]
+                       for v in (values, sizes, padded))
+    return full, (high - low).real
+
+
+def _pairings(monos: Sequence[Tuple[TestFunction, ...]], spec: GreenSpec,
+              triple: LevyTriple, tol: Optional[float], degree_cap: float,
+              ) -> Iterator[Tuple[int, int, complex, float]]:
+    """(i, j, W(m_i* x m_j), error bound) for i <= j within the degree cap, one cache."""
+    cache: Dict = {}
+    for i, left in enumerate(monos):
+        # momentum-space adjoint: reverse slot order, conjugate, flip momenta
+        star = tuple(g.conjugate().flip() for g in reversed(left))
+        for j in range(i, len(monos)):
+            if len(left) + len(monos[j]) <= degree_cap:
+                yield (i, j, *_full_pairing(star + monos[j], spec, triple, tol, cache))
 
 
 def build_gram_pair(
@@ -529,15 +537,10 @@ def build_gram_pair(
     for m in monos:
         if len(m) > 3:
             raise PreconditionError("monomial degree above three not supported")
-    dim = len(monos)
-    w = np.zeros((dim, dim), dtype=complex)
-    cache: Dict = {}
-    for i in range(dim):
-        star = _star_factors(monos[i])
-        for j in range(i, dim):
-            val, _ = _full_pairing(star + monos[j], spec, triple, tol, cache)
-            w[i, j] = val
-            w[j, i] = val.conjugate()
+    w = np.zeros((len(monos), len(monos)), dtype=complex)
+    for i, j, val, _ in _pairings(monos, spec, triple, tol, math.inf):
+        w[i, j] = val
+        w[j, i] = val.conjugate()
     p = np.diag([float(seminorm(m)) ** 2 for m in monos]).astype(complex)
     return GramPair(form=w, majorant=p, basis=tuple(monos))
 
@@ -715,6 +718,19 @@ def _is_quadratic(triple: LevyTriple, upto: int) -> bool:
     return all(cumulant_coeff(n, triple) == 0.0 for n in range(3, upto + 1))
 
 
+def _bound_row(checks: Sequence[Tuple[float, float]]) -> dict:
+    """Count, worst ratio and least margin of the comparisons lhs <= bound.
+
+    A ratio is 0 where lhs is 0, and None (JSON null) where the bound is 0
+    and lhs is not; one None makes the worst ratio None.
+    """
+    ratios = [0.0 if lhs == 0.0 else (float(lhs / bound) if bound > 0.0 else None)
+              for lhs, bound in checks]
+    return {"count": len(checks),
+            "worst_ratio": None if None in ratios else max(ratios, default=0.0),
+            "min_margin": min((float(bound - lhs) for lhs, bound in checks), default=None)}
+
+
 def hssc_certify(
     spec: GreenSpec,
     triple: LevyTriple,
@@ -736,10 +752,12 @@ def hssc_certify(
     scalar factors' histories, tuples, as lists); margins are reported as
     found, including failures.
 
-    Each evaluated |W| enters the comparison as |W| * (1 + tol), with tol
-    the largest rtol at which any refinement behind that value was accepted
-    (read from the refinement records), so the verdict, the ratios and the
-    margins count the quadrature's own tolerance.
+    Each comparison is |W| + err <= bound.  A member's err sums the accepted
+    residuals in the records of the refinements behind W (0 where no route
+    ran); a pair's is M(|T| + r) - M(|T|), M the partition sum over its
+    truncated values T with residuals r.  The margin is bound - |W| - err;
+    the ratio (|W| + err) / bound is 0 when |W| + err is 0, and None (JSON
+    null) when the bound is 0 and |W| + err is not.
 
     The pair cap keeps combined degree at three in two dimensions
     (higher full pairings are quadrature-heavy there) unless every cumulant
@@ -772,52 +790,26 @@ def hssc_certify(
 
     norms = [tensor_schwartz_norm(f, weight_power) for f in family]
     degrees = [f.n_points for f in family]
-
-    def seminorm_of(idx: int) -> float:
-        return c[degrees[idx] - 1] * norms[idx]
-
     per_order = []
-    worst_margin = math.inf
     for n in range(2, n_max + 1):
-        members = [i for i, deg in enumerate(degrees) if deg == n]
-        if not members:
-            continue
-        ratios = []
-        margins = []
-        for i in members:
-            val, rtol = _evaluate(family[i], spec, triple, tol)
-            lhs = abs(val) * (1.0 + rtol)
-            rhs = a[n - 1] * norms[i]
-            margins.append(rhs - lhs)
-            ratios.append(lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf))
-        per_order.append(
-            {
-                "order": n,
-                "count": len(members),
-                "worst_ratio": float(max(ratios)),
-                "min_margin": float(min(margins)),
-            }
-        )
-        worst_margin = min(worst_margin, min(margins))
+        checks = []
+        for f, norm in zip(family, norms):
+            if f.n_points == n:
+                val, err = _evaluate(f, spec, triple, tol)
+                checks.append((abs(val) + err, a[n - 1] * norm))
+        if checks:
+            per_order.append({"order": n, **_bound_row(checks)})
 
-    cache: Dict = {}
-    pair_count = 0
-    pair_worst = 0.0
-    pair_margin = math.inf
-    for i in range(len(family)):
-        for j in range(i, len(family)):
-            if degrees[i] + degrees[j] > pair_degree_cap:
-                continue
-            phi, eta = family[i], family[j]
-            slots = _star_factors(phi.factors) + tuple(eta.factors)
-            val, rtol = _full_pairing(slots, spec, triple, tol, cache)
-            lhs = abs(np.conj(phi.prefactor) * eta.prefactor * val) * (1.0 + rtol)
-            rhs = seminorm_of(i) * seminorm_of(j)
-            pair_count += 1
-            pair_worst = max(pair_worst, lhs / rhs if rhs > 0.0 else math.inf)
-            pair_margin = min(pair_margin, rhs - lhs)
-    worst_margin = min(worst_margin, pair_margin)
+    checks = []
+    for i, j, val, err in _pairings([f.factors for f in family], spec, triple, tol,
+                                    pair_degree_cap):
+        scale = np.conj(family[i].prefactor) * family[j].prefactor
+        bound = (c[degrees[i] - 1] * norms[i]) * (c[degrees[j] - 1] * norms[j])
+        checks.append((abs(scale * val) + abs(scale) * err, bound))
+    pairwise = {"degree_cap": pair_degree_cap, **_bound_row(checks)}
 
+    worst_margin = min((row["min_margin"] for row in per_order + [pairwise]
+                        if row["min_margin"] is not None), default=math.inf)
     passed = worst_margin >= -1e-12 * max(1.0, *(abs(x) for x in a))
     certificate = {
         "model": {
@@ -839,12 +831,7 @@ def hssc_certify(
         },
         "scalar_factors": None if factors is None else asdict(factors),
         "per_order": per_order,
-        "pairwise": {
-            "degree_cap": pair_degree_cap,
-            "count": pair_count,
-            "worst_ratio": float(pair_worst),
-            "min_margin": None if pair_count == 0 else float(pair_margin),
-        },
+        "pairwise": pairwise,
         "passed": bool(passed),
         "runtime_seconds": time.perf_counter() - t0,
     }

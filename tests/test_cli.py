@@ -551,6 +551,23 @@ def test_certify_gaussian_passes_exit_zero(tmp_path):
     assert manifest["certify_runtime_seconds"] >= 0.0
 
 
+def test_certify_zero_seminorm_member_exits_zero(tmp_path):
+    # a zero-amplitude member has seminorm 0 and W = 0: each of its pair
+    # rows reads 0 <= 0, ratio 0, where the ratio used to be inf
+    cfg = {"model": GAUSS_MODEL, "tasks": {"certify": {"n_max": 2, "tests": [
+        {"slots": [{"center": [0.2], "width": 0.9, "amplitude": 0.0}]},
+        {"slots": [{"center": [-0.3], "width": 1.0}]}]}}}
+    out = tmp_path / "out"
+    assert main(["certify", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    text = (out / "certificate.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    cert = json.loads(text)
+    assert cert["passed"] is True
+    assert cert["pairwise"]["count"] == 3
+    assert 0.0 < cert["pairwise"]["worst_ratio"] < 1.0
+
+
 def test_certify_with_no_family_is_config_error(tmp_path, capsys):
     cfg = {"model": GAUSS_MODEL, "tasks": {"certify": {"n_max": 2}}}
     rc = main(["certify", "--config", write_cfg(tmp_path, cfg),

@@ -1,6 +1,7 @@
 """Certification layer: weighted norms, bounding integrals, Gram reductions."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -637,38 +638,83 @@ def test_certify_atom_line_full_pairwise():
     assert cert["scalar_factors"]["overlap_sup"] < cert["scalar_factors"]["overlap_ceiling"]
 
 
-def _fake_evaluator(value: float, rtol: float):
-    """Stands in for truncated_momentum_eval: one refinement record at rtol."""
+def _fake_evaluator(values: dict):
+    """Stands in for truncated_momentum_eval; ``values`` maps an order to (W, residual).
+
+    One slot gives 0 with no record, as the one-point convention does; any
+    other order emits one success record, accepted at rtol 1e-3.
+    """
     def evaluate(test, spec, triple, tol=None):
-        emit({"op": "fake", "value": [value, 0.0], "tolerance": rtol,
-              "history": []})
+        n = len(test.factors)
+        if n == 1:
+            return 0.0 + 0.0j
+        value, residual = values[n]
+        emit({"op": "fake", "value": [value, 0.0], "tolerance": 1e-3,
+              "history": [[1, value, 0.0]], "residual": residual})
         return complex(value)
     return evaluate
 
 
 @pytest.mark.parametrize("row", ["per_order", "pairwise"])
-def test_certify_verdict_counts_the_accepted_tolerance(row, monkeypatch):
-    """A value within its tolerance of the bound fails: |W| (1 + tol) > bound."""
+def test_certify_verdict_counts_the_accepted_residual(row, monkeypatch):
+    """|W| + residual is held against the bound, not |W| (1 + rtol)."""
     spec = GreenSpec(1, 0.5, 1.0)
     f = TestFunction.gaussian((0.2,), 0.9)
     member = TensorTestFunction((f, f) if row == "per_order" else (f,))
-    monkeypatch.setattr(hssc, "truncated_momentum_eval", _fake_evaluator(0.0, 0.0))
-    base = hssc_certify(spec, GAUSS_TRIPLE, [member], n_max=2)
+
+    def certify(value, residual):
+        monkeypatch.setattr(hssc, "truncated_momentum_eval",
+                            _fake_evaluator({2: (value, residual)}))
+        cert = hssc_certify(spec, GAUSS_TRIPLE, [member], n_max=2)
+        return cert, (cert[row] if row == "pairwise" else cert[row][0])["worst_ratio"]
+
+    base, _ = certify(0.0, 0.0)
     norm = tensor_schwartz_norm(member, 2)
     if row == "per_order":
         bound = base["constants"]["order_bounds"][1] * norm
     else:
         bound = (base["constants"]["norm_constants"][0] * norm) ** 2
     rtol = 1e-3
+    residual = bound * rtol / 4
+    # less than one residual below the bound: the value may exceed it
+    cert, _ = certify(bound - residual / 2, residual)
+    assert not cert["passed"]
+    # inside its rtol of the bound, yet more than its residual below it
     near = bound * (1 - rtol / 2)
-    monkeypatch.setattr(hssc, "truncated_momentum_eval", _fake_evaluator(near, 0.0))
-    bare = hssc_certify(spec, GAUSS_TRIPLE, [member], n_max=2)
-    monkeypatch.setattr(hssc, "truncated_momentum_eval", _fake_evaluator(near, rtol))
-    counted = hssc_certify(spec, GAUSS_TRIPLE, [member], n_max=2)
-    assert bare["passed"] and not counted["passed"]
-    ratio = counted[row]["worst_ratio"] if row == "pairwise" else \
-        counted[row][0]["worst_ratio"]
-    assert ratio == pytest.approx((1 - rtol / 2) * (1 + rtol), rel=1e-12)
+    cert, ratio = certify(near, residual)
+    assert cert["passed"]
+    assert ratio == pytest.approx((near + residual) / bound, rel=1e-12)
+
+
+def test_pair_row_bounds_the_partition_sum_by_the_residuals(monkeypatch):
+    # a two-slot member paired with itself: four slots, one-point values 0,
+    # so W = T4 + 3 T2^2 and its error is M(|T| + r) - M(|T|); the
+    # three-point value enters only with a one-point factor
+    t2, r2, t4, r4 = -0.3, 1e-4, -0.2, 2e-5
+    monkeypatch.setattr(hssc, "truncated_momentum_eval",
+                        _fake_evaluator({2: (t2, r2), 3: (0.7, 0.1), 4: (t4, r4)}))
+    member = TensorTestFunction((TestFunction.gaussian((0.2,), 0.9),
+                                 TestFunction.gaussian((-0.3,), 1.0)))
+    cert = hssc_certify(GreenSpec(1, 0.5, 1.0), GAUSS_TRIPLE, [member], n_max=4)
+    assert cert["pairwise"]["count"] == 1
+    lhs = abs(t4 + 3 * t2**2) + r4 + 3 * (2 * abs(t2) * r2 + r2**2)
+    bound = (cert["constants"]["norm_constants"][1]
+             * tensor_schwartz_norm(member, 2)) ** 2
+    assert cert["pairwise"]["worst_ratio"] == pytest.approx(lhs / bound, rel=1e-12)
+
+
+def test_certify_ratio_is_null_where_only_the_bound_vanishes(monkeypatch):
+    # Gaussian noise bounds order 3 by 0, so a nonzero value there has no
+    # finite ratio; the certificate stays JSON-ready and fails
+    monkeypatch.setattr(hssc, "truncated_momentum_eval",
+                        _fake_evaluator({3: (1e-3, 0.0)}))
+    f = TestFunction.gaussian((0.2,), 0.9)
+    cert = hssc_certify(GreenSpec(1, 0.5, 1.0), GAUSS_TRIPLE,
+                        [TensorTestFunction((f, f, f))], n_max=3)
+    row = cert["per_order"][0]
+    assert row["order"] == 3 and row["worst_ratio"] is None and row["min_margin"] < 0.0
+    assert not cert["passed"]
+    json.dumps(cert, allow_nan=False)
 
 
 def test_certify_rejections():

@@ -252,3 +252,41 @@ def test_records_reach_readers_through_collect_only():
     assert list(inspect.signature(refine).parameters) == [
         "value", "schedule", "rtol", "atol", "op"]
 
+
+
+RECORD_KEYS = {"op", "value", "tolerance", "history", "residual"}
+
+
+def _emitted_literals(source: str) -> list:
+    """(line, keys) of each ``emit({...})`` dict literal in ``source``."""
+    return [(node.lineno, {k.value for k in node.args[0].keys
+                           if isinstance(k, ast.Constant)})
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "emit" and node.args
+            and isinstance(node.args[0], ast.Dict)]
+
+
+def _short_records(source: str) -> list:
+    """The ``emit({...})`` literals that lack one of the record keys."""
+    return [f"{line}: {sorted(RECORD_KEYS - keys)}"
+            for line, keys in _emitted_literals(source) if not RECORD_KEYS <= keys]
+
+
+def test_record_guard_catches_a_literal_without_residual():
+    assert _short_records(
+        'emit({"op": "x", "value": [1.0, 0.0], "tolerance": 0.0, "history": []})'
+    ) == ["1: ['residual']"]
+    assert _short_records(
+        'emit({"op": "x", "value": None, "tolerance": 0.0, "history": [],'
+        ' "residual": 0.0, "error": "why"})\nemit(record)') == []
+
+
+def test_every_emitted_record_has_the_full_shape():
+    # hssc_certify sums the records' residuals, so every success record
+    # carries one; the literals are refine's two, the d = 1 shell closed
+    # form and the alpha < 1/2 bridge loop
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert sum(len(_emitted_literals(src)) for src in sources.values()) >= 4
+    offenders = {name: _short_records(src) for name, src in sources.items()}
+    assert {name: found for name, found in offenders.items() if found} == {}
