@@ -467,10 +467,16 @@ def _semantic_check(cfg: dict, command: str):
     if "certify" in tasks:
         sect = tasks["certify"]
         block = sect.get("random_family", {})
-        if not sect.get("tests") and not any(
-                block.get(k, 0) for k in ("singles", "doubles", "triples", "quads")):
+        orders = [len(doc["slots"]) for doc in sect.get("tests", [])]
+        orders += [n for key, n in _FAMILY_ORDERS if block.get(key, 0)]
+        if not orders:
             raise _ConfigError("tasks.certify",
                                "certify needs tests and/or a random_family block")
+        n_max = sect.get("n_max", 4)
+        if max(orders) > n_max:  # hssc_certify's DomainError
+            raise _ConfigError("tasks.certify.n_max",
+                               f"a family member of order {max(orders)} is above "
+                               f"n_max = {n_max}")
     if command == "laplace-check":
         from .wightman import bridge_points
 
@@ -683,6 +689,10 @@ def _packet(rng, dim: int, center_scale: float, widths, freq_scale: float):
     return TestFunction.gaussian(center, width, freq=freq)
 
 
+# random_family's counts and the order of their members, in drawing order
+_FAMILY_ORDERS = (("singles", 1), ("doubles", 2), ("triples", 3), ("quads", 4))
+
+
 def _random_family(spec, block: dict, seed: int):
     import numpy as np
 
@@ -696,13 +706,8 @@ def _random_family(spec, block: dict, seed: int):
             _packet(rng, spec.dim, scale, (0.8, 1.2), 0.6) for _ in range(n)))
 
     fam = []
-    for count, n in (
-        (block.get("singles", 0), 1),
-        (block.get("doubles", 0), 2),
-        (block.get("triples", 0), 3),
-        (block.get("quads", 0), 4),
-    ):
-        fam.extend(one(n) for _ in range(count))
+    for key, n in _FAMILY_ORDERS:
+        fam.extend(one(n) for _ in range(block.get(key, 0)))
     return fam
 
 

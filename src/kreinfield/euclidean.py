@@ -28,8 +28,19 @@ With the drift  a_c S 1  these have exactly the law of the projections of a
 ``white_noise_field`` sample.  The atoms come first and R^T is lower
 triangular, so the first n' projections do not depend on how many weights
 follow: a moment table's subsets of its first n' weights and the estimate on
-those n' weights use the same draws.  A replicate costs O(sites) memory
-whatever N is.
+those n' weights use the same draws.
+
+An atom's N points enter one of two ways, chosen from its mean count: where
+n lam v sites < sites, as the sum of the N gathered columns of S, O(n N)
+time and memory; otherwise as a count per site and one (n, sites) mat-vec,
+O(sites) memory and O(n sites) time.  The normals of a slice of replicates
+are kept and multiplied by R^T once.  On 4096 sites (one core of a 2-vCPU
+Xeon) the gather is the cheaper one below the rule, the crossover lies near
+1 point per site at n = 2 and 0.3 at n = 6, and at 2-4 points per site the
+gather is 1.4-4 times dearer.  What is left per replicate there is mostly
+fixed cost: about 1-2 us to re-key the stream, about 8 us in ``integers``
+(5 us of it numpy's cost per call, ``np.prod(size)`` included, whatever N
+is) and about 1 us each for the Poisson total and the normals.
 """
 
 from __future__ import annotations
@@ -244,13 +255,16 @@ def _subset_moment_batches(
         # lower triangular with gauss gauss^T = S S^T sigma^2 / v, also for
         # rank-deficient S; row j uses normals 0..j only
         gauss = math.sqrt(triple.variance / v) * np.linalg.qr(smeared.T, mode="r").T
-    jumps = [(s / v, lam * v * sites) for s, lam in triple.atoms]
+    # (scale, mean count, gather?): the projection rule in the module docstring
+    jumps = [(s / v, lam * v * sites, n * lam * v * sites < sites)
+             for s, lam in triple.atoms]
 
     keys = CorrelationTable(n).all_keys()
     columns = [sum(1 << (i - 1) for i in key) for key in keys]
     per_batch = n_samples // n_batches
     rows = min(per_batch, max(1, _SLICE_ENTRIES >> n))
     proj = np.empty((rows, n))
+    normals = np.empty((rows, n))
     prods = np.empty((rows, 1 << n))
     prods[:, 0] = 1.0
     batch_sums = np.zeros((n_batches, len(keys)))
@@ -263,11 +277,16 @@ def _subset_moment_batches(
                 rng = stream(b * per_batch + lo + i)
                 proj[i] = mean
                 p = proj[i]
-                for scale, total in jumps:
+                for scale, total, gather in jumps:
                     idx = rng.integers(0, sites, rng.poisson(total))
-                    p += scale * (smeared @ np.bincount(idx, minlength=sites))
+                    if gather:
+                        p += scale * smeared.take(idx, axis=1).sum(axis=1)
+                    else:
+                        p += scale * (smeared @ np.bincount(idx, minlength=sites))
                 if gauss is not None:
-                    p += gauss @ rng.standard_normal(n)
+                    rng.standard_normal(out=normals[i])
+            if gauss is not None:
+                proj[:k] += normals[:k] @ gauss.T
             m = proj[:k] * v
             for j in range(n):
                 np.multiply(prods[:k, : 1 << j], m[:, j : j + 1],
@@ -292,8 +311,9 @@ def estimate_schwinger_mc(
     with K~ the reflected kernel), and each replicate's n projections are
     drawn directly (module docstring) instead of from a noise field; its 2^n
     subset products are formed a slice of replicates at a time.  On a 64^2
-    lattice with one atom and a Gaussian part a replicate takes ~40-50 us for
-    n = 2..6 (one core of a 2-vCPU Xeon), against ~0.23 ms through a field.
+    lattice with one atom (512 points on average) and a Gaussian part a
+    replicate takes ~17-25 us for n = 2..6 (one core of a 2-vCPU Xeon),
+    against ~0.4 ms through a field.
     The error bar is a delete-one-batch jackknife pushed through the
     moments-to-cumulants map.
     """

@@ -761,7 +761,10 @@ def hssc_certify(
 
     The pair cap keeps combined degree at three in two dimensions
     (higher full pairings are quadrature-heavy there) unless every cumulant
-    above the second vanishes, in which case the cap is n_max.
+    above the second vanishes, in which case the cap is n_max.  The pair
+    row's ``skipped`` counts the pairs i <= j above the cap, and ``passed``
+    covers the checked rows only.  A member of order above n_max is a
+    DomainError: it lies outside the orders the certificate checks.
     """
     t0 = time.perf_counter()
     if n_max < 2:
@@ -771,6 +774,8 @@ def hssc_certify(
     for f in family:
         if not isinstance(f, TensorTestFunction):
             raise TypeError("family members must be tensor test functions")
+        if f.n_points > n_max:
+            raise DomainError(f"a member of order {f.n_points} is above n_max = {n_max}")
     weight_power = 2 * spec.dim
     quadratic = _is_quadratic(triple, 2 * n_max)
     pair_degree_cap = n_max if (spec.dim == 1 or quadratic) else min(n_max, 3)
@@ -806,7 +811,9 @@ def hssc_certify(
         scale = np.conj(family[i].prefactor) * family[j].prefactor
         bound = (c[degrees[i] - 1] * norms[i]) * (c[degrees[j] - 1] * norms[j])
         checks.append((abs(scale * val) + abs(scale) * err, bound))
-    pairwise = {"degree_cap": pair_degree_cap, **_bound_row(checks)}
+    pairs = len(family) * (len(family) + 1) // 2
+    pairwise = {"degree_cap": pair_degree_cap, **_bound_row(checks),
+                "skipped": pairs - len(checks)}
 
     worst_margin = min((row["min_margin"] for row in per_order + [pairwise]
                         if row["min_margin"] is not None), default=math.inf)

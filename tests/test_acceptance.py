@@ -203,15 +203,20 @@ def test_criterion_5_scalar_chain_certificate():
     below = factors["overlap_sup"] <= factors["overlap_ceiling"]
     margins = {row["order"]: row["min_margin"] for row in cert["per_order"]}
     positive = margins[3] > 0.0 and margins[4] > 0.0
+    # the d = 2 pair cap 3 checks the 18 single-single and single-double
+    # pairs of the 210 pairs i <= j; the certificate counts the rest
+    pairs = cert["pairwise"]
+    counted = pairs["count"] == 18 and pairs["skipped"] == 192
     ok = (math.isfinite(factors["overlap_sup"]) and stable and below
-          and positive and cert["passed"])
+          and positive and counted and cert["passed"])
     record(
         5,
         ok,
         f"overlap sup {factors['overlap_sup']:.3f} finite, refinement-stable "
         f"({coarse:.3f} -> {fine:.3f}, 2%), below ceiling "
         f"{factors['overlap_ceiling']:.1f}; margins n=3 {margins[3]:.2e}, "
-        f"n=4 {margins[4]:.2e} > 0 on a 20-function family; "
+        f"n=4 {margins[4]:.2e} > 0 on a 20-function family; {pairs['count']} "
+        f"pairs checked, {pairs['skipped']} above the degree cap; "
         f"certificate passed={cert['passed']}",
     )
 

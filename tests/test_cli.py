@@ -241,9 +241,15 @@ def with_task(cfg, name, **changes):
                            tasks={"laplace_check": {"configs": [[[0.5, 0.0],
                                                                  [1.25, 0.0]]]}}),
      "tasks.laplace_check.configs.0"),
+    # hssc_certify checks no member above n_max
+    ("certify", {"model": ATOM_MODEL, "tasks": {"certify": {"n_max": 2, "tests": [
+        {"slots": [{"center": [0.2], "width": 0.9}] * 3}]}}}, "tasks.certify.n_max"),
+    ("certify", {"model": ATOM_MODEL, "tasks": {"certify": {
+        "n_max": 3, "random_family": {"quads": 1}}}}, "tasks.certify.n_max"),
 ], ids=["sample-no-lattice", "schwinger-no-lattice", "laplace-check-no-lattice",
         "mass-extent-below-4", "krein-index-outside-pool", "cluster-freq-length",
-        "laplace-check-decreasing-times", "laplace-check-d2-pair-below-half"])
+        "laplace-check-decreasing-times", "laplace-check-d2-pair-below-half",
+        "certify-test-above-n-max", "certify-quads-above-n-max"])
 def test_config_the_handler_cannot_run_is_config_error(tmp_path, capsys, command,
                                                        cfg, field):
     rc = main([command, "--config", write_cfg(tmp_path, cfg),
@@ -565,6 +571,7 @@ def test_certify_zero_seminorm_member_exits_zero(tmp_path):
     cert = json.loads(text)
     assert cert["passed"] is True
     assert cert["pairwise"]["count"] == 3
+    assert cert["pairwise"]["skipped"] == 0
     assert 0.0 < cert["pairwise"]["worst_ratio"] < 1.0
 
 

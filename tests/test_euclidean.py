@@ -226,8 +226,20 @@ def _reference_batch_sums(lat, kernel, weights, triple, n_samples, seed, n_batch
     return keys, sums
 
 
-@pytest.mark.parametrize("slice_entries", [None, 7 << 4])
-def test_subset_moments_match_per_replicate_reference(monkeypatch, slice_entries):
+# on the test's 32 sites at v = 1/4 and n = 4: the rate-2 atom (mean 16 points)
+# is counted per site, the rate-1/4 one (mean 2, none in ~13% of replicates)
+# is gathered, and it comes first so a swapped draw order shows
+TWO_ATOMS = ((-0.7, 0.25), (1.0, 2.0))
+
+
+@pytest.mark.parametrize("slice_entries, triple", [
+    pytest.param(None, ATOM_TRIPLE, id="None"),
+    pytest.param(7 << 4, ATOM_TRIPLE, id="112"),
+    pytest.param(7 << 4, LevyTriple(0.3, 0.5, TWO_ATOMS), id="two-atoms"),
+    pytest.param(7 << 4, LevyTriple(0.3, 0.0, TWO_ATOMS), id="two-atoms-no-gauss"),
+])
+def test_subset_moments_match_per_replicate_reference(monkeypatch, slice_entries,
+                                                      triple):
     if slice_entries is not None:  # 2^4 products per replicate: batches of 30
         # are summed in slices of 7, 7, 7, 7, 2 replicates
         monkeypatch.setattr(euclidean, "_SLICE_ENTRIES", slice_entries)
@@ -236,9 +248,9 @@ def test_subset_moments_match_per_replicate_reference(monkeypatch, slice_entries
     ws = [sample_function(lat, TestFunction.gaussian((c,), 0.8)).values.real
           for c in (-1.0, -0.25, 0.5, 1.25)]
     n_samples, n_batches, seed = 300, 10, 17
-    keys, sums = _reference_batch_sums(lat, G, ws, ATOM_TRIPLE, n_samples, seed,
+    keys, sums = _reference_batch_sums(lat, G, ws, triple, n_samples, seed,
                                        n_batches)
-    table = estimate_moment_table(lat, G, ws, ATOM_TRIPLE, n_samples, seed=seed,
+    table = estimate_moment_table(lat, G, ws, triple, n_samples, seed=seed,
                                   n_batches=n_batches)
     assert list(table) == keys
     grand = sums.sum(axis=0)
@@ -247,7 +259,7 @@ def test_subset_moments_match_per_replicate_reference(monkeypatch, slice_entries
 
     want = cumulants_from_moments(CorrelationTable(
         4, dict(zip(keys, grand / n_samples)))).values[(1, 2, 3, 4)]
-    est = estimate_schwinger_mc(lat, G, ws, ATOM_TRIPLE, n_samples, seed=seed,
+    est = estimate_schwinger_mc(lat, G, ws, triple, n_samples, seed=seed,
                                 n_batches=n_batches)
     assert est.value == pytest.approx(want, rel=1e-12)
 

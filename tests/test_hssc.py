@@ -697,6 +697,7 @@ def test_pair_row_bounds_the_partition_sum_by_the_residuals(monkeypatch):
                                  TestFunction.gaussian((-0.3,), 1.0)))
     cert = hssc_certify(GreenSpec(1, 0.5, 1.0), GAUSS_TRIPLE, [member], n_max=4)
     assert cert["pairwise"]["count"] == 1
+    assert cert["pairwise"]["skipped"] == 0
     lhs = abs(t4 + 3 * t2**2) + r4 + 3 * (2 * abs(t2) * r2 + r2**2)
     bound = (cert["constants"]["norm_constants"][1]
              * tensor_schwartz_norm(member, 2)) ** 2
@@ -715,6 +716,15 @@ def test_certify_ratio_is_null_where_only_the_bound_vanishes(monkeypatch):
     assert row["order"] == 3 and row["worst_ratio"] is None and row["min_margin"] < 0.0
     assert not cert["passed"]
     json.dumps(cert, allow_nan=False)
+
+
+def test_certify_rejects_members_above_n_max():
+    # the member would get no per-order row and its pair is above the cap:
+    # without the check the certificate passes with nothing checked
+    f = TestFunction.gaussian((0.2,), 0.9)
+    with pytest.raises(DomainError, match="above n_max"):
+        hssc_certify(GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE,
+                     [TensorTestFunction((f, f, f))], n_max=2)
 
 
 def test_certify_rejections():
