@@ -472,7 +472,7 @@ def _semantic_check(cfg: dict, command: str):
         if not orders:
             raise _ConfigError("tasks.certify",
                                "certify needs tests and/or a random_family block")
-        n_max = sect.get("n_max", 4)
+        n_max = sect.get("n_max", _CERTIFY_N_MAX)
         if max(orders) > n_max:  # hssc_certify's DomainError
             raise _ConfigError("tasks.certify.n_max",
                                f"a family member of order {max(orders)} is above "
@@ -691,6 +691,8 @@ def _packet(rng, dim: int, center_scale: float, widths, freq_scale: float):
 
 # random_family's counts and the order of their members, in drawing order
 _FAMILY_ORDERS = (("singles", 1), ("doubles", 2), ("triples", 3), ("quads", 4))
+# certify's n_max where the config gives none
+_CERTIFY_N_MAX = 4
 
 
 def _random_family(spec, block: dict, seed: int):
@@ -717,7 +719,8 @@ def _run_certify(spec, triple, lat, task, seed, tol):
     family = [_tensor_function(doc) for doc in task.get("tests", [])]
     if "random_family" in task:
         family.extend(_random_family(spec, task["random_family"], seed))
-    cert = hssc_certify(spec, triple, family, n_max=task.get("n_max", 4), tol=tol)
+    cert = hssc_certify(spec, triple, family,
+                        n_max=task.get("n_max", _CERTIFY_N_MAX), tol=tol)
     # timestamps live in the manifest only
     fields = {"certify_runtime_seconds": cert.pop("runtime_seconds")}
     if not cert["passed"]:

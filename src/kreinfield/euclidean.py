@@ -30,17 +30,16 @@ triangular, so the first n' projections do not depend on how many weights
 follow: a moment table's subsets of its first n' weights and the estimate on
 those n' weights use the same draws.
 
-An atom's N points enter one of two ways, chosen from its mean count: where
-n lam v sites < sites, as the sum of the N gathered columns of S, O(n N)
-time and memory; otherwise as a count per site and one (n, sites) mat-vec,
-O(sites) memory and O(n sites) time.  The normals of a slice of replicates
-are kept and multiplied by R^T once.  On 4096 sites (one core of a 2-vCPU
-Xeon) the gather is the cheaper one below the rule, the crossover lies near
-1 point per site at n = 2 and 0.3 at n = 6, and at 2-4 points per site the
-gather is 1.4-4 times dearer.  What is left per replicate there is mostly
-fixed cost: about 1-2 us to re-key the stream, about 8 us in ``integers``
-(5 us of it numpy's cost per call, ``np.prod(size)`` included, whatever N
-is) and about 1 us each for the Poisson total and the normals.
+An atom's N points enter as the sum of their N gathered columns of S, in
+O(n N) time and memory, and the normals of a slice of replicates are kept
+and multiplied by R^T once.  On 4096 sites (one core of a 2-vCPU Xeon) the
+gather beats a count per site and an (n, sites) mat-vec below about 1 point
+per site at n = 2 and 0.3 at n = 6, and is 1.4-4 times dearer at 2-4
+points per site; every caller here draws about 1/8 point per site.  What is
+left per replicate is mostly fixed cost: about 1-2 us to re-key the stream,
+about 8 us in ``integers`` (5 us of it numpy's cost per call,
+``np.prod(size)`` included, whatever N is) and about 1 us each for the
+Poisson total and the normals.
 """
 
 from __future__ import annotations
@@ -255,9 +254,7 @@ def _subset_moment_batches(
         # lower triangular with gauss gauss^T = S S^T sigma^2 / v, also for
         # rank-deficient S; row j uses normals 0..j only
         gauss = math.sqrt(triple.variance / v) * np.linalg.qr(smeared.T, mode="r").T
-    # (scale, mean count, gather?): the projection rule in the module docstring
-    jumps = [(s / v, lam * v * sites, n * lam * v * sites < sites)
-             for s, lam in triple.atoms]
+    jumps = [(s / v, lam * v * sites) for s, lam in triple.atoms]
 
     keys = CorrelationTable(n).all_keys()
     columns = [sum(1 << (i - 1) for i in key) for key in keys]
@@ -277,12 +274,9 @@ def _subset_moment_batches(
                 rng = stream(b * per_batch + lo + i)
                 proj[i] = mean
                 p = proj[i]
-                for scale, total, gather in jumps:
+                for scale, total in jumps:
                     idx = rng.integers(0, sites, rng.poisson(total))
-                    if gather:
-                        p += scale * smeared.take(idx, axis=1).sum(axis=1)
-                    else:
-                        p += scale * (smeared @ np.bincount(idx, minlength=sites))
+                    p += scale * smeared.take(idx, axis=1).sum(axis=1)
                 if gauss is not None:
                     rng.standard_normal(out=normals[i])
             if gauss is not None:

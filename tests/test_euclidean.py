@@ -226,9 +226,9 @@ def _reference_batch_sums(lat, kernel, weights, triple, n_samples, seed, n_batch
     return keys, sums
 
 
-# on the test's 32 sites at v = 1/4 and n = 4: the rate-2 atom (mean 16 points)
-# is counted per site, the rate-1/4 one (mean 2, none in ~13% of replicates)
-# is gathered, and it comes first so a swapped draw order shows
+# on the test's 32 sites at v = 1/4: the rate-1/4 atom (mean 2 points, none in
+# ~13% of replicates) comes before the rate-2 one (mean 16), so a swapped draw
+# order or a mishandled empty replicate shows against the site-count oracle
 TWO_ATOMS = ((-0.7, 0.25), (1.0, 2.0))
 
 
