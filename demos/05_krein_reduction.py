@@ -1,8 +1,8 @@
 """From an indefinite Gram form to its Krein metric.
 
 The certified seminorms majorize the Gram matrix of the n-point functional on
-a monomial basis.  Whitening the form by the majorant and taking a matrix
-sign function produces the metric T with T^2 = 1; the factorization
+a monomial basis.  Whitening the form by the majorant and reading the signs
+of its eigenvalues gives the metric T with T^2 = 1; the factorization
 W = S T S* reconstructs the form, and re-majorizing with P |T_P| P gives
 ratio exactly one.
 """

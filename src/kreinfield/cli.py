@@ -35,7 +35,9 @@ from typing import Callable, Dict, List, Optional
 
 from .errors import QuadratureError
 
-# the Monte Carlo sampling plan that sample and schwinger share
+# the Monte Carlo sampling plan that sample and schwinger share, and its
+# n_batches where the config gives none
+_N_BATCHES = 20
 _SMEARING: dict = {
     "n_samples": {"type": "integer", "minimum": 20},
     "n_batches": {"type": "integer", "minimum": 2},
@@ -448,7 +450,7 @@ def _semantic_check(cfg: dict, command: str):
                 point(f"tasks.{key}.smear_centers.{i}", c)
             # the jackknife needs equal batches; a remainder also catches
             # n_batches > n_samples
-            n_batches, n_samples = sect.get("n_batches", 20), sect["n_samples"]
+            n_batches, n_samples = sect.get("n_batches", _N_BATCHES), sect["n_samples"]
             if n_samples % n_batches:
                 raise _ConfigError(
                     f"tasks.{key}.n_batches",
@@ -477,6 +479,15 @@ def _semantic_check(cfg: dict, command: str):
             raise _ConfigError("tasks.certify.n_max",
                                f"a family member of order {max(orders)} is above "
                                f"n_max = {n_max}")
+    # pair_bound's DomainError: below alpha = 1/2 it covers the line only
+    if command == "certify" and dim == 2 and spec.alpha < 0.5:
+        raise _ConfigError("model.alpha",
+                           f"certify's pair bound covers alpha = 1/2 in dim 2, "
+                           f"got {spec.alpha}")
+    for i, (n, j) in enumerate(tasks.get("bounds", {}).get("vector_slots", [])):
+        if n < 3 or j > n:  # bound_integral_vector's DomainError
+            raise _ConfigError(f"tasks.bounds.vector_slots.{i}",
+                               f"slot [{n}, {j}] needs order n >= 3 and slot j <= n")
     if command == "laplace-check":
         from .wightman import bridge_points
 
@@ -581,7 +592,7 @@ def _run_sample(spec, triple, lat, task, seed, tol):
         triple,
         task["n_samples"],
         seed,
-        n_batches=task.get("n_batches", 20),
+        n_batches=task.get("n_batches", _N_BATCHES),
     )
     rows = [
         ["-".join(map(str, key)), est.value, est.std_error, est.n_samples]
@@ -612,7 +623,7 @@ def _run_schwinger(spec, triple, lat, task, seed, tol):
             triple,
             task["n_samples"],
             seed,
-            n_batches=task.get("n_batches", 20),
+            n_batches=task.get("n_batches", _N_BATCHES),
         )
         diff = abs(mc.value - analytic)
         sigmas = diff / mc.std_error if mc.std_error > 0 else float("inf")
@@ -725,12 +736,11 @@ def _run_certify(spec, triple, lat, task, seed, tol):
     fields = {"certify_runtime_seconds": cert.pop("runtime_seconds")}
     if not cert["passed"]:
         fields["failed"] = "certificate did not pass"
-    rows = [
-        [row["order"], row["count"], row["worst_ratio"], row["min_margin"]]
-        for row in cert["per_order"]
-    ]
-    return {"certificate.json": cert,
-            "certify.csv": (["order", "count", "worst_ratio", "min_margin"], rows)}, fields
+    # one row per order, then the pair row with the pairs it did not check
+    header = ["order", "count", "worst_ratio", "min_margin", "skipped"]
+    rows = [[row[k] for k in header[:-1]] + [0] for row in cert["per_order"]]
+    rows.append(["pairs", *(cert["pairwise"][k] for k in header[1:])])
+    return {"certificate.json": cert, "certify.csv": (header, rows)}, fields
 
 
 def _run_krein(spec, triple, lat, task, seed, tol):
@@ -740,9 +750,10 @@ def _run_krein(spec, triple, lat, task, seed, tol):
         build_gram_pair,
         krein_reduce,
         majorization_check,
-        schwartz_norm,
         search_indefinite_gram,
+        tensor_schwartz_norm,
     )
+    from .testfunctions import TensorTestFunction
 
     rng = np.random.default_rng(seed)
     pool = [_packet(rng, spec.dim, 1.2, (0.7, 1.2), 0.8)
@@ -751,10 +762,8 @@ def _run_krein(spec, triple, lat, task, seed, tol):
     scale = task.get("seminorm_scale", 1.0)
 
     def seminorm(mono):
-        value = scale
-        for g in mono:
-            value *= schwartz_norm(g, 2 * spec.dim)
-        return value
+        return scale * (tensor_schwartz_norm(TensorTestFunction(mono), 2 * spec.dim)
+                        if mono else 1.0)
 
     pair = build_gram_pair(spec, triple, monos, seminorm, tol=tol)
     eigs = np.linalg.eigvalsh(pair.form)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import ConfigurationError, LatticeMismatchError, SizeLimitError
 from .lattice import Lattice, LatticeField
-from .levy import LevyTriple, QuaternionLevyData, cumulant_coeff
+from .levy import LevyTriple, QuaternionLevyData
 from .partitions import BOSE, CorrelationTable, cumulants_from_moments
 from .quaternion import quaternion_mul
 
@@ -349,28 +349,3 @@ def estimate_moment_table(
         loo = (grand[i] - batch_sums[:, i]) / (n_samples - per_batch)
         out[key] = _jackknife(float(grand[i] / n_samples), loo, n_samples)
     return out
-
-
-def lattice_truncated_expectation(
-    lat: Lattice,
-    kernel: LatticeField,
-    weights: Sequence[np.ndarray],
-    triple: LevyTriple,
-) -> float:
-    """Exact expectation of the MC estimator on the same lattice.
-
-    Independence across cells gives  c_n v sum_x prod_j (K~ * w_j)(x)  for the
-    joint cumulant of the smeared field; this is the finite-volume analytic
-    value the estimator converges to.  Its estimates agree with this value
-    within their error bars, which fixes the sampler's law, not its stream.
-
-    Check: test_mc_cumulants_agree_with_lattice_expectation_in_law, the
-    Monte Carlo in-law check, and the other agreement tests in
-    test_euclidean.
-    """
-    n = len(weights)
-    kr = reflect(kernel)
-    prod = np.ones(lat.shape)
-    for w in weights:
-        prod = prod * convolve(kr, LatticeField(lat, np.asarray(w, dtype=float))).values
-    return float(cumulant_coeff(n, triple) * lat.cell_volume * np.sum(prod))

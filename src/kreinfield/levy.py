@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .quadrature import gl_nodes, refine
+from .quadrature import gl_nodes, refine, tensor_blocks
 from .testfunctions import TestFunction
 
 Atom = Tuple[float, float]  # (jump size, rate)
@@ -97,18 +97,16 @@ def characteristic_functional(
     halfwidth = phi.effective_radius()
     center = np.asarray(phi.center)
 
-    def level_value(npts: int) -> complex:
-        nodes, weights = gl_nodes(-halfwidth, halfwidth, npts)
-        axes = [center[ax] + nodes for ax in range(d)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        vals = phi(grid.reshape(-1, d))
+    def integrand(*cols):
+        vals = phi(np.stack(cols, axis=-1))
         if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
             raise ValueError("characteristic functional needs a real test function")
-        w = weights
-        for _ in range(d - 1):
-            w = np.multiply.outer(w, weights)
-        integrand = psi_eval(vals.real, triple)
-        return complex(np.sum(integrand * w.reshape(-1)))
+        return psi_eval(vals.real, triple)
+
+    def level_value(npts: int) -> complex:
+        nodes, weights = gl_nodes(-halfwidth, halfwidth, npts)
+        return tensor_blocks([(center[ax] + nodes, weights) for ax in range(d)],
+                             integrand)
 
     exponent = refine(level_value, [24 << k for k in range(11)], tol, tol,
                       "characteristic_functional")

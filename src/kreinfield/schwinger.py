@@ -100,6 +100,10 @@ def smeared_truncated_correlator(
     """c_n * sum_x prod_j (K * phi_j)(x) v: the smeared truncated n-point value.
 
     ``tests`` may mix TestFunction instances and value grids on the lattice.
+    Independence across cells makes this the exact joint cumulant of the
+    smeared lattice field (the kernel is even, so K and its reflection
+    agree): the value the Monte Carlo estimators of :mod:`.euclidean`
+    converge to on the same lattice.
     """
     n = len(tests)
     if n < 1:

@@ -236,36 +236,34 @@ def two_point_density_eval(
     scale = 2 * c2 * math.sin(2 * math.pi * spec.alpha)
     kmax = 40.0 * max(1.0, m)
 
+    def lines(w, q, npts):
+        # the k0-line [-kmax, -w] for each shell energy w and its spatial
+        # momentum q (one column per spatial axis), on npts nodes; the
+        # tanh-sinh rule gives the distance d = -w - k0 to the shell, where
+        # the density |k0^2 - w^2|^(-2 alpha) is singular
+        _, d, wk = tanh_sinh_nodes(-kmax, -w, npts)
+        w = w[:, None]
+        k0 = -w - d
+        k1 = np.stack([k0, *(np.broadcast_to(c[:, None], k0.shape) for c in q)],
+                      axis=-1)
+        val = np.asarray(f(k1, -k1))
+        return np.sum(val * (d * (2.0 * w + d)) ** (-2 * spec.alpha) * wk, axis=-1)
+
     if spec.dim == 1:
+        # one line, at the shell energy m
         def integral(npts):
-            # the tanh-sinh rule gives the distance d = -m - k0 to the shell,
-            # where the density |k0^2 - m^2|^(-2 alpha) is singular
-            _, d, wk = tanh_sinh_nodes(-kmax, -m, npts)
-            k0 = -m - d
-            val = np.asarray(f(k0[:, None], -k0[:, None]))
-            return np.sum(val * (d * (2.0 * m + d)) ** (-2 * spec.alpha) * wk)
+            return lines(np.array([m]), (), npts)[0]
 
         schedule = [48 << k for k in range(8)]
     elif spec.dim == 2:
-        # beyond |q| = qmax the shell energy w(q) passes kmax and the k0-line
+        # one line per spatial node q, on the outer round's node count;
+        # beyond |q| = qmax the shell energy w(q) passes kmax and the line
         # is empty
         qmax = math.sqrt(kmax * kmax - m * m)
 
         def integral(npts):
-            def integrand(q):
-                # the k0-line [-kmax, -w(q)] for every q at once, on the
-                # outer round's node count; the tanh-sinh rule gives the
-                # distance d = -w - k0 to the shell, where the density
-                # |k0^2 - w^2|^(-2 alpha) is singular
-                w = np.sqrt(q * q + m * m)[:, None]
-                _, d, wk = tanh_sinh_nodes(-kmax, -w[:, 0], npts)
-                k0 = -w - d
-                k1 = np.stack([k0, np.broadcast_to(q[:, None], k0.shape)], axis=-1)
-                val = np.asarray(f(k1, -k1))
-                return np.sum(val * (d * (2.0 * w + d)) ** (-2 * spec.alpha) * wk,
-                              axis=-1)
-
-            return line_quadrature(integrand, -qmax, qmax, (0.0,), npts)
+            return line_quadrature(lambda q: lines(np.sqrt(q * q + m * m), (q,), npts),
+                                   -qmax, qmax, (0.0,), npts)
 
         schedule = [32 << k for k in range(6)]
     else:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -246,10 +247,20 @@ def with_task(cfg, name, **changes):
         {"slots": [{"center": [0.2], "width": 0.9}] * 3}]}}}, "tasks.certify.n_max"),
     ("certify", {"model": ATOM_MODEL, "tasks": {"certify": {
         "n_max": 3, "random_family": {"quads": 1}}}}, "tasks.certify.n_max"),
+    # pair_bound covers only alpha = 1/2 in d = 2
+    ("certify", {"model": dict(ATOM_MODEL, dim=2, alpha=0.35), "tasks": {"certify": {
+        "random_family": {"singles": 1}}}}, "model.alpha"),
+    # vector bounds start at order 3, and the slot lies in 0..n
+    ("bounds", {"model": ATOM_MODEL, "tasks": {"bounds": {
+        "vector_slots": [[3, 0], [3, 5]]}}}, "tasks.bounds.vector_slots.1"),
+    ("bounds", {"model": ATOM_MODEL, "tasks": {"bounds": {
+        "vector_slots": [[2, 0]]}}}, "tasks.bounds.vector_slots.0"),
 ], ids=["sample-no-lattice", "schwinger-no-lattice", "laplace-check-no-lattice",
         "mass-extent-below-4", "krein-index-outside-pool", "cluster-freq-length",
         "laplace-check-decreasing-times", "laplace-check-d2-pair-below-half",
-        "certify-test-above-n-max", "certify-quads-above-n-max"])
+        "certify-test-above-n-max", "certify-quads-above-n-max",
+        "certify-d2-alpha-below-half", "bounds-vector-slot-above-order",
+        "bounds-vector-order-below-3"])
 def test_config_the_handler_cannot_run_is_config_error(tmp_path, capsys, command,
                                                        cfg, field):
     rc = main([command, "--config", write_cfg(tmp_path, cfg),
@@ -555,6 +566,17 @@ def test_certify_gaussian_passes_exit_zero(tmp_path):
     assert "gamma" not in cert
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["certify_runtime_seconds"] >= 0.0
+    # the per-order rows, then the pair row: 5 of the 10 pairs i <= j are
+    # above the degree cap 3
+    with open(out / "certify.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["order", "count", "worst_ratio", "min_margin", "skipped"]
+    assert [row[0] for row in rows] == ["2", "3", "pairs"]
+    assert [row[-1] for row in rows[:-1]] == ["0", "0"]
+    pairs = cert["pairwise"]
+    assert rows[-1][1:] == [str(pairs["count"]), repr(pairs["worst_ratio"]),
+                            repr(pairs["min_margin"]), str(pairs["skipped"])]
+    assert pairs["skipped"] == 5
 
 
 def test_certify_zero_seminorm_member_exits_zero(tmp_path):

@@ -10,7 +10,6 @@ from kreinfield.euclidean import (
     convolve,
     estimate_moment_table,
     estimate_schwinger_mc,
-    lattice_truncated_expectation,
     noise_generator,
     quaternion_noise_field,
     reflect,
@@ -22,6 +21,7 @@ from kreinfield.lattice import Lattice, LatticeField, sample_function
 from kreinfield.levy import LevyTriple, QuaternionLevyData, cumulant_coeff
 from kreinfield.partitions import CorrelationTable, cumulants_from_moments
 from kreinfield.quaternion import quaternion_mul
+from kreinfield.schwinger import smeared_truncated_correlator
 from kreinfield.testfunctions import TestFunction
 
 ATOM_TRIPLE = LevyTriple(drift=0.0, variance=0.5, atoms=((1.0, 2.0),))
@@ -141,7 +141,8 @@ def test_mc_matches_lattice_expectation_two_point():
     w1 = sample_function(lat, TestFunction.gaussian((0.5,), 0.8)).values.real
     w2 = sample_function(lat, TestFunction.gaussian((-1.0,), 1.1)).values.real
     est = estimate_schwinger_mc(lat, G, [w1, w2], ATOM_TRIPLE, 2000, seed=21)
-    want = lattice_truncated_expectation(lat, G, [w1, w2], ATOM_TRIPLE)
+    want = smeared_truncated_correlator(lat, GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE,
+                                        [w1, w2])
     assert abs(est.value - want) < 4 * est.std_error
     assert est.std_error < 0.1 * abs(want)
 
@@ -151,7 +152,8 @@ def test_mc_matches_lattice_expectation_three_point():
     G = green_alpha_lattice(lat, GreenSpec(1, 0.5, 1.0))
     w = sample_function(lat, TestFunction.gaussian((0.0,), 1.0)).values.real
     est = estimate_schwinger_mc(lat, G, [w, w, w], ATOM_TRIPLE, 4000, seed=33)
-    want = lattice_truncated_expectation(lat, G, [w, w, w], ATOM_TRIPLE)
+    want = smeared_truncated_correlator(lat, GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE,
+                                        [w, w, w])
     assert want != 0
     assert abs(est.value - want) < 4 * est.std_error
 
@@ -161,7 +163,7 @@ def test_gaussian_noise_has_no_third_cumulant():
     G = green_alpha_lattice(lat, GreenSpec(1, 0.5, 1.0))
     w = sample_function(lat, TestFunction.gaussian((0.0,), 1.0)).values.real
     gauss = LevyTriple(variance=1.0)
-    want = lattice_truncated_expectation(lat, G, [w, w, w], gauss)
+    want = smeared_truncated_correlator(lat, GreenSpec(1, 0.5, 1.0), gauss, [w, w, w])
     assert want == 0.0
     est = estimate_schwinger_mc(lat, G, [w, w, w], gauss, 1000, seed=4)
     assert abs(est.value) < 4 * est.std_error
@@ -302,7 +304,8 @@ def test_mc_cumulants_agree_with_lattice_expectation_in_law(triple):
           for c in (-0.5, 0.0, 0.75)]
     for n in (2, 3):
         est = estimate_schwinger_mc(lat, G, ws[:n], triple, 4000, seed=29)
-        want = lattice_truncated_expectation(lat, G, ws[:n], triple)
+        want = smeared_truncated_correlator(lat, GreenSpec(1, 0.5, 1.0), triple,
+                                            ws[:n])
         assert abs(est.value - want) < 3 * est.std_error
 
 

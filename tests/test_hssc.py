@@ -561,6 +561,21 @@ def test_krein_random_majorized_pairs():
         assert res.remajorization_ratio == pytest.approx(1.0, abs=1e-9)
 
 
+def test_krein_metric_is_the_exact_sign_of_the_spectrum():
+    # read off the whitened form's eigenvalues: an exact +-1 diagonal with
+    # one -1 per negative eigenvalue of the form (Sylvester's inertia)
+    rng = np.random.default_rng(11)
+    for dim, degenerate in ((3, 0), (6, 2), (8, 0)):
+        pair = _random_majorized_pair(rng, dim, degenerate=degenerate)
+        res = krein_reduce(pair)
+        signs = np.diag(res.metric)
+        assert np.array_equal(res.metric, np.diag(signs))
+        assert set(signs.tolist()) <= {1.0, -1.0}
+        assert np.array_equal(res.metric @ res.metric, np.eye(dim - degenerate))
+        lam = np.linalg.eigvalsh(pair.form)
+        assert np.count_nonzero(signs == -1.0) == np.count_nonzero(lam < -1e-8)
+
+
 def test_krein_random_degenerate_pair():
     rng = np.random.default_rng(5)
     pair = _random_majorized_pair(rng, 6, degenerate=2)

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import kreinfield
@@ -240,6 +241,55 @@ def test_public_name_guard_catches_a_test_only_name():
              ("m.C.gaussian", "method", used), ("m.gaussian", "function", used),
              ("m.D.scale", "method", used)]
     assert _unplaced(pairs, called) == ["m.C.integral", "m.C.product", "m.gaussian"]
+
+
+def _check_names(source: str) -> list:
+    """One "owner: name" entry per test_* name in the ``Check:`` paragraphs
+    of the docstrings in ``source``; a paragraph runs from its ``Check:``
+    line to the next blank line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+            continue
+        owner = getattr(node, "name", "(module)")
+        text = ""
+        for line in (ast.get_docstring(node) or "").splitlines():
+            text = line if line.startswith("Check:") else (text and line)
+            found.extend(f"{owner}: {name}" for name in re.findall(r"\btest_\w+", text))
+    return found
+
+
+def _test_names() -> set:
+    """Every test function and test module name under tests/."""
+    names = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        names.add(path.stem)
+        names.update(node.name for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and node.name.startswith("test_"))
+    return names
+
+
+def test_check_guard_reads_the_whole_paragraph():
+    source = (
+        '"""Module.\n\nCheck: test_top."""\n'
+        'def f():\n'
+        '    """Doc naming test_outside.\n\n'
+        '    Check: test_a and\n    test_b, the oracle.\n\n'
+        '    test_after is not in the paragraph.\n    """\n')
+    assert _check_names(source) == ["(module): test_top", "f: test_a", "f: test_b"]
+
+
+def test_check_lines_name_tests_that_exist():
+    # a Check: line is where a test-only oracle says which test serves it,
+    # so a renamed or deleted test must not leave it pointing nowhere
+    known = _test_names()
+    assert "test_levy" in known and "test_traced_names_resolve" in known
+    dangling = {path.name: [entry for entry in _check_names(path.read_text())
+                            if entry.split(": ")[1] not in known]
+                for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in dangling.items() if found} == {}
 
 
 def test_records_reach_readers_through_collect_only():
