@@ -613,12 +613,13 @@ def _run_schwinger(spec, triple, lat, task, seed, tol):
         for c in task["smear_centers"]
     ]
     weights = [sample_function(lat, t).values.real for t in tests]
+    kernel = green_alpha_lattice(lat, spec)
     rows = []
     for n in task["orders"]:
         analytic = smeared_truncated_correlator(lat, spec, triple, tests[:n])
         mc = estimate_schwinger_mc(
             lat,
-            green_alpha_lattice(lat, spec),
+            kernel,
             weights[:n],
             triple,
             task["n_samples"],

@@ -64,7 +64,9 @@ def fractional_kernel_values(lat: Lattice, alpha: float, mass: float) -> np.ndar
     symbol = (k2 + mass**2) ** (-alpha)
     vals = np.fft.ifftn(symbol) / lat.cell_volume
     imag_max = np.max(np.abs(vals.imag))
-    assert imag_max < 1e-12 * max(1.0, np.max(np.abs(vals.real)))
+    if not imag_max < 1e-12 * max(1.0, np.max(np.abs(vals.real))):
+        raise DomainError(f"kernel for alpha={alpha}, mass={mass} is not real: "
+                          f"imaginary part {imag_max:.3g}")
     return np.ascontiguousarray(vals.real)
 
 

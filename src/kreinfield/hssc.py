@@ -1,7 +1,7 @@
 """Certification pipeline for the Hilbert-space structure of the hierarchy.
 
 Everything here turns analytic sup-bounds into numbers with explicit error
-control: weighted Schwartz norms with bracketed sups, the singular auxiliary
+control: weighted Schwartz norms in closed form, the singular auxiliary
 integrals that cap the order-n momentum distributions, the partition-sum
 constant chain, and finite-dimensional Gram/majorization/Krein reductions.
 The end product is :func:`hssc_certify`, which emits a JSON-ready
@@ -36,67 +36,33 @@ from .wightman import truncated_momentum_eval
 # -- weighted Schwartz norms ------------------------------------------------------
 
 
-_SUP_RTOL = 0.01  # relative width of the bracket around each weighted sup
-
-
 def schwartz_norm(f: TestFunction, weight_power: float) -> float:
-    """Weighted sup norm  ||f||_{0,N} = sup_x (1+|x|^2)^(N/2) |f(x)|.
+    """Weighted sup norm  ||f||_{0,N} = sup_x (1+|x|^2)^(N/2) |f(x)|, exactly.
 
-    N is ``weight_power``.  The returned value is the certified upper end
-    of a bracket whose relative width is at most ``_SUP_RTOL`` = 1e-2.  The
-    support box grows until the envelope beyond it is below _SUP_RTOL / 8
-    of the coarse sup; the grid sup is then refined on nested grids to
-    _SUP_RTOL / 4, and the upper end adds twice the accepted residual and
-    the envelope.
+    N is ``weight_power``.  For a Gaussian packet (degree 0) |f(x)| =
+    |a| exp(-|x-c|^2 / 2w^2) and the weight depends on |x| alone, so in any
+    dimension the sup lies on the ray through c: it is the max over r >= 0
+    of (1+r^2)^(N/2) exp(-(r-|c|)^2 / 2w^2).  The stationary points of that
+    profile are the roots of r^3 - |c| r^2 + (1 - N w^2) r - |c|.  The
+    profile is taken at r = 0 and at the real part of each root, clipped to
+    r >= 0: every candidate is a point of the ray, and the stationary ones
+    are among them, so their max is the sup.  A root's error enters the
+    value only at second order.  A polynomial prefactor (degree > 0) is not
+    supported.
     """
     if not isinstance(f, TestFunction):
         raise TypeError("schwartz_norm expects a TestFunction")
     if weight_power < 0:
         raise DomainError("weight power must be nonnegative")
-    power = float(weight_power)
-    deg = f.degree()
-    coeff_sum = sum(abs(v) for v in f.coeffs.values())
-    if coeff_sum == 0.0:
-        return 0.0
-    w = f.width
-    cmax = max(abs(c) for c in f.center)
-    half = w * (math.sqrt(2.0 * (power + deg + 2.0)) + 6.0)
-
-    def envelope(r: float) -> float:
-        # radial majorant: polynomial growth times the Gaussian envelope
-        return (
-            (1.0 + (cmax + r) ** 2) ** (0.5 * power)
-            * coeff_sum
-            * max(1.0, r) ** deg
-            * math.exp(-0.5 * (r / w) ** 2)
-        )
-
-    def grid_sup(npts: int) -> float:
-        axes = [np.linspace(c - half, c + half, npts) for c in f.center]
-        if f.dim == 1:
-            pts = axes[0][:, None]
-        else:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = (1.0 + np.sum(pts**2, axis=-1)) ** (0.5 * power) * np.abs(f(pts))
-        return float(np.max(vals))
-
-    coarse = grid_sup(31)
-    floor = max(coarse, 1e-300)
-    for _ in range(60):
-        if envelope(half) <= 0.125 * _SUP_RTOL * floor and envelope(half) >= envelope(
-            1.5 * half
-        ):
-            break
-        half *= 1.25
-    else:
-        raise QuadratureError("support box for the weighted sup did not close")
-
-    with collect() as records:
-        sup = refine(grid_sup, (31, 61, 121, 241, 481), 0.25 * _SUP_RTOL, 0.0,
-                     "weighted_sup")
-    gap = records[-1]["residual"] / max(sup, 1e-300)
-    return sup * (1.0 + 2.0 * gap) + envelope(half)
+    if f.degree() > 0:
+        raise PreconditionError("schwartz_norm needs a Gaussian packet (degree 0)")
+    amp = sum(abs(v) for v in f.coeffs.values())
+    power, w2 = float(weight_power), f.width**2
+    c = math.hypot(*f.center)
+    roots = np.roots([1.0, -c, 1.0 - power * w2, -c])
+    r = np.append(np.maximum(roots.real, 0.0), 0.0)
+    log_profile = 0.5 * power * np.log1p(r * r) - (r - c) ** 2 / (2.0 * w2)
+    return amp * math.exp(float(np.max(log_profile)))
 
 
 def tensor_schwartz_norm(t: TensorTestFunction, weight_power: float) -> float:

@@ -297,6 +297,20 @@ def gl_nodes(lo: float, hi: float, n: int):
     return 0.5 * (hi + lo) + 0.5 * (hi - lo) * t, 0.5 * (hi - lo) * w
 
 
+def folded_gl_nodes(hi: float, n: int):
+    """The half x >= 0 of the Gauss-Legendre rule on [-hi, hi], folded.
+
+    The rule is mirror-symmetric, so a sum over both signs of x runs on this
+    half; the middle node x = 0 of an odd rule counts for both signs, so it
+    carries half its weight.
+    """
+    x, w = gl_nodes(-hi, hi, n)
+    x, w = x[n // 2:], w[n // 2:]
+    if n % 2:
+        w[0] *= 0.5
+    return x, w
+
+
 def sine_nodes(lo, hi, n: int, out=None):
     """Sine-substituted rule on [lo, hi]; arrays of intervals broadcast.
 

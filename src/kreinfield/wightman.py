@@ -46,6 +46,7 @@ from .levy import LevyTriple, cumulant_coeff
 from .quadrature import (
     collect,
     emit,
+    folded_gl_nodes,
     gl_nodes,
     gregory_nodes,
     line_quadrature,
@@ -506,10 +507,8 @@ def _energy_sums(gs: Sequence[TestFunction], a: np.ndarray, w: np.ndarray,
     len(w) columns of k0.
     """
     if tmax is None:
-        u, wu = gl_nodes(-_GAP, _GAP, nt)
-        u, wu = u[nt // 2:, None], wu[nt // 2:].copy()
-        if nt % 2:
-            wu[0] *= 0.5  # both signs count the middle node u = 0
+        u, wu = folded_gl_nodes(_GAP, nt)
+        u = u[:, None]
         k0, jac = w * np.sin(u), (w * np.cos(u)) ** expo
     else:
         u, wu = gl_nodes(1e-12, tmax, nt)
@@ -580,10 +579,7 @@ def _branch_transforms(gs: Sequence[TestFunction], spec: GreenSpec, mult: float,
         qmax = max(abs(g.center[1]) + g.effective_radius() for g in gs)
         a1max = float(np.max(np.abs(ax1)))
         nq = int(_osc_npts(a1max, 2 * qmax) * mult)
-        q, wq = gl_nodes(-qmax, qmax, nq)
-        q, wq = q[nq // 2:], wq[nq // 2:].copy()
-        if nq % 2:
-            wq[0] *= 0.5  # both halves hold the middle node q = 0
+        q, wq = folded_gl_nodes(qmax, nq)
         w = np.sqrt(q * q + m * m)
     tmax = max(0.25, math.acosh(max(1.0 + 1e-9, k0cap / m)))
     plus, minus = _energy_sums(

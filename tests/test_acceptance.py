@@ -229,19 +229,8 @@ def _axial(c0: float, width: float, f0: float = 0.0) -> TestFunction:
     return TestFunction.gaussian((c0, 0.0, 0.0, 0.0), width, freq=freq)
 
 
-def _axial_norm(g: TestFunction):
-    # the slot weight and |g| both depend only on (k0, |kvec|), so the sup
-    # over R^4 equals the sup of the reduced two-variable profile
-    from kreinfield.hssc import schwartz_norm
-
-    f0 = g.freq[0] if any(g.freq) else 0.0
-    reduced = TestFunction.gaussian(
-        (g.center[0], 0.0), g.width, freq=(f0, 0.0) if f0 else None)
-    return schwartz_norm(reduced, 3)
-
-
 def test_criterion_6_vector_bounds():
-    from kreinfield.hssc import bound_integral_vector
+    from kreinfield.hssc import bound_integral_vector, tensor_schwartz_norm
     from kreinfield.wightman import vector_measure_radial
 
     reports = {j: bound_integral_vector(3, j) for j in range(4)}
@@ -262,9 +251,7 @@ def test_criterion_6_vector_bounds():
 
     worst_ratio = 0.0
     for phi in family:
-        norm = abs(phi.prefactor)
-        for g in phi.factors:
-            norm *= _axial_norm(g)
+        norm = tensor_schwartz_norm(phi, 3)
         for j in range(4):
             val = abs(vector_measure_radial(j, phi))
             worst_ratio = max(worst_ratio, val / (reports[j].constant * norm))

@@ -124,6 +124,13 @@ def test_doubled_exponent_identity():
     assert np.allclose(conv, b, rtol=0, atol=1e-10 * np.max(np.abs(b)))
 
 
+def test_kernel_that_is_not_real_raises():
+    # a non-finite mass leaves the symbol without a real inverse transform;
+    # the check is an exception, so it holds under python -O too
+    with pytest.raises(DomainError, match="not real"):
+        fractional_kernel_values(Lattice(1, 16, 0.5), 0.5, float("nan"))
+
+
 # ---- quaternion algebra ----
 
 def test_hamilton_product_example():

@@ -85,6 +85,44 @@ def test_norm_rejects_negative_weight_power():
         schwartz_norm(f, -1)
 
 
+def _ray_sup(f: TestFunction, weight_power: float) -> float:
+    """sup over r >= 0 of (1+r^2)^(N/2) |a| exp(-(r-|c|)^2 / 2w^2) by a scan
+    and a bounded scalar maximization around the scan's best node."""
+    from scipy.optimize import minimize_scalar
+
+    c, w = float(np.linalg.norm(f.center)), f.width
+
+    def neg_log(r):
+        return -(0.5 * weight_power * np.log1p(r * r) - (r - c) ** 2 / (2 * w * w))
+
+    r = np.linspace(0.0, c + 10.0 * w + weight_power, 4001)
+    i = int(np.argmin(neg_log(r)))
+    lo, hi = r[max(i - 1, 0)], r[min(i + 1, len(r) - 1)]
+    res = minimize_scalar(neg_log, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-13})
+    return abs(f.coeffs[(0,) * f.dim]) * math.exp(-res.fun)
+
+
+@pytest.mark.parametrize("center, width, exact", [
+    ((0.0, 1.0), 1.0, 17.1532681),
+    ((-0.31, 1.024), 1.058, 21.1674155),
+])
+def test_norm_is_the_exact_sup_along_the_ray(center, width, exact):
+    # the weight depends on |x| and |f| on |x - c|, so the sup lies on the
+    # ray through c; the norm matches a 1-D maximization along it
+    f = TestFunction.gaussian(center, width)
+    got = schwartz_norm(f, 4)
+    assert got == pytest.approx(_ray_sup(f, 4), rel=1e-12)
+    assert got == pytest.approx(exact, rel=1e-8)
+
+
+def test_norm_rejects_a_polynomial_prefactor():
+    f = TestFunction.gaussian((0.2,), 1.0).derivative(0)
+    assert f.degree() == 1
+    with pytest.raises(PreconditionError):
+        schwartz_norm(f, 2)
+
+
 # -- pair-level closed bound ------------------------------------------------------
 
 

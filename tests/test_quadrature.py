@@ -13,6 +13,7 @@ from kreinfield import quadrature
 from kreinfield.quadrature import (
     collect,
     emit,
+    folded_gl_nodes,
     gauss_legendre,
     gl_nodes,
     gregory_nodes,
@@ -200,6 +201,20 @@ def test_rule_is_exactly_antisymmetric(n):
     assert np.all(np.diff(t) > 0)
     if n % 2:
         assert t[n // 2] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 48, 181])
+def test_folded_rule_sums_both_signs_on_the_half(n):
+    # an integrand summed at +x and -x over the folded half equals its sum
+    # over the full rule, with the odd rule's middle node counted once
+    x, w = gl_nodes(-1.3, 1.3, n)
+    h, wh = folded_gl_nodes(1.3, n)
+    assert np.array_equal(h, x[n // 2:]) and np.all(h >= 0.0)
+
+    def g(t):
+        return np.exp(t) * (1.0 + t * t)
+
+    assert np.sum(wh * (g(h) + g(-h))) == pytest.approx(np.sum(w * g(x)), rel=1e-14)
 
 
 def test_bessel_zero_table_and_mcmahon_series_match_mpmath():

@@ -113,6 +113,24 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: found for name, found in offenders.items() if found} == {}
 
 
+def _asserts(source: str) -> list:
+    """Line numbers of the assert statements in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_guard_catches_nested_asserts():
+    assert _asserts("assert x\ndef f():\n    if y:\n        assert y, 'msg'\n") == [1, 4]
+    assert _asserts("x = 'assert y'\nraise ValueError('assert')\n") == []
+
+
+def test_no_assert_in_library_code():
+    # python -O strips assert statements, so a library check must raise
+    offenders = {path.name: _asserts(path.read_text())
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
 def _public_callables():
     """(qualified name, kind, callable) for every public function and method
     of kreinfield, kind "function" or "method"."""
