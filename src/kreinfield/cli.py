@@ -191,10 +191,6 @@ CONFIG_SCHEMA: dict = {
                                 "doubles": {"type": "integer", "minimum": 0},
                                 "triples": {"type": "integer", "minimum": 0},
                                 "quads": {"type": "integer", "minimum": 0},
-                                "center_scale": {
-                                    "type": "number",
-                                    "exclusiveMinimum": 0.0,
-                                },
                             },
                         },
                     },
@@ -293,19 +289,6 @@ CONFIG_SCHEMA: dict = {
     },
 }
 
-SUBCOMMANDS = (
-    "sample",
-    "schwinger",
-    "wightman",
-    "laplace-check",
-    "bounds",
-    "certify",
-    "krein",
-    "cluster",
-    "spectral",
-)
-
-
 _LATTICE_COMMANDS = ("sample", "schwinger", "laplace-check")
 
 
@@ -389,6 +372,8 @@ def _load_config(path: str, command: str):
 def _semantic_check(cfg: dict, command: str):
     """Constraints the schema cannot express, and the model objects they build.
 
+    Only the model, the lattice and ``command``'s own task section are
+    checked: a section another subcommand reads cannot stop this run.
     Returns (spec, triple, lattice, task section) for ``command``'s handler,
     the lattice None for a subcommand that takes none.  Raises _ConfigError
     naming the field.
@@ -427,10 +412,11 @@ def _semantic_check(cfg: dict, command: str):
     name = command.replace("-", "_")
     if name not in tasks:
         raise _ConfigError(f"tasks.{name}", f"config has no tasks.{name} section")
+    sect, where = tasks[name], f"tasks.{name}"
     # the momentum-space routes, the scalar chain and the bridge cover d = 1, 2;
     # bounds reads the scalar model only for its scalar orders
     if dim > 2 and command not in ("sample", "schwinger") and (
-            command != "bounds" or tasks[name].get("orders")):
+            command != "bounds" or sect.get("orders")):
         raise _ConfigError("model.dim", f"{command} covers dim 1 and 2, got {dim}")
 
     def point(field, p):
@@ -443,72 +429,70 @@ def _semantic_check(cfg: dict, command: str):
             if s.get("freq") is not None and len(s["freq"]) != dim:
                 raise _ConfigError(f"{field}.{j}.freq", f"expected {dim} components")
 
-    for key in ("sample", "schwinger"):
-        sect = tasks.get(key)
-        if sect:
-            for i, c in enumerate(sect["smear_centers"]):
-                point(f"tasks.{key}.smear_centers.{i}", c)
-            # the jackknife needs equal batches; a remainder also catches
-            # n_batches > n_samples
-            n_batches, n_samples = sect.get("n_batches", _N_BATCHES), sect["n_samples"]
-            if n_samples % n_batches:
-                raise _ConfigError(
-                    f"tasks.{key}.n_batches",
-                    f"n_batches {n_batches} must divide n_samples {n_samples}")
-    if "schwinger" in tasks:
-        sect = tasks["schwinger"]
-        if max(sect["orders"]) > len(sect["smear_centers"]):
-            raise _ConfigError("tasks.schwinger.orders",
-                               "an order exceeds the number of smear centers")
-    for key, docs in (("wightman", "tests"), ("spectral", "off_support"),
-                      ("certify", "tests")):
-        for i, doc in enumerate(tasks.get(key, {}).get(docs, [])):
-            slots(f"tasks.{key}.{docs}.{i}.slots", doc["slots"])
-    if "spectral" in tasks:
-        slots("tasks.spectral.control.slots", tasks["spectral"]["control"]["slots"])
-    if "certify" in tasks:
-        sect = tasks["certify"]
+    if command in ("sample", "schwinger"):
+        for i, c in enumerate(sect["smear_centers"]):
+            point(f"{where}.smear_centers.{i}", c)
+        # the jackknife needs equal batches; a remainder also catches
+        # n_batches > n_samples
+        n_batches, n_samples = sect.get("n_batches", _N_BATCHES), sect["n_samples"]
+        if n_samples % n_batches:
+            raise _ConfigError(f"{where}.n_batches",
+                               f"n_batches {n_batches} must divide n_samples {n_samples}")
+    if command == "schwinger" and max(sect["orders"]) > len(sect["smear_centers"]):
+        raise _ConfigError(f"{where}.orders",
+                           "an order exceeds the number of smear centers")
+    # wightman's and certify's tests, spectral's off-support functions
+    for docs in ("tests", "off_support"):
+        for i, doc in enumerate(sect.get(docs, [])):
+            slots(f"{where}.{docs}.{i}.slots", doc["slots"])
+    if command == "spectral":
+        slots(f"{where}.control.slots", sect["control"]["slots"])
+    if command == "certify":
         block = sect.get("random_family", {})
         orders = [len(doc["slots"]) for doc in sect.get("tests", [])]
         orders += [n for key, n in _FAMILY_ORDERS if block.get(key, 0)]
         if not orders:
-            raise _ConfigError("tasks.certify",
-                               "certify needs tests and/or a random_family block")
+            raise _ConfigError(where, "certify needs tests and/or a random_family block")
         n_max = sect.get("n_max", _CERTIFY_N_MAX)
         if max(orders) > n_max:  # hssc_certify's DomainError
-            raise _ConfigError("tasks.certify.n_max",
+            raise _ConfigError(f"{where}.n_max",
                                f"a family member of order {max(orders)} is above "
                                f"n_max = {n_max}")
-    # pair_bound's DomainError: below alpha = 1/2 it covers the line only
-    if command == "certify" and dim == 2 and spec.alpha < 0.5:
-        raise _ConfigError("model.alpha",
-                           f"certify's pair bound covers alpha = 1/2 in dim 2, "
-                           f"got {spec.alpha}")
-    for i, (n, j) in enumerate(tasks.get("bounds", {}).get("vector_slots", [])):
-        if n < 3 or j > n:  # bound_integral_vector's DomainError
-            raise _ConfigError(f"tasks.bounds.vector_slots.{i}",
-                               f"slot [{n}, {j}] needs order n >= 3 and slot j <= n")
+        # pair_bound's DomainError: below alpha = 1/2 it covers the line only
+        if dim == 2 and spec.alpha < 0.5:
+            raise _ConfigError("model.alpha",
+                               f"certify's pair bound covers alpha = 1/2 in dim 2, "
+                               f"got {spec.alpha}")
+    if command == "bounds":
+        if not (sect.get("orders") or sect.get("vector_slots")):
+            raise _ConfigError(where, "bounds needs orders and/or vector_slots")
+        for i, (n, j) in enumerate(sect.get("vector_slots", [])):
+            if n < 3 or j > n:  # bound_integral_vector's DomainError
+                raise _ConfigError(f"{where}.vector_slots.{i}",
+                                   f"slot [{n}, {j}] needs order n >= 3 and slot j <= n")
     if command == "laplace-check":
         from .wightman import bridge_points
 
-        for i, pts in enumerate(tasks[name]["configs"]):
+        for i, pts in enumerate(sect["configs"]):
             try:
                 bridge_points(pts, spec, lat)
             except ValueError as exc:  # PreconditionError, or ragged points
-                raise _ConfigError(f"tasks.laplace_check.configs.{i}", str(exc)) from None
-    if "krein" in tasks:
-        sect = tasks["krein"]
+                raise _ConfigError(f"{where}.configs.{i}", str(exc)) from None
+    if command == "krein":
         for i, idxs in enumerate(sect["monomials"]):
             if any(j >= sect["n_functions"] for j in idxs):
                 raise _ConfigError(
-                    f"tasks.krein.monomials.{i}",
+                    f"{where}.monomials.{i}",
                     f"monomial index outside the pool of {sect['n_functions']} functions")
-    if "cluster" in tasks:
-        sect = tasks["cluster"]
-        point("tasks.cluster.direction", sect["direction"])
+    if command == "cluster":
+        a = sect["direction"]
+        point(f"{where}.direction", a)
+        if a[0] ** 2 >= sum(x * x for x in a[1:]):  # cluster_decay's DomainError
+            raise _ConfigError(f"{where}.direction",
+                               "translation vector must be spacelike")
         for side in ("left", "right"):
-            slots(f"tasks.cluster.{side}", sect[side])
-    return spec, triple, lat, tasks[name]
+            slots(f"{where}.{side}", sect[side])
+    return spec, triple, lat, sect
 
 
 def _slot_function(doc: dict):
@@ -691,11 +675,11 @@ def _run_bounds(spec, triple, lat, task, seed, tol):
             "bounds.json": doc}, {}
 
 
-def _packet(rng, dim: int, center_scale: float, widths, freq_scale: float):
-    """A modulated Gaussian drawn from ``rng``: its center, width, then freq."""
+def _packet(rng, dim: int, widths, freq_scale: float):
+    """A modulated Gaussian drawn from ``rng``: center in [-1.2, 1.2]^d, width, freq."""
     from .testfunctions import TestFunction
 
-    center = tuple(rng.uniform(-center_scale, center_scale, size=dim))
+    center = tuple(rng.uniform(-1.2, 1.2, size=dim))
     width = float(rng.uniform(*widths))
     freq = tuple(rng.uniform(-freq_scale, freq_scale, size=dim))
     return TestFunction.gaussian(center, width, freq=freq)
@@ -713,11 +697,10 @@ def _random_family(spec, block: dict, seed: int):
     from .testfunctions import TensorTestFunction
 
     rng = np.random.default_rng(seed)
-    scale = block.get("center_scale", 1.2)
 
     def one(n):
         return TensorTestFunction(tuple(
-            _packet(rng, spec.dim, scale, (0.8, 1.2), 0.6) for _ in range(n)))
+            _packet(rng, spec.dim, (0.8, 1.2), 0.6) for _ in range(n)))
 
     fam = []
     for key, n in _FAMILY_ORDERS:
@@ -757,7 +740,7 @@ def _run_krein(spec, triple, lat, task, seed, tol):
     from .testfunctions import TensorTestFunction
 
     rng = np.random.default_rng(seed)
-    pool = [_packet(rng, spec.dim, 1.2, (0.7, 1.2), 0.8)
+    pool = [_packet(rng, spec.dim, (0.7, 1.2), 0.8)
             for _ in range(task["n_functions"])]
     monos = [tuple(pool[i] for i in idxs) for idxs in task["monomials"]]
     scale = task.get("seminorm_scale", 1.0)
@@ -840,29 +823,21 @@ _HANDLERS: Dict[str, Callable] = {
 }
 
 
+SUBCOMMANDS = tuple(_HANDLERS)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="kreinfield",
-        description="Random-field laboratory batch driver",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} pipeline")
-        p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="cap BLAS/OpenMP worker pools (results are unaffected)",
-        )
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=None,
-            help="override quadrature tolerance",
-        )
+        prog="kreinfield", description="Random-field laboratory batch driver")
+    parser.add_argument("command", choices=SUBCOMMANDS, metavar="subcommand",
+                        help="the pipeline to run: " + ", ".join(SUBCOMMANDS))
+    parser.add_argument("--config", required=True, help="path to a JSON config")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="cap BLAS/OpenMP worker pools (results are unaffected)")
+    parser.add_argument("--tolerance", type=float, default=None,
+                        help="override quadrature tolerance")
     return parser
 
 

@@ -136,28 +136,25 @@ def quaternion_noise_field(lat: Lattice, data: QuaternionLevyData, rng) -> Latti
 def convolve(kernel: LatticeField, field: LatticeField) -> LatticeField:
     """Circular lattice convolution (kernel * field)(x) = sum_y K(x-y) F(y) v.
 
-    Scalar * scalar and scalar * quaternion work componentwise; for a
-    quaternion kernel the components are combined with the (noncommutative)
-    Hamilton product, kernel on the left.
+    A scalar side takes a component axis of length 1, so scalar * scalar and
+    scalar * quaternion work componentwise; for a quaternion kernel and field
+    the components are combined with the (noncommutative) Hamilton product,
+    kernel on the left.
     """
     kernel.check_same_lattice(field)
     lat = kernel.lattice
     axes = tuple(range(lat.dim))
-    if kernel.is_quaternion or field.is_quaternion:
-        kv = kernel.values if kernel.is_quaternion else kernel.values[..., None]
-        fv = field.values if field.is_quaternion else field.values[..., None]
-        kf = np.fft.fftn(kv, axes=axes)
-        ff = np.fft.fftn(fv, axes=axes)
-        if kf.shape[-1] == 4 and ff.shape[-1] == 4:
-            prod = quaternion_mul(kf, ff)
-        else:
-            prod = kf * ff  # one side scalar: ordinary product, broadcast
-        out = np.fft.ifftn(prod, axes=axes) * lat.cell_volume
+    kv = kernel.values if kernel.is_quaternion else kernel.values[..., None]
+    fv = field.values if field.is_quaternion else field.values[..., None]
+    kf = np.fft.fftn(kv, axes=axes)
+    ff = np.fft.fftn(fv, axes=axes)
+    if kernel.is_quaternion and field.is_quaternion:
+        prod = quaternion_mul(kf, ff)
     else:
-        out = (
-            np.fft.ifftn(np.fft.fftn(kernel.values) * np.fft.fftn(field.values))
-            * lat.cell_volume
-        )
+        prod = kf * ff  # a scalar side has one component: broadcast
+    out = np.fft.ifftn(prod, axes=axes) * lat.cell_volume
+    if not (kernel.is_quaternion or field.is_quaternion):
+        out = out[..., 0]
     if np.isrealobj(kernel.values) and np.isrealobj(field.values):
         out = out.real
     return LatticeField(lat, out)
@@ -227,7 +224,9 @@ def _subset_moment_batches(
     subset products of a slice of replicates then come from the bitmask
     recurrence  P[:, 1<<j : 2<<j] = P[:, :1<<j] * m_j : column ``mask``
     holds the product over the set bits of ``mask``, multiplied in ascending
-    index order.
+    index order.  Returns (keys, mean, loo): the subsets' CorrelationTable
+    keys, their grand means and the (n_batches, subsets) array of their
+    leave-one-batch-out means.
     """
     n = len(weights)
     if n < 1:
@@ -286,7 +285,9 @@ def _subset_moment_batches(
                 np.multiply(prods[:k, : 1 << j], m[:, j : j + 1],
                             out=prods[:k, 1 << j : 2 << j])
             batch_sums[b] += prods[:k].sum(axis=0)[columns]
-    return keys, batch_sums, per_batch
+    grand = batch_sums.sum(axis=0)
+    loo = (grand - batch_sums) / (n_samples - per_batch)
+    return keys, grand / n_samples, loo
 
 
 def estimate_schwinger_mc(
@@ -312,16 +313,13 @@ def estimate_schwinger_mc(
     moments-to-cumulants map.
     """
     n = len(weights)
-    keys, batch_sums, per_batch = _subset_moment_batches(
+    keys, mean, loo = _subset_moment_batches(
         lat, kernel, weights, triple, n_samples, seed, n_batches
     )
-    grand = batch_sums.sum(axis=0)
-    theta = _cumulant_from_subset_moments(grand / n_samples, n, keys)
-    loo = np.empty(n_batches, dtype=complex)
-    for b in range(n_batches):
-        moments_b = (grand - batch_sums[b]) / (n_samples - per_batch)
-        loo[b] = _cumulant_from_subset_moments(moments_b, n, keys)
-    return _jackknife(float(np.real(theta)), loo, n_samples)
+    theta = _cumulant_from_subset_moments(mean, n, keys)
+    loo_theta = np.array([_cumulant_from_subset_moments(row, n, keys) for row in loo],
+                         dtype=complex)
+    return _jackknife(float(np.real(theta)), loo_theta, n_samples)
 
 
 def estimate_moment_table(
@@ -340,12 +338,8 @@ def estimate_moment_table(
     being folded into the top cumulant.  Keys match CorrelationTable keys, so
     the values slot straight into the moment/cumulant conversion.
     """
-    keys, batch_sums, per_batch = _subset_moment_batches(
+    keys, mean, loo = _subset_moment_batches(
         lat, kernel, weights, triple, n_samples, seed, n_batches
     )
-    grand = batch_sums.sum(axis=0)
-    out: Dict[Tuple[int, ...], MCEstimate] = {}
-    for i, key in enumerate(keys):
-        loo = (grand[i] - batch_sums[:, i]) / (n_samples - per_batch)
-        out[key] = _jackknife(float(grand[i] / n_samples), loo, n_samples)
-    return out
+    return {key: _jackknife(float(mean[i]), loo[:, i], n_samples)
+            for i, key in enumerate(keys)}

@@ -47,6 +47,16 @@ class GreenSpec:
             raise ValueError("mass must be positive")
 
 
+def _squared_norms(axis: np.ndarray, dim: int) -> np.ndarray:
+    """|x|^2 on the tensor grid axis^dim, the squares added in axis order."""
+    r2 = np.zeros((len(axis),) * dim)
+    for i in range(dim):
+        shape = [1] * dim
+        shape[i] = len(axis)
+        r2 = r2 + (axis**2).reshape(shape)
+    return r2
+
+
 def fractional_kernel_values(lat: Lattice, alpha: float, mass: float) -> np.ndarray:
     """Raw position-space kernel with symbol (|k|^2+m^2)^(-alpha) on ``lat``.
 
@@ -55,13 +65,7 @@ def fractional_kernel_values(lat: Lattice, alpha: float, mass: float) -> np.ndar
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    k2 = np.zeros(lat.shape)
-    dual = lat.dual_axis()
-    for axis in range(lat.dim):
-        shape = [1] * lat.dim
-        shape[axis] = lat.n_sites
-        k2 = k2 + (dual**2).reshape(shape)
-    symbol = (k2 + mass**2) ** (-alpha)
+    symbol = (_squared_norms(lat.dual_axis(), lat.dim) + mass**2) ** (-alpha)
     vals = np.fft.ifftn(symbol) / lat.cell_volume
     imag_max = np.max(np.abs(vals.imag))
     if not imag_max < 1e-12 * max(1.0, np.max(np.abs(vals.real))):
@@ -91,12 +95,7 @@ def _unit_cell_inverse_square_mean() -> float:
 
     def midpoint(n: int) -> float:
         ax = (np.arange(n) + 0.5) / n - 0.5
-        r2 = np.zeros((n,) * 4)
-        for axis in range(4):
-            shape = [1] * 4
-            shape[axis] = n
-            r2 = r2 + (ax**2).reshape(shape)
-        return float(np.mean(1.0 / r2))
+        return float(np.mean(1.0 / _squared_norms(ax, 4)))
 
     coarse, fine = midpoint(16), midpoint(32)
     # midpoint refinement converges ~ O(h); Richardson once
@@ -107,10 +106,10 @@ def harmonic_kernel_lattice(lat: Lattice) -> LatticeField:
     """g(x) = 1/(4 pi^2 |x|^2) sampled on a 4-d lattice, cell-averaged at 0."""
     if lat.dim != 4:
         raise ConfigurationError("the quaternionic kernels live in dimension 4")
-    r = lat.radius_grid()
+    r2 = _squared_norms(lat.axis_coords(), 4)
     origin = (0,) * 4
-    r[origin] = 1.0
-    vals = 1.0 / (4 * math.pi**2 * r**2)
+    r2[origin] = 1.0
+    vals = 1.0 / (4 * math.pi**2 * r2)
     vals[origin] = _unit_cell_inverse_square_mean() / (
         4 * math.pi**2 * lat.spacing**2
     )

@@ -407,7 +407,6 @@ class GramPair:
 
     form: np.ndarray
     majorant: np.ndarray
-    basis: tuple = ()
 
     def __post_init__(self):
         w = np.asarray(self.form, dtype=complex)
@@ -508,7 +507,7 @@ def build_gram_pair(
         w[i, j] = val
         w[j, i] = val.conjugate()
     p = np.diag([float(seminorm(m)) ** 2 for m in monos]).astype(complex)
-    return GramPair(form=w, majorant=p, basis=tuple(monos))
+    return GramPair(form=w, majorant=p)
 
 
 def search_indefinite_gram(
@@ -565,8 +564,10 @@ class MajorizationReport:
     passed: bool
 
 
-def _whiten(pair: GramPair) -> Tuple[np.ndarray, np.ndarray, MajorizationReport]:
-    """P^(1/2), the whitened form T = P^(-1/2) W P^(-1/2) and T's majorization report.
+def _whiten(pair: GramPair):
+    """(P^(1/2), lam, U, report) for the whitened form T = P^(-1/2) W P^(-1/2).
+
+    One ``eigh`` gives T = U diag(lam) U^*; the report's ratio is max |lam|.
 
     Raises :class:`InvalidMajorantError` when the majorant is not positive
     definite, since the whitened form is undefined there.
@@ -581,8 +582,9 @@ def _whiten(pair: GramPair) -> Tuple[np.ndarray, np.ndarray, MajorizationReport]
     inv_half = pvecs @ np.diag(pvals**-0.5) @ pvecs.conj().T
     t = inv_half @ pair.form @ inv_half
     t = 0.5 * (t + t.conj().T)
-    ratio = float(np.max(np.abs(np.linalg.eigvalsh(t))))
-    return p_half, t, MajorizationReport(ratio=ratio, passed=ratio <= 1.0 + 1e-10)
+    lam, u = np.linalg.eigh(t)
+    ratio = float(np.max(np.abs(lam)))
+    return p_half, lam, u, MajorizationReport(ratio=ratio, passed=ratio <= 1.0 + 1e-10)
 
 
 def majorization_check(pair: GramPair) -> MajorizationReport:
@@ -591,7 +593,7 @@ def majorization_check(pair: GramPair) -> MajorizationReport:
     Raises :class:`InvalidMajorantError` when the majorant is not positive
     definite, since the whitened form is undefined there.
     """
-    return _whiten(pair)[2]
+    return _whiten(pair)[3]
 
 
 @dataclass(frozen=True)
@@ -620,12 +622,11 @@ def krein_reduce(pair: GramPair) -> KreinResult:
     diag(sign lam) (Higham, *Functions of Matrices*, 2008, ch. 5), an
     exact +-1 diagonal; the reconstruction error measures the rest.
     """
-    p_half, t, report = _whiten(pair)
+    p_half, lam, u, report = _whiten(pair)
     if not report.passed:
         raise PreconditionError(
             f"majorization ratio {report.ratio:.6e} exceeds one; no reduction"
         )
-    lam, u = np.linalg.eigh(t)
     scale = max(float(np.max(np.abs(lam))), 1e-300)
     keep = np.abs(lam) > 1e-10 * scale
     k = int(len(lam) - np.count_nonzero(keep))
@@ -644,9 +645,7 @@ def krein_reduce(pair: GramPair) -> KreinResult:
         p_k = p_half @ abs_t @ p_half
         p_k = 0.5 * (p_k + p_k.conj().T)
         try:
-            remaj = majorization_check(
-                GramPair(pair.form, p_k, pair.basis)
-            ).ratio
+            remaj = majorization_check(GramPair(pair.form, p_k)).ratio
         except InvalidMajorantError:
             remaj = None
     return KreinResult(

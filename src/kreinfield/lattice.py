@@ -55,15 +55,6 @@ class Lattice:
         mesh = np.meshgrid(*([ax] * self.dim), indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def radius_grid(self) -> np.ndarray:
-        ax = self.axis_coords()
-        r2 = np.zeros(self.shape)
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.n_sites
-            r2 = r2 + (ax**2).reshape(shape)
-        return np.sqrt(r2)
-
     def dual_axis(self) -> np.ndarray:
         """Dual momenta along one axis, in FFT order."""
         return 2 * np.pi * np.fft.fftfreq(self.n_sites, d=self.spacing)
@@ -124,8 +115,5 @@ class LatticeField:
 
 def sample_function(lat: Lattice, fn) -> LatticeField:
     """Sample a callable of position arrays onto the lattice."""
-    vals = fn(lat.coord_grid().reshape(-1, lat.dim))
-    vals = np.asarray(vals)
-    if vals.ndim == 2 and vals.shape[1] == 4:
-        return LatticeField(lat, vals.reshape(lat.shape + (4,)))
+    vals = np.asarray(fn(lat.coord_grid().reshape(-1, lat.dim)))
     return LatticeField(lat, vals.reshape(lat.shape))

@@ -27,6 +27,17 @@ from .testfunctions import TestFunction
 Atom = Tuple[float, float]  # (jump size, rate)
 
 
+def _checked_atoms(atoms) -> Tuple[Atom, ...]:
+    """``atoms`` as float pairs, with nonnegative rates and nonzero jumps."""
+    atoms = tuple((float(s), float(lam)) for s, lam in atoms)
+    for s, lam in atoms:
+        if lam < 0:
+            raise ValueError("atom rates must be nonnegative")
+        if s == 0:
+            raise ValueError("atom jumps must be nonzero")
+    return atoms
+
+
 @dataclass(frozen=True)
 class LevyTriple:
     """Drift, Gaussian variance and jump atoms of a scalar noise law."""
@@ -38,13 +49,7 @@ class LevyTriple:
     def __post_init__(self):
         if self.variance < 0:
             raise ValueError("variance must be nonnegative")
-        atoms = tuple((float(s), float(lam)) for s, lam in self.atoms)
-        for s, lam in atoms:
-            if lam < 0:
-                raise ValueError("atom rates must be nonnegative")
-            if s == 0:
-                raise ValueError("atom jumps must be nonzero")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", _checked_atoms(self.atoms))
 
     def compensated_drift(self) -> float:
         """Drift with the jump compensators folded in.
@@ -134,13 +139,7 @@ class QuaternionLevyData:
     def __post_init__(self):
         if self.variance_real < 0 or self.variance_imag < 0:
             raise ValueError("variances must be nonnegative")
-        atoms = tuple((float(y), float(lam)) for y, lam in self.atoms)
-        for y, lam in atoms:
-            if lam < 0:
-                raise ValueError("atom rates must be nonnegative")
-            if y == 0:
-                raise ValueError("atom positions must be nonzero")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", _checked_atoms(self.atoms))
 
 
 def psi_eval_vector(x, data: QuaternionLevyData) -> np.ndarray:

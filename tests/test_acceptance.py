@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import spherical_endpoint_oracle
 
 from kreinfield.green import GreenSpec
 from kreinfield.levy import LevyTriple
@@ -258,25 +259,8 @@ def test_criterion_6_vector_bounds():
     bound_ok = worst_ratio <= 1.0
 
     # brute-force spherical oracle for the endpoint measure on family[0]
-    cs = [g.center[0] for g in family[0].factors]
-    ws = [g.width for g in family[0].factors]
-
-    def bump(i, k0, r):
-        return np.exp(-((k0 - cs[i]) ** 2 + r**2) / (2 * ws[i] ** 2))
-
-    n, cap = 72, 14.0
-    nodes, wts = np.polynomial.legendre.leggauss(n)
-    lam = 0.5 * cap * (nodes + 1)
-    wl = 0.5 * cap * wts
-    t = 0.5 * (nodes + 1)
-    wt = 0.5 * wts
-    L2, L3, T = lam[:, None, None], lam[None, :, None], t[None, None, :]
-    W = wl[:, None, None] * wl[None, :, None] * wt[None, None, :]
-    cosg = -1.0 + 2.0 * T * T  # quadratic map resolves the antiparallel edge
-    OM = np.sqrt(np.maximum(L2**2 + L3**2 + 2 * L2 * L3 * cosg, 1e-300))
-    jac = L2 * L3 / OM * 4.0 * T
-    F = bump(0, -(L2 + L3), OM) * bump(1, L2, L2) * bump(2, L3, L3)
-    oracle = -math.pi**2 * float(np.sum(F / (L2 + L3 + OM) * jac * W))
+    oracle = spherical_endpoint_oracle([g.center[0] for g in family[0].factors],
+                                       [g.width for g in family[0].factors], 72, 14.0)
     got = complex(vector_measure_radial(0, family[0])).real
     oracle_gap = abs(got - oracle) / abs(oracle)
 

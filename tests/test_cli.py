@@ -255,12 +255,21 @@ def with_task(cfg, name, **changes):
         "vector_slots": [[3, 0], [3, 5]]}}}, "tasks.bounds.vector_slots.1"),
     ("bounds", {"model": ATOM_MODEL, "tasks": {"bounds": {
         "vector_slots": [[2, 0]]}}}, "tasks.bounds.vector_slots.0"),
+    # an empty section would write a header-only table
+    ("bounds", {"model": ATOM_MODEL, "tasks": {"bounds": {}}}, "tasks.bounds"),
+    # cluster_decay translates along spacelike rays only: a0^2 < |a|^2
+    ("cluster", with_task(CLUSTER_CFG, "cluster", direction=[1.0, 0.0]),
+     "tasks.cluster.direction"),
+    # the random family's center scale is a constant now, not a field
+    ("certify", with_task(CERTIFY_CFG, "certify", random_family={
+        "singles": 1, "center_scale": 2.0}), "tasks.certify.random_family"),
 ], ids=["sample-no-lattice", "schwinger-no-lattice", "laplace-check-no-lattice",
         "mass-extent-below-4", "krein-index-outside-pool", "cluster-freq-length",
         "laplace-check-decreasing-times", "laplace-check-d2-pair-below-half",
         "certify-test-above-n-max", "certify-quads-above-n-max",
         "certify-d2-alpha-below-half", "bounds-vector-slot-above-order",
-        "bounds-vector-order-below-3"])
+        "bounds-vector-order-below-3", "bounds-empty", "cluster-timelike-direction",
+        "certify-retired-center-scale"])
 def test_config_the_handler_cannot_run_is_config_error(tmp_path, capsys, command,
                                                        cfg, field):
     rc = main([command, "--config", write_cfg(tmp_path, cfg),
@@ -270,6 +279,22 @@ def test_config_the_handler_cannot_run_is_config_error(tmp_path, capsys, command
     assert doc["error"] == "config"
     assert doc["field"] == field
     assert not (tmp_path / "run").exists()
+
+
+def test_only_the_running_subcommands_section_is_checked(tmp_path):
+    # a krein monomial outside its pool is krein's config error, not wightman's
+    cfg = dict(WIGHTMAN_CFG, tasks=dict(
+        WIGHTMAN_CFG["tasks"], krein=dict(KREIN_CFG["tasks"]["krein"],
+                                          monomials=[[0], [1, 3]])))
+    out = tmp_path / "out"
+    assert main(["wightman", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert (out / "wightman.csv").exists()
+
+
+def test_subcommands_match_schema_task_sections():
+    # a handler without a section could never run; a section without one is dead
+    sections = CONFIG_SCHEMA["properties"]["tasks"]["properties"]
+    assert sorted(c.replace("-", "_") for c in cli.SUBCOMMANDS) == sorted(sections)
 
 
 def with_dim(cfg, dim):
@@ -628,14 +653,6 @@ def test_cluster_rows_decay(tmp_path):
     rows = (out / "cluster.csv").read_text().splitlines()[1:]
     vals = [float(r.split(",")[1]) for r in rows]
     assert vals[1] < vals[0]
-
-
-def test_cluster_timelike_direction_is_task_failure(tmp_path, capsys):
-    cfg = with_task(CLUSTER_CFG, "cluster", direction=[1.0, 0.0])
-    rc = main(["cluster", "--config", write_cfg(tmp_path, cfg),
-               "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert stderr_doc(capsys)["error"] == "task"
 
 
 def test_spectral_pass_and_fail_paths(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import spherical_endpoint_oracle
 from scipy import integrate
 
 from kreinfield import wightman
@@ -887,28 +888,7 @@ def test_vector_radial_frozen_values():
 
 
 def test_vector_endpoint_against_relative_angle_oracle():
-    # same measure in (modulus, modulus, relative cosine) coordinates, with the
-    # resolved modulus reconstructed instead of substituted; c = -1 + 2 t^2
-    # keeps the 1/|a + b| factor integrable at the antiparallel edge
-    cs, ws = (-1.0, 0.4, 0.8), (1.2, 1.0, 1.1)
-
-    def g(i, k0, r):
-        return np.exp(-((k0 - cs[i]) ** 2 + r**2) / (2 * ws[i] ** 2))
-
-    n, cap = 56, 12.0
-    nodes, wts = np.polynomial.legendre.leggauss(n)
-    lam = 0.5 * cap * (nodes + 1)
-    wl = 0.5 * cap * wts
-    t = 0.5 * (nodes + 1)
-    wt = 0.5 * wts
-    L2, L3, T = lam[:, None, None], lam[None, :, None], t[None, None, :]
-    W = wl[:, None, None] * wl[None, :, None] * wt[None, None, :]
-    C = -1.0 + 2.0 * T * T
-    OM = np.sqrt(np.maximum(L2**2 + L3**2 + 2 * L2 * L3 * C, 1e-300))
-    jac = L2 * L3 / OM * 4.0 * T
-    F = g(0, -(L2 + L3), OM) * g(1, L2, L2) * g(2, L3, L3)
-    oracle = -math.pi**2 * float(np.sum(F / (L2 + L3 + OM) * jac * W))
-
+    oracle = spherical_endpoint_oracle((-1.0, 0.4, 0.8), (1.2, 1.0, 1.1), 56, 12.0)
     got = complex(vector_measure_radial(0, VEC_PHI)).real
     assert got == pytest.approx(oracle, rel=2e-2)
 
