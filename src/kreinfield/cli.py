@@ -348,7 +348,8 @@ def _load_config(path: str, command: str):
     """(config, SHA-256 of its bytes, the inputs of ``command``'s handler).
 
     Raises _ConfigError for an unreadable file, invalid JSON, a schema
-    violation or a constraint of :func:`_semantic_check`.
+    violation outside the task sections of other subcommands, or a
+    constraint of :func:`_semantic_check`.
     """
     try:
         with open(path, "rb") as fh:
@@ -362,7 +363,15 @@ def _load_config(path: str, command: str):
         raise _ConfigError(None, f"config is not valid JSON: {exc}") from None
     from jsonschema.exceptions import best_match
 
-    exc = best_match(_config_validator().iter_errors(cfg))
+    name = command.replace("-", "_")
+
+    def checked(err) -> bool:
+        # a schema error inside a task section another subcommand reads
+        # cannot stop this run; one in tasks itself (an unknown section) can
+        head = list(err.absolute_path)[:2]
+        return head[:1] != ["tasks"] or head in (["tasks"], ["tasks", name])
+
+    exc = best_match(filter(checked, _config_validator().iter_errors(cfg)))
     if exc is not None:  # the error jsonschema.validate would raise
         field = ".".join(str(p) for p in exc.absolute_path) or "(root)"
         raise _ConfigError(field, exc.message)

@@ -12,7 +12,8 @@ Every integral in the package is built from the same pieces:
   n >= 63 (Newton steps in theta and x, weights from the Legendre
   equation; nodes within 1.2e-16, weights within 8e-15);
 * :func:`gl_nodes` -- that rule mapped affinely onto [lo, hi];
-* :func:`sine_nodes` -- the rule under x = mid + half sin(pi t / 2), which
+* :func:`sine_nodes` -- the rule under x = mid + half sin(pi t / 2), from
+  the cached reference rule :func:`sine_rule` on [-1, 1], which
   puts the distance d to either endpoint at d ~ (1 - |t|)^2: an endpoint
   singularity d^(-1/2) becomes smooth, but d^(-p) stays singular for
   p > 1/2 and converges only algebraically for 0 < p < 1/2; it broadcasts
@@ -311,7 +312,24 @@ def folded_gl_nodes(hi: float, n: int):
     return x, w
 
 
-def sine_nodes(lo, hi, n: int, out=None):
+@functools.lru_cache(maxsize=64)
+def sine_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The order-n sine rule on [-1, 1] (read-only, cached).
+
+    Nodes sin(pi t / 2) and weights (pi / 2) w_t cos(pi t / 2) for the
+    Gauss-Legendre nodes t and weights w_t; the nodes are exactly
+    antisymmetric and the weights exactly symmetric, as t and w_t are.  The
+    rule on [lo, hi] is mid + half * nodes with weights half * weights.
+    """
+    t, wt = gauss_legendre(n)
+    s = np.sin(0.5 * math.pi * t)
+    c = 0.5 * math.pi * wt * np.cos(0.5 * math.pi * t)
+    s.setflags(write=False)
+    c.setflags(write=False)
+    return s, c
+
+
+def sine_nodes(lo, hi, n: int):
     """Sine-substituted rule on [lo, hi]; arrays of intervals broadcast.
 
     Near an endpoint d ~ (1 - |t|)^2, so d^(-p) dd ~ (1 - |t|)^(1 - 2p) dt:
@@ -319,24 +337,14 @@ def sine_nodes(lo, hi, n: int, out=None):
     algebraically in n for 0 < p < 1/2 (see :func:`tanh_sinh_nodes`).
 
     Nodes and weights gain a trailing axis of length n.  Intervals with
-    hi <= lo get zero weight.  ``out=(x, w)`` writes them into two float
-    arrays of that shape, which are returned; otherwise they are allocated.
+    hi <= lo get zero weight.
     """
-    t, wt = gauss_legendre(n)
+    s, c = sine_rule(n)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     half = 0.5 * np.maximum(hi - lo, 0.0)[..., None]
     mid = 0.5 * (hi + lo)[..., None]
-    if out is None:
-        shape = mid.shape[:-1] + (n,)
-        out = np.empty(shape), np.empty(shape)
-    x, w = out
-    np.multiply(half, np.sin(0.5 * math.pi * t), out=x)
-    x += mid
-    np.multiply(half, wt, out=w)
-    w *= 0.5 * math.pi
-    w *= np.cos(0.5 * math.pi * t)
-    return x, w
+    return half * s + mid, half * c
 
 
 # half-width of the tanh-sinh window in s.  The outermost nodes then sit

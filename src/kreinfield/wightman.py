@@ -53,6 +53,7 @@ from .quadrature import (
     phase_sums,
     refine,
     sine_nodes,
+    sine_rule,
     tanh_sinh_nodes,
     tensor_blocks,
 )
@@ -376,11 +377,24 @@ def three_point_eval_2d(
     forward-timelike (k30 >= om3 because k20 <= top) on the whole box, and
     slot 2 is backward-timelike, spacelike and forward-timelike on
     [bot, c1], [c1, c2] and [c2, top].  The bracket there is one constant
-    coefficient (``_bracket3_coefficients``) times one shell power
-    |msq1 msq2 msq3|^(-alpha) of the product of the three slots'
-    k_l^2 - m^2, so no branch masks are needed.  At alpha = 1/2 the two
-    timelike coefficients are exactly 0.0, those intervals get no nodes and
-    only the spacelike interval is integrated.
+    coefficient (``_bracket3_coefficients``) times the three slots' shell
+    powers |k_l^2 - m^2|^(-alpha): slot 1's, which depends on level 2
+    alone, times |msq2 msq3|^(-alpha) on the level-4 grid, so no branch
+    masks are needed.  At alpha = 1/2 the two timelike coefficients are
+    exactly 0.0, those intervals get no nodes and only the spacelike
+    interval is integrated.
+
+    The reflection k1 -> -k1 of all three spatial components maps the grid
+    exactly onto itself.  Level-2 node i2 goes to n2 - 1 - i2 (the sine
+    nodes are exactly antisymmetric), level-3 interval j to 1 - j and node
+    i3 to n3 - 1 - i3; the level-4 nodes and the energies are the same at
+    the image, bit for bit, and so are the shell powers and weights.  So the
+    level-4 energies and the real density (coefficient, shell powers and the
+    weights of levels 2-4) are computed once per mirror pair, on the upper
+    half i2 >= n2 // 2, where the middle node x2 = 0 of an odd n2 is its own
+    image and carries half its density.  The lower half of ``k0s`` is a
+    reversed copy, ``f`` still sees the whole grid, and the sum of ``f`` over
+    each pair meets the pair's density in one product.
     """
     if spec.dim != 2:
         raise PreconditionError("2-d evaluator")
@@ -390,14 +404,16 @@ def three_point_eval_2d(
     pref = c3 * 4 * (2 * math.pi) ** (2 - 3)
     coefs = _bracket3_coefficients(spec)
     keep = [i for i, c in enumerate(coefs) if c != 0.0]
-    coef = np.array([coefs[i] for i in keep])[:, None]
+    coef = np.array([coefs[i] for i in keep])
 
     def inner(k10: float, grids) -> complex:
         lim = math.sqrt(max(k10 * k10 - m * m, 0.0))
         if lim == 0.0:
             return 0.0j
-        k0s, k0s_in, msq, tmp, w4, vals = grids
-        _, n2, _, n3, _, n4 = k0s.shape
+        k0s, k0s_in, s4, c4, msq, dens = grids
+        _, n2, _, n3, _, _ = k0s.shape
+        # the upper and lower halves of level 2
+        up, low = slice(n2 // 2, None), slice(None, n2 // 2)
         # level 2: first slot's spatial component on (-lim, lim)
         x2, w2 = sine_nodes(-lim, lim, n2)
         # level 3: second slot's spatial component, split where k3 space flips
@@ -406,10 +422,13 @@ def three_point_eval_2d(
         hi3 = np.stack([-x2, smax], axis=-1)
         x3, w3 = sine_nodes(lo3, hi3, n3)  # (n2, 2, n3)
         k11 = np.broadcast_to(x2[:, None, None], x3.shape)
-        # level 4: second slot's energy between the shells, on the kept
-        # intervals of [bot, c1], [c1, c2], [c2, top]
-        om2 = np.hypot(x3, m)
         k31 = -k11 - x3
+        k1s = np.stack([k11, x3, k31])[..., None, None]
+        k1s.flags.writeable = False
+        # level 4 on the upper half: second slot's energy between the
+        # shells, on the kept intervals of [bot, c1], [c1, c2], [c2, top]
+        x3, w3, k31 = x3[up], w3[up], k31[up]
+        om2 = np.hypot(x3, m)
         om3 = np.hypot(k31, m)
         top = -k10 - om3
         bot = np.full_like(top, -k10 - energy_box)
@@ -417,44 +436,54 @@ def three_point_eval_2d(
         c2 = np.clip(om2, c1, top)
         lo4 = np.stack([bot, c1, c2], axis=-1)[..., keep]
         hi4 = np.stack([c1, c2, top], axis=-1)[..., keep]
-        # energies on the full grid (n2, 2, n3, len(keep), n4), spatial
-        # components on the level-3 grid
-        k0s[0].fill(k10)
-        sine_nodes(lo4, hi4, n4, out=(k0s[1], w4))
-        np.subtract(-k10, k0s[1], out=k0s[2])
-        k1s = np.stack([k11, x3, k31])[..., None, None]
-        k1s.flags.writeable = False
-        # msq = (k1^2 - m^2) (k2^2 - m^2) (k3^2 - m^2), built in place
-        np.multiply(k0s[1], k0s[1], out=msq)
-        msq -= k1s[1] * k1s[1]
+        half = 0.5 * np.maximum(hi4 - lo4, 0.0)
+        k20, k30 = k0s[1, up], k0s[2, up]
+        np.multiply(half[..., None], s4, out=k20)
+        k20 += (0.5 * (hi4 + lo4))[..., None]
+        np.subtract(-k10, k20, out=k30)
+        # msq = (k2^2 - m^2) (k3^2 - m^2), built in place
+        np.multiply(k20, k20, out=msq)
+        msq -= (x3 * x3)[..., None, None]
         msq -= m * m
-        msq *= (k10 * k10 - x2 * x2 - m * m)[:, None, None, None, None]
-        np.multiply(k0s[2], k0s[2], out=tmp)
-        tmp -= k1s[2] * k1s[2]
-        tmp -= m * m
-        msq *= tmp
-        fk = f(k0s_in, k1s)
-        _shell_power(msq, alpha, out=tmp)
-        tmp *= coef
-        np.multiply(fk, tmp, out=vals)
-        with np.errstate(invalid="ignore"):
-            vals *= w4
-        # a zero-weight node may sit on a shell, where vals is not finite
-        vals[w4 == 0] = 0.0
-        lvl3 = np.sum(vals, axis=(-2, -1))
-        lvl2 = np.sum(lvl3 * w3, axis=(-2, -1))
-        return complex(np.sum(lvl2 * w2))
+        np.multiply(k30, k30, out=dens)
+        dens -= (k31 * k31)[..., None, None]
+        dens -= m * m
+        msq *= dens
+        # the density: slot 2's and 3's shell power per node, times the
+        # coefficient, slot 1's shell power and the weights of levels 2-3 per
+        # level-4 interval, times its half-width and the level-4 weights; the
+        # shell power is finite (0 on a shell), so a zero-weight node gets 0
+        _shell_power(msq, alpha, out=dens)
+        p1 = _shell_power(k10 * k10 - x2[up] * x2[up] - m * m, alpha)
+        scale = half * coef
+        scale *= w3[..., None]
+        scale *= (p1 * w2[up])[:, None, None, None]
+        dens *= scale[..., None]
+        dens *= c4
+        if n2 % 2:
+            # the middle node x2 = 0 is its own image, so it is paired twice
+            dens[0] *= 0.5
+        # the whole energy grid for f: the lower half is the mirror image of
+        # the upper one; f's values at each mirror pair meet one density
+        k0s[0].fill(k10)
+        k0s[1:, low] = k0s[1:, ::-1, ::-1, ::-1][:, low]
+        fk = np.broadcast_to(f(k0s_in, k1s), k0s.shape[1:])
+        pairs = fk[up] + fk[::-1, ::-1, ::-1][up]
+        pairs *= dens
+        return complex(np.sum(pairs))
 
     def value(npts4) -> complex:
         n1, n2, n3, n4 = npts4
         # the grid arrays of one round, written in place at every outer
-        # node; f gets a read-only view of the energies
+        # node; f gets a read-only view of the energies, and the density
+        # lives on the upper half of level 2
         grid = (n2, 2, n3, len(keep), n4)
         k0s = np.empty((3,) + grid)
         k0s_in = k0s.view()
         k0s_in.flags.writeable = False
-        grids = (k0s, k0s_in, np.empty(grid), np.empty(grid), np.empty(grid),
-                 np.empty(grid, dtype=complex))
+        half_grid = (n2 - n2 // 2,) + grid[1:]
+        grids = (k0s, k0s_in, *sine_rule(n4), np.empty(half_grid),
+                 np.empty(half_grid))
 
         def level1(p0):
             return np.array([inner(k10, grids) for k10 in p0])

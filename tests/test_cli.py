@@ -291,6 +291,26 @@ def test_only_the_running_subcommands_section_is_checked(tmp_path):
     assert (out / "wightman.csv").exists()
 
 
+@pytest.mark.parametrize("tasks, field", [
+    # krein's section lacks its required monomials: krein's schema error
+    ({"krein": {"n_functions": 3}}, None),
+    # an unknown section name and wightman's own section are still checked
+    ({"krein": {"n_functions": 3}, "frobnicate": {}}, "tasks"),
+    ({"krein": {"n_functions": 3}, "wightman": {"tests": []}}, "tasks.wightman.tests"),
+], ids=["other-section-invalid", "unknown-section", "own-section-invalid"])
+def test_schema_checks_only_the_running_subcommands_section(tmp_path, capsys, tasks,
+                                                            field):
+    cfg = dict(WIGHTMAN_CFG, tasks=dict(WIGHTMAN_CFG["tasks"], **tasks))
+    out = tmp_path / "out"
+    rc = main(["wightman", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    if field is None:
+        assert rc == 0 and (out / "wightman.csv").exists()
+    else:
+        assert rc == 2
+        assert stderr_doc(capsys)["field"] == field
+        assert not out.exists()
+
+
 def test_subcommands_match_schema_task_sections():
     # a handler without a section could never run; a section without one is dead
     sections = CONFIG_SCHEMA["properties"]["tasks"]["properties"]

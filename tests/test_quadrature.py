@@ -20,6 +20,7 @@ from kreinfield.quadrature import (
     phase_sums,
     refine,
     sine_nodes,
+    sine_rule,
     tanh_sinh_nodes,
 )
 
@@ -464,12 +465,16 @@ def test_sine_map_broadcasts_and_zeroes_degenerate_intervals():
     # (2, 3) intervals; [0, -1] is empty
     (np.array([[0.0], [2.0]]), np.array([[1.0, 3.0, -1.0], [4.0, 2.5, 3.0]])),
 ], ids=["scalar", "broadcast-2x3"])
-def test_sine_nodes_out_fills_the_given_buffers(lo, hi):
+def test_sine_rule_is_cached_and_mirrors_exactly(lo, hi):
+    # three_point_eval_2d builds half its grid on this: the reflected
+    # intervals [-hi, -lo] get the negated nodes in reverse order and the
+    # same weights, bit for bit
+    s, c = sine_rule(9)
+    assert sine_rule(9)[0] is s and not s.flags.writeable
+    assert np.array_equal(s, -s[::-1]) and np.array_equal(c, c[::-1])
     x, w = sine_nodes(lo, hi, 9)
-    out = (np.empty(x.shape), np.empty(w.shape))
-    got = sine_nodes(lo, hi, 9, out=out)
-    assert got[0] is out[0] and got[1] is out[1]
-    assert np.array_equal(got[0], x) and np.array_equal(got[1], w)
+    xm, wm = sine_nodes(np.negative(hi), np.negative(lo), 9)
+    assert np.array_equal(xm, -x[..., ::-1]) and np.array_equal(wm, w[..., ::-1])
 
 
 TANH_SINH_SCHEDULE = [24 << k for k in range(5)]

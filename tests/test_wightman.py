@@ -529,6 +529,62 @@ def test_three_point_2d_grid_is_read_only_for_f():
                             tol=1.0, energy_box=36.0)
 
 
+class _OddRound(Exception):
+    """Raised by the mirror guard's f once it has seen an odd n2."""
+
+
+@pytest.mark.parametrize("alpha", [0.35, 0.5])
+def test_three_point_2d_grid_is_its_own_mirror_image(alpha):
+    """k1 -> -k1 maps every grid f sees onto itself, bit for bit.
+
+    The energies are the same at the image (i2, j, i3) -> (n2 - 1 - i2,
+    1 - j, n3 - 1 - i3) and the spatial components are negated there.  The
+    check runs on every call of rounds 1 and 2 (n2 = 20, 28) and on the first
+    call of round 3, whose odd n2 = 39 has the self-mirrored middle node
+    x2 = 0.
+    """
+    n2s = []
+
+    def f(k0s, k1s):
+        n2 = k0s.shape[1]
+        n2s.append(n2)
+        assert np.array_equal(k0s, k0s[:, ::-1, ::-1, ::-1])
+        assert np.array_equal(k1s, -k1s[:, ::-1, ::-1, ::-1])
+        if n2 % 2:
+            assert np.all(k1s[0, n2 // 2] == 0.0)
+            raise _OddRound
+        return damped_phase(k0s, k1s)
+
+    with pytest.raises(_OddRound):
+        three_point_eval_2d(f, GreenSpec(2, alpha, 1.0), ATOM_TRIPLE,
+                            tol=1e-12, energy_box=36.0)
+    assert sorted(set(n2s)) == [20, 28, 39] and n2s.count(39) == 1
+
+
+@pytest.mark.parametrize("alpha, rounds", [
+    (0.35, (1.5175241106320678e-4, 1.521136118616694e-4, 1.5120858854435784e-4,
+            1.5116201481824e-4)),
+    (0.5, (1.26948967117568e-4, 1.3009522687102803e-4, 1.2521087773309392e-4,
+           1.2533098446058528e-4)),
+])
+def test_three_point_2d_one_outer_node_is_pinned_at_every_round(monkeypatch, alpha,
+                                                                rounds):
+    """Levels 2-4 at the one outer energy k10 = -3, all four rounds.
+
+    Pinned from the full-grid evaluator, which built every level-2 node
+    itself.  Round 3's odd n2 = 39 has the self-mirrored middle node x2 = 0,
+    which the pinned two-round values above never reach.
+    """
+    monkeypatch.setattr(wightman, "line_quadrature",
+                        lambda f, lo, hi, cuts, npts: f(np.array([-3.0]))[0])
+    with collect() as rec, pytest.raises(QuadratureError):
+        three_point_eval_2d(damped_phase, GreenSpec(2, alpha, 1.0), ATOM_TRIPLE,
+                            tol=1e-14, energy_box=36.0)
+    history = rec[0]["history"]
+    assert [row[1] for row in history] == pytest.approx(rounds, rel=1e-12)
+    assert all(abs(row[2]) < 1e-15 * abs(row[1]) for row in history)
+
+
 def test_bridge_requires_increasing_times():
     spec = GreenSpec(1, 0.5, 1.0)
     lat = Lattice(1, 256, 0.05)
