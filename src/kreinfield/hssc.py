@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -192,6 +192,16 @@ class ScalarChainFactors:
     third_factor: float
     energy_history: Tuple[float, ...]
     overlap_history: Tuple[float, ...]
+    energy_residual: float
+    overlap_residual: float
+
+    def lower_end(self) -> "ScalarChainFactors":
+        """The factors with each refined sup at its value minus its residual."""
+        overlap = self.overlap_sup - self.overlap_residual
+        return replace(
+            self, energy_sup=self.energy_sup - self.energy_residual, overlap_sup=overlap,
+            third_factor=self.third_factor * (overlap / self.overlap_sup),
+            energy_residual=0.0, overlap_residual=0.0)
 
 
 def compute_scalar_factors(spec: GreenSpec) -> ScalarChainFactors:
@@ -203,15 +213,16 @@ def compute_scalar_factors(spec: GreenSpec) -> ScalarChainFactors:
     contour in the upper half-plane gives E(w) = pi (1+w^2)^(-alpha)
     + (1 - cos pi alpha) G(1 - alpha, 1 + w^2, 1, w^2, 1/2), both terms
     decreasing in w (G as in :func:`_line_integral`).  ``energy_history``
-    holds E per refinement round.
+    holds E per refinement round, and ``energy_residual`` the accepted
+    residual of E(m).
 
     The overlap sup over shifts (a, b, c) sits at the origin: by Riesz's
     rearrangement inequality and the Hardy-Littlewood inequality (Lieb &
     Loss, Analysis, Thms 3.4 and 3.7) no shift beats I(0, 0, 0), which
     :func:`_overlap_origin` reduces to one line integral.  It is refined at
     rtol 1e-12 and its values per round are kept as ``overlap_history``, so
-    callers can verify the stability themselves; a sup above the closed-form
-    ceiling is raised.
+    callers can verify the stability themselves, with its accepted residual
+    as ``overlap_residual``; a sup above the closed-form ceiling is raised.
     """
     if not 0.0 < spec.alpha <= 0.5:
         raise DomainError("scalar chain requires alpha in (0, 1/2]")
@@ -242,6 +253,8 @@ def compute_scalar_factors(spec: GreenSpec) -> ScalarChainFactors:
         third_factor=third,
         energy_history=tuple(lead + lift * row[1] for row in records[0]["history"]),
         overlap_history=tuple(row[1] for row in records[1]["history"]),
+        energy_residual=lift * records[0]["residual"],
+        overlap_residual=records[1]["residual"],
     )
 
 
@@ -698,12 +711,15 @@ def hssc_certify(
     scalar factors' histories, tuples, as lists); margins are reported as
     found, including failures.
 
-    Each comparison is |W| + err <= bound.  A member's err sums the accepted
-    residuals in the records of the refinements behind W (0 where no route
-    ran); a pair's is M(|T| + r) - M(|T|), M the partition sum over its
-    truncated values T with residuals r.  The margin is bound - |W| - err;
-    the ratio (|W| + err) / bound is 0 when |W| + err is 0, and None (JSON
-    null) when the bound is 0 and |W| + err is not.
+    Each comparison is |W| + err <= bound.  The bound takes each refined
+    factor behind it (the pair bound's line integral, the energy and overlap
+    sups) at its value minus its accepted residual, and the certificate's
+    ``scalar_factors`` report the values and the residuals.  A member's err
+    sums the accepted residuals in the records of the refinements behind W
+    (0 where no route ran); a pair's is M(|T| + r) - M(|T|), M the
+    partition sum over its truncated values T with residuals r.  The margin
+    is bound - |W| - err; the ratio (|W| + err) / bound is 0 when |W| + err
+    is 0, and None (JSON null) when the bound is 0 and |W| + err is not.
 
     The pair cap keeps combined degree at three in two dimensions
     (higher full pairings are quadrature-heavy there) unless every cumulant
@@ -726,7 +742,14 @@ def hssc_certify(
     quadratic = _is_quadratic(triple, 2 * n_max)
     pair_degree_cap = n_max if (spec.dim == 1 or quadratic) else min(n_max, 3)
 
-    a: List[float] = [0.0, pair_bound(spec, triple, weight_power)]
+    # every refined bound-side factor enters at its lower end, so no
+    # quadrature error can turn a fail into a pass
+    with collect() as records:
+        pair = pair_bound(spec, triple, weight_power)
+    # the pair bound is a multiple of its one refined factor, a line
+    # integral, where it is not closed
+    a: List[float] = [0.0, pair * (1.0 - math.fsum(
+        r["residual"] / r["value"][0] for r in records))]
     if quadratic:
         # no higher cumulants: every order bound above the pair vanishes and
         # the singular factor integrals are never needed
@@ -734,8 +757,9 @@ def hssc_certify(
         a.extend(0.0 for _ in range(3, 2 * n_max + 1))
     else:
         factors = compute_scalar_factors(spec)
+        low = factors.lower_end()
         for n in range(3, 2 * n_max + 1):
-            a.append(bound_integral_scalar(n, spec, triple, factors).constant)
+            a.append(bound_integral_scalar(n, spec, triple, low).constant)
     b = partition_sums(a)
     c = norm_constants(b)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -113,6 +113,26 @@ class TestFunction:
         if scalar:
             return val[0]
         return val.reshape(x.shape[:-1] if x.ndim > 1 else x.shape)
+
+    def axis_split(self) -> List[Tuple["TestFunction", Union["TestFunction", float]]]:
+        """Pairs (E_r, R_r) with f(x0, xr) = sum_r E_r(x0) R_r(xr).
+
+        The envelope and the phase factor over the axes, so grouping the
+        monomials by their powers r on the axes after the first leaves the
+        1-D packet E_r with prefactor sum_p c_(p, r) u0^p times the
+        (dim - 1)-D packet R_r with the monomial u^r.  A Gaussian packet gives
+        one pair.  In one dimension there are no further axes: the one pair
+        is (f, 1).
+        """
+        if self.dim == 1:
+            return [(self, 1.0)]
+        groups: Dict[MultiIndex, Coeffs] = {}
+        for beta, c in self.coeffs.items():
+            groups.setdefault(beta[1:], {})[beta[:1]] = c
+        return [(TestFunction(1, self.center[:1], self.width, energy, self.freq[:1]),
+                 TestFunction(self.dim - 1, self.center[1:], self.width, {r: 1.0},
+                              self.freq[1:]))
+                for r, energy in groups.items()]
 
     # -- exact calculus ------------------------------------------------------
 

@@ -515,25 +515,23 @@ def _osc_npts(amax: float, krange: float) -> int:
 _GAP = 0.5 * math.pi - 1e-12  # |u| bound of the gap substitution k0 = w sin u
 
 
-def _energy_sums(gs: Sequence[TestFunction], a: np.ndarray, w: np.ndarray,
-                 q: Optional[np.ndarray], nt: int, expo: float,
+def _energy_sums(es: Sequence[TestFunction], a: np.ndarray, w: np.ndarray, nt: int,
+                 expo: float,
                  tmax: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """(B+, B-), each of shape (len(gs), len(a), h len(w)), with
+    """(B+, B-), each of shape (len(a), len(es), len(w)), with
 
-        B+-[l, i, c] = sum_t exp(+-i a_i k0) g_l(+-k0, q_c) jac w_t.
+        B+-[i, r, c] = sum_t exp(+-i a_i k0) e_r(+-k0) jac w_t
 
-    The energy k0[t, c] runs over one smooth-substituted piece of the branch
-    support at each w_c = sqrt(q_c^2 + m^2).  In d = 1 there is no q, w = [m]
-    and h = 1.  In d = 2, ``q`` is the half q >= 0 of a mirror-symmetric
-    q-rule and h = 2: column c holds q_c and column len(q) + c holds -q_c.
-    The energies do not depend on the sign of q, so both halves share them.
-    With ``tmax``: the cosh piece k0 = w cosh t, t in (0, tmax], with
-    jac = (w sinh t)^expo, whose two signs are the forward and the backward
-    shell regions.  Without it: the gap piece k0 = w sin u, |u| < pi/2, with
-    jac = (w cos u)^expo; k0 is odd and jac even in u, so the piece is
-    folded onto u >= 0 and equals B+ + B-.  The grid is shared by all the
-    factors g_l, so the 2 h len(gs) bodies share one phase_sums call on the
-    len(w) columns of k0.
+    for the 1-D energy factors e_r.  The energy k0[t, c] runs over one
+    smooth-substituted piece of the branch support at each w_c: in d = 1
+    w = [m], in d = 2 w_c = sqrt(q_c^2 + m^2) on the half q >= 0 of the
+    q-rule.  With ``tmax``: the cosh piece k0 = w cosh t, t in (0, tmax],
+    with jac = (w sinh t)^expo, whose two signs are the forward and the
+    backward shell regions.  Without it: the gap piece k0 = w sin u,
+    |u| < pi/2, with jac = (w cos u)^expo; k0 is odd and jac even in u, so
+    the piece is folded onto u >= 0 and equals B+ + B-.  The grid is shared
+    by all the factors e_r, so the 2 len(es) bodies share one phase_sums call
+    on the len(w) columns of k0.
     """
     if tmax is None:
         u, wu = folded_gl_nodes(_GAP, nt)
@@ -543,22 +541,14 @@ def _energy_sums(gs: Sequence[TestFunction], a: np.ndarray, w: np.ndarray,
         u, wu = gl_nodes(1e-12, tmax, nt)
         u = u[:, None]
         k0, jac = w * np.cosh(u), (w * np.sinh(u)) ** expo
-    coords = [[]] if q is None else [
-        [np.broadcast_to(sq * q, k0.shape).ravel()] for sq in (1.0, -1.0)]
     weight = jac * wu[:, None]
-    pts = [np.stack([s * k0.ravel(), *c], axis=-1)
-           for s in (1.0, -1.0) for c in coords]
-    bodies = np.stack([np.ravel(g(x)).reshape(k0.shape) * weight
-                       for x in pts for g in gs])
+    bodies = np.stack([e(s * k0[..., None]) * weight for s in (1.0, -1.0) for e in es])
     p, qs = phase_sums(a, k0, bodies)
-    half = len(coords) * len(gs)  # the bodies of one energy sign
-    qs[:half] *= 1j
-    qs[half:] *= -1j
+    qs[:len(es)] *= 1j
+    qs[len(es):] *= -1j
     p += qs
-    del qs  # freed before the transposing copy below
-    # (energy sign, q sign, l, i, c) -> (energy sign, l, i, q sign and c)
-    p = p.reshape(2, len(coords), len(gs), len(a), -1).transpose(0, 2, 3, 1, 4)
-    p = p.reshape(2, len(gs), len(a), -1)
+    # (energy sign, r, i, c) -> (energy sign, i, r, c), a view
+    p = p.reshape(2, len(es), len(a), -1).transpose(0, 2, 1, 3)
     return p[0], p[1]
 
 
@@ -583,46 +573,96 @@ def _combine_branches(plus, minus, inside, alpha: float) -> np.ndarray:
 
 
 def _branch_transforms(gs: Sequence[TestFunction], spec: GreenSpec, mult: float,
-                       ax0: np.ndarray, ax1: Optional[np.ndarray] = None) -> dict:
-    """A_b[l](a) = integral rho_b(k) g_l(k) e^{i a.k} dk for b in "+-0".
+                       ax0: np.ndarray, ax1: Optional[np.ndarray] = None):
+    """The branch transforms A_b[l](a) = integral rho_b(k) g_l(k) e^{i a.k} dk
+    for b in "+-0", as (bm, mq, cols) with
 
-    Returns A_b[l, a0] in d = 1, with no ``ax1``, and A_b[l, a0, a1] in
-    d = 2, on the tensor grid of auxiliary points.  All factors share one
-    energy and spatial grid, sized by the largest spatial and energy support
-    edge over the factors.  In d = 1 there is no spatial axis: the energies
-    sit at w = m alone.  In d = 2 the q-rule is mirror-symmetric and the
-    energies depend on q^2 only, so the energy sums run on its half q >= 0
-    and carry the bodies at +q and -q side by side; the q = 0 node of an
-    odd rule sits in both halves at half weight.  The energy quadrature is
-    contracted against each spatial node before the spatial phases
-    e^{+-i q a1} are applied, so the workspace stays linear in the number of
-    auxiliary nodes per axis.
+        A_b[l][i, j] = bm[b, i, cols[l]] @ mq[cols[l], j],
+
+    i and j running over the a0- and a1-nodes (j over one node in d = 1,
+    where there is no ``ax1``).  Each factor is split by
+    :meth:`~kreinfield.testfunctions.TestFunction.axis_split` into terms
+    e_r(k0) R_r(q); the energy sums run on the factors e_r of all terms, and
+    bm holds them, stacked by branch, at every a0-node and every column c
+    of the half q >= 0 of the mirror-symmetric q-rule: the energies depend
+    on q^2 only.  Row r len(w) + c of mq is term r's q-contraction
+
+        M_r[c, j] = v_c / (2 pi) * (R_r(q_c) e^{i q_c a1_j}
+                                    + R_r(-q_c) e^{-i q_c a1_j}),
+
+    with v_c the q-rule's weight, so the product sums both signs of q, and
+    the q = 0 node of an odd rule, at half weight, counts once.  cols[l]
+    selects factor l's terms, so the product also sums them.  In d = 1 the
+    energies sit at w = m alone and mq is the constant (2 pi)^(-1/2).  All
+    factors share one energy and spatial grid, sized by the largest spatial
+    and energy support edge over the factors.
     """
     m = spec.mass
     expo = 1 - 2 * spec.alpha
     k0cap = max(abs(g.center[0]) + g.effective_radius() for g in gs)
     a0max = float(np.max(np.abs(ax0)))
+    splits = [g.axis_split() for g in gs]
+    es = [e for terms in splits for e, _ in terms]
     if ax1 is None:
-        q, qmax, w = None, 0.0, np.array([m])
+        qmax, w = 0.0, np.array([m])
+        mq = np.full((len(es), 1), (2 * math.pi) ** -0.5, dtype=complex)
     else:
         qmax = max(abs(g.center[1]) + g.effective_radius() for g in gs)
         a1max = float(np.max(np.abs(ax1)))
-        nq = int(_osc_npts(a1max, 2 * qmax) * mult)
-        q, wq = folded_gl_nodes(qmax, nq)
+        q, wq = folded_gl_nodes(qmax, int(_osc_npts(a1max, 2 * qmax) * mult))
         w = np.sqrt(q * q + m * m)
+        phase1 = np.exp(1j * np.outer(q, ax1))
+        wq = (wq / (2 * math.pi))[:, None]
+        mq = np.concatenate([wq * (rr(q[:, None])[:, None] * phase1
+                                   + rr(-q[:, None])[:, None] * phase1.conj())
+                             for terms in splits for _, rr in terms])
     tmax = max(0.25, math.acosh(max(1.0 + 1e-9, k0cap / m)))
     plus, minus = _energy_sums(
-        gs, ax0, w, q, int(_osc_npts(a0max, max(k0cap - m, 2 * m)) * mult), expo, tmax)
+        es, ax0, w, int(_osc_npts(a0max, max(k0cap - m, 2 * m)) * mult), expo, tmax)
     inside = sum(_energy_sums(
-        gs, ax0, w, q, int(_osc_npts(a0max, 2 * math.sqrt(qmax * qmax + m * m)) * mult),
+        es, ax0, w, int(_osc_npts(a0max, 2 * math.sqrt(qmax * qmax + m * m)) * mult),
         expo))
     bm = _combine_branches(plus, minus, inside, spec.alpha)
-    del plus, minus, inside  # freed before the contraction's output is allocated
-    if q is None:
-        return dict(zip("+-0", (2 * math.pi) ** -0.5 * bm[..., 0]))
-    bm *= np.tile(wq / (2 * math.pi), 2)
-    phase1 = np.exp(1j * np.outer(q, ax1))  # the -q half takes its conjugate
-    return dict(zip("+-0", bm @ np.concatenate([phase1, phase1.conj()])))
+    edges = np.cumsum([0] + [len(terms) * len(w) for terms in splits])
+    return (bm.reshape(3, len(ax0), -1), mq,
+            [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
+
+
+# complex entries of the per-chunk transform buffer of _pairing_integral
+_PAIRING_BUDGET = 1 << 17
+
+
+def _pairing_integral(bm: np.ndarray, mq: np.ndarray, cols: Sequence[slice],
+                      aw0: np.ndarray, aw1: np.ndarray) -> complex:
+    """integral da sum_j prod_l A^{b(l, j)}_l(a) on the a-rule with weights
+    aw0 x aw1, for the transforms of :func:`_branch_transforms`.
+
+    b(l, j) is - for l < j, 0 for l = j and + for l > j, so factor 0's
+    + transform and factor n - 1's - transform are never read, and never
+    formed.  The transforms are formed and paired in chunks of a0-rows,
+    with at most ``_PAIRING_BUDGET`` entries of transforms per chunk, so no
+    full table of them is ever built.
+    """
+    n, na1 = len(cols), mq.shape[1]
+    reads = {0: range(1, n), 1: range(n - 1), 2: range(n)}  # by branch "+-0"
+    step = max(1, _PAIRING_BUDGET // (3 * n * na1))
+    trans = np.empty((3, n, min(step, len(aw0)), na1), dtype=complex)
+    total = 0j
+    for s in range(0, len(aw0), step):
+        rows = slice(s, min(s + step, len(aw0)))
+        tab = trans[:, :, :rows.stop - s]
+        for b, factors in reads.items():
+            for l in factors:
+                np.matmul(bm[b, rows, cols[l]], mq[cols[l]], out=tab[b, l])
+        pair = 0.0
+        for j in range(n):
+            prod = tab[2, j]
+            for l in range(n):
+                if l != j:
+                    prod = prod * tab[1 if l < j else 0, l]
+            pair = pair + prod
+        total += (pair @ aw1) @ aw0[rows]
+    return total
 
 
 def factorized_eval(
@@ -643,12 +683,19 @@ def factorized_eval(
     evaluation per energy piece (:func:`~kreinfield.quadrature.phase_sums`)
     serves every factor and branch: the - branch is the + branch with
     k0 -> -k0, the two-sided branch reuses both cosh pieces for
-    alpha < 1/2, its gap piece is odd in k0 and folds onto half its grid,
-    and in d = 2 the energies depend on q^2 only, so the phases are
-    evaluated on the half q >= 0 of the mirror-symmetric Gauss-Legendre
-    q-rule and serve the bodies at +q and -q alike.  A round makes two
-    phase_sums calls whatever n, each with 2 n bodies in d = 1 and 4 n in
-    d = 2.
+    alpha < 1/2, and its gap piece is odd in k0 and folds onto half its
+    grid.  In d = 2 each factor is split into terms e_r(k0) R_r(q) (one for
+    a Gaussian packet, see
+    :meth:`~kreinfield.testfunctions.TestFunction.axis_split`); the energy
+    sums run on the e_r alone, on the half q >= 0 of the mirror-symmetric
+    Gauss-Legendre q-rule, since the energies depend on q^2 only, and the
+    R_r(+-q) join in the q-contraction.  A round makes two phase_sums calls
+    whatever n, each with 2 T bodies for the T terms of all factors: 2 n
+    for Gaussian packets, and always in d = 1.  The transforms are formed
+    and paired in chunks of a0-rows (:func:`_pairing_integral`), so their
+    full (3, n, na0, na1) table is never built, and factor 0's + and
+    factor n - 1's - transforms, which the pairing never reads, are not
+    formed.
 
     Every a-axis takes :func:`~kreinfield.quadrature.gregory_nodes`, an
     equispaced and exactly antisymmetric rule with order-8 Gregory end
@@ -694,19 +741,14 @@ def factorized_eval(
                    for g in test.factors)
 
     def value(mult: float) -> complex:
-        rules = [gregory_nodes(-a_box, a_box,
-                               int(_osc_npts(bandwidth(axis), 2 * a_box) * mult))
-                 for axis in range(spec.dim)]
-        trans = _branch_transforms(test.factors, spec, mult, *(a for a, _ in rules))
-        total = 0.0
-        for j in range(n):
-            prod = 1.0
-            for l in range(n):
-                prod = prod * trans["-" if l < j else ("0" if l == j else "+")][l]
-            total = total + prod
-        for _, aw in reversed(rules):  # contract the a-axes, last first
-            total = total @ aw
-        return pref * (complex(total) * test.prefactor)
+        (ax0, aw0), *rest = [
+            gregory_nodes(-a_box, a_box,
+                          int(_osc_npts(bandwidth(axis), 2 * a_box) * mult))
+            for axis in range(spec.dim)]
+        bm, mq, cols = _branch_transforms(test.factors, spec, mult, ax0,
+                                          *(a for a, _ in rest))
+        aw1 = rest[0][1] if rest else np.ones(1)
+        return pref * (_pairing_integral(bm, mq, cols, aw0, aw1) * test.prefactor)
 
     # the schedule scales the oscillation node budgets; the absolute floor
     # 1e-12 applies to the integral before the prefactor

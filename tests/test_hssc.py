@@ -34,7 +34,7 @@ from kreinfield.hssc import (
 )
 from kreinfield.levy import LevyTriple
 from kreinfield.partitions import enumerate_partitions
-from kreinfield.quadrature import emit, line_quadrature, sine_nodes
+from kreinfield.quadrature import collect, emit, line_quadrature, refine, sine_nodes
 from kreinfield.testfunctions import TensorTestFunction, TestFunction
 
 ATOM_TRIPLE = LevyTriple(drift=0.1, variance=0.5, atoms=((1.0, 2.0),))
@@ -737,6 +737,37 @@ def test_certify_verdict_counts_the_accepted_residual(row, monkeypatch):
     cert, ratio = certify(near, residual)
     assert cert["passed"]
     assert ratio == pytest.approx((near + residual) / bound, rel=1e-12)
+
+
+def test_certify_takes_bound_side_factors_at_their_lower_ends(monkeypatch):
+    """Each refined factor of the bound side enters at its value minus its
+    accepted residual.  With every such residual forced to a quarter of its
+    value, the pair and order-3 bounds, each linear in one refined factor
+    (the pair line, the overlap sup), fall to exactly 3/4 of their values;
+    order 4 also takes the energy sup at its lower end."""
+    monkeypatch.setattr(hssc, "truncated_momentum_eval", _fake_evaluator({2: (0.0, 0.0)}))
+    spec = GreenSpec(2, 0.5, 1.0)
+    member = TensorTestFunction((TestFunction.gaussian((0.2, -0.1), 0.9),))
+
+    def loose(*args):
+        with collect() as records:
+            value = refine(*args)
+        records[-1]["residual"] = abs(value) / 4  # the record the caller reads
+        return value
+
+    monkeypatch.setattr(hssc, "refine", loose)
+    cert = hssc_certify(spec, ATOM_TRIPLE, [member], n_max=2)
+    a = cert["constants"]["order_bounds"]
+    factors = cert["scalar_factors"]
+    assert factors["overlap_residual"] == factors["overlap_sup"] / 4
+    central = compute_scalar_factors(spec)
+    assert a[1] == pytest.approx(0.75 * pair_bound(spec, ATOM_TRIPLE, 4), rel=1e-14)
+    order3, order4 = (bound_integral_scalar(n, spec, ATOM_TRIPLE, central).constant
+                      for n in (3, 4))
+    assert a[2] == pytest.approx(0.75 * order3, rel=1e-14)
+    energy = factors["energy_sup"]
+    assert a[3] == pytest.approx(
+        0.75 * order4 * (energy - factors["energy_residual"]) / energy, rel=1e-14)
 
 
 def test_pair_row_bounds_the_partition_sum_by_the_residuals(monkeypatch):

@@ -75,3 +75,25 @@ def test_tensor_eval_and_involutions():
     assert tm(pts)[0] == pytest.approx(
         np.conj(2.0 * f([-0.3, 0.1]) * g([-0.1, -0.2])), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("f, pairs", [
+    (TestFunction.gaussian((0.4,), 0.9, 1.0 - 0.3j, (0.6,)), 1),
+    (TestFunction(1, (-0.2,), 0.7, {(0,): 1.0, (1,): 0.3j, (3,): -0.2}, (1.1,)), 1),
+    (TestFunction.gaussian((0.3, -0.5), 0.8, 0.5 + 0.5j, (0.7, -1.1)), 1),
+    (TestFunction(2, (0.3, -0.5), 0.8,
+                  {(0, 0): 1.0, (1, 0): 0.4 - 0.2j, (1, 1): -0.7j, (0, 2): 0.25},
+                  (0.7, -1.1)), 3),
+], ids=["d1-gaussian", "d1-poly", "d2-gaussian", "d2-poly"])
+def test_axis_split_reproduces_call(f, pairs):
+    """f(x0, xr) = sum_r E_r(x0) R_r(xr), with one pair per power on the
+    axes after the first, and the one pair (f, 1) in one dimension."""
+    split = f.axis_split()
+    assert len(split) == pairs
+    rng = np.random.default_rng(7)
+    pts = f.center + rng.uniform(-2.5, 2.5, size=(200, f.dim))
+    got = sum(e(pts[:, :1]) * (r(pts[:, 1:]) if f.dim > 1 else r) for e, r in split)
+    want = f(pts)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if f.dim == 1:
+        assert split == [(f, 1.0)]

@@ -702,6 +702,14 @@ def test_factorized_values_are_pinned(dim, alpha, test, want):
 
 FACTORIZED_D2_FOUR = TensorTestFunction(
     FACTORIZED_D2.factors + (TestFunction.gaussian((0.7, -0.9), 1.1, freq=(0.3, -0.2)),))
+# polynomial prefactors: the first and last factors split into two and three
+# energy-times-spatial terms, with powers on both axes in one monomial
+FACTORIZED_D2_POLY = TensorTestFunction((
+    TestFunction(2, (-1.0, 0.2), 0.9, {(0, 0): 1.0, (1, 0): 0.3j, (1, 1): -0.2},
+                 (0.2, -0.1)),
+    TestFunction.gaussian((0.1, -0.4), 0.85, freq=(-0.3, 0.2)),
+    TestFunction(2, (1.3, 0.5), 1.0, {(0, 1): 0.5, (2, 0): 0.1 - 0.2j, (0, 2): 0.15},
+                 (0.0, 0.3))))
 
 
 # -- per-factor oracle: each factor's transforms on its own grid, one
@@ -765,19 +773,33 @@ def _per_factor_transforms_2d(g, ax0, ax1, spec, mult):
     return dict(zip("+-0", out))
 
 
-@pytest.mark.parametrize("test", [FACTORIZED_D2, FACTORIZED_D2_FOUR, FACTORIZED_D1],
-                         ids=["d2-n3", "d2-n4", "d1-n3"])
+def _transforms(bm, mq, cols):
+    """The branch transforms A_b[l] from the factors of _branch_transforms."""
+    return {b: np.stack([bm[i][:, c] @ mq[c] for c in cols]) for i, b in enumerate("+-0")}
+
+
+@pytest.mark.parametrize("test", [FACTORIZED_D2, FACTORIZED_D2_FOUR, FACTORIZED_D2_POLY,
+                                  FACTORIZED_D1],
+                         ids=["d2-n3", "d2-n4", "d2-poly", "d1-n3"])
 def test_shared_grid_matches_per_factor_oracle(test, monkeypatch):
     """At alpha = 1/2 every energy piece converges exponentially, so widening
-    each factor's grid to the union of the supports leaves the value put."""
+    each factor's grid to the union of the supports leaves the value put.
+    The oracle evaluates each factor whole, through __call__, on its own
+    (k0, q) grid; the route splits it into energy and spatial factors."""
     spec = GreenSpec(test.dim, 0.5, 1.0)
     got = factorized_eval(test, spec, ATOM_TRIPLE, tol=1e-3)
 
     def stacked(gs, spec, mult, ax0, ax1=None):
+        # the oracle's transforms in the route's factored form, against an
+        # identity q-contraction per factor
         per = [_per_factor_transforms_1d(g, ax0, spec, mult, np.max(np.abs(ax0)))
                if ax1 is None else _per_factor_transforms_2d(g, ax0, ax1, spec, mult)
                for g in gs]
-        return {b: np.stack([t[b] for t in per]) for b in "+-0"}
+        na1 = 1 if ax1 is None else len(ax1)
+        bm = np.stack([np.concatenate([t[b].reshape(len(ax0), na1) for t in per], axis=1)
+                       for b in "+-0"])
+        cols = [slice(l * na1, (l + 1) * na1) for l in range(len(gs))]
+        return bm, np.tile(np.eye(na1, dtype=complex), (len(gs), 1)), cols
 
     monkeypatch.setattr(wightman, "_branch_transforms", stacked)
     want = factorized_eval(test, spec, ATOM_TRIPLE, tol=1e-3)
@@ -793,11 +815,13 @@ def test_folded_q_axis_matches_full_grid_oracle(alpha, parity):
     ax0, _ = gregory_nodes(-14.0, 14.0, 61)
     ax1, _ = gregory_nodes(-14.0, 14.0, 40)
     a1max = np.max(np.abs(ax1))
-    for g in FACTORIZED_D2_FOUR.factors:  # one grid per factor, as the oracle's
+    # one grid per factor, as the oracle's; the polynomial factors split into
+    # several terms, each with its own q-contraction
+    for g in FACTORIZED_D2_FOUR.factors + FACTORIZED_D2_POLY.factors[::2]:
         qmax = abs(g.center[1]) + g.effective_radius()
         mult = next(mu for mu in (1.0, 1.01, 1.02, 1.03)
                     if int(wightman._osc_npts(a1max, 2 * qmax) * mu) % 2 == parity)
-        got = wightman._branch_transforms([g], spec, mult, ax0, ax1)
+        got = _transforms(*wightman._branch_transforms([g], spec, mult, ax0, ax1))
         want = _per_factor_transforms_2d(g, ax0, ax1, spec, mult)
         for b in "+-0":
             assert got[b].shape == (1,) + want[b].shape
@@ -826,13 +850,13 @@ def test_factorized_makes_two_phase_passes_per_round(test, alpha, monkeypatch):
     rounds = len(rec[0]["history"])
     n = len(test.factors)
     assert len(calls) == 2 * rounds
-    if test.dim == 1:
-        # every call carries both energy signs of every factor
-        assert all(shape[0] == 2 * n for shape in calls)
-    else:
-        # ... and both signs of q, on the ceil(nq / 2) columns of the half q >= 0
+    # every call carries both energy signs of every factor's energy factor:
+    # a Gaussian packet splits into one term, and its q-factor is applied in
+    # the q-contraction, so d = 2 needs no bodies at -q
+    assert [shape[0] for shape in calls] == [2 * n] * (2 * rounds)
+    if test.dim == 2:
+        # on the ceil(nq / 2) columns of the half q >= 0
         assert len(nqs) == rounds
-        assert [shape[0] for shape in calls] == [4 * n] * (2 * rounds)
         assert [shape[2] for shape in calls] == [-(-nq // 2) for nq in nqs for _ in "ab"]
 
 
