@@ -901,7 +901,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     from . import __version__
 
     import numpy
-    import scipy
 
     manifest = {
         "subcommand": args.command,
@@ -915,7 +914,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "kreinfield": __version__,
             "python": sys.version.split()[0],
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
         },
         "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t0)),
         "wall_seconds": time.time() - t0,

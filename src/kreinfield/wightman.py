@@ -348,29 +348,24 @@ def _bracket3_coefficients(spec: GreenSpec) -> Tuple[float, float, float]:
 
 
 def three_point_eval_2d(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    points: np.ndarray,
     spec: GreenSpec,
     triple: LevyTriple,
     tol: float = 5e-3,
     energy_box: float = 25.0,
-) -> complex:
-    """Three-slot evaluation in d = 2: nested 4-d quadrature.
+) -> float:
+    """The Laplace bridge's three-slot value in d = 2: nested 4-d quadrature.
 
-    The outer level walks the first slot's energy; for each outer node the
-    remaining three levels (first slot space, second slot space, second slot
-    energy) are laid out as one grid of shape (n2, 2, n3, K, n4): n2 level-2
-    nodes, two level-3 intervals of n3 nodes, K level-4 intervals of n4
-    nodes.  ``f(k0s, k1s)`` is called once per outer node.  ``k0s`` holds
-    the three slots' energies on that grid, shape (3, n2, 2, n3, K, n4);
-    ``k1s`` holds their spatial components on the level-3 grid, shape
-    (3, n2, 2, n3, 1, 1), since they do not depend on the level-4 energy.
-    The two broadcast against each other, and ``f``'s result must broadcast
-    to the grid.  Both are read-only and ``k0s`` is overwritten at the next
-    outer node, so ``f`` must not keep or write its inputs.  Interval
-    endpoints are pinned to the mass shells and crushed by the sine
-    substitution.
-    On the support every partial energy sum is below -m, which closes all
-    boxes once combined with ``energy_box``.
+    ``points`` is a (3, 2) array of Euclidean points (t_l, y_l) with
+    non-decreasing times; the integrand is the damped exponential
+    exp(-sum t_l k_l0 + i sum y_l k_l1) on the hyperplane k3 = -k1 - k2.
+    The outer level walks the first slot's energy k10; for each outer node
+    the remaining three levels (first slot space, second slot space, second
+    slot energy) form a grid of n2 level-2 nodes, two level-3 intervals of
+    n3 nodes and K level-4 intervals of n4 nodes.  Interval endpoints are
+    pinned to the mass shells and crushed by the sine substitution.  On the
+    support every partial energy sum is below -m, which closes all boxes
+    once combined with ``energy_box``.
 
     The branch of every slot is fixed on each level-4 interval: slot 1 is
     backward-timelike (|k11| < sqrt(k10^2 - m^2)) and slot 3
@@ -385,19 +380,24 @@ def three_point_eval_2d(
     interval is integrated.
 
     The reflection k1 -> -k1 of all three spatial components maps the grid
-    exactly onto itself.  Level-2 node i2 goes to n2 - 1 - i2 (the sine
-    nodes are exactly antisymmetric), level-3 interval j to 1 - j and node
-    i3 to n3 - 1 - i3; the level-4 nodes and the energies are the same at
-    the image, bit for bit, and so are the shell powers and weights.  So the
-    level-4 energies and the real density (coefficient, shell powers and the
-    weights of levels 2-4) are computed once per mirror pair, on the upper
-    half i2 >= n2 // 2, where the middle node x2 = 0 of an odd n2 is its own
-    image and carries half its density.  The lower half of ``k0s`` is a
-    reversed copy, ``f`` still sees the whole grid, and the sum of ``f`` over
-    each pair meets the pair's density in one product.
+    exactly onto itself: level-2 node i2 goes to n2 - 1 - i2 (the sine nodes
+    are exactly antisymmetric), level-3 interval j to 1 - j and node i3 to
+    n3 - 1 - i3, and the energies, shell powers and weights are the same at
+    the image, bit for bit.  Only the phase y.k1 changes sign there, so each
+    mirror pair contributes density times 2 cos(y1 k11 + y2 k21 + y3 k31).
+    The grid therefore lives on the upper half i2 >= n2 // 2 of level 2, in
+    real arithmetic; the middle node x2 = 0 of an odd n2 is its own image
+    and carries half its density.  With k30 = -k10 - k20 the damping is
+    exp((t3 - t1) k10 + (t3 - t2) k20), formed as one exponent: it is <= 0
+    on the support, where k20 <= -k10 - om3, while the second term alone
+    can exceed the float range when the times are widely spaced.
     """
     if spec.dim != 2:
         raise PreconditionError("2-d evaluator")
+    pts = np.asarray(points, dtype=float)
+    if pts.shape != (3, 2) or not np.all(np.diff(pts[:, 0]) >= 0):
+        raise PreconditionError("three (t, y) points with non-decreasing times")
+    (t1, y1), (t2, y2), (t3, y3) = pts
     m = spec.mass
     alpha = spec.alpha
     c3 = cumulant_coeff(3, triple)
@@ -406,89 +406,76 @@ def three_point_eval_2d(
     keep = [i for i, c in enumerate(coefs) if c != 0.0]
     coef = np.array([coefs[i] for i in keep])
 
-    def inner(k10: float, grids) -> complex:
-        lim = math.sqrt(max(k10 * k10 - m * m, 0.0))
-        if lim == 0.0:
-            return 0.0j
-        k0s, k0s_in, s4, c4, msq, dens = grids
-        _, n2, _, n3, _, _ = k0s.shape
-        # the upper and lower halves of level 2
-        up, low = slice(n2 // 2, None), slice(None, n2 // 2)
-        # level 2: first slot's spatial component on (-lim, lim)
-        x2, w2 = sine_nodes(-lim, lim, n2)
-        # level 3: second slot's spatial component, split where k3 space flips
-        smax = np.abs(x2) + energy_box
-        lo3 = np.stack([-smax, -x2], axis=-1)
-        hi3 = np.stack([-x2, smax], axis=-1)
-        x3, w3 = sine_nodes(lo3, hi3, n3)  # (n2, 2, n3)
-        k11 = np.broadcast_to(x2[:, None, None], x3.shape)
-        k31 = -k11 - x3
-        k1s = np.stack([k11, x3, k31])[..., None, None]
-        k1s.flags.writeable = False
-        # level 4 on the upper half: second slot's energy between the
-        # shells, on the kept intervals of [bot, c1], [c1, c2], [c2, top]
-        x3, w3, k31 = x3[up], w3[up], k31[up]
-        om2 = np.hypot(x3, m)
-        om3 = np.hypot(k31, m)
-        top = -k10 - om3
-        bot = np.full_like(top, -k10 - energy_box)
-        c1 = np.clip(-om2, bot, top)
-        c2 = np.clip(om2, c1, top)
-        lo4 = np.stack([bot, c1, c2], axis=-1)[..., keep]
-        hi4 = np.stack([c1, c2, top], axis=-1)[..., keep]
-        half = 0.5 * np.maximum(hi4 - lo4, 0.0)
-        k20, k30 = k0s[1, up], k0s[2, up]
-        np.multiply(half[..., None], s4, out=k20)
-        k20 += (0.5 * (hi4 + lo4))[..., None]
-        np.subtract(-k10, k20, out=k30)
-        # msq = (k2^2 - m^2) (k3^2 - m^2), built in place
-        np.multiply(k20, k20, out=msq)
-        msq -= (x3 * x3)[..., None, None]
-        msq -= m * m
-        np.multiply(k30, k30, out=dens)
-        dens -= (k31 * k31)[..., None, None]
-        dens -= m * m
-        msq *= dens
-        # the density: slot 2's and 3's shell power per node, times the
-        # coefficient, slot 1's shell power and the weights of levels 2-3 per
-        # level-4 interval, times its half-width and the level-4 weights; the
-        # shell power is finite (0 on a shell), so a zero-weight node gets 0
-        _shell_power(msq, alpha, out=dens)
-        p1 = _shell_power(k10 * k10 - x2[up] * x2[up] - m * m, alpha)
-        scale = half * coef
-        scale *= w3[..., None]
-        scale *= (p1 * w2[up])[:, None, None, None]
-        dens *= scale[..., None]
-        dens *= c4
-        if n2 % 2:
-            # the middle node x2 = 0 is its own image, so it is paired twice
-            dens[0] *= 0.5
-        # the whole energy grid for f: the lower half is the mirror image of
-        # the upper one; f's values at each mirror pair meet one density
-        k0s[0].fill(k10)
-        k0s[1:, low] = k0s[1:, ::-1, ::-1, ::-1][:, low]
-        fk = np.broadcast_to(f(k0s_in, k1s), k0s.shape[1:])
-        pairs = fk[up] + fk[::-1, ::-1, ::-1][up]
-        pairs *= dens
-        return complex(np.sum(pairs))
-
-    def value(npts4) -> complex:
+    def value(npts4) -> float:
         n1, n2, n3, n4 = npts4
-        # the grid arrays of one round, written in place at every outer
-        # node; f gets a read-only view of the energies, and the density
-        # lives on the upper half of level 2
-        grid = (n2, 2, n3, len(keep), n4)
-        k0s = np.empty((3,) + grid)
-        k0s_in = k0s.view()
-        k0s_in.flags.writeable = False
-        half_grid = (n2 - n2 // 2,) + grid[1:]
-        grids = (k0s, k0s_in, *sine_rule(n4), np.empty(half_grid),
-                 np.empty(half_grid))
+        s4, c4 = sine_rule(n4)
+        # level-4 work arrays on the upper half of level 2, written in place
+        # at every outer node
+        grid = (n2 - n2 // 2, 2, n3, len(keep), n4)
+        work = np.empty((3,) + grid)
+
+        def inner(k10: float) -> float:
+            lim = math.sqrt(max(k10 * k10 - m * m, 0.0))
+            if lim == 0.0:
+                return 0.0
+            k20, msq, dens = work
+            # level 2: first slot's spatial component on (-lim, lim), upper
+            # half, where x2 >= 0
+            x2, w2 = sine_nodes(-lim, lim, n2)
+            x2, w2 = x2[n2 // 2:], w2[n2 // 2:]
+            # level 3: second slot's spatial component, split where k3 space
+            # flips
+            smax = x2 + energy_box
+            lo3 = np.stack([-smax, -x2], axis=-1)
+            hi3 = np.stack([-x2, smax], axis=-1)
+            x3, w3 = sine_nodes(lo3, hi3, n3)  # (n2 - n2 // 2, 2, n3)
+            k31 = -x2[:, None, None] - x3
+            # level 4: second slot's energy between the shells, on the kept
+            # intervals of [bot, c1], [c1, c2], [c2, top]
+            om2 = np.hypot(x3, m)
+            om3 = np.hypot(k31, m)
+            top = -k10 - om3
+            bot = np.full_like(top, -k10 - energy_box)
+            c1 = np.clip(-om2, bot, top)
+            c2 = np.clip(om2, c1, top)
+            lo4 = np.stack([bot, c1, c2], axis=-1)[..., keep]
+            hi4 = np.stack([c1, c2, top], axis=-1)[..., keep]
+            half = 0.5 * np.maximum(hi4 - lo4, 0.0)
+            np.multiply(half[..., None], s4, out=k20)
+            k20 += (0.5 * (hi4 + lo4))[..., None]
+            # msq = (k2^2 - m^2) (k3^2 - m^2), built in place
+            np.multiply(k20, k20, out=msq)
+            msq -= (x3 * x3)[..., None, None]
+            msq -= m * m
+            np.subtract(-k10, k20, out=dens)  # k30
+            dens *= dens
+            dens -= (k31 * k31)[..., None, None]
+            dens -= m * m
+            msq *= dens
+            # slot 2's and 3's shell power, finite (0 on a shell, where the
+            # weight is 0), times the damping, summed against the level-4
+            # weights
+            _shell_power(msq, alpha, out=dens)
+            k20 *= t3 - t2
+            k20 += (t3 - t1) * k10
+            dens *= np.exp(k20, out=k20)
+            level3 = dens @ c4
+            # times the coefficient, slot 1's shell power and the weights of
+            # levels 2-4 per level-4 interval, summed over the intervals
+            p1 = _shell_power(k10 * k10 - x2 * x2 - m * m, alpha)
+            level3 *= half * coef
+            level3 = level3.sum(axis=-1) * w3
+            level3 *= (p1 * w2)[:, None, None]
+            if n2 % 2:
+                # the middle node x2 = 0 is its own image, so it is paired twice
+                level3[0] *= 0.5
+            phase = y1 * x2[:, None, None] + y2 * x3 + y3 * k31
+            return 2.0 * float(np.sum(level3 * np.cos(phase)))
 
         def level1(p0):
-            return np.array([inner(k10, grids) for k10 in p0])
+            return np.array([inner(k10) for k10 in p0])
 
-        return pref * complex(
+        return pref * float(
             line_quadrature(level1, -energy_box, -m, (-2 * m,), n1))
 
     # node counts per level grow by 1.4 a round
@@ -912,14 +899,7 @@ def _bridge_sides(points, spec: GreenSpec, triple: LevyTriple,
         rhs = float(np.real(
             three_point_eval_1d(f, spec, triple, tol=1e-7, box=box)))
     else:
-        def f(k0s, k1s):
-            # k1s lives on the level-3 grid, so the complex exponential
-            # does too; only the real damping runs on every node
-            return np.exp(-np.tensordot(times, k0s, axes=(0, 0))) \
-                * np.exp(1j * np.tensordot(pts[:, 1], k1s, axes=(0, 0)))
-
-        rhs = float(np.real(
-            three_point_eval_2d(f, spec, triple, tol=2e-3, energy_box=box)))
+        rhs = three_point_eval_2d(pts, spec, triple, tol=2e-3, energy_box=box)
     return lhs, rhs
 
 

@@ -382,22 +382,25 @@ def test_wightman_outputs_match_direct_eval(tmp_path, wightman_cfg):
         assert r["history"]
 
 
+# each subcommand's config and outputs, in the order its handler returns them
+SUBCOMMAND_RUNS = [
+    ("sample", SAMPLE_CFG, ["sample.csv"]),
+    ("schwinger", SCHWINGER_CFG, ["schwinger.csv"]),
+    ("wightman", WIGHTMAN_CFG, ["wightman.csv", "wightman_records.jsonl"]),
+    ("laplace-check", LAPLACE_CFG, ["laplace_check.csv"]),
+    ("bounds", BOUNDS_CFG, ["bounds.csv", "bounds.json"]),
+    ("certify", CERTIFY_CFG, ["certificate.json", "certify.csv"]),
+    ("krein", KREIN_CFG, ["krein.json", "krein_eigenvalues.csv"]),
+    ("cluster", CLUSTER_CFG, ["cluster.csv"]),
+    ("spectral", SPECTRAL_CFG, ["spectral.json", "spectral.csv"]),
+]
+
+
 def test_manifest_lists_outputs_and_config_hash(tmp_path):
     import hashlib
 
-    runs = [  # each subcommand's outputs, in the order its handler returns them
-        ("sample", SAMPLE_CFG, ["sample.csv"]),
-        ("schwinger", SCHWINGER_CFG, ["schwinger.csv"]),
-        ("wightman", WIGHTMAN_CFG, ["wightman.csv", "wightman_records.jsonl"]),
-        ("laplace-check", LAPLACE_CFG, ["laplace_check.csv"]),
-        ("bounds", BOUNDS_CFG, ["bounds.csv", "bounds.json"]),
-        ("certify", CERTIFY_CFG, ["certificate.json", "certify.csv"]),
-        ("krein", KREIN_CFG, ["krein.json", "krein_eigenvalues.csv"]),
-        ("cluster", CLUSTER_CFG, ["cluster.csv"]),
-        ("spectral", SPECTRAL_CFG, ["spectral.json", "spectral.csv"]),
-    ]
-    assert sorted(command for command, _, _ in runs) == sorted(cli.SUBCOMMANDS)
-    for command, cfg, outputs in runs:
+    assert sorted(command for command, _, _ in SUBCOMMAND_RUNS) == sorted(cli.SUBCOMMANDS)
+    for command, cfg, outputs in SUBCOMMAND_RUNS:
         path = write_cfg(tmp_path, cfg, f"{command}.json")
         out = tmp_path / command
         assert main([command, "--config", path, "--out", str(out)]) == 0
@@ -410,8 +413,7 @@ def test_manifest_lists_outputs_and_config_hash(tmp_path):
         assert manifest["seed"] == cfg.get("seed", 0)
         assert manifest["status"] == "ok"
         assert "error" not in manifest
-        for key in ("kreinfield", "python", "numpy", "scipy"):
-            assert key in manifest["versions"]
+        assert sorted(manifest["versions"]) == ["kreinfield", "numpy", "python"]
 
 
 def test_failed_run_writes_manifest_with_residual(tmp_path, wightman_cfg, capsys,
@@ -725,3 +727,22 @@ def test_cli_import_loads_neither_numpy_nor_jsonschema():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_runs_leave_scipy_unloaded(tmp_path):
+    # scipy is a test oracle only: no subcommand and no manifest imports it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    argvs = [[command, "--config", write_cfg(tmp_path, cfg, f"{command}.json"),
+              "--out", str(tmp_path / command)] for command, cfg, _ in SUBCOMMAND_RUNS]
+    code = ("import json, sys\n"
+            "from kreinfield.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, 'scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == f"{[0] * len(argvs)} False"

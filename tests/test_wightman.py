@@ -451,14 +451,8 @@ def test_bracket3_coefficients_match_bracket_scalar(alpha):
         assert min(coefs) > 0.0
 
 
-BRIDGE_N3_TIMES = np.array([0.0, 1.25, 2.5])
-BRIDGE_N3_SPACE = np.array([0.0, 0.25, -0.25])
-
-
-def damped_phase(k0s, k1s):
-    """The Laplace bridge's n = 3 test function at BRIDGE_N3_*."""
-    return np.exp(-np.tensordot(BRIDGE_N3_TIMES, k0s, axes=(0, 0))
-                  + 1j * np.tensordot(BRIDGE_N3_SPACE, k1s, axes=(0, 0)))
+# the Laplace bridge's n = 3 points (t, y); its box at these times is 45 / 1.25
+BRIDGE_N3_POINTS = np.array([[0.0, 0.0], [1.25, 0.25], [2.5, -0.25]])
 
 
 @pytest.mark.parametrize("alpha, rounds", [
@@ -468,97 +462,60 @@ def damped_phase(k0s, k1s):
 def test_three_point_2d_rounds_are_pinned(alpha, rounds):
     """Pinned from the masked-bracket evaluator (branch masks on every node)."""
     with collect() as rec:
-        three_point_eval_2d(damped_phase, GreenSpec(2, alpha, 1.0), ATOM_TRIPLE,
-                            tol=1.0, energy_box=36.0)
+        three_point_eval_2d(BRIDGE_N3_POINTS, GreenSpec(2, alpha, 1.0),
+                            ATOM_TRIPLE, tol=1.0, energy_box=36.0)
     history = rec[0]["history"]
     assert [row[1] for row in history] == pytest.approx(rounds, rel=1e-12)
     assert all(abs(row[2]) < 1e-15 for row in history)
 
 
-@pytest.mark.parametrize("alpha", [0.35, 0.5])
-def test_three_point_2d_grid_contract_matches_flat_oracle(alpha):
-    """The bridge's grid-shaped phase against damped_phase on flat (3, M) nodes."""
-    def oracle(k0s, k1s):
-        # spatial components live on the level-3 grid
-        assert k1s.shape == k0s.shape[:-2] + (1, 1)
-        e, x = np.broadcast_arrays(k0s, k1s)
-        return damped_phase(e.reshape(3, -1), x.reshape(3, -1)).reshape(
-            e.shape[1:])
+@pytest.mark.parametrize("alpha, rounds", [
+    (0.35, (1.3550898398348808e-3, 1.3525212875387974e-3)),
+    (0.5, (1.381027285318738e-3, 1.3800984087378627e-3)),
+])
+def test_three_point_2d_widest_bridge_box_is_pinned(alpha, rounds):
+    """Widely spaced times: box 360 = 45 / 0.125, and (t3 - t2) k20 reaches ~1030.
 
-    spec = GreenSpec(2, alpha, 1.0)
-    # the bridge's box at these times is 45 / 1.25 = 36
-    with collect() as rec:
-        three_point_eval_2d(oracle, spec, ATOM_TRIPLE, tol=2e-3, energy_box=36.0)
-    with collect() as fast:
-        laplace_bridge_check(np.stack([BRIDGE_N3_TIMES, BRIDGE_N3_SPACE], axis=1),
-                             spec, ATOM_TRIPLE, Lattice(2, 96, 0.125))
-    want = [r for r in fast if r["op"] == "three_point_2d"][0]["history"]
-    got = rec[0]["history"]
-    assert [row[0] for row in got] == [row[0] for row in want]
-    assert [row[1] for row in got] == pytest.approx(
-        [row[1] for row in want], rel=1e-12)
-
-
-def test_three_point_2d_half_integrates_only_the_spacelike_interval():
-    """At alpha = 1/2 each outer node hands f one level-4 interval, not three."""
-    sizes = []
-
-    def f(k0s, k1s):
-        sizes.append(k0s[0].size)
-        return damped_phase(k0s, k1s)
-
-    with collect() as rec:
-        three_point_eval_2d(f, GreenSpec(2, 0.5, 1.0), ATOM_TRIPLE,
-                            tol=1.0, energy_box=36.0)
-    want = []
-    for (n1, n2, n3, n4), _, _ in rec[0]["history"]:
-        # two outer pieces, split at -2m, of n1 nodes each
-        want += [n2 * 2 * n3 * n4] * (2 * n1)
-    assert len(rec[0]["history"]) == 2
-    assert sizes == want
-
-
-def test_three_point_2d_grid_is_read_only_for_f():
-    """The energy grid is reused at every outer node, so f may not write it."""
-    def f(k0s, k1s):
-        k0s[0] = 0.0
-        return damped_phase(k0s, k1s)
-
-    with pytest.raises(ValueError):
-        three_point_eval_2d(f, GreenSpec(2, 0.5, 1.0), ATOM_TRIPLE,
-                            tol=1.0, energy_box=36.0)
-
-
-class _OddRound(Exception):
-    """Raised by the mirror guard's f once it has seen an odd n2."""
-
-
-@pytest.mark.parametrize("alpha", [0.35, 0.5])
-def test_three_point_2d_grid_is_its_own_mirror_image(alpha):
-    """k1 -> -k1 maps every grid f sees onto itself, bit for bit.
-
-    The energies are the same at the image (i2, j, i3) -> (n2 - 1 - i2,
-    1 - j, n3 - 1 - i3) and the spatial components are negated there.  The
-    check runs on every call of rounds 1 and 2 (n2 = 20, 28) and on the first
-    call of round 3, whose odd n2 = 39 has the self-mirrored middle node
-    x2 = 0.
+    The damping exp((t3 - t1) k10 + (t3 - t2) k20) must be formed as one
+    exponent, which is <= 0 on the support; a product of the two factors
+    overflows to inf * 0 there.  Pinned from the evaluator that took the
+    damped exponential as a callable.
     """
-    n2s = []
+    pts = np.array([[0.0, 0.0], [0.125, 0.25], [3.0, -0.25]])
+    with collect() as rec:
+        three_point_eval_2d(pts, GreenSpec(2, alpha, 1.0), ATOM_TRIPLE,
+                            tol=1.0, energy_box=360.0)
+    values = [row[1] for row in rec[0]["history"]]
+    assert np.all(np.isfinite(values))
+    assert values == pytest.approx(rounds, rel=1e-12)
 
-    def f(k0s, k1s):
-        n2 = k0s.shape[1]
-        n2s.append(n2)
-        assert np.array_equal(k0s, k0s[:, ::-1, ::-1, ::-1])
-        assert np.array_equal(k1s, -k1s[:, ::-1, ::-1, ::-1])
-        if n2 % 2:
-            assert np.all(k1s[0, n2 // 2] == 0.0)
-            raise _OddRound
-        return damped_phase(k0s, k1s)
 
-    with pytest.raises(_OddRound):
-        three_point_eval_2d(f, GreenSpec(2, alpha, 1.0), ATOM_TRIPLE,
-                            tol=1e-12, energy_box=36.0)
-    assert sorted(set(n2s)) == [20, 28, 39] and n2s.count(39) == 1
+def test_three_point_2d_half_integrates_only_the_spacelike_interval(monkeypatch):
+    """At alpha = 1/2 each outer node's level-4 grid holds one interval, not three.
+
+    The grid is observed through the shell power it is written into, which
+    lives on the upper half of level 2.
+    """
+    shell_power = wightman._shell_power
+    shapes = []
+
+    def spy(msq, alpha, out=None):
+        if out is not None:
+            shapes.append(out.shape)
+        return shell_power(msq, alpha, out)
+
+    monkeypatch.setattr(wightman, "_shell_power", spy)
+    for alpha, intervals in ((0.35, 3), (0.5, 1)):
+        shapes.clear()
+        with collect() as rec:
+            three_point_eval_2d(BRIDGE_N3_POINTS, GreenSpec(2, alpha, 1.0),
+                                ATOM_TRIPLE, tol=1.0, energy_box=36.0)
+        want = []
+        for (n1, n2, n3, n4), _, _ in rec[0]["history"]:
+            # two outer pieces, split at -2m, of n1 nodes each
+            want += [(n2 - n2 // 2, 2, n3, intervals, n4)] * (2 * n1)
+        assert len(rec[0]["history"]) == 2
+        assert shapes == want
 
 
 @pytest.mark.parametrize("alpha, rounds", [
@@ -578,11 +535,20 @@ def test_three_point_2d_one_outer_node_is_pinned_at_every_round(monkeypatch, alp
     monkeypatch.setattr(wightman, "line_quadrature",
                         lambda f, lo, hi, cuts, npts: f(np.array([-3.0]))[0])
     with collect() as rec, pytest.raises(QuadratureError):
-        three_point_eval_2d(damped_phase, GreenSpec(2, alpha, 1.0), ATOM_TRIPLE,
-                            tol=1e-14, energy_box=36.0)
+        three_point_eval_2d(BRIDGE_N3_POINTS, GreenSpec(2, alpha, 1.0),
+                            ATOM_TRIPLE, tol=1e-14, energy_box=36.0)
     history = rec[0]["history"]
     assert [row[1] for row in history] == pytest.approx(rounds, rel=1e-12)
     assert all(abs(row[2]) < 1e-15 * abs(row[1]) for row in history)
+
+
+@pytest.mark.parametrize("pts", [
+    [[0.0, 0.0], [1.0, 0.25]],
+    [[0.0, 0.0], [2.0, 0.25], [1.0, -0.25]],
+], ids=["two-points", "decreasing-times"])
+def test_three_point_2d_rejects_points_it_cannot_damp(pts):
+    with pytest.raises(PreconditionError):
+        three_point_eval_2d(np.array(pts), GreenSpec(2, 0.5, 1.0), ATOM_TRIPLE)
 
 
 def test_bridge_requires_increasing_times():
