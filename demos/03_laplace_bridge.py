@@ -4,7 +4,9 @@ The two computational pipelines meet at imaginary time.  The position-space
 truncated Schwinger function (an FFT contraction on the lattice) must equal
 the damped-exponential quadrature of the momentum-space distribution at
 strictly ordered Euclidean times.  Neither side knows about the other, which
-makes the comparison a strong end-to-end oracle.
+makes the comparison a strong end-to-end oracle.  At n = 2 and alpha = 1/2
+the momentum side is that transform in closed form, the free two-point
+function: c2 e^(-m r) / (2 m) in d = 1 and c2 K_0(m r) / (2 pi) in d = 2.
 """
 
 import numpy as np

@@ -16,7 +16,8 @@ Exit codes: 0 success, 1 task failure, 2 configuration error.  Once the
 output directory is known, a failed task still writes the manifest, with
 status "failed", the error kind and message, and, for a quadrature that did
 not converge, its residual and the [p, real, imag] rows of the refinement
-rounds it ran.
+rounds it ran.  A task that raised also gets ``where``: its innermost
+traceback frames, at most five, as "file.py:line in function".
 """
 
 from __future__ import annotations
@@ -306,6 +307,7 @@ def _fail(
     field: Optional[str] = None,
     residual: Optional[float] = None,
     history: Optional[list] = None,
+    where: Optional[List[str]] = None,
 ) -> dict:
     doc: Dict[str, object] = {"error": kind, "message": message}
     if field is not None:
@@ -315,6 +317,8 @@ def _fail(
     if history is not None:
         doc["history"] = [[p] + [v if math.isfinite(v) else None for v in vals]
                           for p, *vals in history]
+    if where is not None:
+        doc["where"] = where
     print(json.dumps(doc), file=sys.stderr)
     return doc
 
@@ -891,12 +895,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         if failed is not None:
             error = _fail("task", failed)
     except Exception as exc:  # noqa: BLE001 - boundary: map to exit code 1
+        import traceback
+
         message = f"{type(exc).__name__}: {exc}"
+        # the innermost frames, innermost last
+        where = [f"{os.path.basename(fr.filename)}:{fr.lineno} in {fr.name}"
+                 for fr in traceback.extract_tb(exc.__traceback__)[-5:]]
         if isinstance(exc, QuadratureError):
             error = _fail("task", message, residual=exc.residual,
-                          history=exc.history)
+                          history=exc.history, where=where)
         else:
-            error = _fail("task", message)
+            error = _fail("task", message, where=where)
 
     from . import __version__
 

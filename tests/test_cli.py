@@ -459,6 +459,33 @@ def test_failed_refinement_writes_its_history(tmp_path, wightman_cfg, capsys,
     assert manifest["history"] == rows
 
 
+def test_task_failure_says_where_it_was_raised(tmp_path, wightman_cfg, capsys,
+                                              monkeypatch):
+    def deep(level):
+        if level == 0:
+            raise ValueError("forced")
+        deep(level - 1)
+
+    def handler(*args):
+        deep(8)
+
+    monkeypatch.setitem(cli._HANDLERS, "wightman", handler)
+    out = tmp_path / "out"
+    assert main(["wightman", "--config", wightman_cfg, "--out", str(out)]) == 1
+    err = stderr_doc(capsys)
+    assert err["message"] == "ValueError: forced"
+    # the five innermost frames, innermost last, with the file's basename
+    line = deep.__code__.co_firstlineno + 2
+    assert err["where"] == [f"test_cli.py:{line + 1} in deep"] * 4 + [
+        f"test_cli.py:{line} in deep"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["where"] == err["where"]
+    # a config error names its field, not a place in the code
+    assert main(["wightman", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(out)]) == 2
+    assert "where" not in stderr_doc(capsys)
+
+
 def test_non_finite_output_is_task_failure(tmp_path, wightman_cfg, capsys,
                                            monkeypatch):
     import kreinfield.wightman

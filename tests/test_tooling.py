@@ -4,28 +4,38 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import pkgutil
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import kreinfield
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACING = ROOT / "perfbench" / "tracing.py"
+PERFBENCH = ROOT / "perfbench"
 PACKAGE = ROOT / "src" / "kreinfield"
 
 
-def _tracing_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _perfbench_module(name: str):
+    """perfbench/<name>.py, loaded read-only: no bytecode cache is written."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
     return module
 
 
 def test_traced_names_resolve():
     # a traced run wraps every (module, attribute) with getattr, so a name
     # removed from the library fails the whole run
-    tracing = _tracing_module()
+    tracing = _perfbench_module("tracing")
     for mod in tracing.PACKAGE_MODULES:
         importlib.import_module(f"kreinfield.{mod}")
     pairs = {(modname, attr) for _, modname, attr in tracing.TRACED}
@@ -39,6 +49,29 @@ def test_traced_names_resolve():
         if not callable(obj):
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+_BENCHMARK_WORKLOADS = [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", _BENCHMARK_WORKLOADS)
+def test_benchmark_checks_pass(workload, seed, tmp_path):
+    # the benchmark's own checks against its recorded references, so a
+    # change that moves a pinned value fails here before the benchmark runs
+    workloads = _perfbench_module("workloads")
+    references = json.loads(
+        (PERFBENCH / "references.json").read_text(encoding="utf-8"))["values"]
+    setup, ops = workloads.WORKLOADS[workload]
+    ctx = setup(seed, str(tmp_path))
+    failures = {}
+    for op in ops:
+        check = workloads.Check(f"{workload}/{op.__name__}", references, record=False)
+        op(ctx, check)
+        if check.failures:
+            failures[op.__name__] = check.failures
+    assert failures == {}
 
 
 def _private(name: str) -> bool:

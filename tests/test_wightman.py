@@ -207,25 +207,33 @@ def test_pair_bridge_d2_alpha_half():
     assert report.gap < 1e-2
 
 
+@pytest.mark.parametrize("x", [1e-5, 1e-3, 0.02, 0.1, 1.0, 5.0, 30.0, 100.0])
+def test_bessel_k0_matches_scipy(x):
+    from scipy.special import k0
+
+    assert wightman._bessel_k0(x) == pytest.approx(k0(x), rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("dt, dy, lat", [
     (0.125, 4.0, Lattice(2, 96, 0.125)),
     (0.05, 2.0, Lattice(2, 160, 0.05)),
 ], ids=["dt0.125-dy4", "dt0.05-dy2"])
-def test_pair_bridge_d2_alpha_half_converges_or_raises(dt, dy, lat):
-    """A short time gap widens the box, so cos(q dy) oscillates over it."""
+def test_pair_bridge_d2_alpha_half_is_the_free_two_point_function(dt, dy, lat):
+    """Short time gaps with wide spatial ones: the pair side is c2 K_0(m r) / (2 pi)."""
     # integral_0^inf e^(-w dt) cos(q dy) / w dq = K_0(m sqrt(dt^2 + dy^2))
-    # with w = sqrt(q^2 + m^2); the box cuts off a tail below e^(-45)
+    # with w = sqrt(q^2 + m^2)
     from scipy.special import k0
 
     spec = GreenSpec(2, 0.5, 1.0)
     pts = np.array([[0.0, -dy / 2], [dt, dy / 2]])
-    try:
+    with collect() as rec:
         report = laplace_bridge_check(pts, spec, ATOM_TRIPLE, lat)
-    except QuadratureError:
-        return
     closed = (cumulant_coeff(2, ATOM_TRIPLE) / (2 * math.pi)
               * k0(spec.mass * math.hypot(dt, dy)))
-    assert report.rhs == pytest.approx(closed, rel=1e-8)
+    assert report.rhs == pytest.approx(closed, rel=1e-14, abs=0.0)
+    assert rec == [{"op": "two_point_shell", "value": [report.rhs, 0.0],
+                    "tolerance": 0.0, "history": [[1, report.rhs, 0.0]],
+                    "residual": 0.0}]
 
 
 def test_pair_bridge_d1_alpha_half_emits_its_closed_form_record():
