@@ -67,16 +67,14 @@ Branch = str  # "+", "-", "0"
 # -- branch densities ---------------------------------------------------------
 
 
-def _shell_power(msq, alpha: float, out=None):
+def _shell_power(msq, alpha: float):
     """|msq|^(-alpha) for msq = k^2 - m^2, set to 0 where msq == 0.
 
     Exact shell hits only occur at zero-weight quadrature nodes; returning 0
     there keeps inf/nan out of the node tensors (pointwise API raises instead).
-    ``out``, a float array of msq's shape, receives the result.
     """
     msq = np.asarray(msq)
-    if out is None:
-        out = np.empty(msq.shape)
+    out = np.empty(msq.shape)
     np.abs(msq, out=out)
     with np.errstate(divide="ignore"):
         out **= -alpha
@@ -333,6 +331,13 @@ def _bracket3_coefficients(spec: GreenSpec) -> Tuple[float, float, float]:
     return timelike, pref**3 * s * s, timelike
 
 
+# level-3 entries (outer node, x2, interval, x3) per chunk of outer nodes of
+# three_point_eval_2d, whose levels 1-3 are built as arrays over the chunk.
+# 2^12 (7 and 3 outer nodes on the bridge's two rounds) keeps bridge-d2's peak
+# RSS at the per-node evaluator's; 2^13 raised it by 0.5 MiB and ran no faster
+_LEVEL3_BUDGET = 1 << 12
+
+
 def three_point_eval_2d(
     points: np.ndarray,
     spec: GreenSpec,
@@ -351,7 +356,7 @@ def three_point_eval_2d(
     n3 nodes and K level-4 intervals of n4 nodes.  Interval endpoints are
     pinned to the mass shells and crushed by the sine substitution.  On the
     support every partial energy sum is below -m, which closes all boxes
-    once combined with ``energy_box``.
+    once combined with ``energy_box``, which must be finite and above m.
 
     The branch of every slot is fixed on each level-4 interval: slot 1 is
     backward-timelike (|k11| < sqrt(k10^2 - m^2)) and slot 3
@@ -377,6 +382,18 @@ def three_point_eval_2d(
     exp((t3 - t1) k10 + (t3 - t2) k20), formed as one exponent: it is <= 0
     on the support, where k20 <= -k10 - om3, while the second term alone
     can exceed the float range when the times are widely spaced.
+
+    Levels 1-3 are built as arrays over chunks of outer nodes, at most
+    ``_LEVEL3_BUDGET`` level-3 entries a chunk: the level-2 and level-3
+    nodes and weights, the level-4 interval ends, the shell squares
+    x3^2 + m^2 and k31^2 + m^2, slot 1's shell power and the cosine of the
+    phase.  Level 4 runs per outer node in buffers allocated once per
+    round, and folds the shell power of slots 2 and 3 into the damping's
+    exponential, exp((t3 - t2) k20 + (t3 - t1) k10 - alpha log|msq2 msq3|)
+    with msq_l = k_l^2 - m^2 built against the shell squares: a log in
+    place of a general power (36 us against 90 us on round 2's 31k floats,
+    2-vCPU Xeon).  Where msq2 msq3 == 0 (an exact shell hit, at a
+    zero-weight node) the density is set to 0.
     """
     if spec.dim != 2:
         raise PreconditionError("2-d evaluator")
@@ -385,6 +402,8 @@ def three_point_eval_2d(
         raise PreconditionError("three (t, y) points with non-decreasing times")
     (t1, y1), (t2, y2), (t3, y3) = pts
     m = spec.mass
+    if not (math.isfinite(energy_box) and energy_box > m):
+        raise PreconditionError("energy_box must be finite and above the mass")
     alpha = spec.alpha
     c3 = cumulant_coeff(3, triple)
     pref = c3 * 4 * (2 * math.pi) ** (2 - 3)
@@ -395,74 +414,91 @@ def three_point_eval_2d(
     def value(npts4) -> float:
         n1, n2, n3, n4 = npts4
         s4, c4 = sine_rule(n4)
-        # level-4 work arrays on the upper half of level 2, written in place
-        # at every outer node
-        grid = (n2 - n2 // 2, 2, n3, len(keep), n4)
-        work = np.empty((3,) + grid)
+        h2 = n2 - n2 // 2  # level-2 nodes on the upper half
+        # level-4 work arrays, written in place at every outer node
+        work = np.empty((3, h2, 2, n3, len(keep), n4))
+        step = max(1, _LEVEL3_BUDGET // (h2 * 2 * n3))  # outer nodes per chunk
 
-        def inner(k10: float) -> float:
-            lim = math.sqrt(max(k10 * k10 - m * m, 0.0))
-            if lim == 0.0:
-                return 0.0
+        def level4(k10, half, mid, sq2, sq3):
+            # density times damping on one outer node's level-4 grid, summed
+            # against the level-4 weights: with msq_l = k_l^2 - m^2,
+            # exp((t3 - t2) k20 + (t3 - t1) k10 - alpha log|msq2 msq3|),
+            # set to 0 on a shell (msq == 0), where the weight is 0
             k20, msq, dens = work
-            # level 2: first slot's spatial component on (-lim, lim), upper
-            # half, where x2 >= 0
+            np.multiply(half, s4, out=k20)
+            k20 += mid
+            np.multiply(k20, k20, out=msq)
+            msq -= sq2
+            np.subtract(-k10, k20, out=dens)  # k30
+            dens *= dens
+            dens -= sq3
+            msq *= dens
+            np.abs(msq, out=dens)
+            np.log(dens, out=dens)
+            dens *= -alpha
+            k20 *= t3 - t2
+            k20 += (t3 - t1) * k10
+            dens += k20
+            np.exp(dens, out=dens)
+            dens[msq == 0] = 0.0
+            return dens @ c4
+
+        def levels23(k10):
+            # levels 2-3 of a chunk of outer nodes, as arrays over (node, x2,
+            # interval, x3); level 2 is the first slot's spatial component on
+            # (-lim, lim), upper half, where x2 >= 0
+            lim = np.sqrt(np.maximum(k10 * k10 - m * m, 0.0))
             x2, w2 = sine_nodes(-lim, lim, n2)
-            x2, w2 = x2[n2 // 2:], w2[n2 // 2:]
+            x2, w2 = x2[:, n2 // 2:], w2[:, n2 // 2:]
             # level 3: second slot's spatial component, split where k3 space
             # flips
             smax = x2 + energy_box
-            lo3 = np.stack([-smax, -x2], axis=-1)
-            hi3 = np.stack([-x2, smax], axis=-1)
-            x3, w3 = sine_nodes(lo3, hi3, n3)  # (n2 - n2 // 2, 2, n3)
-            k31 = -x2[:, None, None] - x3
+            x3, w3 = sine_nodes(np.stack([-smax, -x2], axis=-1),
+                                np.stack([-x2, smax], axis=-1), n3)
+            k31 = -x2[..., None, None] - x3
             # level 4: second slot's energy between the shells, on the kept
             # intervals of [bot, c1], [c1, c2], [c2, top]
+            ends = np.empty(x3.shape + (4,))
+            bot, c1, c2, top = np.moveaxis(ends, -1, 0)
+            bot[...] = (-k10 - energy_box)[:, None, None, None]
+            np.subtract(-k10[:, None, None, None], np.hypot(k31, m), out=top)
             om2 = np.hypot(x3, m)
-            om3 = np.hypot(k31, m)
-            top = -k10 - om3
-            bot = np.full_like(top, -k10 - energy_box)
-            c1 = np.clip(-om2, bot, top)
-            c2 = np.clip(om2, c1, top)
-            lo4 = np.stack([bot, c1, c2], axis=-1)[..., keep]
-            hi4 = np.stack([c1, c2, top], axis=-1)[..., keep]
+            np.clip(-om2, bot, top, out=c1)
+            np.clip(om2, c1, top, out=c2)
+            lo4 = ends[..., keep]
+            hi4 = ends[..., [i + 1 for i in keep]]
             half = 0.5 * np.maximum(hi4 - lo4, 0.0)
-            np.multiply(half[..., None], s4, out=k20)
-            k20 += (0.5 * (hi4 + lo4))[..., None]
-            # msq = (k2^2 - m^2) (k3^2 - m^2), built in place
-            np.multiply(k20, k20, out=msq)
-            msq -= (x3 * x3)[..., None, None]
-            msq -= m * m
-            np.subtract(-k10, k20, out=dens)  # k30
-            dens *= dens
-            dens -= (k31 * k31)[..., None, None]
-            dens -= m * m
-            msq *= dens
-            # slot 2's and 3's shell power, finite (0 on a shell, where the
-            # weight is 0), times the damping, summed against the level-4
-            # weights
-            _shell_power(msq, alpha, out=dens)
-            k20 *= t3 - t2
-            k20 += (t3 - t1) * k10
-            dens *= np.exp(k20, out=k20)
-            level3 = dens @ c4
-            # times the coefficient, slot 1's shell power and the weights of
-            # levels 2-4 per level-4 interval, summed over the intervals
-            p1 = _shell_power(k10 * k10 - x2 * x2 - m * m, alpha)
-            level3 *= half * coef
-            level3 = level3.sum(axis=-1) * w3
-            level3 *= (p1 * w2)[:, None, None]
+            # the shell squares x3^2 + m^2 and k31^2 + m^2
+            sq2 = (x3 * x3 + m * m)[..., None, None]
+            sq3 = (k31 * k31 + m * m)[..., None, None]
+            # each level-4 interval's weight: the coefficient, half its width,
+            # slot 1's shell power, the weights of levels 2-3 and the cosine
+            # of the mirror pair's phase
+            p1 = _shell_power((k10 * k10)[:, None] - x2 * x2 - m * m, alpha)
+            weight = np.cos(y1 * x2[..., None, None] + y2 * x3 + y3 * k31)
+            weight *= w3
+            weight *= (p1 * w2)[..., None, None]
             if n2 % 2:
-                # the middle node x2 = 0 is its own image, so it is paired twice
-                level3[0] *= 0.5
-            phase = y1 * x2[:, None, None] + y2 * x3 + y3 * k31
-            return 2.0 * float(np.sum(level3 * np.cos(phase)))
+                # the middle node x2 = 0 is its own image, so it is paired
+                # twice
+                weight[:, 0] *= 0.5
+            return (half[..., None], (0.5 * (hi4 + lo4))[..., None], sq2, sq3,
+                    (half * coef) * weight[..., None])
 
         def level1(p0):
-            return np.array([inner(k10) for k10 in p0])
+            out = np.zeros(len(p0))
+            for start in range(0, len(p0), step):
+                k10 = p0[start:start + step]
+                half, mid, sq2, sq3, weight = levels23(k10)
+                for i, k in enumerate(k10):
+                    sums = level4(k, half[i], mid[i], sq2[i], sq3[i])
+                    sums *= weight[i]
+                    out[start + i] = 2.0 * float(sums.sum())
+            return out
 
-        return pref * float(
-            line_quadrature(level1, -energy_box, -m, (-2 * m,), n1))
+        with np.errstate(divide="ignore"):  # log 0 on a shell
+            return pref * float(
+                line_quadrature(level1, -energy_box, -m, (-2 * m,), n1))
 
     # node counts per level grow by 1.4 a round
     schedule = ((40, 20, 28, 20), (56, 28, 39, 28), (78, 39, 54, 39),

@@ -468,8 +468,12 @@ BRIDGE_N3_POINTS = np.array([[0.0, 0.0], [1.25, 0.25], [2.5, -0.25]])
     (0.5, (1.728883090144059e-3, 1.7277710266892271e-3)),
 ])
 def test_three_point_2d_rounds_are_pinned(alpha, rounds):
-    """Pinned from the masked-bracket evaluator (branch masks on every node)."""
-    with collect() as rec:
+    """Pinned from the masked-bracket evaluator (branch masks on every node).
+
+    Run with overflow and invalid operations raising, so that an exponent
+    out of range or an inf * 0 in the level-4 exponential fails loudly.
+    """
+    with collect() as rec, np.errstate(over="raise", invalid="raise"):
         three_point_eval_2d(BRIDGE_N3_POINTS, GreenSpec(2, alpha, 1.0),
                             ATOM_TRIPLE, tol=1.0, energy_box=36.0)
     history = rec[0]["history"]
@@ -486,11 +490,11 @@ def test_three_point_2d_widest_bridge_box_is_pinned(alpha, rounds):
 
     The damping exp((t3 - t1) k10 + (t3 - t2) k20) must be formed as one
     exponent, which is <= 0 on the support; a product of the two factors
-    overflows to inf * 0 there.  Pinned from the evaluator that took the
-    damped exponential as a callable.
+    overflows to inf * 0 there, which the raising error state catches.
+    Pinned from the evaluator that took the damped exponential as a callable.
     """
     pts = np.array([[0.0, 0.0], [0.125, 0.25], [3.0, -0.25]])
-    with collect() as rec:
+    with collect() as rec, np.errstate(over="raise", invalid="raise"):
         three_point_eval_2d(pts, GreenSpec(2, alpha, 1.0), ATOM_TRIPLE,
                             tol=1.0, energy_box=360.0)
     values = [row[1] for row in rec[0]["history"]]
@@ -501,18 +505,21 @@ def test_three_point_2d_widest_bridge_box_is_pinned(alpha, rounds):
 def test_three_point_2d_half_integrates_only_the_spacelike_interval(monkeypatch):
     """At alpha = 1/2 each outer node's level-4 grid holds one interval, not three.
 
-    The grid is observed through the shell power it is written into, which
-    lives on the upper half of level 2.
+    The grid is observed through the one exponential that forms its density
+    and damping, which lives on the upper half of level 2.
     """
-    shell_power = wightman._shell_power
     shapes = []
 
-    def spy(msq, alpha, out=None):
-        if out is not None:
-            shapes.append(out.shape)
-        return shell_power(msq, alpha, out)
+    class SpyNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(wightman, "_shell_power", spy)
+        @staticmethod
+        def exp(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(wightman, "np", SpyNumpy())
     for alpha, intervals in ((0.35, 3), (0.5, 1)):
         shapes.clear()
         with collect() as rec:
@@ -524,6 +531,31 @@ def test_three_point_2d_half_integrates_only_the_spacelike_interval(monkeypatch)
             want += [(n2 - n2 // 2, 2, n3, intervals, n4)] * (2 * n1)
         assert len(rec[0]["history"]) == 2
         assert shapes == want
+
+
+@pytest.mark.parametrize("alpha", [0.35, 0.5])
+def test_three_point_2d_rounds_do_not_depend_on_the_chunk_size(monkeypatch, alpha):
+    """Levels 1-3 are built per chunk of outer nodes; no chunk size moves a bit.
+
+    Budgets of one level-3 entry (one outer node per chunk), 7 * 560 (7 and
+    3 of the two rounds' 40 and 56 outer nodes per piece, each leaving a
+    ragged last chunk) and 2^30 (one chunk per piece), against the default.
+    """
+    def rounds():
+        with collect() as rec:
+            three_point_eval_2d(BRIDGE_N3_POINTS, GreenSpec(2, alpha, 1.0),
+                                ATOM_TRIPLE, tol=1.0, energy_box=36.0)
+        return rec[0]["history"]
+
+    want = rounds()
+    assert len(want) == 2
+    for budget in (1, 7 * 560, 1 << 30):
+        monkeypatch.setattr(wightman, "_LEVEL3_BUDGET", budget)
+        history = rounds()
+        if budget == 7 * 560:
+            for (n1, n2, n3, _), _, _ in history:
+                assert n1 % (budget // ((n2 - n2 // 2) * 2 * n3)) != 0
+        assert history == want
 
 
 @pytest.mark.parametrize("alpha, rounds", [
@@ -557,6 +589,13 @@ def test_three_point_2d_one_outer_node_is_pinned_at_every_round(monkeypatch, alp
 def test_three_point_2d_rejects_points_it_cannot_damp(pts):
     with pytest.raises(PreconditionError):
         three_point_eval_2d(np.array(pts), GreenSpec(2, 0.5, 1.0), ATOM_TRIPLE)
+
+
+@pytest.mark.parametrize("box", [1.0, 0.5, -3.0, math.nan, math.inf])
+def test_three_point_2d_rejects_a_box_not_finite_and_above_the_mass(box):
+    with pytest.raises(PreconditionError):
+        three_point_eval_2d(BRIDGE_N3_POINTS, GreenSpec(2, 0.5, 1.0), ATOM_TRIPLE,
+                            energy_box=box)
 
 
 def test_bridge_requires_increasing_times():
