@@ -35,11 +35,21 @@ O(n N) time and memory, and the normals of a slice of replicates are kept
 and multiplied by R^T once.  On 4096 sites (one core of a 2-vCPU Xeon) the
 gather beats a count per site and an (n, sites) mat-vec below about 1 point
 per site at n = 2 and 0.3 at n = 6, and is 1.4-4 times dearer at 2-4
-points per site; every caller here draws about 1/8 point per site.  What is
-left per replicate is mostly fixed cost: about 1-2 us to re-key the stream,
-about 8 us in ``integers`` (5 us of it numpy's cost per call,
-``np.prod(size)`` included, whatever N is) and about 1 us each for the
-Poisson total and the normals.
+points per site; every caller here draws about 1/8 point per site.
+
+The sites do not go through ``integers``, whose cost per call (6.5 us for
+512 sites, 4.4 us of it fixed) was a replicate's largest.  A replicate takes
+the raw Philox words (Salmon et al., SC'11) that its sites need, 1.5 us for
+256 of them, and the sites of a block of replicates are rebuilt from the
+words at once by numpy's own bounded-integer rule, Lemire's multiply and
+shift (ACM TOMACS 29, 2019); ``_site_draws`` states it and how a replicate
+that the rule would redraw is replayed.  A block gathers its columns of S
+with one ``take``, about ``_SLICE_ENTRIES`` entries, and sums each atom of
+each replicate as numpy sums a row.  So every stream, site and sum is the
+one that the contract above names, bit for bit.  What is left per
+replicate is mostly fixed cost: about 1 us to re-key the stream, 1.5 us
+for the words, 0.4-0.8 us each for the Poisson total and the normals, and
+about 1.5 us to sum an atom.
 """
 
 from __future__ import annotations
@@ -202,10 +212,102 @@ def _jackknife(value: float, loo: np.ndarray, n_samples: int) -> MCEstimate:
 
 
 # subset products held at once (512 KiB): a batch is summed in slices of
-# replicates, so memory grows neither with n_samples nor with the batch size
+# replicates, so memory grows neither with n_samples nor with the batch size.
+# The gathered columns of S are held to the same number of entries.
 _SLICE_ENTRIES = 1 << 16
 # the 2^n subset products of a slice grow with n; the CLI caps orders at 6 too
 _MAX_WEIGHTS = 6
+# the low 32-bit half of a raw Philox word
+_LOW = 0xFFFFFFFF
+
+
+def _site_draws(at, first: int, stop: int, totals, sites: int, budget: int,
+                normals):
+    """The atoms' sites of replicates ``first``, ``first + 1``, ... by the stream contract.
+
+    ``at`` is a ``_noise_streams`` accessor, ``totals`` the atoms' Poisson
+    means and 1 <= sites < 2^32.  Replicates are drawn until together they
+    hold at least ``budget`` sites, or up to ``stop``.  Returns
+    (counts, starts, idx): atom a of replicate first + j drew the counts[j, a]
+    sites idx[starts[j, a] : starts[j, a] + counts[j, a]].  Row j of
+    ``normals``, unless it is None, gets replicate first + j's normals.
+
+    ``integers(0, sites, N)`` turns each 32-bit half h of the Philox words,
+    low half first, into (h sites) >> 32, and redraws h when
+    (h sites) mod 2^32 < 2^32 mod sites (Lemire's rule), which never happens
+    when sites is a power of two.  An odd number of halves leaves the word's
+    high half to the next call; sites = 1 takes no bits.  So each replicate
+    takes the raw words its halves need, and the sites of all replicates
+    are rebuilt at once, idx holding one site per half (a replicate's unused
+    last half included).  A replicate that used a half numpy would redraw is
+    drawn again through ``integers``, its normals included.
+    """
+    counts = []
+    words = []
+    drawn = 0
+    for j in range(stop - first):
+        rng = at(first + j)
+        halves = 0  # a replicate's halves run on across its atoms
+        for total in totals:
+            count = rng.poisson(total)
+            fresh = (halves + count + 1) // 2 - (halves + 1) // 2
+            if fresh and sites > 1:
+                words.append(rng.bit_generator.random_raw(fresh))
+            counts.append(count)
+            halves += count
+        if normals is not None:
+            rng.standard_normal(out=normals[j])
+        drawn += halves
+        if drawn >= budget:
+            break
+    counts = np.array(counts, dtype=np.int64).reshape(j + 1, len(totals))
+    per_replicate = counts.sum(axis=1)
+    halves = 2 * ((per_replicate + 1) // 2)  # whole words per replicate
+    ends = np.cumsum(halves)
+    base = ends - halves
+    starts = base[:, None] + np.cumsum(counts, axis=1) - counts
+    if sites == 1:
+        return counts, starts, np.zeros(int(ends[-1]), dtype=np.intp)
+
+    w = np.concatenate(words) if words else np.empty(0, dtype=np.uint64)
+    h = np.empty((len(w), 2), dtype=np.uint64)
+    np.bitwise_and(w, _LOW, out=h[:, 0])
+    np.right_shift(w, 32, out=h[:, 1])
+    h = h.reshape(-1)
+    h *= sites
+    threshold = (1 << 32) % sites
+    redraw = np.flatnonzero((h & _LOW) < threshold) if threshold else []
+    h >>= 32
+    idx = h.view(np.int64)
+    owner = np.searchsorted(ends, redraw, side="right")
+    # a redraw moves every later draw of its replicate, the next atom's total
+    # too, so a replayed replicate's sites go after all the others
+    replayed = [idx]
+    size = len(idx)
+    for j in np.unique(owner[redraw < base[owner] + per_replicate[owner]]).tolist():
+        rng = at(first + j)
+        for a, total in enumerate(totals):
+            count = rng.poisson(total)
+            counts[j, a], starts[j, a] = count, size
+            replayed.append(rng.integers(0, sites, count))
+            size += count
+        if normals is not None:
+            rng.standard_normal(out=normals[j])
+    return counts, starts, np.concatenate(replayed) if len(replayed) > 1 else idx
+
+
+def _real_weight(i: int, w) -> np.ndarray:
+    """Weight i as a float array; a nonzero imaginary part or a NaN is refused."""
+    w = np.asarray(w)
+    if np.iscomplexobj(w):
+        if np.any(w.imag != 0):
+            raise ConfigurationError(f"weight {i} is complex: the estimators take "
+                                     "real weights (pass .real)")
+        w = w.real
+    w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise ConfigurationError(f"weight {i} has a value that is not finite")
+    return w
 
 
 def _subset_moment_batches(
@@ -220,7 +322,10 @@ def _subset_moment_batches(
     """Batched sums of products of smeared values over all index subsets.
 
     Each replicate's n projections onto the smeared kernels are drawn
-    directly, by the stream contract in the module docstring.  The 2^n
+    directly, by the stream contract in the module docstring; ``_site_draws``
+    gives the atoms' sites of a block of replicates, about
+    ``_SLICE_ENTRIES // n`` of them, so a dense atom keeps the gather to one
+    replicate at a time, not to a slice.  The 2^n
     subset products of a slice of replicates then come from the bitmask
     recurrence  P[:, 1<<j : 2<<j] = P[:, :1<<j] * m_j : column ``mask``
     holds the product over the set bits of ``mask``, multiplied in ascending
@@ -237,13 +342,15 @@ def _subset_moment_batches(
         raise ConfigurationError("need n_samples >= n_batches >= 2")
     if n_samples % n_batches:
         raise ConfigurationError("n_samples must be divisible by n_batches")
+    if math.prod(lat.shape) >= 1 << 32:
+        raise SizeLimitError("Monte Carlo site draws take fewer than 2^32 sites")
     if kernel.lattice != lat:
         raise LatticeMismatchError("kernel lives on a different lattice")
 
     kr = reflect(kernel)
     smeared = np.stack([
-        convolve(kr, LatticeField(lat, np.asarray(w, dtype=float))).values.ravel()
-        for w in weights
+        convolve(kr, LatticeField(lat, _real_weight(i, w))).values.ravel()
+        for i, w in enumerate(weights)
     ])
     v = lat.cell_volume
     sites = smeared.shape[1]
@@ -253,7 +360,9 @@ def _subset_moment_batches(
         # lower triangular with gauss gauss^T = S S^T sigma^2 / v, also for
         # rank-deficient S; row j uses normals 0..j only
         gauss = math.sqrt(triple.variance / v) * np.linalg.qr(smeared.T, mode="r").T
-    jumps = [(s / v, lam * v * sites) for s, lam in triple.atoms]
+    scales = np.array([s / v for s, _ in triple.atoms])[:, None]
+    totals = [lam * v * sites for _, lam in triple.atoms]
+    budget = max(1, _SLICE_ENTRIES // n)
 
     keys = CorrelationTable(n).all_keys()
     columns = [sum(1 << (i - 1) for i in key) for key in keys]
@@ -269,15 +378,25 @@ def _subset_moment_batches(
     for b in range(n_batches):
         for lo in range(0, per_batch, rows):
             k = min(rows, per_batch - lo)
-            for i in range(k):
-                rng = stream(b * per_batch + lo + i)
-                proj[i] = mean
-                p = proj[i]
-                for scale, total in jumps:
-                    idx = rng.integers(0, sites, rng.poisson(total))
-                    p += scale * smeared.take(idx, axis=1).sum(axis=1)
-                if gauss is not None:
-                    rng.standard_normal(out=normals[i])
+            first = b * per_batch + lo
+            i = 0
+            while i < k:
+                counts, starts, idx = _site_draws(
+                    stream, first + i, first + k, totals, sites, budget,
+                    None if gauss is None else normals[i:k])
+                picked = smeared.take(idx, axis=1)
+                # each atom's points summed on their own, as numpy sums a row
+                sums = np.empty(counts.shape + (n,))
+                for row, start, count in zip(sums.reshape(-1, n),
+                                             starts.ravel().tolist(),
+                                             counts.ravel().tolist()):
+                    np.add.reduce(picked[:, start : start + count], axis=1, out=row)
+                sums *= scales
+                block = proj[i : i + len(counts)]
+                block[:] = mean
+                for a in range(len(totals)):
+                    block += sums[:, a]
+                i += len(counts)
             if gauss is not None:
                 proj[:k] += normals[:k] @ gauss.T
             m = proj[:k] * v
@@ -307,7 +426,7 @@ def estimate_schwinger_mc(
     drawn directly (module docstring) instead of from a noise field; its 2^n
     subset products are formed a slice of replicates at a time.  On a 64^2
     lattice with one atom (512 points on average) and a Gaussian part a
-    replicate takes ~17-25 us for n = 2..6 (one core of a 2-vCPU Xeon),
+    replicate takes ~9-14 us for n = 2..6 (one core of a 2-vCPU Xeon),
     against ~0.4 ms through a field.
     The error bar is a delete-one-batch jackknife pushed through the
     moments-to-cumulants map.

@@ -539,6 +539,52 @@ def test_sample_seed_controls_output(tmp_path):
     assert m["seed"] == 10
 
 
+TWO_ATOM_MODEL = dict(ATOM_MODEL, levy={"drift": 0.1, "variance": 0.5,
+                                        "atoms": [[-0.7, 0.25], [1.0, 2.0]]})
+TWO_ATOM_TASK = {"n_samples": 400, "smear_centers": [[0.5], [-1.0], [0.25]],
+                 "smear_width": 0.8}
+
+
+def _two_atom_cfg(task):
+    return {"model": TWO_ATOM_MODEL, "lattice": {"sites": 32, "spacing": 0.25},
+            "seed": 4, "tasks": task}
+
+
+# the Monte Carlo columns, (moment, std_error) per subset or (mc, std_error)
+# per order: a change to a stream, the draw order or the order of a sum
+# moves them
+@pytest.mark.parametrize("command, cfg, want", [
+    pytest.param("sample", SAMPLE_CFG,
+                 {"1": (2.09670331858711, 0.1306814449741249)}, id="sample"),
+    pytest.param("schwinger", SCHWINGER_CFG,
+                 {"2": (1.5144590695462945, 0.05839504274885925)}, id="schwinger"),
+    pytest.param("sample", _two_atom_cfg({"sample": TWO_ATOM_TASK}), {
+        "1": (2.062689906912118, 0.04110620361651538),
+        "1-2": (5.791099748808649, 0.20207295164451003),
+        "1-2-3": (20.457641828697867, 1.0630478600960973),
+        "1-3": (6.6717316001286235, 0.21069811416527448),
+        "2": (2.1318151709903947, 0.0577666592728233),
+        "2-3": (6.025515831022825, 0.2127204752961983),
+        "3": (2.0662884846528726, 0.0399255995073684),
+    }, id="sample-two-atoms"),
+    pytest.param("schwinger", _two_atom_cfg(
+        {"schwinger": dict(TWO_ATOM_TASK, orders=[2, 3])}), {
+        "2": (1.3938261122046303, 0.11286362641515806),
+        "3": (0.011961532103313743, 0.349971677100502),
+    }, id="schwinger-two-atoms"),
+])
+def test_monte_carlo_outputs_are_pinned(tmp_path, command, cfg, want):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    with open(out / f"{command}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if command == "sample":
+        got = {r["subset"]: (float(r["moment"]), float(r["std_error"])) for r in rows}
+    else:
+        got = {r["order"]: (float(r["mc"]), float(r["std_error"])) for r in rows}
+    assert got == want
+
+
 @pytest.mark.parametrize("task", [
     {"sample": {"n_samples": 25, "n_batches": 20}},
     {"schwinger": {"orders": [2], "n_samples": 20, "n_batches": 40}},

@@ -266,6 +266,128 @@ def test_subset_moments_match_per_replicate_reference(monkeypatch, slice_entries
     assert est.value == pytest.approx(want, rel=1e-12)
 
 
+def test_dense_atom_blocks_move_no_bit(monkeypatch):
+    # about 20 points per site: a replicate draws ~640 of the 32 sites.  At
+    # n = 2 every budget below keeps the slices at 30 replicates, and a block
+    # then gathers one replicate (64 sites), about three (2048) or the whole
+    # slice (32768): a replicate's sums must not depend on its block
+    dense = LevyTriple(0.3, 0.5, ((1.0, 80.0),))
+    lat = Lattice(1, 32, 0.25)
+    G = green_alpha_lattice(lat, GreenSpec(1, 0.5, 1.0))
+    ws = [sample_function(lat, TestFunction.gaussian((c,), 0.8)).values.real
+          for c in (-1.0, 0.5)]
+    tables = []
+    for entries in (1 << 7, 1 << 12, 1 << 16):
+        monkeypatch.setattr(euclidean, "_SLICE_ENTRIES", entries)
+        tables.append(estimate_moment_table(lat, G, ws, dense, 300, seed=17,
+                                            n_batches=10))
+    assert tables[0] == tables[1] == tables[2]
+    keys, sums = _reference_batch_sums(lat, G, ws, dense, 300, 17, 10)
+    grand = sums.sum(axis=0)
+    for i, key in enumerate(keys):
+        assert tables[0][key].value == pytest.approx(grand[i] / 300, rel=1e-12)
+
+
+def test_replayed_replicate_matches_the_reference(monkeypatch):
+    # numpy redraws a half with probability 2296 / 2^32 on 2500 sites; at this
+    # seed replicate 190 used one, so it is keyed again and replayed
+    keyed = []
+    streams = euclidean._noise_streams
+
+    def counting(seed):
+        at = streams(seed)
+
+        def keyed_at(r):
+            keyed.append(r)
+            return at(r)
+
+        return keyed_at
+
+    monkeypatch.setattr(euclidean, "_noise_streams", counting)
+    lat = Lattice(2, 50, 0.25)
+    G = green_alpha_lattice(lat, GreenSpec(2, 0.5, 1.0))
+    ws = [sample_function(lat, TestFunction.gaussian(c, 0.3)).values.real
+          for c in ((0.25, -0.125), (-0.25, 0.25))]
+    triple = LevyTriple(0.3, 0.5, TWO_ATOMS)
+    table = estimate_moment_table(lat, G, ws, triple, 200, seed=6, n_batches=10)
+    assert len(keyed) == 201 and keyed.count(190) == 2
+    keys, sums = _reference_batch_sums(lat, G, ws, triple, 200, 6, 10)
+    grand = sums.sum(axis=0)
+    for i, key in enumerate(keys):
+        assert table[key].value == pytest.approx(grand[i] / 200, rel=1e-12)
+
+
+# 1, 2 and 4096 sites are powers of two and never redraw a half; 2^31 + 1
+# redraws about half of them; 3, 2500 (50^2) and 2^32 - 1 rarely
+@pytest.mark.parametrize("sites", [1, 2, 3, 2500, 4096, 2**31 + 1, 2**32 - 1])
+@pytest.mark.parametrize("totals", [(2.5,), (0.0, 1.5), (1.5, 0.0, 2.5)],
+                         ids=["one-atom", "two-atoms", "three-atoms"])
+def test_site_draws_match_integers_and_normals(sites, totals):
+    seed, replicates = 23, 60
+    stream = euclidean._noise_streams(seed)
+    keyed = []
+
+    def at(r):
+        keyed.append(r)
+        return stream(r)
+
+    # a budget of 7 sites splits the replicates into blocks of one or two
+    for budget in (1 << 20, 7):
+        keyed.clear()
+        drawn = []
+        normals = np.empty((replicates, 2))
+        first = 0
+        while first < replicates:
+            counts, starts, idx = euclidean._site_draws(
+                at, first, replicates, totals, sites, budget, normals[first:])
+            for j, (row, begin) in enumerate(zip(counts, starts)):
+                rng = noise_generator(seed, first + j)
+                for count, start, total in zip(row, begin, totals):
+                    assert count == rng.poisson(total)
+                    assert np.array_equal(idx[start : start + count],
+                                          rng.integers(0, sites, count))
+                    drawn.append(count)
+                assert np.array_equal(normals[first + j], rng.standard_normal(2))
+            first += len(counts)
+        # a replicate is keyed again only to replay a redrawn half
+        assert (len(keyed) > replicates) == (sites == 2**31 + 1)
+        assert 0 in drawn
+        assert {1, 2} <= {count % 2 + 1 for count in drawn if count}
+
+
+def test_site_draws_take_fewer_than_2_32_sites():
+    # refused before any array is built: the kernel's lattice is not even
+    # checked, and no 2^32-site field exists
+    lat = Lattice(1, 16, 0.5)
+    G = green_alpha_lattice(lat, GreenSpec(1, 0.5, 1.0))
+    with pytest.raises(SizeLimitError):
+        estimate_schwinger_mc(Lattice(2, 1 << 16, 1.0), G, [np.ones(lat.shape)],
+                              ATOM_TRIPLE, 40, seed=0)
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(lambda w: w + 0.5j * w, id="complex"),
+    pytest.param(lambda w: np.where(np.arange(w.size) == 5, np.nan, w), id="nan"),
+    pytest.param(lambda w: np.where(np.arange(w.size) == 5, -np.inf, w), id="inf"),
+])
+@pytest.mark.parametrize("estimator", [estimate_schwinger_mc, estimate_moment_table])
+def test_weights_must_be_real_and_finite(estimator, bad):
+    lat = Lattice(1, 16, 0.5)
+    G = green_alpha_lattice(lat, GreenSpec(1, 0.5, 1.0))
+    w = sample_function(lat, TestFunction.gaussian((0.0,), 1.0)).values.real
+    with pytest.raises(ConfigurationError, match="weight 1 "):
+        estimator(lat, G, [w, bad(w)], ATOM_TRIPLE, 40, seed=0)
+
+
+@pytest.mark.parametrize("estimator", [estimate_schwinger_mc, estimate_moment_table])
+def test_complex_weights_with_zero_imaginary_part_are_real(estimator):
+    lat = Lattice(1, 16, 0.5)
+    G = green_alpha_lattice(lat, GreenSpec(1, 0.5, 1.0))
+    w = sample_function(lat, TestFunction.gaussian((0.0,), 1.0)).values.real
+    real = estimator(lat, G, [w, w], ATOM_TRIPLE, 40, seed=0)
+    assert estimator(lat, G, [w, w.astype(complex)], ATOM_TRIPLE, 40, seed=0) == real
+
+
 def test_moment_table_prefix_gives_back_the_mc_cumulant():
     # the same noise stream: the table's subsets of the first n weights fold
     # into the cumulant estimate_schwinger_mc computes on those n weights
