@@ -102,7 +102,8 @@ CONFIG_SCHEMA: dict = {
                 "tolerance": {"type": "number", "exclusiveMinimum": 0.0}
             },
         },
-        "seed": {"type": "integer", "minimum": 0},
+        # numpy reads a Philox key [seed, r] above 2^63 - 1 as a rounded float
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**63 - 1},
         "output_dir": {"type": "string"},
         "tasks": {
             "type": "object",
@@ -348,11 +349,12 @@ def _config_validator():
     return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
-def _load_config(path: str, command: str):
+def _load_config(path: str, command: str, seed: Optional[int]):
     """(config, SHA-256 of its bytes, the inputs of ``command``'s handler).
 
-    Raises _ConfigError for an unreadable file, invalid JSON, a schema
-    violation outside the task sections of other subcommands, or a
+    ``seed`` (``--seed``), unless None, replaces the config's before the
+    schema check.  Raises _ConfigError for an unreadable file, invalid JSON,
+    a schema violation outside the task sections of other subcommands, or a
     constraint of :func:`_semantic_check`.
     """
     try:
@@ -365,6 +367,8 @@ def _load_config(path: str, command: str):
                          parse_float=_finite(float), parse_int=_finite(int))
     except ValueError as exc:  # bad encoding, bad syntax or a non-finite number
         raise _ConfigError(None, f"config is not valid JSON: {exc}") from None
+    if seed is not None:
+        cfg["seed"] = seed
     from jsonschema.exceptions import best_match
 
     name = command.replace("-", "_")
@@ -867,9 +871,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "NUMEXPR_NUM_THREADS",
             ):
                 os.environ[var] = str(args.threads)
-        cfg, digest, inputs = _load_config(args.config, args.command)
-        if args.tolerance is not None and args.tolerance <= 0:
-            raise _ConfigError("tolerance", "--tolerance must be positive")
+        cfg, digest, inputs = _load_config(args.config, args.command, args.seed)
+        if args.tolerance is not None and not 0 < args.tolerance < math.inf:
+            raise _ConfigError("tolerance", "--tolerance must be positive and finite")
         out = args.out or cfg.get("output_dir")
         if out is None:
             raise _ConfigError("output_dir", "no output directory (--out or output_dir)")
@@ -879,7 +883,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     tol = args.tolerance
     if tol is None:
         tol = (cfg.get("quadrature") or {}).get("tolerance")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = cfg.get("seed", 0)
     os.makedirs(out, exist_ok=True)
 
     written: List[str] = []

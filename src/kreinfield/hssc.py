@@ -488,8 +488,8 @@ def _pairings(monos: Sequence[Tuple[TestFunction, ...]], spec: GreenSpec,
     """(i, j, W(m_i* x m_j), error bound) for i <= j within the degree cap, one cache."""
     cache: Dict = {}
     for i, left in enumerate(monos):
-        # momentum-space adjoint: reverse slot order, conjugate, flip momenta
-        star = tuple(g.conjugate().flip() for g in reversed(left))
+        # the vacuum monomial () is its own adjoint
+        star = TensorTestFunction(left).involution_momentum().factors if left else ()
         for j in range(i, len(monos)):
             if len(left) + len(monos[j]) <= degree_cap:
                 yield (i, j, *_full_pairing(star + monos[j], spec, triple, tol, cache))

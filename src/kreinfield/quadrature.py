@@ -25,8 +25,8 @@ Every integral in the package is built from the same pieces:
   order-8 Gregory end corrections (exact to degree 7; order 6 misses a
   pinned factorized value, order 10 has a negative weight), exactly
   antisymmetric on [-c, c];
-* :func:`line_quadrature` -- a sine-substituted line integral split at
-  interior singular points;
+* :func:`line_quadrature` -- sine-substituted integrals over arrays of lines,
+  each split at its own singular points, with one call of the integrand;
 * :func:`tensor_blocks` -- a chunked sum over a tensor grid of rules;
 * :func:`phase_sums` -- the cosine and sine sums of several bodies against
   the phases a * k of an equispaced antisymmetric a-rule: cos and sin on
@@ -47,7 +47,7 @@ import contextlib
 import contextvars
 import functools
 import math
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -418,26 +418,28 @@ def gregory_nodes(lo: float, hi: float, n: int):
     return 0.5 * (hi + lo) + 0.5 * (hi - lo) * t, w
 
 
-def _subdivide(lo: float, hi: float, cuts: Sequence[float]) -> List[Tuple[float, float]]:
-    inner = sorted({c for c in cuts if lo < c < hi})
-    edges = [lo, *inner, hi]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+def line_quadrature(f: Callable[[np.ndarray], np.ndarray], lo, hi, cuts: Sequence = (),
+                    npts: int = 32):
+    """Sine-substituted integrals over lines split at their singular points.
 
-
-def line_quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    cuts: Sequence[float] = (),
-    npts: int = 32,
-):
-    """Integral of a vectorized integrand with splits at interior singular points."""
-    if hi <= lo:
-        return 0.0
+    ``lo``, ``hi`` and each cut broadcast to one shape S of lines.  A line's
+    edges are lo, its cuts clipped to [lo, hi] and sorted, and hi; one
+    :func:`sine_nodes` call puts npts nodes on every piece.  ``f`` is called
+    once, on each line's pieces concatenated in ascending order along a last
+    axis (S + (pieces * npts,); 1-D for a scalar line), and returns values
+    of that shape.  The pieces' sums are added in ascending order, giving
+    shape S.  A cut outside its line or a repeated cut leaves a zero-width
+    piece, and hi <= lo a line of them: nodes on one point with weight 0,
+    where ``f`` must be finite, so such a line integrates to 0.
+    """
+    ends = np.stack(np.broadcast_arrays(lo, *cuts, hi), axis=-1, dtype=float)
+    ends[..., 1:-1] = np.sort(np.clip(ends[..., 1:-1], ends[..., :1], ends[..., -1:]),
+                              axis=-1)
+    x, w = sine_nodes(ends[..., :-1], ends[..., 1:], npts)  # S + (pieces, npts)
+    sums = np.sum(f(x.reshape(x.shape[:-2] + (-1,))).reshape(x.shape) * w, axis=-1)
     total = 0.0
-    for a, b in _subdivide(lo, hi, cuts):
-        x, w = sine_nodes(a, b, npts)
-        total = total + np.sum(f(x) * w, axis=0)
+    for piece in np.moveaxis(sums, -1, 0):
+        total = total + piece
     return total
 
 

@@ -130,7 +130,8 @@ def spectral_density(k, spec: GreenSpec, branch: Branch) -> float:
 def bracket_scalar(k0s: np.ndarray, kv_sqs: np.ndarray, spec: GreenSpec) -> np.ndarray:
     """sum_j prod_{l<j} rho^-(k_l) rho^0(k_j) prod_{l>j} rho^+(k_l).
 
-    ``k0s`` and ``kv_sqs`` have shape (n, M): n momentum slots, M samples.
+    ``k0s`` has shape (n, M): n momentum slots, M samples; ``kv_sqs``, the
+    squared spatial momenta, broadcasts against it (0.0 in d = 1).
     """
     n = k0s.shape[0]
     minus, zero, plus = _density_arrays(k0s, kv_sqs, spec, "-0+")
@@ -274,8 +275,9 @@ def three_point_eval_1d(
     """Three-slot evaluation in d = 1: 2-d split quadrature on k3 = -k1 - k2.
 
     ``f(k1, k2, k3)`` must be vectorized over arrays of any common leading
-    shape; it is called once per outer piece with arrays of shape
-    (npts, 5, 32): every outer k1-node's five inner k2-intervals of 32 nodes.
+    shape; it is called once a round with every inner node of the round, as
+    arrays of shape (2 npts, 160): each outer k1-node of the round's two
+    outer pieces, then its five inner k2-intervals of 32 nodes.
     The integration box is the support rectangle k1 in [-box, -m],
     k2 in [-box, box] intersected with the slot indicators; interval splits
     sit on every mass-shell line.
@@ -287,25 +289,16 @@ def three_point_eval_1d(
     pref = c3 * 4 * (2 * math.pi) ** (1 - 1.5)
 
     def outer(k1):
-        # the four shell cuts of each outer node, clipped to the box and
-        # sorted, split [-box, box] into its five k2-intervals; a clipped or
-        # repeated cut leaves a zero-width interval, which sine_nodes gives
-        # zero weight
-        edges = np.sort(np.clip(np.stack(
-            [np.full_like(k1, c) for c in (-box, -m, m, box)] + [-k1 - m, -k1 + m],
-            axis=-1), -box, box), axis=-1)
-        k2, w = sine_nodes(edges[:, :-1], edges[:, 1:], 32)  # (npts, 5, 32)
-        k1s = np.broadcast_to(k1[:, None, None], k2.shape)
-        k3 = -k1[:, None, None] - k2
-        k0s = np.stack([k1s, k2, k3])
-        br = bracket_scalar(k0s, np.zeros_like(k0s), spec)
-        parts = np.sum(f(k1s, k2, k3) * br * w, axis=-1)
-        # add the intervals in ascending order, as a line integral per node
-        # would; the outer sum stays complex even when f is real
-        out = np.zeros(len(k1), dtype=complex)
-        for j in range(parts.shape[1]):
-            out += parts[:, j]
-        return out
+        # each outer node's k2-line [-box, box], split at its four shell cuts
+        def inner(k2):
+            k1s = np.broadcast_to(k1[:, None], k2.shape)
+            k3 = -k1[:, None] - k2
+            k0s = np.stack([k1s, k2, k3])
+            return f(k1s, k2, k3) * bracket_scalar(k0s, 0.0, spec)
+
+        # the outer sum stays complex even when f is real
+        return line_quadrature(inner, -box, box, (-m, m, -k1 - m, -k1 + m),
+                               32).astype(complex)
 
     # the absolute floor tol applies to the integral before the prefactor
     return refine(

@@ -263,13 +263,19 @@ def with_task(cfg, name, **changes):
     # the random family's center scale is a constant now, not a field
     ("certify", with_task(CERTIFY_CFG, "certify", random_family={
         "singles": 1, "center_scale": 2.0}), "tasks.certify.random_family"),
+    # an order above the number of smear centers has no subset to smear
+    ("schwinger", with_task(SCHWINGER_CFG, "schwinger", orders=[2, 3]),
+     "tasks.schwinger.orders"),
+    # numpy reads a Philox key above 2^63 - 1 as a rounded float
+    ("sample", dict(SAMPLE_CFG, seed=2**63), "seed"),
 ], ids=["sample-no-lattice", "schwinger-no-lattice", "laplace-check-no-lattice",
         "mass-extent-below-4", "krein-index-outside-pool", "cluster-freq-length",
         "laplace-check-decreasing-times", "laplace-check-d2-pair-below-half",
         "certify-test-above-n-max", "certify-quads-above-n-max",
         "certify-d2-alpha-below-half", "bounds-vector-slot-above-order",
         "bounds-vector-order-below-3", "bounds-empty", "cluster-timelike-direction",
-        "certify-retired-center-scale"])
+        "certify-retired-center-scale", "schwinger-order-above-centers",
+        "seed-above-int64"])
 def test_config_the_handler_cannot_run_is_config_error(tmp_path, capsys, command,
                                                        cfg, field):
     rc = main([command, "--config", write_cfg(tmp_path, cfg),
@@ -279,6 +285,29 @@ def test_config_the_handler_cannot_run_is_config_error(tmp_path, capsys, command
     assert doc["error"] == "config"
     assert doc["field"] == field
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--threads", "0"], "threads"),
+    (["--tolerance", "0"], "tolerance"),
+    (["--tolerance", "-1"], "tolerance"),
+    (["--tolerance", "inf"], "tolerance"),
+    (["--tolerance", "nan"], "tolerance"),
+    (["--seed", "-1"], "seed"),
+    (["--seed", str(2**63)], "seed"),
+    ([], "output_dir"),
+], ids=["threads-0", "tolerance-0", "tolerance-negative", "tolerance-inf",
+        "tolerance-nan", "seed-negative", "seed-above-int64", "no-output-dir"])
+def test_flag_the_run_cannot_honour_is_config_error(tmp_path, capsys, monkeypatch,
+                                                    flags, field):
+    monkeypatch.chdir(tmp_path)
+    out = [] if field == "output_dir" else ["--out", "run"]
+    rc = main(["sample", "--config", write_cfg(tmp_path, SAMPLE_CFG), *out, *flags])
+    assert rc == 2
+    doc = stderr_doc(capsys)
+    assert doc["error"] == "config"
+    assert doc["field"] == field
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_only_the_running_subcommands_section_is_checked(tmp_path):
@@ -726,6 +755,31 @@ def test_certify_with_no_family_is_config_error(tmp_path, capsys):
     assert doc["error"] == "config"
     assert doc["field"] == "tasks.certify"
     assert not (tmp_path / "out").exists()
+
+
+def test_certificate_that_does_not_pass_still_writes_its_outputs(tmp_path, capsys,
+                                                                 monkeypatch):
+    import kreinfield.hssc
+
+    cert = {"passed": False, "runtime_seconds": 0.5,
+            "per_order": [{"order": 2, "count": 1, "worst_ratio": 1.5,
+                           "min_margin": -0.25}],
+            "pairwise": {"count": 1, "worst_ratio": 1.5, "min_margin": -0.25,
+                         "skipped": 0}}
+    monkeypatch.setattr(kreinfield.hssc, "hssc_certify",
+                        lambda *args, **kwargs: dict(cert))
+    out = tmp_path / "out"
+    assert main(["certify", "--config", write_cfg(tmp_path, CERTIFY_CFG),
+                 "--out", str(out)]) == 1
+    assert stderr_doc(capsys)["error"] == "task"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["message"] == "certificate did not pass"
+    assert manifest["outputs"] == ["certificate.json", "certify.csv"]
+    assert json.loads((out / "certificate.json").read_text())["passed"] is False
+    with open(out / "certify.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh))[1:] == [["2", "1", "1.5", "-0.25", "0"],
+                                            ["pairs", "1", "1.5", "-0.25", "0"]]
 
 
 def test_krein_report_reduces_gram(tmp_path):

@@ -17,6 +17,7 @@ from kreinfield.quadrature import (
     gauss_legendre,
     gl_nodes,
     gregory_nodes,
+    line_quadrature,
     phase_sums,
     refine,
     sine_nodes,
@@ -475,6 +476,73 @@ def test_sine_rule_is_cached_and_mirrors_exactly(lo, hi):
     x, w = sine_nodes(lo, hi, 9)
     xm, wm = sine_nodes(np.negative(hi), np.negative(lo), 9)
     assert np.array_equal(xm, -x[..., ::-1]) and np.array_equal(wm, w[..., ::-1])
+
+
+def per_piece_line_quadrature(f, lo, hi, cuts=(), npts=32):
+    """Oracle: one scalar line, one sine rule and one call of f per piece
+    between its distinct cuts strictly inside it, the sums added in order."""
+    if hi <= lo:
+        return 0.0
+    edges = [lo, *sorted({c for c in cuts if lo < c < hi}), hi]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        x, w = sine_nodes(a, b, npts)
+        total = total + np.sum(f(x) * w, axis=0)
+    return total
+
+
+def kinked(x):
+    # finite everywhere, with a square-root kink at the cut 0.3
+    return np.sqrt(np.abs(x - 0.3)) * np.exp(1j * x)
+
+
+@pytest.mark.parametrize("cuts", [
+    (), (0.3,), (1.1, 0.3), (0.3, 5.0, -4.0), (0.3, 1.1, 0.3), (-1.0, 0.3, 2.0),
+], ids=["none", "inside", "unsorted", "outside", "repeated", "at-the-ends"])
+def test_line_quadrature_matches_per_piece_loop(cuts):
+    got = line_quadrature(kinked, -1.0, 2.0, cuts, 24)
+    want = per_piece_line_quadrature(kinked, -1.0, 2.0, cuts, 24)
+    assert np.shape(got) == ()
+    assert complex(got) == complex(want)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, -1.0)], ids=["empty", "reversed"])
+def test_line_quadrature_of_an_empty_line_is_zero(lo, hi):
+    assert line_quadrature(kinked, lo, hi, (0.3,), 16) == 0.0
+
+
+def test_line_quadrature_over_lines_matches_per_line_loop():
+    # three_point_eval_1d's inner level: a k2-line [-box, box] per outer node
+    # k1, split at the shells -m, m, -k1 - m and -k1 + m; with box = 3 the
+    # last cut leaves the line for k1 < -2
+    box, m = 3.0, 1.0
+    k1, _ = sine_nodes(-box, -m, 10)
+
+    def g(k1, k2):
+        return np.sqrt(np.abs(k1 + k2 + m)) * np.exp(-0.5 * k2 * k2) + 1j * k1 * k2
+
+    got = line_quadrature(lambda k2: g(k1[:, None], k2), -box, box,
+                          (-m, m, -k1 - m, -k1 + m), 32)
+    assert got.shape == k1.shape
+    for k, value in zip(k1, got):
+        want = per_piece_line_quadrature(lambda k2: g(k, k2), -box, box,
+                                         (-m, m, -k - m, -k + m), 32)
+        assert complex(value) == complex(want)
+
+
+def test_line_quadrature_calls_f_once_with_every_node():
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        return np.ones_like(x)
+
+    assert line_quadrature(f, 0.0, 2.0, (0.5, 1.5), 8) == pytest.approx(2.0)
+    # lines of shape (3, 4): lo per row, one cut per column
+    lo = np.array([[0.0], [1.0], [-2.0]])
+    got = line_quadrature(f, lo, 3.0, (np.array([-1.0, 0.5, 2.0, 4.0]),), 8)
+    assert shapes == [(24,), (3, 4, 16)]
+    np.testing.assert_allclose(got, np.broadcast_to(3.0 - lo, (3, 4)), rtol=1e-12)
 
 
 TANH_SINH_SCHEDULE = [24 << k for k in range(5)]

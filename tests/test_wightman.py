@@ -398,8 +398,8 @@ def test_bridge_recorder_matches_a_collect_block():
     assert rec == seen
 
 
-def test_three_point_1d_calls_f_once_per_outer_piece():
-    """Each round hands f every inner node of one outer piece at once."""
+def test_three_point_1d_calls_f_once_per_round():
+    """Each round hands f every inner node of the round at once."""
     shapes = []
 
     def f(k1, k2, k3):
@@ -409,11 +409,9 @@ def test_three_point_1d_calls_f_once_per_outer_piece():
     with collect() as rec:
         three_point_eval_1d(f, GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE, 1e-7,
                             BRIDGE_D1_BOX)
-    want = []
-    for npts, _, _ in rec[0]["history"]:
-        # two outer pieces, split at -2m, of npts nodes each
-        want += [((npts, 5, 32),) * 3] * 2
-    assert shapes == want
+    # two outer pieces, split at -2m, of npts nodes each; five inner
+    # k2-intervals of 32 nodes per outer node
+    assert shapes == [((2 * npts, 160),) * 3 for npts, _, _ in rec[0]["history"]]
 
 
 def test_three_point_bridge_d2():
