@@ -28,7 +28,7 @@ from .errors import (
 from .green import GreenSpec
 from .levy import LevyTriple, cumulant_coeff
 from .partitions import MAX_GROUND_SIZE, CorrelationTable, moments_from_cumulants
-from .quadrature import collect, refine, sine_nodes, tanh_sinh_nodes
+from .quadrature import collect, line_quadrature, refine, sine_nodes, tanh_sinh_nodes
 from .testfunctions import TensorTestFunction, TestFunction
 from .wightman import truncated_momentum_eval
 
@@ -324,11 +324,13 @@ def _shift_sup() -> float:
     """
     cap = 60.0
     lam, wl = sine_nodes(0.0, cap, 160)
-    acc = np.zeros_like(lam)
-    for lo, hi in ((-cap, 0.0), (0.0, cap)):
-        z, wz = sine_nodes(lo, hi, 160)
-        rsq = z[None, :] ** 2 + lam[:, None] ** 2
-        acc = acc + np.sum(rsq**-1.0 * (1.0 + rsq) ** -1.5 * wz[None, :], axis=1)
+
+    def integrand(z):
+        rsq = z**2 + lam[:, None] ** 2
+        return rsq**-1.0 * (1.0 + rsq) ** -1.5
+
+    # one z-line per lambda node
+    acc = line_quadrature(integrand, np.full_like(lam, -cap), cap, (0.0,), 160)
     core = 2.0 * math.pi * float(np.sum(wl * lam * acc))
     sup = core + 8.0 * math.pi * (1.0 - cap / math.hypot(1.0, cap))
     ceiling = 4.0 * math.pi**2

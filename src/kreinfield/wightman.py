@@ -36,11 +36,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    PreconditionError,
-    SingularConfigurationError,
-)
+from .errors import DomainError, PreconditionError
 from .green import GreenSpec, green_alpha_lattice
 from .lattice import Lattice
 from .levy import LevyTriple, cumulant_coeff
@@ -82,6 +78,15 @@ def _shell_power(msq, alpha: float):
     return out
 
 
+def _branch_weights(alpha: float) -> Tuple[float, float]:
+    """(sin pi alpha, cos pi alpha), the branch densities' weights.
+
+    cos pi alpha is written sin(pi (1/2 - alpha)), so that it is exactly 0.0
+    at alpha = 1/2.
+    """
+    return math.sin(math.pi * alpha), math.sin(math.pi * (0.5 - alpha))
+
+
 def _density_arrays(k0, kv_sq, spec: GreenSpec, branches: Sequence[Branch]):
     """Vectorized branch densities, one array per entry of ``branches``.
 
@@ -93,38 +98,19 @@ def _density_arrays(k0, kv_sq, spec: GreenSpec, branches: Sequence[Branch]):
     msq = k0 * k0 - kv_sq - spec.mass**2  # Minkowski k^2 - m^2
     amag = _shell_power(msq, spec.alpha)
     pref = (2 * math.pi) ** (-spec.dim / 2)
+    s, c = _branch_weights(spec.alpha)
     out = []
     for branch in branches:
         if branch == "+":
-            out.append(pref * math.sin(math.pi * spec.alpha) * np.where(
-                (msq > 0) & (k0 > 0), amag, 0.0))
+            out.append(pref * s * np.where((msq > 0) & (k0 > 0), amag, 0.0))
         elif branch == "-":
-            out.append(pref * math.sin(math.pi * spec.alpha) * np.where(
-                (msq > 0) & (k0 < 0), amag, 0.0))
+            out.append(pref * s * np.where((msq > 0) & (k0 < 0), amag, 0.0))
         elif branch == "0":
-            both = np.where(msq > 0, math.cos(math.pi * spec.alpha), 0.0) \
-                + np.where(msq < 0, 1.0, 0.0)
+            both = np.where(msq > 0, c, 0.0) + np.where(msq < 0, 1.0, 0.0)
             out.append(pref * both * amag)
         else:
             raise DomainError(f"unknown branch {branch!r}")
     return out
-
-
-def spectral_density(k, spec: GreenSpec, branch: Branch) -> float:
-    """Pointwise branch density at the Minkowski momentum k = (k0, kvec).
-
-    Raises on the mass shell, where the density is singular.
-
-    Check: test_density_branch_values and test_density_guards, the
-    pointwise reference of the vectorized branch densities.
-    """
-    k = np.asarray(k, dtype=float)
-    if k.shape != (spec.dim,):
-        raise PreconditionError("momentum must have d components")
-    kv_sq = float(np.sum(k[1:] ** 2))
-    if k[0] ** 2 - kv_sq == spec.mass**2:
-        raise SingularConfigurationError("momentum lies exactly on the mass shell")
-    return float(_density_arrays(k[0], kv_sq, spec, (branch,))[0])
 
 
 def bracket_scalar(k0s: np.ndarray, kv_sqs: np.ndarray, spec: GreenSpec) -> np.ndarray:
@@ -132,6 +118,10 @@ def bracket_scalar(k0s: np.ndarray, kv_sqs: np.ndarray, spec: GreenSpec) -> np.n
 
     ``k0s`` has shape (n, M): n momentum slots, M samples; ``kv_sqs``, the
     squared spatial momenta, broadcasts against it (0.0 in d = 1).
+
+    Check: test_bracket3_table_matches_bracket_scalar and
+    test_three_point_1d_matches_per_node_loop, the masked reference of the
+    three-slot table.
     """
     n = k0s.shape[0]
     minus, zero, plus = _density_arrays(k0s, kv_sqs, spec, "-0+")
@@ -279,22 +269,36 @@ def three_point_eval_1d(
     arrays of shape (2 npts, 160): each outer k1-node of the round's two
     outer pieces, then its five inner k2-intervals of 32 nodes.
     The integration box is the support rectangle k1 in [-box, -m],
-    k2 in [-box, box] intersected with the slot indicators; interval splits
-    sit on every mass-shell line.
+    k2 in [-box, box] intersected with the slot indicators, with ``box``
+    finite and above m; interval splits sit on every mass-shell line.
+    Slot 1 is backward-timelike on the whole box, so the bracket is the
+    entry of :func:`_bracket3_table` for the branch classes of k2 and k3
+    (k < -m, |k| < m, k > m) times P1 |msq2 msq3|^(-alpha), with
+    msq_l = k_l^2 - m^2 and slot 1's P1 = |msq1|^(-alpha) formed once per
+    outer node.
     """
     if spec.dim != 1:
         raise PreconditionError("1-d evaluator")
     m = spec.mass
+    if not (math.isfinite(box) and box > m):
+        raise PreconditionError("box must be finite and above the mass")
     c3 = cumulant_coeff(3, triple)
     pref = c3 * 4 * (2 * math.pi) ** (1 - 1.5)
+    table = _bracket3_table(spec)
 
     def outer(k1):
+        p1 = _shell_power(k1 * k1 - m * m, spec.alpha)[:, None]
+
         # each outer node's k2-line [-box, box], split at its four shell cuts
         def inner(k2):
             k1s = np.broadcast_to(k1[:, None], k2.shape)
             k3 = -k1[:, None] - k2
-            k0s = np.stack([k1s, k2, k3])
-            return f(k1s, k2, k3) * bracket_scalar(k0s, 0.0, spec)
+            # branch classes 0, 1, 2 for k < -m, |k| < m, k > m; a shell
+            # hit k = +-m, where the class is ambiguous, has P = 0
+            dens = _shell_power((k2 * k2 - m * m) * (k3 * k3 - m * m), spec.alpha)
+            dens *= p1
+            dens *= table[np.digitize(k2, (-m, m)), np.digitize(k3, (-m, m))]
+            return f(k1s, k2, k3) * dens
 
         # the outer sum stays complex even when f is real
         return line_quadrature(inner, -box, box, (-m, m, -k1 - m, -k1 + m),
@@ -307,21 +311,24 @@ def three_point_eval_1d(
         (24, 36, 54, 81, 121, 181), tol, tol * abs(pref), "three_point_1d")
 
 
-def _bracket3_coefficients(spec: GreenSpec) -> Tuple[float, float, float]:
-    """Three-slot bracket over P1 P2 P3 on the level-4 intervals of the d = 2 route.
+def _bracket3_table(spec: GreenSpec) -> np.ndarray:
+    """Three-slot bracket over P1 P2 P3 with slot 1 backward-timelike.
 
-    With slot 1 backward-timelike and slot 3 forward-timelike, the bracket
-    is a coefficient times P1 P2 P3, P_l = |k_l^2 - m^2|^(-alpha), when slot 2 is
-    backward-timelike, spacelike or forward-timelike: pref^3 times
-    (2 s^2 c, s^2, 2 s^2 c) with pref = (2 pi)^(-d/2), s = sin(pi alpha) and
-    c = cos(pi alpha), written sin(pi (1/2 - alpha)) so that it is exactly
-    0.0 at alpha = 1/2.
+    Entry [a, b] holds for slot 2 in branch class a and slot 3 in class b,
+    0 backward-timelike, 1 spacelike, 2 forward-timelike, where the bracket
+    is the entry times P1 P2 P3, P_l = |k_l^2 - m^2|^(-alpha): pref^3 times
+
+        [[s^2 c, s^2, 2 s^2 c], [0, 0, s^2], [0, 0, 2 s^2 c]]
+
+    with pref = (2 pi)^(-d/2) and (s, c) from :func:`_branch_weights`, so
+    the entries with c are exactly 0.0 at alpha = 1/2.
     """
     pref = (2 * math.pi) ** (-spec.dim / 2)
-    s = math.sin(math.pi * spec.alpha)
-    c = math.sin(math.pi * (0.5 - spec.alpha))
-    timelike = pref**3 * 2 * s * s * c
-    return timelike, pref**3 * s * s, timelike
+    s, c = _branch_weights(spec.alpha)
+    s2, s2c2 = pref**3 * s * s, pref**3 * 2 * s * s * c
+    return np.array([[pref**3 * s * s * c, s2, s2c2],
+                     [0.0, 0.0, s2],
+                     [0.0, 0.0, s2c2]])
 
 
 # level-3 entries (outer node, x2, interval, x3) per chunk of outer nodes of
@@ -356,10 +363,10 @@ def three_point_eval_2d(
     forward-timelike (k30 >= om3 because k20 <= top) on the whole box, and
     slot 2 is backward-timelike, spacelike and forward-timelike on
     [bot, c1], [c1, c2] and [c2, top].  The bracket there is one constant
-    coefficient (``_bracket3_coefficients``) times the three slots' shell
-    powers |k_l^2 - m^2|^(-alpha): slot 1's, which depends on level 2
-    alone, times |msq2 msq3|^(-alpha) on the level-4 grid, so no branch
-    masks are needed.  At alpha = 1/2 the two timelike coefficients are
+    coefficient (the forward column of :func:`_bracket3_table`) times the
+    three slots' shell powers |k_l^2 - m^2|^(-alpha): slot 1's, which
+    depends on level 2 alone, times |msq2 msq3|^(-alpha) on the level-4
+    grid, so no branch masks are needed.  At alpha = 1/2 the two timelike coefficients are
     exactly 0.0, those intervals get no nodes and only the spacelike
     interval is integrated.
 
@@ -400,7 +407,7 @@ def three_point_eval_2d(
     alpha = spec.alpha
     c3 = cumulant_coeff(3, triple)
     pref = c3 * 4 * (2 * math.pi) ** (2 - 3)
-    coefs = _bracket3_coefficients(spec)
+    coefs = _bracket3_table(spec)[:, 2]
     keep = [i for i, c in enumerate(coefs) if c != 0.0]
     coef = np.array([coefs[i] for i in keep])
 
@@ -561,11 +568,11 @@ def _combine_branches(plus, minus, inside, alpha: float) -> np.ndarray:
     instead of sin(pi alpha); at alpha = 1/2 it is the gap piece alone.
     Each branch is written straight into the stack, with no temporaries.
     """
-    sa, ca = math.sin(math.pi * alpha), math.cos(math.pi * alpha)
+    sa, ca = _branch_weights(alpha)
     out = np.empty((3,) + plus.shape, dtype=complex)
     np.multiply(plus, sa, out=out[0])
     np.multiply(minus, sa, out=out[1])
-    if abs(ca) > 1e-15:
+    if ca != 0.0:
         np.add(plus, minus, out=out[2])
         out[2] *= ca
         out[2] += inside
@@ -775,10 +782,13 @@ def truncated_momentum_eval(
     cumulant coefficient c_n gives a vanishing truncated function; neither
     runs a route.  The route's refinement record goes to the open
     :func:`~kreinfield.quadrature.collect` block.  ``tol`` None leaves each
-    route at its own default tolerance.
+    route at its own default tolerance.  Every factor must have the model's
+    dimension.
     """
     if not isinstance(test, TensorTestFunction):
         raise PreconditionError("truncated_momentum_eval takes a TensorTestFunction")
+    if any(g.dim != spec.dim for g in test.factors):
+        raise PreconditionError("test factors do not match the model dimension")
     n = len(test.factors)
     if n == 1 or cumulant_coeff(n, triple) == 0.0:
         return 0.0 + 0.0j

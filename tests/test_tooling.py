@@ -294,6 +294,88 @@ def test_public_name_guard_catches_a_test_only_name():
     assert _unplaced(pairs, called) == ["m.C.integral", "m.C.product", "m.gaussian"]
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_oracle(node) -> bool:
+    """Whether the definition's docstring has a ``Check:`` line."""
+    return any(line.startswith("Check:")
+               for line in (ast.get_docstring(node) or "").splitlines())
+
+
+def _oracle_names(sources) -> set:
+    """Names of the functions, methods and classes in ``sources`` whose
+    docstring has a ``Check:`` line, the mark of a test-only oracle."""
+    return {node.name for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, _DEFS) and _is_oracle(node)}
+
+
+def _oracle_calls(source: str, oracles: set) -> list:
+    """Calls in ``source`` of a name in ``oracles``, f(...) or x.f(...),
+    outside the oracles' own bodies.  A bare name defined inside an
+    enclosing function is that local definition, not the oracle."""
+    found = []
+
+    def visit(node, local: frozenset) -> None:
+        if isinstance(node, _DEFS):
+            if _is_oracle(node):
+                return
+            if not isinstance(node, ast.ClassDef):
+                local = local | {inner.name for inner in ast.walk(node)
+                                 if isinstance(inner, _DEFS) and inner is not node}
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id not in local:
+                name = func.id
+            else:
+                name = func.attr if isinstance(func, ast.Attribute) else None
+            if name in oracles:
+                found.append(f"{node.lineno}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def test_oracle_call_guard_catches_a_library_call():
+    # the shape of the masked three-slot bracket when the d = 1 evaluator
+    # still called it
+    source = (
+        'def bracket_scalar(k0s, kv_sqs, spec):\n'
+        '    """Masked bracket.\n\n    Check: test_x.\n    """\n'
+        '    return bracket_scalar(k0s[1:], kv_sqs, spec)\n'
+        'def three_point_eval_1d(f, spec):\n'
+        '    def inner(k2):\n'
+        '        return f(k2) * bracket_scalar(k2, 0.0, spec)\n'
+        '    return inner\n')
+    assert _oracle_names([source]) == {"bracket_scalar"}
+    assert _oracle_calls(source, {"bracket_scalar"}) == ["9: bracket_scalar"]
+    # an oracle class may build itself, a local function shadows an oracle
+    # method's name, and a method call through any receiver counts
+    source = (
+        'class Quaternion:\n'
+        '    """Algebra.\n\n    Check: test_q.\n    """\n'
+        '    def __mul__(self, other):\n'
+        '        return Quaternion()\n'
+        'def density_eval(g):\n'
+        '    if g:\n'
+        '        def integral(n):\n'
+        '            return n\n'
+        '    return integral(8) + g.integral()\n')
+    assert _oracle_calls(source, {"Quaternion", "integral"}) == ["12: integral"]
+
+
+def test_no_library_code_calls_a_test_only_name():
+    # a Check: line marks an oracle that only tests run, so the library's
+    # run path must not reach one
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    oracles = _oracle_names(sources.values())
+    assert {"bracket_scalar", "Quaternion", "integral"} <= oracles
+    offenders = {name: _oracle_calls(src, oracles) for name, src in sources.items()}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
 def _check_names(source: str) -> list:
     """One "owner: name" entry per test_* name in the ``Check:`` paragraphs
     of the docstrings in ``source``; a paragraph runs from its ``Check:``

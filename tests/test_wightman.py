@@ -10,7 +10,6 @@ from kreinfield.errors import (
     DomainError,
     PreconditionError,
     QuadratureError,
-    SingularConfigurationError,
 )
 from kreinfield.green import GreenSpec
 from kreinfield.lattice import Lattice
@@ -25,7 +24,6 @@ from kreinfield.wightman import (
     laplace_bridge_check,
     minkowski_translate,
     reflect_three_slot,
-    spectral_density,
     spectral_support_check,
     three_point_eval_1d,
     three_point_eval_2d,
@@ -42,38 +40,43 @@ ATOM_TRIPLE = LevyTriple(drift=0.1, variance=0.5, atoms=((1.0, 2.0),))
 # -- branch densities ---------------------------------------------------------
 
 
+def density(k, spec, branch):
+    """The branch density at the Minkowski momentum k = (k0, kvec)."""
+    k = np.asarray(k, dtype=float)
+    return float(wightman._density_arrays(k[0], np.sum(k[1:] ** 2), spec, branch)[0])
+
+
 def test_density_branch_values():
     spec = GreenSpec(2, 0.4, 1.0)
     k = np.array([-2.0, 0.5])  # timelike, negative energy
     msq = 4.0 - 0.25 - 1.0
     base = (2 * math.pi) ** -1 * msq ** -0.4
-    assert spectral_density(k, spec, "-") == pytest.approx(
+    assert density(k, spec, "-") == pytest.approx(
         math.sin(0.4 * math.pi) * base, rel=1e-12)
-    assert spectral_density(k, spec, "+") == 0.0
-    assert spectral_density(k, spec, "0") == pytest.approx(
+    assert density(k, spec, "+") == 0.0
+    assert density(k, spec, "0") == pytest.approx(
         math.cos(0.4 * math.pi) * base, rel=1e-12)
 
     kgap = np.array([0.5, 0.3])  # inside the mass gap
     mgap = abs(0.25 - 0.09 - 1.0)
-    assert spectral_density(kgap, spec, "0") == pytest.approx(
+    assert density(kgap, spec, "0") == pytest.approx(
         (2 * math.pi) ** -1 * mgap ** -0.4, rel=1e-12)
-    assert spectral_density(kgap, spec, "+") == 0.0
-    assert spectral_density(kgap, spec, "-") == 0.0
+    assert density(kgap, spec, "+") == 0.0
+    assert density(kgap, spec, "-") == 0.0
 
     spec1 = GreenSpec(1, 0.5, 2.0)
     k1 = np.array([-3.0])
-    assert spectral_density(k1, spec1, "-") == pytest.approx(
+    assert density(k1, spec1, "-") == pytest.approx(
         (2 * math.pi) ** -0.5 * (9.0 - 4.0) ** -0.5, rel=1e-12)
+    # cos(pi alpha) is exactly 0 at alpha = 1/2, so the two-sided branch
+    # vanishes off the gap
+    assert density(k1, spec1, "0") == 0.0
+    assert wightman._branch_weights(0.5)[1] == 0.0
 
 
 def test_density_guards():
-    spec = GreenSpec(1, 0.5, 1.0)
-    with pytest.raises(SingularConfigurationError):
-        spectral_density(np.array([1.0]), spec, "-")
-    with pytest.raises(PreconditionError):
-        spectral_density(np.array([1.0, 0.0]), spec, "-")
     with pytest.raises(DomainError):
-        spectral_density(np.array([-2.0]), spec, "x")
+        density(np.array([-2.0]), GreenSpec(1, 0.5, 1.0), "x")
     with pytest.raises(DomainError):
         GreenSpec(1, 0.7, 1.0)
 
@@ -422,14 +425,57 @@ def test_three_point_bridge_d2():
     assert report.gap < 2e-2
 
 
+def class_momenta(rng, cls, kv_sq, m, box, npts):
+    """Energies of branch class cls (0 backward-timelike, 1 spacelike,
+    2 forward-timelike) at the squared spatial momenta kv_sq."""
+    om = np.sqrt(kv_sq + m * m)
+    u = rng.uniform(0.001, 0.999, npts)
+    if cls == 1:
+        return om * (2 * u - 1)
+    return (1 if cls == 2 else -1) * (om + box * u)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("alpha", [0.25, 0.35, 0.5])
-def test_bracket3_coefficients_match_bracket_scalar(alpha):
-    """Per-interval coefficient times P1 P2 P3 against the masked bracket."""
-    spec = GreenSpec(2, alpha, 1.0)
+def test_bracket3_table_matches_bracket_scalar(alpha, dim):
+    """Table entry times P1 P2 P3 against the masked bracket, slot 1
+    backward-timelike and slots 2 and 3 in every pair of branch classes."""
+    spec = GreenSpec(dim, alpha, 1.0)
     m, box = spec.mass, 25.0
     rng = np.random.default_rng(7)
     npts = 400
-    # the level-4 geometry of three_point_eval_2d at random outer nodes
+    table = wightman._bracket3_table(spec)
+    assert table.shape == (3, 3)
+    for a in range(3):
+        for b in range(3):
+            kvs = (rng.uniform(-box, box, (3, npts)) ** 2 if dim == 2
+                   else np.zeros((3, npts)))
+            k0s = np.stack([class_momenta(rng, c, kv, m, box, npts)
+                            for c, kv in zip((0, a, b), kvs)])
+            msq = k0s * k0s - kvs - m * m
+            classes = np.where(msq < 0, 1, np.where(k0s < 0, 0, 2))
+            assert np.all(classes == np.array([[0], [a], [b]]))
+            want = bracket_scalar(k0s, kvs, spec)
+            if (a, b) in ((1, 0), (1, 1), (2, 0), (2, 1)):
+                assert table[a, b] == 0.0
+                assert np.all(want == 0.0)
+                continue
+            powers = np.prod(np.abs(msq) ** -alpha, axis=0)
+            scale = (2 * math.pi) ** (-1.5 * dim) * powers
+            assert np.all(np.abs(table[a, b] * powers - want) <= 1e-14 * scale)
+    s, c = wightman._branch_weights(alpha)
+    pref3 = (2 * math.pi) ** (-1.5 * dim)
+    assert table[0] == pytest.approx(pref3 * s * s * np.array([c, 1.0, 2 * c]),
+                                     rel=1e-15)
+    if alpha == 0.5:
+        assert table[0, 0] == 0.0 and table[0, 2] == 0.0 and table[2, 2] == 0.0
+    if dim == 1:
+        return
+    # the level-4 geometry of three_point_eval_2d at random outer nodes: on
+    # [bot, c1], [c1, c2] and [c2, top] slot 2 is backward-timelike,
+    # spacelike and forward-timelike and slot 3 forward-timelike, so the
+    # route reads the table's forward column
+    rng = np.random.default_rng(7)
     k10 = rng.uniform(-box, -1.05 * m, npts)
     k11 = np.sqrt(k10 * k10 - m * m) * rng.uniform(-0.99, 0.99, npts)
     k21 = rng.uniform(-box, box, npts)
@@ -439,8 +485,7 @@ def test_bracket3_coefficients_match_bracket_scalar(alpha):
     bot = -k10 - box
     c1 = np.clip(-om2, bot, top)
     c2 = np.clip(om2, c1, top)
-    coefs = wightman._bracket3_coefficients(spec)
-    for coef, lo, hi in zip(coefs, (bot, c1, c2), (c1, c2, top)):
+    for coef, lo, hi in zip(table[:, 2], (bot, c1, c2), (c1, c2, top)):
         ok = hi - lo > 1e-6
         assert np.count_nonzero(ok) > 100
         k20 = lo[ok] + (hi - lo)[ok] * rng.uniform(0.001, 0.999, ok.sum())
@@ -451,10 +496,9 @@ def test_bracket3_coefficients_match_bracket_scalar(alpha):
         scale = (2 * math.pi) ** -3 * powers
         assert np.all(np.abs(coef * powers - want) <= 1e-14 * scale)
     if alpha == 0.5:
-        assert coefs[0] == 0.0 and coefs[2] == 0.0
-        assert coefs[1] == pytest.approx((2 * math.pi) ** -3, rel=1e-15)
+        assert table[1, 2] == pytest.approx((2 * math.pi) ** -3, rel=1e-15)
     else:
-        assert min(coefs) > 0.0
+        assert table[:, 2].min() > 0.0
 
 
 # the Laplace bridge's n = 3 points (t, y); its box at these times is 45 / 1.25
@@ -587,6 +631,13 @@ def test_three_point_2d_one_outer_node_is_pinned_at_every_round(monkeypatch, alp
 def test_three_point_2d_rejects_points_it_cannot_damp(pts):
     with pytest.raises(PreconditionError):
         three_point_eval_2d(np.array(pts), GreenSpec(2, 0.5, 1.0), ATOM_TRIPLE)
+
+
+@pytest.mark.parametrize("box", [1.0, 0.5, -3.0, math.nan, math.inf])
+def test_three_point_1d_rejects_a_box_not_finite_and_above_the_mass(box):
+    with pytest.raises(PreconditionError):
+        three_point_eval_1d(bridge_d1_phase, GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE,
+                            box=box)
 
 
 @pytest.mark.parametrize("box", [1.0, 0.5, -3.0, math.nan, math.inf])
@@ -922,6 +973,22 @@ def test_cluster_requires_spacelike():
             [TestFunction.gaussian((0.0,), 1.0)],
             [TestFunction.gaussian((0.0,), 1.0)],
             (1.0,), (0.0,), GreenSpec(1, 0.5, 1.0), ATOM_TRIPLE)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("model_dim, factor_dim", [(1, 2), (2, 1)],
+                         ids=["d1-model-2d-factors", "d2-model-1d-factors"])
+def test_dispatcher_rejects_factors_of_another_dimension(model_dim, factor_dim, n):
+    # the d = 1 factorized route used to drop a 2-D factor's spatial axis and
+    # return a number; the other cases failed deep inside a route
+    spec = GreenSpec(model_dim, 0.35, 1.0)
+    test = TensorTestFunction(tuple(
+        TestFunction.gaussian((c,) + (0.0,) * (factor_dim - 1), 1.0)
+        for c in np.linspace(-1.5, 1.5, n)))
+    with collect() as rec:
+        with pytest.raises(PreconditionError):
+            truncated_momentum_eval(test, spec, ATOM_TRIPLE)
+    assert rec == []
 
 
 def test_dispatcher_conventions():
